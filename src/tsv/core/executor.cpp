@@ -15,20 +15,9 @@ namespace detail {
 void execute_request(PlanCache& cache, const Shape& shape,
                      const StencilSpec& spec, const Options& o,
                      Executor::GridRef grid, const ExecControl* ctl) {
-  for (;;) {
-    std::shared_ptr<PlanCache::Entry> entry = cache.get(shape, spec, o);
-    WorkspacePool::Lease ws = entry->workspaces().checkout();
-    try {
-      std::visit([&](auto* g) { entry->plan().execute(*g, *ws, ctl); }, grid);
-      return;
-    } catch (const KernelFault&) {
-      // Graceful ISA degradation: kernel faults fire pre-mutation, so the
-      // grid still holds the request's input — pin this configuration one
-      // rung down (AVX-512 -> AVX2 -> scalar) and retry on the rebuilt
-      // plan. Only the bottom rung's fault surfaces to the caller.
-      if (!cache.degrade(shape, spec, o)) throw;
-    }
-  }
+  std::shared_ptr<PlanCache::Entry> entry = cache.get(shape, spec, o);
+  WorkspacePool::Lease ws = entry->workspaces().checkout();
+  std::visit([&](auto* g) { entry->plan().execute(*g, *ws, ctl); }, grid);
 }
 
 }  // namespace detail

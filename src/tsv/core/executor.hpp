@@ -194,10 +194,10 @@ namespace detail {
 
 /// The one execution path every request funnels through (Executor::submit
 /// and the Scheduler's group runner): cache lookup, workspace checkout,
-/// plan execute under @p ctl — with graceful ISA degradation wrapped
-/// around it: a KernelFault fires pre-mutation, so the request retries on a
-/// plan rebuilt one ISA rung down (PlanCache::degrade) until the scalar
-/// rung itself fails. Defined in executor.cpp.
+/// plan execute under @p ctl. Faults propagate unchanged; every fault point
+/// fires before anything is mutated, so the caller may re-run the same plan
+/// on the same input (the Scheduler's retry_budget). Defined in
+/// executor.cpp.
 void execute_request(PlanCache& cache, const Shape& shape,
                      const StencilSpec& spec, const Options& o,
                      Executor::GridRef grid, const ExecControl* ctl);

@@ -158,9 +158,6 @@ void FaultInjector::maybe_fire(FaultSite site) {
     if (fire) ++p.st.fires;
   }
   if (!fire) return;
-  if (site == FaultSite::kKernelSweep)
-    throw KernelFault(std::string("injected kernel fault at ") +
-                      kSiteNames[static_cast<int>(site)]);
   throw TransientError(std::string("injected transient fault at ") +
                        kSiteNames[static_cast<int>(site)]);
 }

@@ -17,7 +17,6 @@
 //    +- TransientError  retryable infrastructure fault (is_transient -> true)
 //    +- TimeoutError    per-request deadline expired
 //    +- CancelledError  cooperative cancel delivered
-//    +- KernelFault     kernel path failed; plan may degrade to a lower ISA
 //    +- NumericalError  NaN/Inf detected by a health scan (health.hpp)
 //
 // std::bad_alloc is treated as transient by is_transient_error(): an OOM
@@ -34,9 +33,12 @@
 //   shard.exchange      ShardedPlan halo-exchange wave
 //   kernel.sweep        TypedPlan::execute, before the kernel dispatch
 //
-// Every site fires BEFORE the step it guards mutates anything, so a
-// transient fault is always retry-safe: re-running the request from the
-// same input is bit-identical to a fault-free run.
+// Every site fires BEFORE the step it guards mutates anything and throws
+// TransientError, so a fault is always retry-safe: re-running the same plan
+// from the same input is bit-identical to a fault-free run. That re-run is
+// the only recovery path — the Scheduler's retry_budget for requests, one
+// in-place retry per wave for sharded plans — so a recovered request always
+// runs the configuration it was planned for.
 //
 // The injector is off unless the environment sets TSV_FAULT_INJECTION=1
 // (checked once at first use); when off, `fault_point()` is a single
@@ -81,7 +83,8 @@ class TsvError {
 };
 
 // Retryable infrastructure fault: allocation pressure, an injected
-// transient, a failed (idempotent) halo exchange.
+// transient at any fault point (kernel sweep included), a failed
+// (idempotent) halo exchange.
 class TransientError : public std::runtime_error, public TsvError {
  public:
   explicit TransientError(const std::string& what)
@@ -101,18 +104,6 @@ class CancelledError : public std::runtime_error, public TsvError {
  public:
   explicit CancelledError(const std::string& what)
       : std::runtime_error(what) {}
-};
-
-// A kernel path failed (injected or real, e.g. an illegal instruction on a
-// heterogeneous fleet). PlanCache reacts by degrading the plan one ISA rung
-// (AVX-512 -> AVX2 -> scalar) and rebuilding; only when the scalar rung
-// itself faults does the error surface — and then it is still transient
-// (the fault fires pre-mutation, so a scheduler-level retry of the whole
-// request against the now-degraded plan can succeed).
-class KernelFault : public std::runtime_error, public TsvError {
- public:
-  explicit KernelFault(const std::string& what) : std::runtime_error(what) {}
-  bool is_transient() const noexcept override { return true; }
 };
 
 // A health scan (Options::health_check) found a non-finite value in the

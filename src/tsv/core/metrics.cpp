@@ -51,7 +51,6 @@ void json_executor(std::ostringstream& os, const ExecutorStats& e) {
      << ",\"plan_cache\":{\"hits\":" << e.plan_cache.hits
      << ",\"misses\":" << e.plan_cache.misses
      << ",\"evictions\":" << e.plan_cache.evictions
-     << ",\"degraded_plans\":" << e.plan_cache.degraded_plans
      << ",\"entries\":" << e.plan_cache.entries
      << "},\"workspaces\":{\"created\":" << e.workspaces.created
      << ",\"reused\":" << e.workspaces.reused
@@ -240,9 +239,6 @@ void prom_executor(std::ostringstream& os,
   emit("tsv_plan_cache_evictions_total", "counter",
        "Plans evicted by capacity.",
        [](const ExecutorStats& e) { return e.plan_cache.evictions; });
-  emit("tsv_plan_cache_degraded_plans", "gauge",
-       "Configurations pinned to a lower ISA rung.",
-       [](const ExecutorStats& e) { return e.plan_cache.degraded_plans; });
   emit("tsv_plan_cache_entries", "gauge", "Plans currently cached.",
        [](const ExecutorStats& e) { return std::uint64_t(e.plan_cache.entries); });
   emit("tsv_workspace_created_total", "counter",

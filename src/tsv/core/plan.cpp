@@ -44,19 +44,6 @@ int runtime_default_threads() {
   return threads;
 }
 
-bool degraded_isa(Isa from, Isa* to) {
-  if (from == Isa::kAvx512) {
-    *to = isa_compiled(Isa::kAvx2) && isa_supported(Isa::kAvx2) ? Isa::kAvx2
-                                                                : Isa::kScalar;
-    return true;
-  }
-  if (from == Isa::kAvx2) {
-    *to = Isa::kScalar;
-    return true;
-  }
-  return false;  // scalar is the bottom rung
-}
-
 void run_wave(Executor* ex, std::vector<std::function<void()>>& tasks) {
   // One task (or no executor) gains nothing from the submit/future round
   // trip — run inline. Order within a wave is free by construction: every

@@ -118,15 +118,6 @@ struct ResolvedOptions {
 ResolvedOptions resolve_options(const Shape& shape, int radius,
                                 const Options& o);
 
-namespace detail {
-
-/// One rung down the graceful-degradation chain AVX-512 -> AVX2 -> scalar,
-/// skipping rungs this binary/machine cannot run. Returns false from the
-/// bottom rung (nothing left to degrade to). Defined in plan.cpp.
-bool degraded_isa(Isa from, Isa* to);
-
-}  // namespace detail
-
 // ---------------------------------------------------------------------------
 // Rank-generic dispatch table.
 // ---------------------------------------------------------------------------
@@ -444,9 +435,8 @@ class TypedPlan {
     if (shape_of(g) != shape_)
       throw ConfigError(cfg_.method, cfg_.tiling, detail::grid_rank<G>,
                         "grid does not match the planned shape");
-    // Pre-mutation: an injected kernel fault (or a real one, on the first
-    // instruction of an unsupported path) leaves the grid untouched, so the
-    // caller can rebuild a degraded plan and re-run from the same input.
+    // Pre-mutation: an injected sweep fault leaves the grid untouched, so
+    // the caller can re-run this same plan from the same input.
     fault_point(FaultSite::kKernelSweep);
     const bool polled = ctl != nullptr && ctl->active();
     if (polled) ctl->check();
@@ -744,7 +734,7 @@ class ShardedPlan {
   /// never see — is checked against the registry here. Throws ConfigError.
   ShardedPlan(const Shape& shape, const S& stencil, const ShardSpec& spec,
               const Options& o)
-      : shape_(shape), steps_(o.steps), stencil_(stencil) {
+      : shape_(shape), steps_(o.steps) {
     const int rank = shape.rank;
     auto fail = [&](const std::string& reason) -> void {
       throw ConfigError(o.method, o.tiling, rank, reason);
@@ -780,7 +770,6 @@ class ShardedPlan {
       oi.max_threads = o.max_threads > 0
                            ? std::min(o.max_threads, spec.threads_per_shard)
                            : spec.threads_per_shard;
-    oi_ = oi;  // kept for degraded-ISA shard-plan rebuilds (execute_impl)
     plans_.reserve(static_cast<std::size_t>(layout_.count));
     for (int i = 0; i < layout_.count; ++i) {
       const index e = layout_.extent[static_cast<std::size_t>(i)];
@@ -845,20 +834,15 @@ class ShardedPlan {
       const bool last = t + 1 == steps_;
       for (int i = 0; i < n; ++i)
         wave[static_cast<std::size_t>(i)] = [this, &sg, i, last] {
-          const std::size_t si = static_cast<std::size_t>(i);
+          // Per-wave containment: a sweep fault fires pre-mutation, so
+          // this shard's sub-grid is still at step t — one in-place retry
+          // of the same shard plan keeps one faulting shard from poisoning
+          // an otherwise-complete wave.
+          const TypedPlan<G, S>& plan = plans_[static_cast<std::size_t>(i)];
           try {
-            plans_[si].execute(sg.shard(i));
-          } catch (const KernelFault&) {
-            // Per-wave containment: a kernel fault fires pre-mutation, so
-            // this shard's sub-grid is still at step t. Rebuild its plan
-            // one ISA rung down and retry the step before the wave barrier
-            // would rethrow — one faulting shard must not poison an
-            // otherwise-complete wave.
-            Isa down;
-            if (!detail::degraded_isa(plans_[si].config().isa, &down)) throw;
-            Options od = oi_;
-            od.isa = down;
-            make_plan(plans_[si].shape(), stencil_, od).execute(sg.shard(i));
+            plan.execute(sg.shard(i));
+          } catch (const TransientError&) {
+            plan.execute(sg.shard(i));
           }
           if (!last) sg.fill_shard_ghosts(i, bc_, S::radius);
         };
@@ -868,8 +852,6 @@ class ShardedPlan {
 
   Shape shape_;
   index steps_ = 0;
-  S stencil_;
-  Options oi_;  ///< per-shard options (steps=1, Dirichlet split axis)
   ShardLayout layout_;
   BoundarySpec bc_;
   std::vector<TypedPlan<G, S>> plans_;

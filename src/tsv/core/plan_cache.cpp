@@ -132,14 +132,6 @@ std::shared_ptr<PlanCache::Entry> PlanCache::get(const Shape& shape,
                                                  const StencilSpec& spec,
                                                  const Options& o) {
   const PlanKey key = PlanKey::make(shape, spec, o);
-  // Degradation pin: the entry stays keyed by the ORIGINAL request, but a
-  // degraded configuration builds at its pinned (lower) ISA rung.
-  Options build_o = o;
-  {
-    std::lock_guard<std::mutex> lock(override_mu_);
-    auto it = isa_override_.find(key);
-    if (it != isa_override_.end()) build_o.isa = it->second;
-  }
   Shard& shard = shard_for(key);
   std::shared_ptr<Entry> entry;
   {
@@ -204,7 +196,7 @@ std::shared_ptr<PlanCache::Entry> PlanCache::get(const Shape& shape,
         // (e.g. an allocation failure inside autotuning trials); the claim
         // release below makes it retry-clean for every waiter.
         fault_point(FaultSite::kPlanBuild);
-        Plan plan = make_plan(shape, spec, build_o);
+        Plan plan = make_plan(shape, spec, o);
         lock.lock();
         entry->plan_.emplace(std::move(plan));
         entry->state_ = Entry::State::kBuilt;
@@ -226,44 +218,11 @@ std::shared_ptr<PlanCache::Entry> PlanCache::get(const Shape& shape,
   return entry;
 }
 
-bool PlanCache::degrade(const Shape& shape, const StencilSpec& spec,
-                        const Options& o) {
-  const PlanKey key = PlanKey::make(shape, spec, o);
-  {
-    std::lock_guard<std::mutex> lock(override_mu_);
-    auto it = isa_override_.find(key);
-    const Isa cur = it != isa_override_.end()
-                        ? it->second
-                        : (o.isa == Isa::kAuto ? best_isa() : o.isa);
-    Isa next;
-    if (!detail::degraded_isa(cur, &next)) return false;
-    isa_override_[key] = next;
-  }
-  // Drop the cached entry so the next get() under the same key rebuilds at
-  // the pinned rung. In-flight holders keep the old entry alive until their
-  // leases drain; its pool's lifetime totals retire so workspace_stats()
-  // never goes backwards (same bookkeeping as eviction).
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
-    const WorkspacePool::Stats dead = it->second->pool_.stats();
-    retired_ws_created_.fetch_add(dead.created, std::memory_order_relaxed);
-    retired_ws_reused_.fetch_add(dead.reused, std::memory_order_relaxed);
-    shard.entries.erase(it);
-  }
-  return true;
-}
-
 PlanCacheStats PlanCache::stats() const {
   PlanCacheStats s;
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(override_mu_);
-    s.degraded_plans = isa_override_.size();
-  }
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     s.entries += shard.entries.size();

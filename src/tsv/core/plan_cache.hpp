@@ -110,8 +110,6 @@ struct PlanCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
-  /// Configurations currently pinned to a lower ISA rung by degrade().
-  std::uint64_t degraded_plans = 0;
   std::size_t entries = 0;
 };
 
@@ -170,14 +168,6 @@ class PlanCache {
   std::shared_ptr<Entry> get(const Shape& shape, const StencilSpec& spec,
                              const Options& o);
 
-  /// Graceful ISA degradation after a kernel-path failure (KernelFault):
-  /// pins this configuration one rung down the AVX-512 -> AVX2 -> scalar
-  /// chain and drops its cached entry, so the next get() under the SAME key
-  /// rebuilds at the lower rung — callers keep their original request and
-  /// transparently receive the degraded plan. Returns false when already at
-  /// the bottom rung (nothing left to degrade to; let the fault surface).
-  bool degrade(const Shape& shape, const StencilSpec& spec, const Options& o);
-
   PlanCacheStats stats() const;
 
   /// Sum of every entry's workspace-pool stats (service observability).
@@ -206,12 +196,6 @@ class PlanCache {
 
   Shard shards_[kShards];
   std::size_t max_entries_ = kDefaultMaxEntries;
-  /// Degradation pins, keyed by the ORIGINAL request key and applied to the
-  /// build options inside get() — the cache's identity never changes, only
-  /// what it builds. Separate mutex: degrade() and get() touch it briefly
-  /// and must not serialize on any one shard's lock.
-  mutable std::mutex override_mu_;
-  std::map<PlanKey, Isa> isa_override_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};

@@ -153,10 +153,11 @@ struct SchedulerConfig {
   SchedPolicy policy = SchedPolicy::kDeadline;
   bool coalesce = true;          ///< single-flight identical submissions
   /// Transparent re-executions per dispatched group on a TRANSIENT failure
-  /// (TransientError, KernelFault, std::bad_alloc — see
-  /// is_transient_error). Every fault point fires before its step mutates
-  /// anything and the group's input is snapshotted before the first
-  /// attempt, so a retried request is bit-identical to a fault-free run.
+  /// (TransientError — which every injected fault point throws, kernel
+  /// sweep included — or std::bad_alloc; see is_transient_error). Every
+  /// fault point fires before its step mutates anything and the group's
+  /// input is snapshotted before the first attempt, so a retry re-runs the
+  /// same cached plan and is bit-identical to a fault-free run.
   /// Coalesced followers ride their leader's retries: one budget per group,
   /// one shared outcome. 0 disables retry (transients surface immediately).
   int retry_budget = 0;

@@ -1,5 +1,5 @@
 // Chaos suite for the resilience layer (core/fault.hpp, core/health.hpp,
-// and the retry/timeout/cancel/degradation paths threaded through
+// and the retry/timeout/cancel paths threaded through
 // Scheduler -> Executor -> PlanCache -> Plan -> ShardedPlan).
 //
 // Every test is DETERMINISTIC: the injector's per-point splitmix64 streams
@@ -11,7 +11,7 @@
 //   * a fault can fail a future but never strand one, and never leaks a
 //     workspace lease;
 //   * error types match the taxonomy (TransientError / TimeoutError /
-//     CancelledError / KernelFault / NumericalError), and the scheduler's
+//     CancelledError / NumericalError), and the scheduler's
 //     cancelled/timed_out/retries/retry_exhausted counters add up.
 #include <gtest/gtest.h>
 
@@ -100,7 +100,6 @@ class FaultTest : public ::testing::Test {
 TEST(FaultTaxonomy, TransientClassification) {
   const auto ep = [](auto e) { return std::make_exception_ptr(e); };
   EXPECT_TRUE(is_transient_error(ep(TransientError("t"))));
-  EXPECT_TRUE(is_transient_error(ep(KernelFault("k"))));
   EXPECT_TRUE(is_transient_error(ep(std::bad_alloc{})));
   EXPECT_FALSE(is_transient_error(ep(TimeoutError("t"))));
   EXPECT_FALSE(is_transient_error(ep(CancelledError("c"))));
@@ -180,7 +179,7 @@ TEST_F(FaultTest, SeedReplaysTheExactFaultSchedule) {
       bool f = false;
       try {
         fault_point(FaultSite::kKernelSweep);
-      } catch (const KernelFault&) {
+      } catch (const TransientError&) {
         f = true;
       }
       fired.push_back(f);
@@ -430,44 +429,61 @@ TEST_F(FaultTest, PlanBuildFaultReleasesTheSingleFlightClaim) {
   EXPECT_EQ(s.plan_cache.hits, 0u);
 }
 
-TEST_F(FaultTest, KernelFaultDegradesIsaOneRungAndRecovers) {
+TEST_F(FaultTest, KernelSweepFaultSurfacesTransientAndPlanServesOn) {
   Executor ex({.gangs = 1, .threads_per_gang = 1});
   FaultInjector::instance().arm("kernel.sweep", {.count = 1});
 
   Grid1D<double> g(512, 1);
   g.fill([](index x) { return noise<double>(8, x); });
-  std::future<void> fut = ex.submit(g, kSpec, kRun);
-
-  if (best_isa() == Isa::kScalar) {
-    // Nothing below scalar: the fault surfaces — but typed as a transient,
-    // so a scheduler-level retry could still absorb it.
-    EXPECT_THROW(fut.get(), KernelFault);
-    EXPECT_EQ(ex.stats().plan_cache.degraded_plans, 0u);
-  } else {
-    // The faulted sweep fired pre-mutation; the executor degraded the plan
-    // one ISA rung and re-ran on the preserved input.
-    EXPECT_NO_THROW(fut.get());
-    const ExecutorStats s = ex.stats();
-    EXPECT_EQ(s.plan_cache.degraded_plans, 1u);
-    EXPECT_EQ(s.completed, 1u);
-    EXPECT_EQ(s.failed, 0u);
-    // The degraded rung computes the same stencil; allow for a different
-    // (but still correct) instruction schedule.
-    EXPECT_LE(max_abs_diff(serial_expected(8, kRun, 1), g), 1e-12);
-
-    // The pin sticks: the same configuration keeps serving (at the lower
-    // rung) without re-faulting.
-    g.fill([](index x) { return noise<double>(8, x); });
-    EXPECT_NO_THROW(ex.submit(g, kSpec, kRun).get());
-    EXPECT_EQ(ex.stats().plan_cache.degraded_plans, 1u);
-  }
+  EXPECT_THROW(ex.submit(g, kSpec, kRun).get(), TransientError);
   EXPECT_EQ(ex.stats().workspaces.in_flight, 0u);
+
+  // The sweep fault fired pre-mutation and the executor left the cached
+  // plan alone: the next submit hits it and is bit-identical to the serial
+  // plan.
+  g.fill([](index x) { return noise<double>(8, x); });
+  EXPECT_NO_THROW(ex.submit(g, kSpec, kRun).get());
+  EXPECT_EQ(max_abs_diff(serial_expected(8, kRun, 1), g), 0.0);
+  const ExecutorStats s = ex.stats();
+  EXPECT_EQ(s.failed, 1u);
+  EXPECT_EQ(s.completed, 1u);
+  EXPECT_EQ(s.plan_cache.misses, 1u);
+  EXPECT_EQ(s.plan_cache.hits, 1u);
+  EXPECT_EQ(s.workspaces.in_flight, 0u);
+}
+
+TEST_F(FaultTest, SchedulerRetriesKernelSweepFaultOnThePlannedKernel) {
+  // Recovering from a fault must not leave the system slower: the
+  // scheduler's retry re-runs the SAME cached plan at its planned ISA,
+  // without a rebuild, and the result is bit-identical.
+  FaultInjector::instance().arm("kernel.sweep", {.count = 1});
+  Scheduler sched({.executor = {.gangs = 1, .threads_per_gang = 1},
+                   .retry_budget = 1,
+                   .retry_backoff_ms = 0.05,
+                   .retry_backoff_max_ms = 0.2});
+  Req r(8);
+  r.fut = sched.submit(*r.grid, kSpec, kRun);
+  EXPECT_NO_THROW(r.fut.get());
+  sched.wait_idle();
+
+  const SchedulerStats st = sched.stats();
+  EXPECT_EQ(st.completed, 1u);
+  EXPECT_EQ(st.failed, 0u);
+  EXPECT_EQ(st.retries, 1u);
+  EXPECT_EQ(st.retry_exhausted, 0u);
+  EXPECT_EQ(st.executor.plan_cache.misses, 1u) << "the plan was rebuilt";
+  EXPECT_EQ(FaultInjector::instance().stats("kernel.sweep").fires, 1u);
+
+  const auto entry = sched.executor().plan_cache().get(
+      shape_of(*r.grid), kSpec, normalized(kRun, 1));
+  EXPECT_EQ(entry->plan().config().isa, best_isa());
+  EXPECT_EQ(sched.executor().stats().plan_cache.misses, 1u);
+  EXPECT_EQ(max_abs_diff(serial_expected(8, kRun, 1), *r.grid), 0.0);
 }
 
 // ---------------------------------------------------------------------------
-// Injection through ShardedPlan: an exchange fault retries idempotently; a
-// sweep fault is contained to its shard via a locally rebuilt, degraded
-// plan.
+// Injection through ShardedPlan: an exchange fault and a sweep fault each
+// retry in place, contained to their shard's wave task.
 // ---------------------------------------------------------------------------
 
 TEST_F(FaultTest, ShardExchangeFaultRetriesIdempotently) {
@@ -509,20 +525,12 @@ TEST_F(FaultTest, ShardSweepFaultIsContainedToItsShard) {
   sg.scatter(init);
   const auto plan = make_sharded_plan(shape, s, ShardSpec{.count = 2}, o);
 
-  if (best_isa() == Isa::kScalar) {
-    // No rung left below the faulted shard's plan: the wave driver drains
-    // the other shards, then rethrows the shard's fault.
-    EXPECT_THROW(plan.execute(sg), KernelFault);
-  } else {
-    // One shard's sweep faulted; it re-ran on a locally rebuilt plan one
-    // ISA rung down, before the wave barrier — the other shard never saw
-    // it.
-    EXPECT_NO_THROW(plan.execute(sg));
-    Grid2D<double> out = init;
-    sg.gather(out);
-    EXPECT_LE(max_abs_diff(mono, out), 1e-12)
-        << "degraded-shard recovery diverged";
-  }
+  // One shard's sweep faulted pre-mutation; it re-ran the same shard plan
+  // in place, before the wave barrier — the other shard never saw it.
+  EXPECT_NO_THROW(plan.execute(sg));
+  Grid2D<double> out = init;
+  sg.gather(out);
+  EXPECT_EQ(max_abs_diff(mono, out), 0.0) << "shard-retry recovery diverged";
   EXPECT_EQ(FaultInjector::instance().stats("kernel.sweep").fires, 1u);
 }
 
