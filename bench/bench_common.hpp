@@ -26,6 +26,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -485,12 +486,22 @@ struct MixSlot {
   /// The grid of the LAST reset() — a slot reused across parities keeps
   /// both grids alive, so the spec (not grid presence) picks the one the
   /// current configuration targets.
-  tsv::Executor::GridRef grid_ref() {
-    return spec.kind == tsv::StencilKind::k1d3p
-               ? tsv::Executor::GridRef{g1.get()}
-               : tsv::Executor::GridRef{g2.get()};
+  tsv::GridRef grid_ref() {
+    return spec.kind == tsv::StencilKind::k1d3p ? tsv::GridRef{g1.get()}
+                                                : tsv::GridRef{g2.get()};
   }
 };
+
+/// A Scheduler run as a plain batch pool of single-threaded gangs:
+/// admission-order dispatch, no coalescing, and a queue deep enough for
+/// @p batch requests — for benches that measure the gangs, not the
+/// serving policy.
+inline tsv::SchedulerConfig fifo_pool(int gangs, std::size_t batch = 0) {
+  return {.executor = {.gangs = gangs, .threads_per_gang = 1},
+          .queue_capacity = std::max<std::size_t>(batch, 1024),
+          .policy = tsv::SchedPolicy::kFifo,
+          .coalesce = false};
+}
 
 /// The four multicore contenders of Figs. 8-9 (paper naming).
 struct Contender {

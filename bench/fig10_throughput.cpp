@@ -4,9 +4,10 @@
 // sustained point-update throughput:
 //
 //   serial   one thread, one Plan::execute after another (plans prebuilt —
-//            this is the best a caller loop can do without the executor)
-//   batched  the same requests through tsv::Executor: G gangs pop requests
-//            off the shared queue, plans deduplicated by the PlanCache,
+//            this is the best a caller loop can do without the gang pool)
+//   batched  the same requests through a tsv::Scheduler run as a batch
+//            pool (FIFO policy, no coalescing): G gangs take requests off
+//            the admission queue, plans deduplicated by the PlanCache,
 //            scratch from per-plan workspace pools
 //
 // The request mix alternates 1D and 2D heat problems — each small enough
@@ -23,7 +24,7 @@
 //
 // Extra flags (on top of bench_common's):
 //   --requests N      batch size                  (default 16)
-//   --gangs N         executor gangs              (default 4)
+//   --gangs N         scheduler gangs             (default 4)
 //   --min-speedup X   fail if batched/serial < X  (default 0 = report only)
 
 #include "bench_common.hpp"
@@ -74,13 +75,12 @@ double elapsed_serial(std::vector<Slot>& slots, tsv::PlanCache& cache) {
   return t.seconds();
 }
 
-double elapsed_batched(std::vector<Slot>& slots, tsv::Executor& ex) {
+double elapsed_batched(std::vector<Slot>& slots, tsv::Scheduler& pool) {
   tsv::Timer t;
-  std::vector<std::future<void>> futs;
+  std::vector<std::future<tsv::Scheduler::Result>> futs;
   futs.reserve(slots.size());
   for (Slot& s : slots)
-    futs.push_back(s.g1 ? ex.submit(*s.g1, s.spec, s.o)
-                        : ex.submit(*s.g2, s.spec, s.o));
+    futs.push_back(pool.submit({s.grid_ref(), s.spec, s.o}));
   for (auto& f : futs) f.get();
   return t.seconds();
 }
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   bench::setup_omp();
   const Config cfg = Config::parse(argc, argv);
   const Flags flags = parse_extra(argc, argv);
-  print_header("Figure 10: batched executor throughput (mixed small grids)");
+  print_header("Figure 10: batched gang-pool throughput (mixed small grids)");
 
   const tsv::index nx = cfg.smoke ? 16384 : 65536;
   const tsv::index steps = cfg.smoke ? 16 : 32;
@@ -117,8 +117,9 @@ int main(int argc, char** argv) {
   }
   const double serial_pps = total_updates / serial_secs;
 
-  // ---- batched: same requests through the executor -------------------------
-  tsv::Executor ex({.gangs = flags.gangs, .threads_per_gang = 1});
+  // ---- batched: same requests through the gang pool ------------------------
+  tsv::Scheduler ex(
+      fifo_pool(flags.gangs, static_cast<std::size_t>(flags.requests)));
   for (int i = 0; i < flags.requests; ++i) batched_slots[i].reset(i, nx, steps);
   elapsed_batched(batched_slots, ex);  // warmup: plan cache + workspace pools
   double batched_secs = 1e100;
@@ -153,7 +154,7 @@ int main(int argc, char** argv) {
   }
 
   const double speedup = batched_pps / serial_pps;
-  const tsv::ExecutorStats st = ex.stats();
+  const tsv::ExecutorStats st = ex.stats().executor;
   std::printf("requests = %d (1D nx=%td / 2D %tdx32), steps = %td\n",
               flags.requests, nx, nx / 64, steps);
   std::printf("%-8s %15s\n", "mode", "Mpoints/s");

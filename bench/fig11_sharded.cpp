@@ -3,7 +3,7 @@
 // Decomposes one 2D heat problem into N outermost-axis shards
 // (tsv::ShardedGrid + tsv::ShardedPlan) and compares sustained point-update
 // throughput against the 1-shard decomposition of the same plan, with the
-// per-shard sweeps fanned out over an Executor of N single-threaded gangs:
+// per-shard sweeps fanned out over a Scheduler of N single-threaded gangs:
 //
 //   strong   fixed global grid, 1 shard vs N shards (ideal speedup = N)
 //   weak     ny grows with the shard count (ideal speedup = N, constant
@@ -75,7 +75,7 @@ double best_sharded_secs(const tsv::Grid2D<double>& init,
                                                 tsv::Stencil2D<1, 3, double>>&
                              plan,
                          tsv::ShardedGrid<tsv::Grid2D<double>>& sg,
-                         tsv::Executor& ex, int reps) {
+                         tsv::Scheduler& ex, int reps) {
   double best = 1e100;
   for (int r = 0; r < reps; ++r) {
     sg.scatter(init);
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
       const auto plan =
           tsv::make_sharded_plan(tsv::shape2d(nx, ny), s, spec, o);
       tsv::ShardedGrid<tsv::Grid2D<double>> sg(init, spec);
-      tsv::Executor ex({.gangs = count, .threads_per_gang = 1});
+      tsv::Scheduler ex(fifo_pool(count));
 
       // In-binary bit-identity vs the monolithic plan, every run.
       {

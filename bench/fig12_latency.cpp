@@ -105,23 +105,34 @@ std::vector<Arrival> make_schedule(const Scenario& sc) {
   return plan;
 }
 
-/// Picks the batch step count whose service time lands on target_s, from a
-/// timed single-threaded probe (the gang runs requests single-threaded too,
+/// Service time of one batch request at @p steps, from a timed
+/// single-threaded run (the gang runs requests single-threaded too,
 /// threads_per_gang = 1). Second run timed: the first pays first-touch.
-tsv::index calibrate_batch_steps(tsv::index nx_b, double target_s) {
-  const tsv::index probe_steps = 64;
+double time_batch(tsv::index nx_b, tsv::index steps) {
   MixSlot s;
-  s.reset(1, nx_b, probe_steps);
+  s.reset(1, nx_b, steps);
   s.o.max_threads = 1;
   const auto plan = tsv::make_plan(tsv::shape_of(*s.g2), s.spec, s.o);
   plan.execute(*s.g2);
-  s.reset(1, nx_b, probe_steps);
+  s.reset(1, nx_b, steps);
   tsv::Timer t;
   plan.execute(*s.g2);
-  const double sec = std::max(t.seconds(), 1e-6);
-  const double scaled =
-      static_cast<double>(probe_steps) * target_s / sec;
-  return std::clamp<tsv::index>(static_cast<tsv::index>(scaled), 16, 4096);
+  return std::max(t.seconds(), 1e-6);
+}
+
+/// Picks the batch step count whose service time lands on target_s. A
+/// 64-step probe gives the first estimate and a probe at that estimate
+/// corrects it: per-execute fixed costs (layout transforms, ghost fills)
+/// weigh more in 64 steps than in the ~1000+ a request runs, so one short
+/// probe over-estimates the per-step cost and under-loads the server.
+tsv::index calibrate_batch_steps(tsv::index nx_b, double target_s) {
+  tsv::index steps = 64;
+  for (int pass = 0; pass < 2; ++pass) {
+    const double scaled =
+        static_cast<double>(steps) * target_s / time_batch(nx_b, steps);
+    steps = std::clamp<tsv::index>(static_cast<tsv::index>(scaled), 16, 4096);
+  }
+  return steps;
 }
 
 /// One class's outcome over a run.

@@ -4,7 +4,7 @@
 // Two questions, one binary:
 //
 //  1. OVERHEAD — what does the fault/health instrumentation cost a
-//     fault-free request? Five arms run the same single-gang executor
+//     fault-free request? Five arms run the same single-gang batch-pool
 //     workload (1D 3-point, transpose layout) and differ only in the
 //     resilience configuration:
 //
@@ -114,9 +114,9 @@ tsv::Options arm_options(const Arm& a, tsv::index steps) {
 }
 
 /// One timed pass of an arm: B sequential requests through the (shared)
-/// executor — the path that crosses every fault point — returning point
+/// gang pool — the path that crosses every fault point — returning point
 /// updates per second. The grid refill is outside the timed region.
-double time_arm(tsv::Executor& ex, const Arm& a, tsv::Grid1D<double>& g,
+double time_arm(tsv::Scheduler& ex, const Arm& a, tsv::Grid1D<double>& g,
                 tsv::index steps, int batch) {
   apply(a);
   const tsv::Options o = arm_options(a, steps);
@@ -204,12 +204,12 @@ int main(int argc, char** argv) {
   CsvSink csv(cfg.csv_path, "fig,arm,points_per_s,overhead");
 
   // ---- overhead arms -------------------------------------------------------
-  // One executor for every arm: the plan cache keys on health_check, so each
+  // One gang pool for every arm: the plan cache keys on health_check, so each
   // arm gets its own cached plan while sharing gang and pool state. A
   // warmup round builds all five plans before anything is timed.
   double pps[kArmCount] = {};
   {
-    tsv::Executor ex({.gangs = 1, .threads_per_gang = 1});
+    tsv::Scheduler ex(fifo_pool(1));
     tsv::Grid1D<double> g(nx, 1);
     for (const Arm& a : kArms) time_arm(ex, a, g, steps, 1);  // warmup
     for (int r = 0; r < rounds; ++r)

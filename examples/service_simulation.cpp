@@ -1,7 +1,7 @@
 // Multi-tenant service simulation: three tenants with different physics and
 // different SLOs share one deadline-aware Scheduler (core/scheduler.hpp)
 // over multiple rounds — the serving shape the scheduler subsystem exists
-// for, on top of the batched Executor it wraps.
+// for, with its own pool of worker gangs.
 //
 //   ./service_simulation [rounds]
 //
@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
   std::printf(
       "service simulation: %d gangs x %d threads, %d rounds, "
       "tenant quota 2\n\n",
-      sched.executor().gangs(), sched.executor().threads_per_gang(), rounds);
+      sched.gangs(), sched.threads_per_gang(), rounds);
 
   // ---- tenant A: 2D heat plate, runtime conductivity, tiled ---------------
   const tsv::StencilSpec spec_a{.kind = tsv::StencilKind::k2d5p,
@@ -360,11 +360,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- observability: one scrape of the whole serving stack ---------------
-  // Idle invariants span BOTH layers: the scheduler's completion hook runs
-  // inside the executor task body, so quiesce the scheduler AND its executor
-  // before asserting the strict identities.
+  // One wait_idle() quiesces everything the strict identities audit.
   sched.wait_idle();
-  sched.executor().wait_idle();
   tsv::MetricsRegistry reg;
   reg.attach(&sched);
   const tsv::MetricsSnapshot m = reg.snapshot();
@@ -384,8 +381,8 @@ int main(int argc, char** argv) {
        ms.admitted + ms.rejected == ms.submitted},
       {"every completion is timed: sum(latency counts) == completed",
        latency_n == ms.completed},
-      {"executor drained: completed + failed == submitted, 0 in flight",
-       ms.executor.completed + ms.executor.failed == ms.executor.submitted &&
+      {"drained: completed + failed + shed == admitted, 0 in flight",
+       ms.completed + ms.failed + ms.shed == ms.admitted && ms.inflight == 0 &&
            ms.executor.workspaces.in_flight == 0},
   };
   for (const auto& inv : invariants) {

@@ -1,7 +1,7 @@
 // 2D heat diffusion on a sharded grid — the sharding subsystem end to end:
 // decompose one domain into outermost-axis shards (ShardedGrid), build one
 // plan per shard (ShardedPlan), and drive the time loop as waves of
-// exchange -> sweep over an Executor's gangs, one single-threaded gang per
+// exchange -> sweep over a Scheduler's gangs, one single-threaded gang per
 // shard.
 //
 // The domain mixes boundary conditions across the shard seam on purpose —
@@ -16,7 +16,7 @@
 //   * conservation — an insulated periodic domain neither creates nor
 //     destroys heat, so the total must be preserved to rounding.
 //
-// Finally it prints the executor's per-gang busy counters: how the wave
+// Finally it prints the scheduler's per-gang busy counters: how the wave
 // tasks spread over the gangs and what fraction of the wall time each gang
 // computed (ExecutorStats::gangs, utilization()).
 //
@@ -72,7 +72,9 @@ int main(int argc, char** argv) {
   const auto plan = tsv::make_sharded_plan(tsv::shape2d(n, n), s, spec, o);
   tsv::ShardedGrid<tsv::Grid2D<double>> sg(init, spec);
   sg.scatter(init);
-  tsv::Executor ex({.gangs = plan.shards(), .threads_per_gang = 1});
+  tsv::Scheduler ex({.executor = {.gangs = plan.shards(), .threads_per_gang = 1},
+                     .policy = tsv::SchedPolicy::kFifo,
+                     .coalesce = false});
   tsv::Timer t;
   plan.execute(sg, ex);
   const double secs = t.seconds();
@@ -94,7 +96,7 @@ int main(int argc, char** argv) {
   std::printf("  %.1f Mpoints/s over %d gangs\n",
               double(n) * double(n) * double(steps) / secs / 1e6, ex.gangs());
 
-  const tsv::ExecutorStats st = ex.stats();
+  const tsv::ExecutorStats st = ex.stats().executor;
   for (std::size_t i = 0; i < st.gangs.size(); ++i)
     std::printf("  gang %zu: %llu wave tasks, %.1f ms busy\n", i,
                 static_cast<unsigned long long>(st.gangs[i].tasks),

@@ -2,7 +2,7 @@
 // Runtime CPU capability and cache-hierarchy discovery.
 //
 // The benchmark harness uses cache sizes to pick the problem sizes that land
-// in L1/L2/L3/memory (paper Figs. 7-8), and the executor uses the feature
+// in L1/L2/L3/memory (paper Figs. 7-8), and make_plan uses the feature
 // flags to choose the widest available kernel.
 
 #include <cstddef>

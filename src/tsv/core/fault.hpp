@@ -29,7 +29,7 @@
 //
 //   workspace.alloc     WorkspacePool::checkout, before any allocation
 //   plan.build          PlanCache::get, before make_plan
-//   executor.dispatch   gang task body, before execution starts
+//   executor.dispatch   Scheduler gang, before a group's execution starts
 //   shard.exchange      ShardedPlan halo-exchange wave
 //   kernel.sweep        TypedPlan::execute, before the kernel dispatch
 //
@@ -130,7 +130,7 @@ bool is_transient_error(const std::exception_ptr& ep) noexcept;
 
 // Copyable handle to a shared cancellation flag. Default-constructed tokens
 // are inert (`valid() == false`, never cancelled); `CancelToken::make()`
-// creates a live one. Cancel is cooperative: the executor checks the token
+// creates a live one. Cancel is cooperative: the Scheduler checks the token
 // at dispatch and between time steps, so a cancelled long-running request
 // frees its gang within one step, not one request.
 class CancelToken {
@@ -181,7 +181,7 @@ struct ExecControl {
 enum class FaultSite : int {
   kWorkspaceAlloc = 0,  // "workspace.alloc"
   kPlanBuild = 1,       // "plan.build"
-  kExecutorDispatch = 2,  // "executor.dispatch"
+  kGangDispatch = 2,   // "executor.dispatch"
   kShardExchange = 3,   // "shard.exchange"
   kKernelSweep = 4,     // "kernel.sweep"
 };

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <string>
 #include <type_traits>
-#include <utility>
 
 namespace tsv {
 
@@ -13,10 +12,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   if (scheduler_ != nullptr) {
     m.has_scheduler = true;
     m.scheduler = scheduler_->stats();
-  }
-  if (executor_ != nullptr) {
-    m.has_executor = true;
-    m.executor = executor_->stats();
   }
   m.tuner = tune_counters();
   FaultInjector& fi = FaultInjector::instance();
@@ -44,9 +39,7 @@ std::string fmt_double(double v) {
 }
 
 void json_executor(std::ostringstream& os, const ExecutorStats& e) {
-  os << "{\"submitted\":" << e.submitted << ",\"completed\":" << e.completed
-     << ",\"failed\":" << e.failed << ",\"queue_depth\":" << e.queue_depth
-     << ",\"uptime_seconds\":" << fmt_double(e.uptime_seconds)
+  os << "{\"uptime_seconds\":" << fmt_double(e.uptime_seconds)
      << ",\"utilization\":" << fmt_double(utilization(e))
      << ",\"plan_cache\":{\"hits\":" << e.plan_cache.hits
      << ",\"misses\":" << e.plan_cache.misses
@@ -94,6 +87,7 @@ std::string metrics_to_json(const MetricsSnapshot& m) {
        << ",\"retries\":" << s.retries
        << ",\"retry_exhausted\":" << s.retry_exhausted
        << ",\"cancelled\":" << s.cancelled << ",\"timed_out\":" << s.timed_out
+       << ",\"sliced_executes\":" << s.sliced_executes
        << ",\"queued\":" << s.queued << ",\"inflight\":" << s.inflight
        << ",\"peak_tenant_inflight\":" << s.peak_tenant_inflight
        << ",\"latency\":{";
@@ -118,10 +112,6 @@ std::string metrics_to_json(const MetricsSnapshot& m) {
     os << "],\"executor\":";
     json_executor(os, s.executor);
     os << "}";
-  }
-  if (m.has_executor) {
-    section("executor");
-    json_executor(os, m.executor);
   }
   section("tuner");
   os << "{\"lookups\":" << m.tuner.lookups
@@ -186,71 +176,41 @@ std::string label(const char* k, const std::string& v) {
   return std::string("{") + k + "=\"" + v + "\"}";
 }
 
-void prom_executor(std::ostringstream& os,
-                   const std::vector<std::pair<std::string, const ExecutorStats*>>& srcs) {
-  const auto family = [&](const char* name, const char* type,
-                          const char* help) {
-    return PromFamily(os, name, type, help);
-  };
+void prom_executor(std::ostringstream& os, const ExecutorStats& e) {
+  const std::string via = label("via", "scheduler");
   const auto emit = [&](const char* name, const char* type, const char* help,
-                        auto field) {
-    PromFamily f = family(name, type, help);
-    for (const auto& [via, e] : srcs) f.sample(field(*e), label("via", via));
+                        auto v) { PromFamily(os, name, type, help).sample(v, via); };
+  const auto per_gang = [&](const char* name, const char* help, auto field) {
+    PromFamily f(os, name, "counter", help);
+    for (std::size_t g = 0; g < e.gangs.size(); ++g)
+      f.sample(field(e.gangs[g]),
+               "{via=\"scheduler\",gang=\"" + std::to_string(g) + "\"}");
   };
-  emit("tsv_executor_submitted_total", "counter",
-       "Requests handed to the executor pool.",
-       [](const ExecutorStats& e) { return e.submitted; });
-  emit("tsv_executor_completed_total", "counter",
-       "Executor requests finished successfully.",
-       [](const ExecutorStats& e) { return e.completed; });
-  emit("tsv_executor_failed_total", "counter",
-       "Executor requests finished by raising into the future.",
-       [](const ExecutorStats& e) { return e.failed; });
-  emit("tsv_executor_queue_depth", "gauge",
-       "Tasks waiting for a gang.",
-       [](const ExecutorStats& e) { return std::uint64_t(e.queue_depth); });
   emit("tsv_executor_uptime_seconds", "gauge",
-       "Wall time since executor construction.",
-       [](const ExecutorStats& e) { return e.uptime_seconds; });
+       "Wall time since scheduler construction.", e.uptime_seconds);
   emit("tsv_executor_utilization", "gauge",
-       "Whole-pool busy fraction in [0,1].",
-       [](const ExecutorStats& e) { return utilization(e); });
-  {
-    PromFamily f = family("tsv_executor_gang_tasks_total", "counter",
-                          "Tasks run, per gang.");
-    for (const auto& [via, e] : srcs)
-      for (std::size_t g = 0; g < e->gangs.size(); ++g)
-        f.sample(e->gangs[g].tasks,
-                 "{via=\"" + via + "\",gang=\"" + std::to_string(g) + "\"}");
-  }
-  {
-    PromFamily f = family("tsv_executor_gang_busy_seconds_total", "counter",
-                          "Wall time spent inside tasks, per gang.");
-    for (const auto& [via, e] : srcs)
-      for (std::size_t g = 0; g < e->gangs.size(); ++g)
-        f.sample(e->gangs[g].busy_seconds,
-                 "{via=\"" + via + "\",gang=\"" + std::to_string(g) + "\"}");
-  }
+       "Whole-pool busy fraction in [0,1].", utilization(e));
+  per_gang("tsv_executor_gang_tasks_total", "Groups and tasks run, per gang.",
+           [](const GangStats& g) { return g.tasks; });
+  per_gang("tsv_executor_gang_busy_seconds_total",
+           "Wall time spent inside groups and tasks, per gang.",
+           [](const GangStats& g) { return g.busy_seconds; });
   emit("tsv_plan_cache_hits_total", "counter", "Plan cache lookups served.",
-       [](const ExecutorStats& e) { return e.plan_cache.hits; });
+       e.plan_cache.hits);
   emit("tsv_plan_cache_misses_total", "counter",
-       "Plan cache lookups that built a plan.",
-       [](const ExecutorStats& e) { return e.plan_cache.misses; });
+       "Plan cache lookups that built a plan.", e.plan_cache.misses);
   emit("tsv_plan_cache_evictions_total", "counter",
-       "Plans evicted by capacity.",
-       [](const ExecutorStats& e) { return e.plan_cache.evictions; });
+       "Plans evicted by capacity.", e.plan_cache.evictions);
   emit("tsv_plan_cache_entries", "gauge", "Plans currently cached.",
-       [](const ExecutorStats& e) { return std::uint64_t(e.plan_cache.entries); });
+       std::uint64_t(e.plan_cache.entries));
   emit("tsv_workspace_created_total", "counter",
-       "Workspaces constructed on empty-pool checkouts.",
-       [](const ExecutorStats& e) { return e.workspaces.created; });
+       "Workspaces constructed on empty-pool checkouts.", e.workspaces.created);
   emit("tsv_workspace_reused_total", "counter",
-       "Checkouts served from the free list.",
-       [](const ExecutorStats& e) { return e.workspaces.reused; });
+       "Checkouts served from the free list.", e.workspaces.reused);
   emit("tsv_workspace_free", "gauge", "Workspaces parked in pools.",
-       [](const ExecutorStats& e) { return std::uint64_t(e.workspaces.free); });
+       std::uint64_t(e.workspaces.free));
   emit("tsv_workspace_in_flight", "gauge", "Live workspace leases.",
-       [](const ExecutorStats& e) { return std::uint64_t(e.workspaces.in_flight); });
+       std::uint64_t(e.workspaces.in_flight));
 }
 
 }  // namespace
@@ -295,9 +255,13 @@ std::string metrics_to_prometheus(const MetricsSnapshot& m) {
     counter("tsv_scheduler_timed_out_total",
             "Requests failed with TimeoutError (subset of failed).",
             s.timed_out);
+    counter("tsv_scheduler_sliced_executes_total",
+            "Request groups run one step at a time under a cancel token or "
+            "timeout.",
+            s.sliced_executes);
     gauge("tsv_scheduler_queued", "Coalesce groups waiting in the queue.",
           s.queued);
-    gauge("tsv_scheduler_inflight", "Groups handed to the executor.",
+    gauge("tsv_scheduler_inflight", "Groups running on a gang.",
           s.inflight);
     gauge("tsv_scheduler_peak_tenant_inflight",
           "Max concurrent in-flight requests of one tenant.",
@@ -324,12 +288,7 @@ std::string metrics_to_prometheus(const MetricsSnapshot& m) {
       }
     }
   }
-  {
-    std::vector<std::pair<std::string, const ExecutorStats*>> srcs;
-    if (m.has_scheduler) srcs.emplace_back("scheduler", &m.scheduler.executor);
-    if (m.has_executor) srcs.emplace_back("direct", &m.executor);
-    if (!srcs.empty()) prom_executor(os, srcs);
-  }
+  if (m.has_scheduler) prom_executor(os, m.scheduler.executor);
   const auto tune_counter = [&](const char* name, const char* help,
                                 std::uint64_t v) {
     PromFamily(os, name, "counter", help).sample(v);
@@ -386,36 +345,6 @@ std::vector<std::string> metrics_check_invariants(const MetricsSnapshot& m,
     fail(os);
   };
 
-  const auto check_executor = [&](const ExecutorStats& e, const char* who) {
-    const std::string w(who);
-    check(e.completed + e.failed <= e.submitted,
-          (w + " executor: completed + failed <= submitted").c_str(),
-          e.completed + e.failed, e.submitted);
-    check(e.workspaces.free + e.workspaces.in_flight <= e.workspaces.created,
-          (w + " executor: workspace free + in_flight <= created").c_str(),
-          e.workspaces.free + e.workspaces.in_flight, e.workspaces.created);
-    // Gang tasks count at dequeue; completed/failed land at the end of the
-    // run — so tasks can lead under load and match only when quiesced.
-    std::uint64_t gang_tasks = 0;
-    for (const GangStats& g : e.gangs) gang_tasks += g.tasks;
-    check(e.completed + e.failed <= gang_tasks,
-          (w + " executor: completed + failed <= gang tasks").c_str(),
-          e.completed + e.failed, gang_tasks);
-    if (idle) {
-      check(gang_tasks == e.completed + e.failed,
-            (w + " executor idle: gang tasks == completed + failed").c_str(),
-            gang_tasks, e.completed + e.failed);
-      check(e.completed + e.failed == e.submitted,
-            (w + " executor idle: completed + failed == submitted").c_str(),
-            e.completed + e.failed, e.submitted);
-      check(e.queue_depth == 0, (w + " executor idle: queue_depth == 0").c_str(),
-            e.queue_depth, 0);
-      check(e.workspaces.in_flight == 0,
-            (w + " executor idle: workspace in_flight == 0").c_str(),
-            e.workspaces.in_flight, 0);
-    }
-  };
-
   if (m.has_scheduler) {
     const SchedulerStats& s = m.scheduler;
     check(s.admitted + s.rejected == s.submitted,
@@ -444,9 +373,13 @@ std::vector<std::string> metrics_check_invariants(const MetricsSnapshot& m,
       check(s.queued == 0, "scheduler idle: queued == 0", s.queued, 0);
       check(s.inflight == 0, "scheduler idle: inflight == 0", s.inflight, 0);
     }
-    check_executor(s.executor, "scheduler's");
+    const WorkspacePool::Stats& w = s.executor.workspaces;
+    check(w.free + w.in_flight <= w.created,
+          "workspace: free + in_flight <= created", w.free + w.in_flight,
+          w.created);
+    if (idle)
+      check(w.in_flight == 0, "workspace idle: in_flight == 0", w.in_flight, 0);
   }
-  if (m.has_executor) check_executor(m.executor, "direct");
 
   check(m.tuner.memo_hits <= m.tuner.lookups,
         "tuner: memo_hits <= lookups", m.tuner.memo_hits, m.tuner.lookups);

@@ -1,7 +1,7 @@
 #pragma once
 // Fleet observability: one coherent snapshot of every stats producer in the
-// stack — Scheduler (admission/shedding/latency/traces), Executor (gangs,
-// plan cache, workspace pools), the autotuner (trials, memo hits, tune-db
+// stack — the Scheduler (admission/shedding/latency/traces, and its gang
+// pool: gangs, plan cache, workspace pools), the autotuner (trials, memo hits, tune-db
 // warm hits) and the fault-injection ledgers — exportable as JSON for
 // dashboards and as Prometheus text exposition for scrapers.
 //
@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "tsv/core/executor.hpp"
 #include "tsv/core/fault.hpp"
 #include "tsv/core/scheduler.hpp"
 #include "tsv/core/tuner.hpp"
@@ -50,10 +49,7 @@ struct FaultSiteStats {
 /// both export formats rather than exported as zeros.
 struct MetricsSnapshot {
   bool has_scheduler = false;
-  SchedulerStats scheduler;  ///< includes the wrapped executor's stats
-
-  bool has_executor = false;
-  ExecutorStats executor;  ///< a standalone (unscheduled) executor
+  SchedulerStats scheduler;  ///< includes the gang pool's stats
 
   TuneCounters tuner;  ///< process-wide (core/tuner.hpp)
 
@@ -69,19 +65,17 @@ struct MetricsSnapshot {
 class MetricsRegistry {
  public:
   void attach(const Scheduler* s) { scheduler_ = s; }
-  void attach(const Executor* e) { executor_ = e; }
   void detach_scheduler() { scheduler_ = nullptr; }
-  void detach_executor() { executor_ = nullptr; }
 
   MetricsSnapshot snapshot() const;
 
  private:
   const Scheduler* scheduler_ = nullptr;
-  const Executor* executor_ = nullptr;
 };
 
-/// JSON export: one object with "scheduler" / "executor" / "tuner" /
-/// "faults" sections (absent sources omitted). Trace spans ride along under
+/// JSON export: one object with "scheduler" / "tuner" / "faults" sections
+/// (an absent scheduler is omitted; its gang pool rides along as
+/// scheduler.executor). Trace spans ride along under
 /// scheduler.traces — they are per-request events, so they appear here and
 /// not in the Prometheus exposition.
 std::string metrics_to_json(const MetricsSnapshot& m);
@@ -89,31 +83,25 @@ std::string metrics_to_json(const MetricsSnapshot& m);
 /// Prometheus text exposition (format 0.0.4): `# HELP` / `# TYPE` headers,
 /// `tsv_`-prefixed names, counters suffixed `_total`, latency as a native
 /// histogram (cumulative `le` buckets from LatencyHistogram's log2 buckets,
-/// plus `_sum` and `_count`) labelled by service class. Executor metrics
-/// carry via="scheduler" or via="direct" so a process running both exports
-/// both without a collision.
+/// plus `_sum` and `_count`) labelled by service class. Gang-pool metrics
+/// carry via="scheduler".
 std::string metrics_to_prometheus(const MetricsSnapshot& m);
 
 /// Checks the conservation invariants that must hold for ANY snapshot, and
 /// — when @p idle asserts nothing is queued or in flight — the stricter
-/// quiesced identities. "Idle" means EVERY layer drained: the scheduler's
-/// completion hook runs inside the executor task body, so callers must
-/// reach Scheduler::wait_idle AND Executor::wait_idle (in that order)
-/// before asserting the idle set.
+/// quiesced identities. One Scheduler::wait_idle() reaches "idle": the
+/// scheduler's accounting is final before a group leaves the in-flight set.
 ///
 ///   always: admitted + rejected == submitted
 ///           completed + failed + shed <= admitted
 ///           cancelled + timed_out <= failed
-///           per-class latency counts sum to completed... <= completed live
-///           deadline_missed <= completed
-///           executor completed + failed <= submitted
+///           per-class latency counts sum == completed
+///           deadline_missed <= completed; coalesced <= admitted
 ///           workspace free + in_flight <= created
 ///           tuner memo_hits <= lookups, db_warm_hits <= memo_hits
 ///           per-site fault fires <= passes
 ///   idle:   completed + failed + shed == admitted; queued == inflight == 0
-///           executor completed + failed == submitted; queue_depth == 0
 ///           workspace in_flight == 0
-///           latency counts sum == completed exactly
 ///
 /// Returns one human-readable line per violated invariant; empty = healthy.
 std::vector<std::string> metrics_check_invariants(const MetricsSnapshot& m,

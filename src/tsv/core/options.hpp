@@ -141,7 +141,7 @@ struct Options {
   index bt = 0;             ///< temporal block (0 = plan default)
   int threads = 0;          ///< OpenMP threads; 0 = runtime default
   /// Upper bound on the resolved OpenMP team (0 = no cap). This is the
-  /// executor's gang hint (core/executor.hpp): a batched service partitions
+  /// Scheduler's gang hint (core/scheduler.hpp): a batched service partitions
   /// the machine into gangs and caps every request's team at its gang size,
   /// so concurrent requests compose instead of each claiming the whole
   /// machine. Applies after the `threads` default resolves; an explicit

@@ -1,11 +1,8 @@
 #include "tsv/core/plan.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <future>
 #include <string>
 
-#include "tsv/core/executor.hpp"
 #include "tsv/core/workspace.hpp"
 
 namespace tsv {
@@ -36,37 +33,12 @@ namespace detail {
 // application's main() while staying immune to the thread counts
 // Plan::execute itself sets later (the first make_plan necessarily
 // precedes the first execute). The one thread that must never be first is
-// an executor worker — its ICV is pinned to the gang size — so the
-// Executor constructor calls this before spawning workers, pinning the
+// a Scheduler gang worker — its ICV is pinned to the gang size — so the
+// Scheduler constructor calls this before spawning workers, pinning the
 // capture to the constructing thread's environment.
 int runtime_default_threads() {
   static const int threads = omp_get_max_threads();
   return threads;
-}
-
-void run_wave(Executor* ex, std::vector<std::function<void()>>& tasks) {
-  // One task (or no executor) gains nothing from the submit/future round
-  // trip — run inline. Order within a wave is free by construction: every
-  // wave's tasks touch disjoint data (see ShardedPlan).
-  if (ex == nullptr || tasks.size() <= 1) {
-    for (auto& task : tasks) task();
-    return;
-  }
-  std::vector<std::future<void>> done;
-  done.reserve(tasks.size());
-  for (auto& task : tasks) done.push_back(ex->submit_task(task));
-  // The wave is a barrier: drain EVERY future before rethrowing, so no
-  // task is still running (and touching the caller's sharded grid) when
-  // the exception unwinds the stack the tasks reference.
-  std::exception_ptr first;
-  for (auto& f : done) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
 }
 
 }  // namespace detail
@@ -95,7 +67,7 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
   // Threads resolve to a concrete team size: untiled sweeps are
   // single-threaded by design; tiled runs default to the runtime team
   // captured at first use (see detail::runtime_default_threads above).
-  // max_threads caps the resolved team (never errors): the executor's gang
+  // max_threads caps the resolved team (never errors): the Scheduler's gang
   // hint, so a request scheduled onto a gang cannot fork a machine-wide team.
   if (o.max_threads < 0) fail("max_threads must be >= 0");
   r.threads = o.threads > 0 ? o.threads

@@ -28,6 +28,7 @@
 #include <limits>
 #include <memory>
 #include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "tsv/common/timer.hpp"
@@ -126,7 +127,7 @@ namespace detail {
 
 /// The OpenMP team a tiled plan resolves when Options::threads is 0:
 /// captured once, at first use, from the calling thread (plan.cpp). The
-/// Executor constructor invokes this before spawning its ICV-pinned
+/// Scheduler constructor invokes this before spawning its ICV-pinned gang
 /// workers so the capture can never come from a gang-sized worker thread.
 int runtime_default_threads();
 
@@ -392,7 +393,7 @@ ExecFn<G, S> lookup_exec(const ResolvedOptions& r) {
 /// the workspace, so one plan object must not be executed from two threads
 /// concurrently THROUGH THE OWNED WORKSPACE — either build one plan per
 /// concurrent execution stream, or use the execute(g, ws) overload with a
-/// distinct Workspace per in-flight call (what the batched executor's
+/// distinct Workspace per in-flight call (what the Scheduler's
 /// per-request workspace pool does; everything else in the plan is
 /// immutable after construction and safe to share).
 template <typename G, typename S>
@@ -688,15 +689,15 @@ TypedPlan<detail::grid_for_t<S>, S> make_plan(const Shape& shape,
 // Sharded plans: one TypedPlan per shard, driven as exchange/compute waves.
 // ---------------------------------------------------------------------------
 
-class Executor;  // core/executor.hpp
+class Scheduler;  // core/scheduler.hpp
 
 namespace detail {
 
-/// Runs every task in @p tasks to completion: concurrently over @p ex's
-/// gangs when an executor is given (one barrier — the wave ends when the
+/// Runs every task in @p tasks to completion: concurrently over @p sched's
+/// gangs when a scheduler is given (one barrier — the wave ends when the
 /// last task finishes; the first raised exception is rethrown after all
-/// tasks drained), serially in order otherwise. Defined in plan.cpp.
-void run_wave(Executor* ex, std::vector<std::function<void()>>& tasks);
+/// tasks drained), serially in order otherwise. Defined in scheduler.cpp.
+void run_wave(Scheduler* sched, std::vector<std::function<void()>>& tasks);
 
 }  // namespace detail
 
@@ -715,7 +716,7 @@ void run_wave(Executor* ex, std::vector<std::function<void()>>& tasks);
 /// as F, then per step E -> S. Within a wave every task touches a disjoint
 /// data set (E reads neighbor interiors written in the PREVIOUS wave and
 /// writes only its own ghosts), so waves need no locks — just the barrier
-/// between them. With an Executor, one shard's exchange memcpys overlap
+/// between them. With a Scheduler, one shard's exchange memcpys overlap
 /// other shards' sweeps across gangs, and each shard's fill is fused behind
 /// its own sweep inside one task — the O(halo) boundary work hides behind
 /// the O(interior) compute.
@@ -780,14 +781,14 @@ class ShardedPlan {
   }
 
   /// Advances @p sg by steps() time steps, running every wave serially on
-  /// the calling thread (no executor — tests and single-core use).
+  /// the calling thread (no scheduler — tests and single-core use).
   void execute(ShardedGrid<G>& sg) const { execute_impl(sg, nullptr); }
 
-  /// As execute(sg), but each wave fans out over @p ex's gangs (one task
-  /// per shard). The executor may serve other requests concurrently; this
-  /// call blocks until the last wave drains.
-  void execute(ShardedGrid<G>& sg, Executor& ex) const {
-    execute_impl(sg, &ex);
+  /// As execute(sg), but each wave fans out over @p sched's gangs (one
+  /// Scheduler::submit_task per shard). The scheduler may serve other
+  /// requests concurrently; this call blocks until the last wave drains.
+  void execute(ShardedGrid<G>& sg, Scheduler& sched) const {
+    execute_impl(sg, &sched);
   }
 
   const Shape& shape() const { return shape_; }
@@ -802,7 +803,7 @@ class ShardedPlan {
   const BoundarySpec& boundary() const { return bc_; }
 
  private:
-  void execute_impl(ShardedGrid<G>& sg, Executor* ex) const {
+  void execute_impl(ShardedGrid<G>& sg, Scheduler* sched) const {
     if (sg.shards() != layout_.count ||
         shape_of(sg.shard(0)) != plans_.front().shape())
       throw ConfigError(plans_.front().config().method,
@@ -816,7 +817,7 @@ class ShardedPlan {
       wave[static_cast<std::size_t>(i)] = [this, &sg, i] {
         sg.fill_shard_ghosts(i, bc_, S::radius);
       };
-    detail::run_wave(ex, wave);
+    detail::run_wave(sched, wave);
     for (index t = 0; t < steps_; ++t) {
       for (int i = 0; i < n; ++i)
         wave[static_cast<std::size_t>(i)] = [this, &sg, i] {
@@ -830,7 +831,7 @@ class ShardedPlan {
             sg.exchange_shard_ghosts(i, bc_, S::radius);
           }
         };
-      detail::run_wave(ex, wave);
+      detail::run_wave(sched, wave);
       const bool last = t + 1 == steps_;
       for (int i = 0; i < n; ++i)
         wave[static_cast<std::size_t>(i)] = [this, &sg, i, last] {
@@ -846,7 +847,7 @@ class ShardedPlan {
           }
           if (!last) sg.fill_shard_ghosts(i, bc_, S::radius);
         };
-      detail::run_wave(ex, wave);
+      detail::run_wave(sched, wave);
     }
   }
 
@@ -866,6 +867,20 @@ ShardedPlan<detail::grid_for_t<S>, S> make_sharded_plan(
   return ShardedPlan<detail::grid_for_t<S>, S>(shape, stencil, spec, o);
 }
 
+/// Non-owning reference to a caller grid of any rank and dtype: what the
+/// rank-erased Plan executes on and what a Scheduler request carries.
+using GridRef =
+    std::variant<Grid1D<double>*, Grid2D<double>*, Grid3D<double>*,
+                 Grid1D<float>*, Grid2D<float>*, Grid3D<float>*>;
+
+namespace detail {
+template <typename G>
+GridRef grid_ref(G& g) {
+  return &g;
+}
+inline GridRef grid_ref(GridRef g) { return g; }
+}  // namespace detail
+
 /// Rank-erased plan for runtime stencil kinds (CLI / bench / service use).
 /// Holds a TypedPlan for one of the named Table-1 stencils in the dtype the
 /// Options selected; execute() on the wrong grid rank — or on a grid whose
@@ -873,42 +888,21 @@ ShardedPlan<detail::grid_for_t<S>, S> make_sharded_plan(
 ///
 /// Concurrency follows TypedPlan's rule: the one-argument execute() goes
 /// through the shared plan-owned workspace (single execution stream only);
-/// the (grid, workspace) overloads are safe from any number of threads as
-/// long as each in-flight call brings its own grid and workspace.
+/// the (grid, workspace) overload is safe from any number of threads as
+/// long as each in-flight call brings its own grid and workspace. Both
+/// accept a concrete grid or a GridRef.
 class Plan {
  public:
-  void execute(Grid1D<double>& g) const { dispatch(f1_, g, nullptr, nullptr); }
-  void execute(Grid2D<double>& g) const { dispatch(f2_, g, nullptr, nullptr); }
-  void execute(Grid3D<double>& g) const { dispatch(f3_, g, nullptr, nullptr); }
-  void execute(Grid1D<float>& g) const { dispatch(f1f_, g, nullptr, nullptr); }
-  void execute(Grid2D<float>& g) const { dispatch(f2f_, g, nullptr, nullptr); }
-  void execute(Grid3D<float>& g) const { dispatch(f3f_, g, nullptr, nullptr); }
+  template <typename G>
+  void execute(G& g) const {
+    run(detail::grid_ref(g), nullptr, nullptr);
+  }
 
-  /// The @p ctl overloads thread an ExecControl (cancel/timeout polling)
-  /// down to TypedPlan::execute; see its documentation.
-  void execute(Grid1D<double>& g, Workspace& ws,
-               const ExecControl* ctl = nullptr) const {
-    dispatch(f1_, g, &ws, ctl);
-  }
-  void execute(Grid2D<double>& g, Workspace& ws,
-               const ExecControl* ctl = nullptr) const {
-    dispatch(f2_, g, &ws, ctl);
-  }
-  void execute(Grid3D<double>& g, Workspace& ws,
-               const ExecControl* ctl = nullptr) const {
-    dispatch(f3_, g, &ws, ctl);
-  }
-  void execute(Grid1D<float>& g, Workspace& ws,
-               const ExecControl* ctl = nullptr) const {
-    dispatch(f1f_, g, &ws, ctl);
-  }
-  void execute(Grid2D<float>& g, Workspace& ws,
-               const ExecControl* ctl = nullptr) const {
-    dispatch(f2f_, g, &ws, ctl);
-  }
-  void execute(Grid3D<float>& g, Workspace& ws,
-               const ExecControl* ctl = nullptr) const {
-    dispatch(f3f_, g, &ws, ctl);
+  /// Threads @p ctl (cancel/timeout polling) down to TypedPlan::execute;
+  /// see its documentation.
+  template <typename G>
+  void execute(G& g, Workspace& ws, const ExecControl* ctl = nullptr) const {
+    run(detail::grid_ref(g), &ws, ctl);
   }
 
   int rank() const { return shape_.rank; }
@@ -923,8 +917,8 @@ class Plan {
   friend Plan make_plan(const Shape& shape, const GenericStencil& gs,
                         const Options& o);
 
-  /// Builds the typed plan for @p stencil and stores its execute closure in
-  /// the rank/dtype slot it belongs to — the one lowering step every
+  /// Builds the typed plan for @p stencil and stores its execute closure
+  /// with the GridRef alternative it accepts — the one lowering step every
   /// rank-erased binder (kind, spec, generic) shares. Private; reachable
   /// only through the friended make_plan overloads.
   template <typename S>
@@ -933,37 +927,29 @@ class Plan {
     auto typed = make_plan(shape, stencil, o);
     p.cfg_ = typed.config();
     using G = detail::grid_for_t<S>;
-    constexpr bool f32 = std::is_same_v<typename S::value_type, float>;
-    auto fn = [typed = std::move(typed)](G& g, Workspace* ws,
-                                         const ExecControl* ctl) {
-      ws != nullptr ? typed.execute(g, *ws, ctl) : typed.execute(g);
+    p.slot_ = GridRef{static_cast<G*>(nullptr)}.index();
+    p.fn_ = [typed = std::move(typed)](GridRef g, Workspace* ws,
+                                       const ExecControl* ctl) {
+      G& grid = *std::get<G*>(g);
+      ws != nullptr ? typed.execute(grid, *ws, ctl) : typed.execute(grid);
     };
-    if constexpr (detail::grid_rank<G> == 1) {
-      if constexpr (f32) p.f1f_ = std::move(fn);
-      else p.f1_ = std::move(fn);
-    } else if constexpr (detail::grid_rank<G> == 2) {
-      if constexpr (f32) p.f2f_ = std::move(fn);
-      else p.f2_ = std::move(fn);
-    } else {
-      if constexpr (f32) p.f3f_ = std::move(fn);
-      else p.f3_ = std::move(fn);
-    }
   }
 
-  template <typename F, typename G>
-  void dispatch(const F& f, G& g, Workspace* ws, const ExecControl* ctl) const {
-    if (!f)
-      throw ConfigError(cfg_.method, cfg_.tiling, detail::grid_rank<G>,
-                        "plan was built for a different grid rank or dtype");
-    f(g, ws, ctl);
+  void run(GridRef g, Workspace* ws, const ExecControl* ctl) const {
+    if (g.index() != slot_)
+      throw ConfigError(
+          cfg_.method, cfg_.tiling,
+          std::visit(
+              [](auto* p) {
+                return detail::grid_rank<std::remove_pointer_t<decltype(p)>>;
+              },
+              g),
+          "plan was built for a different grid rank or dtype");
+    fn_(g, ws, ctl);
   }
 
-  std::function<void(Grid1D<double>&, Workspace*, const ExecControl*)> f1_;
-  std::function<void(Grid2D<double>&, Workspace*, const ExecControl*)> f2_;
-  std::function<void(Grid3D<double>&, Workspace*, const ExecControl*)> f3_;
-  std::function<void(Grid1D<float>&, Workspace*, const ExecControl*)> f1f_;
-  std::function<void(Grid2D<float>&, Workspace*, const ExecControl*)> f2f_;
-  std::function<void(Grid3D<float>&, Workspace*, const ExecControl*)> f3f_;
+  std::function<void(GridRef, Workspace*, const ExecControl*)> fn_;
+  std::size_t slot_ = std::variant_npos;  ///< the GridRef alternative fn_ takes
   Shape shape_;
   ResolvedOptions cfg_;
 };

@@ -52,7 +52,7 @@ struct StencilSpec {
   /// radius come from the GenericStencil, and the plan must be built with
   /// Options::method = Method::kGeneric (the interpreter is the only kernel
   /// that can run an arbitrary tap set). shared_ptr because specs are
-  /// copied into plan-cache keys and executor requests; the shape itself is
+  /// copied into plan-cache keys and scheduler requests; the shape itself is
   /// immutable once planned.
   std::shared_ptr<const GenericStencil> generic;
 };

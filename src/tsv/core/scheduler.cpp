@@ -1,13 +1,19 @@
 #include "tsv/core/scheduler.hpp"
 
+#include <omp.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <optional>
 #include <thread>
 #include <tuple>
 #include <utility>
 #include <variant>
+
+#include "tsv/common/cpu.hpp"
 
 namespace tsv {
 
@@ -56,7 +62,9 @@ ErrKind err_kind(const std::exception_ptr& e) noexcept {
 // inputs too); lead-padding bytes outside the halo are skipped, so two grids
 // that are cell-for-cell equal hash equal regardless of allocator noise.
 // The cost is one O(n) read per submission — the price of content
-// addressing, paid on the submitter's thread, never on a gang.
+// addressing, paid on the submitter's thread BEFORE it takes mu_: every
+// idle gang takes its next group under mu_, so a digest computed under the
+// lock would stall the whole pool for the length of the read.
 
 std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t bytes) {
   const unsigned char* c = static_cast<const unsigned char*>(p);
@@ -170,6 +178,43 @@ void restore_content(Scheduler::GridRef dst, const GridCopy& src) {
 
 }  // namespace
 
+namespace detail {
+
+void execute_request(PlanCache& cache, const Shape& shape,
+                     const StencilSpec& spec, const Options& o, GridRef grid,
+                     const ExecControl* ctl) {
+  std::shared_ptr<PlanCache::Entry> entry = cache.get(shape, spec, o);
+  WorkspacePool::Lease ws = entry->workspaces().checkout();
+  entry->plan().execute(grid, *ws, ctl);
+}
+
+void run_wave(Scheduler* sched, std::vector<std::function<void()>>& tasks) {
+  // One task (or no scheduler) gains nothing from the submit/future round
+  // trip — run inline. Order within a wave is free by construction: every
+  // wave's tasks touch disjoint data (see ShardedPlan).
+  if (sched == nullptr || tasks.size() <= 1) {
+    for (auto& task : tasks) task();
+    return;
+  }
+  std::vector<std::future<Scheduler::Result>> done;
+  done.reserve(tasks.size());
+  for (auto& task : tasks) done.push_back(sched->submit_task(task));
+  // The wave is a barrier: drain EVERY future before rethrowing, so no
+  // task is still running (and touching the caller's sharded grid) when
+  // the exception unwinds the stack the tasks reference.
+  std::exception_ptr first;
+  for (auto& f : done) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
+}
+
+}  // namespace detail
+
 const char* service_class_name(ServiceClass c) {
   switch (c) {
     case ServiceClass::kInteractive: return "interactive";
@@ -237,8 +282,9 @@ struct Scheduler::Member {
 /// coalesced onto it. The group's class/deadline are the most urgent of its
 /// members, so a follower can PROMOTE a queued batch request into the
 /// interactive lane — the result serves both, so it inherits the stricter
-/// SLO.
+/// SLO. A submit_task entry is a group of one whose `task` is set.
 struct Scheduler::Group {
+  std::function<void()> task;  ///< submit_task closure; empty for requests
   StencilSpec spec;
   Options options;  ///< normalized: dtype from the grid, gang-capped team
   Shape shape;
@@ -246,49 +292,62 @@ struct Scheduler::Group {
   ServiceClass cls = ServiceClass::kBatch;
   Clock::time_point deadline = kNoDeadline;
   std::uint64_t seq = 0;           ///< admission order (tiebreak)
-  std::uint64_t dispatch_seq = 0;  ///< set when handed to the executor
+  std::uint64_t dispatch_seq = 0;  ///< set when a gang takes the group
   std::string tenant;              ///< leader's quota bucket
   std::vector<Member> members;     ///< members[0] is the leader
 
-  // Written by run_group on the gang (single-threaded there), read by
-  // on_group_done on the same thread — no synchronization needed.
-  std::vector<std::exception_ptr> member_errors;  ///< per-member overrides
+  // Written by run_group on the gang, read by finish_locked and the
+  // promise fulfilment on the same thread — no synchronization needed.
+  std::vector<std::exception_ptr> member_errors;  ///< per-member outcome
   std::uint64_t retries_used = 0;
   bool retry_exhausted = false;
+  bool sliced = false;  ///< executed under an active ExecControl
 
-  // Trace timestamps. `dispatched` is written under mu_ (dispatch_locked);
-  // `sweep_start` is written by run_group on the gang and read by
-  // on_group_done on the same thread, like member_errors above.
+  // Trace timestamps. `dispatched` is written under mu_ (take_locked);
+  // `sweep_start` is written by run_group on the gang, like member_errors.
   Clock::time_point dispatched{};
   Clock::time_point sweep_start{};
 };
 
-Scheduler::Scheduler(SchedulerConfig cfg) : cfg_(cfg), ex_(cfg.executor) {
+Scheduler::Scheduler(SchedulerConfig cfg) : cfg_(cfg) {
   cfg_.queue_capacity = std::max<std::size_t>(1, cfg_.queue_capacity);
+  threads_per_gang_ = std::max(1, cfg_.executor.threads_per_gang);
   trace_ring_.reserve(cfg_.trace_capacity);
+  // Pin the process-wide default-team capture to THIS thread's environment
+  // before any ICV-pinned gang exists: if the process's first make_plan
+  // happened on a gang, the tiled-plan default would silently become the
+  // gang size for every plan built outside the scheduler too.
+  detail::runtime_default_threads();
+  int gangs = cfg_.executor.gangs;
+  if (gangs <= 0) {
+    const int cores = static_cast<int>(cpu_info().logical_cores);
+    gangs = std::max(1, cores / threads_per_gang_);
+  }
+  gang_stats_.resize(static_cast<std::size_t>(gangs));
+  workers_.reserve(static_cast<std::size_t>(gangs));
+  for (int i = 0; i < gangs; ++i)
+    workers_.emplace_back([this, i] { worker_loop(i); });
 }
 
 Scheduler::~Scheduler() {
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
     paused_ = false;  // a paused scheduler still drains on destruction
-    dispatch_locked(lock);
-    idle_cv_.wait(lock, [this] { return queue_.empty() && inflight_ == 0; });
   }
-  // After the drain no task can reference this scheduler again; the
-  // executor member's own destructor joins its (now idle) workers. Any
-  // group whose handoff threw during the final dispatch still owes its
-  // futures an answer.
-  flush_failed_dispatches();
+  work_cv_.notify_all();
+  // Each gang leaves only once the queue is empty, after fulfilling the
+  // futures of its last group — joining them is the drain.
+  for (std::thread& w : workers_) w.join();
 }
 
 std::future<Scheduler::Result> Scheduler::submit(Request req) {
   const Clock::time_point now = Clock::now();
 
-  // Normalize exactly like Executor::submit: the grid is the source of
-  // truth for the dtype, and the gang size caps the team (negative caps
-  // pass through so resolve_options rejects them on the worker).
+  // The grid is the source of truth for the dtype, and the gang size caps
+  // the team. 0 means "unset" and becomes the gang cap; negative caps pass
+  // through UNCHANGED so resolve_options rejects them on the gang with the
+  // same ConfigError the serial path throws.
   Options o = req.options;
   std::visit(
       [&o](auto* g) {
@@ -297,11 +356,20 @@ std::future<Scheduler::Result> Scheduler::submit(Request req) {
       },
       req.grid);
   if (o.max_threads == 0)
-    o.max_threads = ex_.threads_per_gang();
+    o.max_threads = threads_per_gang_;
   else if (o.max_threads > 0)
-    o.max_threads = std::min(o.max_threads, ex_.threads_per_gang());
+    o.max_threads = std::min(o.max_threads, threads_per_gang_);
 
-  const Shape shape = std::visit([](auto* g) { return shape_of(*g); }, req.grid);
+  auto g = std::make_shared<Group>();
+  g->shape = std::visit([](auto* p) { return shape_of(*p); }, req.grid);
+  g->key = {PlanKey::make(g->shape, req.stencil, o), 0};
+  // The digest reads the whole grid, so it runs here, before mu_ (see
+  // content_digest). The read races nothing: the caller owns the grid until
+  // its future resolves.
+  if (cfg_.coalesce) g->key.second = content_digest(req.grid);
+  g->spec = std::move(req.stencil);
+  g->options = o;
+  g->tenant = std::move(req.tenant);
 
   Member m;
   m.admitted = now;
@@ -317,58 +385,68 @@ std::future<Scheduler::Result> Scheduler::submit(Request req) {
   m.cls = req.cls;
   m.grid = req.grid;
   m.cancel = req.cancel;
-  std::future<Result> fut = m.promise.get_future();
+  return admit(std::move(g), std::move(m), cfg_.coalesce);
+}
 
+std::future<Scheduler::Result> Scheduler::submit_task(
+    std::function<void()> fn) {
+  auto g = std::make_shared<Group>();
+  g->task = std::move(fn);
+  Member m;
+  m.admitted = Clock::now();
+  return admit(std::move(g), std::move(m), /*coalesce=*/false);
+}
+
+std::future<Scheduler::Result> Scheduler::admit(std::shared_ptr<Group> g,
+                                                Member m, bool coalesce) {
+  const Clock::time_point now = m.admitted;
+  std::future<Result> fut = m.promise.get_future();
   std::shared_ptr<Group> victim;       // shed group: promises failed post-unlock
   const char* reject_msg = nullptr;    // set => reject this submission
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     ++stats_.submitted;
 
     if (stopping_) {
       ++stats_.rejected;
       reject_msg = "tsv::Scheduler: shutting down";
     } else {
-      std::pair<PlanKey, std::uint64_t> key{
-          PlanKey::make(shape, req.stencil, o), 0};
-      if (cfg_.coalesce) {
-        // The digest read races nothing: the caller owns the grid until the
-        // future resolves, and no queued leader with the same key has been
-        // dispatched yet (dispatch closes the group).
-        key.second = content_digest(req.grid);
-        auto it = open_.find(key);
+      if (coalesce) {
+        auto it = open_.find(g->key);
         if (it != open_.end()) {
-          Group& g = *it->second;
+          Group& leader = *it->second;
           m.follower = true;
-          g.cls = std::min(g.cls, req.cls);
-          g.deadline = std::min(g.deadline, m.deadline);
-          g.members.push_back(std::move(m));
+          leader.cls = std::min(leader.cls, m.cls);
+          leader.deadline = std::min(leader.deadline, m.deadline);
+          leader.members.push_back(std::move(m));
           ++stats_.admitted;
           ++stats_.coalesced;
           return fut;  // no queue slot consumed: the work already exists
         }
       }
 
-      if (queue_.size() >= cfg_.queue_capacity) {
-        // Full: shed queued work that is already past its deadline —
-        // lowest priority class first, then most overdue, then oldest.
+      // Task groups neither take nor need a queue slot: a wave task refused
+      // mid-wave would leave a sharded grid partly advanced.
+      if (!g->task && queue_.size() - queued_tasks_ >= cfg_.queue_capacity) {
+        // Full: shed queued work that is already past its deadline.
         // Nothing sheddable means the NEWCOMER is rejected: admitted work
         // with a live deadline is never dropped for later arrivals.
         // Victim order: lowest priority class first (batch before
         // interactive), then most overdue, then oldest.
-        const auto shed_rank = [](const Group& g) {
-          return std::tuple(-static_cast<int>(g.cls), g.deadline, g.seq);
+        const auto shed_rank = [](const Group& q) {
+          return std::tuple(-static_cast<int>(q.cls), q.deadline, q.seq);
         };
         std::size_t best = queue_.size();
         for (std::size_t i = 0; i < queue_.size(); ++i) {
-          const Group& g = *queue_[i];
-          if (g.deadline == kNoDeadline || g.deadline > now) continue;
-          if (best == queue_.size() || shed_rank(g) < shed_rank(*queue_[best]))
+          const Group& q = *queue_[i];
+          if (q.deadline == kNoDeadline || q.deadline > now) continue;
+          if (best == queue_.size() || shed_rank(q) < shed_rank(*queue_[best]))
             best = i;
         }
         if (best < queue_.size()) {
           victim = queue_[best];
           queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
+          // A victim is never a task group: tasks have no deadline.
           if (cfg_.coalesce) open_.erase(victim->key);
           stats_.shed += victim->members.size();
         } else {
@@ -378,23 +456,18 @@ std::future<Scheduler::Result> Scheduler::submit(Request req) {
       }
 
       if (reject_msg == nullptr) {
-        auto g = std::make_shared<Group>();
-        g->spec = std::move(req.stencil);
-        g->options = o;
-        g->shape = shape;
-        g->key = key;
         g->cls = m.cls;
         g->deadline = m.deadline;
         g->seq = seq_++;
-        g->tenant = std::move(req.tenant);
         g->members.push_back(std::move(m));
-        if (cfg_.coalesce) open_.emplace(g->key, g);
+        if (coalesce) open_.emplace(g->key, g);
+        if (g->task) ++queued_tasks_;
         queue_.push_back(std::move(g));
         ++stats_.admitted;
-        dispatch_locked(lock);
       }
     }
   }
+  if (reject_msg == nullptr) work_cv_.notify_one();
 
   // Promise resolution happens outside the lock: a waiter woken by
   // set_exception may immediately call stats() and must not self-deadlock.
@@ -405,100 +478,140 @@ std::future<Scheduler::Result> Scheduler::submit(Request req) {
   if (reject_msg != nullptr)
     m.promise.set_exception(
         std::make_exception_ptr(OverloadError(reject_msg)));
-  flush_failed_dispatches();
   return fut;
 }
 
-void Scheduler::dispatch_locked(std::unique_lock<std::mutex>& lock) {
-  // Hand the executor at most `gangs` groups: every dispatched group starts
-  // immediately on an idle gang, so the FIFO inside the executor never
-  // holds more than the work already running — ORDER lives here.
-  (void)lock;  // held by the caller; documents the contract
-  while (!paused_ && inflight_ < static_cast<std::size_t>(ex_.gangs()) &&
-         !queue_.empty()) {
-    std::size_t best = queue_.size();
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      const Group& g = *queue_[i];
-      if (cfg_.max_inflight_per_tenant > 0) {
-        auto it = tenant_inflight_.find(g.tenant);
-        if (it != tenant_inflight_.end() &&
-            it->second >= cfg_.max_inflight_per_tenant)
-          continue;  // tenant at quota: its backlog waits, others overtake
-      }
-      if (best == queue_.size()) {
-        best = i;
-        continue;
-      }
-      const Group& b = *queue_[best];
-      const bool wins =
-          cfg_.policy == SchedPolicy::kFifo
-              ? g.seq < b.seq
-              // Interactive before batch; within a class earliest deadline
-              // first (no deadline = kNoDeadline sorts last); admission
-              // order breaks ties.
-              : std::tuple(static_cast<int>(g.cls), g.deadline, g.seq) <
-                    std::tuple(static_cast<int>(b.cls), b.deadline, b.seq);
-      if (wins) best = i;
+std::shared_ptr<Scheduler::Group> Scheduler::take_locked() {
+  if (paused_) return nullptr;
+  std::size_t best = queue_.size();
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    const Group& g = *queue_[i];
+    // Task groups go first, oldest first (the queue is in admission
+    // order), and ignore tenant quotas: a wave is a barrier, so a shard
+    // task left behind a stream of requests would stall the whole
+    // sharded plan while its sibling shards sit finished.
+    if (g.task) {
+      best = i;
+      break;
     }
-    if (best == queue_.size()) return;  // everything eligible is at quota
-
-    std::shared_ptr<Group> g = queue_[best];
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
-    if (cfg_.coalesce) open_.erase(g->key);  // group closed: input in use
-    g->dispatch_seq = dispatch_seq_++;
-    g->dispatched = Clock::now();
-
-    // The handoff itself can throw (std::bad_alloc growing the executor's
-    // queue, std::system_error from a dead pool). If it does, the group is
-    // already off the queue and its task will never run — without this
-    // catch every member's future would stay unfulfilled forever. The
-    // group parks in failed_dispatch_; the promises are resolved by
-    // flush_failed_dispatches() OUTSIDE mu_. Counted before the inflight
-    // bump, so nothing needs undoing.
-    try {
-      ex_.submit_task([this, g] { run_group(g); });
-    } catch (...) {
-      stats_.failed += g->members.size();
-      failed_dispatch_.emplace_back(g, std::current_exception());
+    if (cfg_.max_inflight_per_tenant > 0) {
+      auto it = tenant_inflight_.find(g.tenant);
+      if (it != tenant_inflight_.end() &&
+          it->second >= cfg_.max_inflight_per_tenant)
+        continue;  // tenant at quota: its backlog waits, others overtake
+    }
+    if (best == queue_.size()) {
+      best = i;
       continue;
     }
-    ++inflight_;
-    const int t = ++tenant_inflight_[g->tenant];
-    stats_.peak_tenant_inflight =
-        std::max(stats_.peak_tenant_inflight, static_cast<std::size_t>(t));
+    const Group& b = *queue_[best];
+    const bool wins =
+        cfg_.policy == SchedPolicy::kFifo
+            ? g.seq < b.seq
+            // Interactive before batch; within a class earliest deadline
+            // first (no deadline = kNoDeadline sorts last); admission
+            // order breaks ties.
+            : std::tuple(static_cast<int>(g.cls), g.deadline, g.seq) <
+                  std::tuple(static_cast<int>(b.cls), b.deadline, b.seq);
+    if (wins) best = i;
   }
+  if (best == queue_.size()) return nullptr;  // everything is at quota
+
+  std::shared_ptr<Group> g = queue_[best];
+  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
+  g->dispatch_seq = dispatch_seq_++;
+  g->dispatched = Clock::now();
+  ++inflight_;
+  if (g->task) {
+    --queued_tasks_;
+    return g;
+  }
+  if (cfg_.coalesce) open_.erase(g->key);  // closed: input in use
+  const int t = ++tenant_inflight_[g->tenant];
+  stats_.peak_tenant_inflight =
+      std::max(stats_.peak_tenant_inflight, static_cast<std::size_t>(t));
+  return g;
 }
 
-void Scheduler::flush_failed_dispatches() {
-  std::vector<std::pair<std::shared_ptr<Group>, std::exception_ptr>> failed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    failed.swap(failed_dispatch_);
+void Scheduler::worker_loop(int gang) {
+  GangStats& gs = gang_stats_[static_cast<std::size_t>(gang)];  // under mu_
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    std::shared_ptr<Group> g = take_locked();
+    if (!g) {
+      if (stopping_ && queue_.empty()) break;
+      work_cv_.wait(lock);
+      continue;
+    }
+    // Counted at take, not after the run: the futures may be drained by a
+    // caller before busy_seconds (a duration, post-run only) lands.
+    ++gs.tasks;
+    lock.unlock();
+
+    // This worker is one GANG: its default OpenMP team is the gang size, so
+    // anything that forks a region here (kParallel first touch, a tiled
+    // plan) uses at most the gang's share of the machine. The nthreads ICV
+    // is per-thread, so gangs do not interfere with each other or with the
+    // caller's threads — but a tiled plan overwrites this thread's ICV with
+    // its own resolved team (TypedPlan::execute), so the pin is re-applied
+    // per group, not once at startup: one 2-thread request must not shrink
+    // every later request's first-touch parallelism on this gang.
+    omp_set_num_threads(threads_per_gang_);
+    Timer busy;
+    const std::exception_ptr error = run_group(g);
+    const double busy_seconds = busy.seconds();
+
+    lock.lock();
+    gs.busy_seconds += busy_seconds;
+    const std::vector<Result> results = finish_locked(*g, error);
+    lock.unlock();
+    // Outside the lock: a waiter woken by its future may immediately call
+    // stats() and must not self-deadlock.
+    for (std::size_t i = 0; i < g->members.size(); ++i) {
+      if (g->member_errors[i])
+        g->members[i].promise.set_exception(g->member_errors[i]);
+      else
+        g->members[i].promise.set_value(results[i]);
+    }
+    lock.lock();
+    // The group leaves the in-flight set only now, so wait_idle() returns
+    // with every future ready and every counter final.
+    --inflight_;
+    if (!g->task) {
+      auto it = tenant_inflight_.find(g->tenant);
+      if (it != tenant_inflight_.end() && --it->second <= 0)
+        tenant_inflight_.erase(it);
+    }
+    if (queue_.empty() && inflight_ == 0) idle_cv_.notify_all();
   }
-  for (auto& [g, e] : failed)
-    for (Member& m : g->members) m.promise.set_exception(e);
+  lock.unlock();
+  // A gang still waiting on a tenant-blocked queue must see the drain too.
+  work_cv_.notify_all();
 }
 
-/// The executor task for one dispatched group. The first live member
-/// computes through the shared plan cache (one cache probe, one execution
-/// per GROUP) under the group's ExecControl; the other live members receive
-/// a byte copy of that result — coalesced waiters are bit-identical by
-/// construction. Transient failures re-execute from a snapshot of the input
-/// under the retry budget; members already cancelled or timed out at
-/// dispatch are pruned up front and fail individually without costing an
-/// execution. Errors reach every member's future and still count in the
-/// executor's own failed_ (the rethrow).
-void Scheduler::run_group(const std::shared_ptr<Group>& g) {
+/// Runs one group on the calling gang. A submit_task group runs its
+/// closure. A request group's first live member computes through the
+/// shared plan cache (one cache probe, one execution per GROUP) under the
+/// group's ExecControl; the other live members receive a byte copy of that
+/// result — coalesced waiters are bit-identical by construction. Transient
+/// failures re-execute from a snapshot of the input under the retry budget;
+/// members already cancelled or timed out at dispatch are pruned up front
+/// and fail individually without costing an execution. Returns the group's
+/// shared error (null on success).
+std::exception_ptr Scheduler::run_group(const std::shared_ptr<Group>& g) {
   g->sweep_start = Clock::now();
-  std::exception_ptr err;
   try {
+    g->member_errors.assign(g->members.size(), nullptr);
+    if (g->task) {
+      g->task();
+      return nullptr;
+    }
     const Clock::time_point now = g->sweep_start;
 
     // Prune members that are dead on arrival: a cancelled member fails with
     // CancelledError, an expired one with TimeoutError — and neither blocks
     // the live members' execution. Cancel wins when both apply (an explicit
     // cancel is the caller's word).
-    g->member_errors.assign(g->members.size(), nullptr);
     std::vector<std::size_t> live;
     for (std::size_t i = 0; i < g->members.size(); ++i) {
       const Member& m = g->members[i];
@@ -516,20 +629,27 @@ void Scheduler::run_group(const std::shared_ptr<Group>& g) {
     if (!live.empty()) {
       // Group-level execution control. The cancel predicate fires only when
       // EVERY live member cancelled (one waiter's cancel must not take the
-      // shared result from the rest). The deadline is finite only when
-      // every live member has one, and then it is the LATEST: the hard
-      // abort exists to reclaim the gang once NO member's budget can still
-      // use the result — a member whose own budget expires mid-run still
-      // receives the completed result (the work was done; enforcement
-      // never destroys usable output).
+      // shared result from the rest), so it is installed only when every
+      // live member holds a token: otherwise it could never fire, and an
+      // installed predicate makes the control active, which slices the
+      // plan one step at a time (TypedPlan::execute) and forfeits temporal
+      // blocking. The deadline is finite only when every live member has
+      // one, and then it is the LATEST: the hard abort exists to reclaim
+      // the gang once NO member's budget can still use the result — a
+      // member whose own budget expires mid-run still receives the
+      // completed result (the work was done; enforcement never destroys
+      // usable output).
       ExecControl ctl;
-      ctl.cancelled = [g, live] {
-        for (std::size_t i : live) {
-          const Member& m = g->members[i];
-          if (!m.cancel.valid() || !m.cancel.cancelled()) return false;
-        }
-        return true;
-      };
+      const bool all_tokens =
+          std::all_of(live.begin(), live.end(), [&](std::size_t i) {
+            return g->members[i].cancel.valid();
+          });
+      if (all_tokens)
+        ctl.cancelled = [g, live] {
+          for (std::size_t i : live)
+            if (!g->members[i].cancel.cancelled()) return false;
+          return true;
+        };
       bool all_dated = true;
       Clock::time_point latest = Clock::time_point::min();
       for (std::size_t i : live) {
@@ -540,6 +660,7 @@ void Scheduler::run_group(const std::shared_ptr<Group>& g) {
         latest = std::max(latest, g->members[i].exec_deadline);
       }
       if (all_dated) ctl.deadline = latest;
+      g->sliced = ctl.active();
 
       GridRef exec_grid = g->members[live.front()].grid;
       std::optional<GridCopy> snap;
@@ -548,10 +669,10 @@ void Scheduler::run_group(const std::shared_ptr<Group>& g) {
 
       for (int attempt = 0;; ++attempt) {
         try {
-          fault_point(FaultSite::kExecutorDispatch);
+          fault_point(FaultSite::kGangDispatch);
           ctl.check();
-          detail::execute_request(ex_.plan_cache(), g->shape, g->spec,
-                                  g->options, exec_grid, &ctl);
+          detail::execute_request(cache_, g->shape, g->spec, g->options,
+                                  exec_grid, &ctl);
           break;
         } catch (...) {
           std::exception_ptr e = std::current_exception();
@@ -575,88 +696,66 @@ void Scheduler::run_group(const std::shared_ptr<Group>& g) {
         copy_content(g->members[live[k]].grid, exec_grid);
     }
   } catch (...) {
-    err = std::current_exception();
+    return std::current_exception();
   }
-  on_group_done(g, err);
-  if (err) std::rethrow_exception(err);
+  return nullptr;
 }
 
-void Scheduler::on_group_done(const std::shared_ptr<Group>& group,
-                              std::exception_ptr error) {
+/// Completion accounting for one finished group, under mu_. A member's
+/// outcome is its OWN error when run_group pruned it (cancelled or expired
+/// before dispatch), otherwise the group's shared @p error; member_errors
+/// holds the final per-member outcome afterwards.
+std::vector<Scheduler::Result> Scheduler::finish_locked(
+    Group& g, const std::exception_ptr& error) {
   const Clock::time_point now = Clock::now();
-  // A member's outcome is its OWN error when run_group pruned it (cancelled
-  // or expired before dispatch), otherwise the group's shared outcome.
-  const auto member_error = [&](std::size_t i) {
-    return i < group->member_errors.size() && group->member_errors[i]
-               ? group->member_errors[i]
-               : error;
+  std::vector<Result> results(g.members.size());
+  g.member_errors.resize(g.members.size());
+  stats_.retries += g.retries_used;
+  if (g.retry_exhausted) ++stats_.retry_exhausted;
+  if (g.sliced) ++stats_.sliced_executes;
+  const auto rel = [this](Clock::time_point t) {
+    return std::chrono::duration<double>(t - epoch_).count();
   };
-  std::vector<Result> results(group->members.size());
-  std::vector<std::pair<std::shared_ptr<Group>, std::exception_ptr>> failed;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    --inflight_;
-    auto it = tenant_inflight_.find(group->tenant);
-    if (it != tenant_inflight_.end() && --it->second <= 0)
-      tenant_inflight_.erase(it);
-    stats_.retries += group->retries_used;
-    if (group->retry_exhausted) ++stats_.retry_exhausted;
-    const auto rel = [this](Clock::time_point t) {
-      return std::chrono::duration<double>(t - epoch_).count();
-    };
-    for (std::size_t i = 0; i < group->members.size(); ++i) {
-      const Member& m = group->members[i];
-      char outcome = 'C';
-      if (std::exception_ptr e = member_error(i)) {
-        ++stats_.failed;
-        outcome = 'F';
-        switch (err_kind(e)) {
-          case ErrKind::kCancelled: ++stats_.cancelled; outcome = 'X'; break;
-          case ErrKind::kTimeout: ++stats_.timed_out; outcome = 'T'; break;
-          case ErrKind::kOther: break;
-        }
-      } else {
-        Result& r = results[i];
-        r.dispatch_seq = group->dispatch_seq;
-        r.latency_seconds =
-            std::chrono::duration<double>(now - m.admitted).count();
-        r.deadline_missed = m.deadline != kNoDeadline && now > m.deadline;
-        r.coalesced = m.follower;
-        ++stats_.completed;
-        if (r.deadline_missed) ++stats_.deadline_missed;
-        stats_.latency[static_cast<std::size_t>(m.cls)].record(
-            r.latency_seconds);
+  for (std::size_t i = 0; i < g.members.size(); ++i) {
+    const Member& m = g.members[i];
+    std::exception_ptr& e = g.member_errors[i];
+    if (!e) e = error;
+    char outcome = 'C';
+    if (e) {
+      ++stats_.failed;
+      outcome = 'F';
+      switch (err_kind(e)) {
+        case ErrKind::kCancelled: ++stats_.cancelled; outcome = 'X'; break;
+        case ErrKind::kTimeout: ++stats_.timed_out; outcome = 'T'; break;
+        case ErrKind::kOther: break;
       }
-      if (cfg_.trace_capacity > 0) {
-        TraceSpan ts;
-        ts.seq = group->seq;
-        ts.dispatch_seq = group->dispatch_seq;
-        ts.cls = m.cls;
-        ts.coalesced = m.follower;
-        ts.outcome = outcome;
-        ts.submit_s = rel(m.admitted);
-        ts.dispatch_s = rel(group->dispatched);
-        ts.sweep_s = rel(group->sweep_start);
-        ts.complete_s = rel(now);
-        push_trace_locked(ts);
-      }
+    } else {
+      Result& r = results[i];
+      r.dispatch_seq = g.dispatch_seq;
+      r.latency_seconds =
+          std::chrono::duration<double>(now - m.admitted).count();
+      r.deadline_missed = m.deadline != kNoDeadline && now > m.deadline;
+      r.coalesced = m.follower;
+      ++stats_.completed;
+      if (r.deadline_missed) ++stats_.deadline_missed;
+      stats_.latency[static_cast<std::size_t>(m.cls)].record(
+          r.latency_seconds);
     }
-    dispatch_locked(lock);
-    failed.swap(failed_dispatch_);
-    if (queue_.empty() && inflight_ == 0) idle_cv_.notify_all();
+    if (cfg_.trace_capacity > 0) {
+      TraceSpan ts;
+      ts.seq = g.seq;
+      ts.dispatch_seq = g.dispatch_seq;
+      ts.cls = m.cls;
+      ts.coalesced = m.follower;
+      ts.outcome = outcome;
+      ts.submit_s = rel(m.admitted);
+      ts.dispatch_s = rel(g.dispatched);
+      ts.sweep_s = rel(g.sweep_start);
+      ts.complete_s = rel(now);
+      push_trace_locked(ts);
+    }
   }
-  // Outside the lock — and touching only groups, never `this`: once the
-  // destructor observed the drain it may already be tearing the scheduler
-  // down while this tail runs. (That is also why the failed-dispatch flush
-  // is inlined here instead of calling flush_failed_dispatches().)
-  for (auto& [fg, fe] : failed)
-    for (Member& fm : fg->members) fm.promise.set_exception(fe);
-  for (std::size_t i = 0; i < group->members.size(); ++i) {
-    if (std::exception_ptr e = member_error(i))
-      group->members[i].promise.set_exception(e);
-    else
-      group->members[i].promise.set_value(results[i]);
-  }
+  return results;
 }
 
 void Scheduler::push_trace_locked(const TraceSpan& ts) {
@@ -675,11 +774,10 @@ void Scheduler::pause() {
 
 void Scheduler::resume() {
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     paused_ = false;
-    dispatch_locked(lock);
   }
-  flush_failed_dispatches();
+  work_cv_.notify_all();
 }
 
 void Scheduler::wait_idle() {
@@ -694,6 +792,7 @@ SchedulerStats Scheduler::stats() const {
     s = stats_;
     s.queued = queue_.size();
     s.inflight = inflight_;
+    s.executor.gangs = gang_stats_;
     // Oldest-first: the ring overwrites at trace_pos_, so chronological
     // order is [trace_pos_, end) then [0, trace_pos_).
     s.traces.reserve(trace_ring_.size());
@@ -701,7 +800,9 @@ SchedulerStats Scheduler::stats() const {
       s.traces.push_back(
           trace_ring_[(trace_pos_ + i) % trace_ring_.size()]);
   }
-  s.executor = ex_.stats();
+  s.executor.uptime_seconds = uptime_.seconds();
+  s.executor.plan_cache = cache_.stats();
+  s.executor.workspaces = cache_.workspace_stats();
   return s;
 }
 

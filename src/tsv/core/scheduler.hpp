@@ -1,6 +1,6 @@
 #pragma once
-// Deadline-aware serving scheduler: tail-latency control on top of the
-// batched Executor (core/executor.hpp).
+// Deadline-aware serving scheduler: one dispatch loop that owns a pool of
+// worker gangs, one admission queue and one ledger.
 //
 //   tsv::Scheduler sched({.executor = {.gangs = 2},
 //                         .queue_capacity = 256,
@@ -15,12 +15,14 @@
 //   tsv::Scheduler::Result r = done.get();  // throws OverloadError if shed,
 //                                           // ConfigError if invalid
 //
-// The Executor gives throughput: G gangs pop a FIFO queue, so one long
-// batch job ahead of a small interactive request costs the interactive
-// request the batch job's full service time. The Scheduler gives latency
-// SLOs — it owns admission and ORDER, and hands the executor only as much
-// work as the gangs can run right now (at most `gangs` requests in flight),
-// so the executor's FIFO never reorders what the policy decided:
+// Model: the machine is partitioned into GANGS. Each gang is one worker
+// thread; a request's plan may fork an OpenMP team of up to
+// threads_per_gang inside it (Options::max_threads is clamped at submit),
+// so a large tiled grid claims its gang's full team while many small
+// untiled grids run one per gang, concurrently. Every idle gang takes the
+// policy-best eligible group straight from the admission queue, so the
+// dispatch order is decided at the moment a gang is free — there is no
+// second queue behind the policy:
 //
 //   * bounded admission queue with load-shedding — a submission against a
 //     full queue first sheds queued work that is already past its deadline
@@ -32,41 +34,66 @@
 //     queued batch request; within a class, earliest absolute deadline
 //     first (no deadline sorts last), admission order breaking ties.
 //     kFifo policy disables the reordering (A/B control in bench/fig12 and
-//     the test suite) while keeping every other mechanism identical.
+//     plain batch throughput in bench/fig10) while keeping every other
+//     mechanism identical.
 //   * per-tenant quotas — at most max_inflight_per_tenant requests of one
 //     tenant run concurrently; a tenant with a deep backlog keeps its
 //     excess queued while other tenants' work overtakes it.
+//   * submit_task groups (sharded-plan waves) go ahead of every request and
+//     are exempt from the capacity and quota checks above.
 //   * single-flight coalescing — concurrent submissions with identical
-//     (stencil, shape, options, grid-content digest) become ONE executor
-//     request: the leader computes, followers' grids receive a byte copy of
-//     the leader's result, every waiter's future completes. The coalescing
-//     window is the leader's time in the queue — by the time it is
-//     dispatched its input is being consumed, so a later identical
-//     submission starts a fresh group.
+//     (stencil, shape, options, grid-content digest) become ONE execution:
+//     the leader computes, followers' grids receive a byte copy of the
+//     leader's result, every waiter's future completes. The coalescing
+//     window is the leader's time in the queue — by the time a gang takes
+//     it its input is being consumed, so a later identical submission
+//     starts a fresh group.
+//
+// Shared state along the request path and who guards it:
+//   * plan construction  — deduplicated + single-flighted by the scheduler's
+//     PlanCache (core/plan_cache.hpp); tuning trials additionally serialize
+//     on the tuner's process-wide trial lock (core/tuner.hpp).
+//   * scratch buffers    — every in-flight request checks a private
+//     Workspace out of its cached plan's WorkspacePool; the plan itself is
+//     immutable and shared.
+//   * the grid           — owned by the caller. A grid must not be passed
+//     to a second submit (or touched) while a request on it is in flight;
+//     the future is the handoff.
+//
+// Results are bit-identical to executing the same (grid, spec, options)
+// serially through Plan::execute: the scheduler changes ordering, never
+// kernels or arithmetic (tests/test_executor.cpp and test_scheduler.cpp
+// pin this).
 //
 // Completion latency (admission -> future ready) is recorded per class in
 // log-scaled histograms; SchedulerStats carries them plus the admission
-// counters and the wrapped ExecutorStats, so one snapshot answers both
-// "is the service meeting its SLO" (p99, shed rate, deadline misses) and
-// "is the machine keeping up" (gang utilization, cache hit rate).
+// counters and the pool's ExecutorStats (gangs, plan cache, workspaces), so
+// one snapshot answers both "is the service meeting its SLO" (p99, shed
+// rate, deadline misses) and "is the machine keeping up" (gang
+// utilization, cache hit rate).
 //
-// Lifetime: the destructor resumes a paused scheduler, dispatches
+// Lifetime: the destructor resumes a paused scheduler, lets the gangs run
 // everything still queued, and joins only after every admitted request has
 // completed (or failed) — no future is ever abandoned.
 
 #include <array>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "tsv/core/executor.hpp"
+#include "tsv/common/timer.hpp"
 #include "tsv/core/fault.hpp"
+#include "tsv/core/plan_cache.hpp"
 
 namespace tsv {
 
@@ -136,10 +163,48 @@ struct TraceSpan {
   /// Outcome: 'C' completed, 'F' failed, 'X' cancelled, 'T' timed out.
   char outcome = 'C';
   double submit_s = 0.0;    ///< admitted into the queue
-  double dispatch_s = 0.0;  ///< handed to the executor (queueing ends)
-  double sweep_s = 0.0;     ///< execution began on a gang
+  double dispatch_s = 0.0;  ///< taken by a gang (queueing ends)
+  double sweep_s = 0.0;     ///< execution began on that gang
   double complete_s = 0.0;  ///< outcome recorded (future fulfilled next)
 };
+
+/// Shape of the gang pool (SchedulerConfig::executor).
+struct ExecutorConfig {
+  /// Worker gangs (one worker thread each). 0 = one gang per
+  /// threads_per_gang-sized slice of the machine's logical cores (at least
+  /// one).
+  int gangs = 0;
+  /// OpenMP team cap per request: submit clamps every request's
+  /// Options::max_threads to this, so one gang can never fork a
+  /// machine-wide team. 1 (the default) runs every request single-threaded
+  /// — pure request-level parallelism.
+  int threads_per_gang = 1;
+};
+
+/// Per-gang busy-time accounting: how many groups and tasks this gang ran
+/// and how much wall time it spent inside them. busy / uptime is the gang's
+/// utilization; a skewed tasks distribution across gangs exposes imbalance.
+struct GangStats {
+  std::uint64_t tasks = 0;
+  double busy_seconds = 0.0;
+};
+
+/// The gang pool's own accounting (SchedulerStats::executor).
+struct ExecutorStats {
+  PlanCacheStats plan_cache;
+  WorkspacePool::Stats workspaces;  ///< aggregated over all cached plans
+  std::vector<GangStats> gangs;     ///< one entry per gang, stable order
+  double uptime_seconds = 0.0;      ///< wall time since construction
+};
+
+/// Whole-pool utilization in [0, 1]: the busy fraction of every gang's
+/// uptime, summed. 1.0 means every gang computed the entire time.
+inline double utilization(const ExecutorStats& s) {
+  if (s.gangs.empty() || s.uptime_seconds <= 0.0) return 0.0;
+  double busy = 0.0;
+  for (const GangStats& g : s.gangs) busy += g.busy_seconds;
+  return busy / (s.uptime_seconds * static_cast<double>(s.gangs.size()));
+}
 
 /// Dispatch-order policy. kDeadline is the scheduler's reason to exist;
 /// kFifo preserves admission order (the control arm for A/B latency runs —
@@ -147,8 +212,10 @@ struct TraceSpan {
 enum class SchedPolicy { kDeadline, kFifo };
 
 struct SchedulerConfig {
-  ExecutorConfig executor;       ///< the wrapped worker pool
-  std::size_t queue_capacity = 1024;  ///< queued groups before shedding
+  ExecutorConfig executor;       ///< the gang pool
+  /// Queued request groups before shedding (submit_task groups take no
+  /// slot).
+  std::size_t queue_capacity = 1024;
   int max_inflight_per_tenant = 0;    ///< 0 = unlimited
   SchedPolicy policy = SchedPolicy::kDeadline;
   bool coalesce = true;          ///< single-flight identical submissions
@@ -174,7 +241,8 @@ struct SchedulerConfig {
 
 /// Cumulative serving counters plus the per-class latency distributions.
 /// submitted = admitted + rejected; admitted requests end up in exactly one
-/// of completed / failed / shed. deadline_missed counts COMPLETED requests
+/// of completed / failed / shed. Scheduler::submit_task closures count
+/// here too, as batch-class requests. deadline_missed counts COMPLETED requests
 /// that finished after their deadline (shed work is counted as shed, not
 /// missed). coalesced counts followers fanned out from a leader's result.
 struct SchedulerStats {
@@ -195,8 +263,12 @@ struct SchedulerStats {
   std::uint64_t retry_exhausted = 0;
   std::uint64_t cancelled = 0;  ///< failed with CancelledError (subset of failed)
   std::uint64_t timed_out = 0;  ///< failed with TimeoutError (subset of failed)
+  /// Request groups that ran one time step at a time under a live cancel
+  /// token or timeout (TypedPlan::execute polls between steps, so a tiled
+  /// plan gives up temporal blocking). Plain requests never count here.
+  std::uint64_t sliced_executes = 0;
   std::size_t queued = 0;           ///< gauge: coalesce groups waiting
-  std::size_t inflight = 0;         ///< gauge: groups handed to the executor
+  std::size_t inflight = 0;         ///< gauge: groups running on a gang
   std::size_t peak_tenant_inflight = 0;  ///< max concurrent in-flight of one tenant
   /// Completion latency (admission -> future ready), indexed by
   /// ServiceClass; successful completions only.
@@ -204,7 +276,7 @@ struct SchedulerStats {
   /// The most recent trace spans, oldest first (empty unless
   /// SchedulerConfig::trace_capacity opted in).
   std::vector<TraceSpan> traces;
-  ExecutorStats executor;  ///< the wrapped pool's own accounting
+  ExecutorStats executor;  ///< the gang pool's own accounting
 
   const LatencyHistogram& latency_of(ServiceClass c) const {
     return latency[static_cast<std::size_t>(c)];
@@ -213,11 +285,13 @@ struct SchedulerStats {
 
 class Scheduler {
  public:
-  using GridRef = Executor::GridRef;
+  using GridRef = tsv::GridRef;
   using Clock = std::chrono::steady_clock;
 
-  /// One serving request: the executor's work unit plus the serving
-  /// metadata the scheduler dispatches on.
+  /// One serving request: the work unit plus the serving metadata the
+  /// dispatch loop orders on. `options.dtype` is overridden from the grid's
+  /// element type (the grid is the source of truth) and
+  /// `options.max_threads` is clamped to the gang size.
   struct Request {
     GridRef grid;
     StencilSpec stencil;
@@ -260,8 +334,9 @@ class Scheduler {
 
   /// Admits @p req and returns immediately. The future resolves to the
   /// request's Result when it completed, or throws: OverloadError
-  /// (rejected/shed), ConfigError (invalid configuration, surfaced at
-  /// execution exactly like Executor::submit). Never throws directly.
+  /// (rejected/shed), ConfigError (invalid configuration — plan-time
+  /// validation runs on the gang, so it surfaces here exactly as the
+  /// serial path would throw it). Never throws directly.
   std::future<Result> submit(Request req);
 
   /// Convenience: one grid, explicit serving metadata.
@@ -274,47 +349,62 @@ class Scheduler {
                           std::move(tenant)});
   }
 
-  /// Stops handing work to the executor (admission stays open). Queued
-  /// requests dispatch again on resume(). An operator's drain valve, and
-  /// the test suite's determinism lever: pause, build a queue state,
-  /// resume, observe the dispatch order.
+  /// Admits an arbitrary closure as a batch-class, deadline-free, never
+  /// coalesced request — the sharded plan's wave driver (core/plan.hpp)
+  /// fans its per-shard fill/exchange/sweep tasks out through this. The
+  /// task runs under the gang's OpenMP pin like any request, bypasses the
+  /// plan cache (the closure brings its own plan) and is counted in the
+  /// same ledger; a throw raises into the future. Tasks are never rejected
+  /// for a full queue, ignore tenant quotas and are taken before any
+  /// queued request: a wave is a barrier, and a refused or starved shard
+  /// task would stall (or half-advance) the whole sharded grid.
+  std::future<Result> submit_task(std::function<void()> fn);
+
+  /// Stops the gangs from taking queued work (admission stays open).
+  /// Queued requests dispatch again on resume(). An operator's drain valve,
+  /// and the test suite's determinism lever: pause, build a queue state,
+  /// resume, observe the dispatch order. The order is fixed with one gang;
+  /// with several, each gang picks when it wakes, so which groups are still
+  /// in flight at a pick depends on timing unless the caller holds them.
   void pause();
   void resume();
 
-  /// Blocks until nothing is queued or in flight.
+  /// Blocks until nothing is queued or in flight. Every admitted future is
+  /// ready and every counter final when it returns.
   void wait_idle();
 
   SchedulerStats stats() const;
 
-  /// The wrapped executor (introspection; submitting to it directly
-  /// bypasses every serving policy).
-  Executor& executor() { return ex_; }
+  /// The scheduler-owned plan cache (introspection; shared by every gang).
+  PlanCache& plan_cache() { return cache_; }
+
+  int gangs() const { return static_cast<int>(workers_.size()); }
+  int threads_per_gang() const { return threads_per_gang_; }
 
  private:
   struct Member;  // one submission's completion endpoint
   struct Group;   // one queue entry: a leader plus coalesced followers
 
-  void dispatch_locked(std::unique_lock<std::mutex>& lock);
-  void run_group(const std::shared_ptr<Group>& group);
-  void on_group_done(const std::shared_ptr<Group>& group,
-                     std::exception_ptr error);
-  void flush_failed_dispatches();
+  std::future<Result> admit(std::shared_ptr<Group> g, Member m,
+                            bool coalesce);
+  std::shared_ptr<Group> take_locked();
+  void worker_loop(int gang);
+  std::exception_ptr run_group(const std::shared_ptr<Group>& g);
+  std::vector<Result> finish_locked(Group& g, const std::exception_ptr& error);
 
   SchedulerConfig cfg_;
-  Executor ex_;
+  PlanCache cache_;
+  int threads_per_gang_ = 1;
+  Timer uptime_;  ///< utilization denominator (ExecutorStats::uptime_seconds)
 
   mutable std::mutex mu_;
+  std::condition_variable work_cv_;  // work queued / resumed / stopping
   std::condition_variable idle_cv_;  // queued == 0 && inflight == 0
   std::deque<std::shared_ptr<Group>> queue_;
   /// Coalesce index over QUEUED groups: (plan key, content digest) -> group.
   std::map<std::pair<PlanKey, std::uint64_t>, std::shared_ptr<Group>> open_;
-  std::map<std::string, int> tenant_inflight_;
-  /// Groups whose executor handoff itself threw (dispatch_locked catches
-  /// it): accounting is undone under mu_, the promises are fulfilled here
-  /// OUTSIDE mu_ — a waiter woken by set_exception may immediately call
-  /// stats() and must not self-deadlock.
-  std::vector<std::pair<std::shared_ptr<Group>, std::exception_ptr>>
-      failed_dispatch_;
+  std::map<std::string, int> tenant_inflight_;  // request groups only
+  std::size_t queued_tasks_ = 0;  // submit_task groups in queue_
   std::size_t inflight_ = 0;
   bool paused_ = false;
   bool stopping_ = false;
@@ -323,6 +413,7 @@ class Scheduler {
   std::uint64_t dispatch_seq_ = 0;  // dispatch order (Result::dispatch_seq)
   SchedulerStats stats_;            // counters + histograms (executor field
                                     // filled per stats() call)
+  std::vector<GangStats> gang_stats_;  // sized at construction
 
   /// Trace ring (guarded by mu_): fixed capacity, oldest overwritten.
   /// trace_pos_ is the next overwrite slot once the ring is full.
@@ -330,6 +421,23 @@ class Scheduler {
   std::vector<TraceSpan> trace_ring_;
   std::size_t trace_pos_ = 0;
   void push_trace_locked(const TraceSpan& ts);
+
+  std::vector<std::thread> workers_;  // last member: joins before the rest
 };
+
+/// Alias for callers that still spell `tsv::Executor::GridRef`.
+using Executor = Scheduler;
+
+namespace detail {
+
+/// The one execution path every request funnels through: cache lookup,
+/// workspace checkout, plan execute under @p ctl. Faults propagate
+/// unchanged; every fault point fires before anything is mutated, so the
+/// caller may re-run the same plan on the same input (retry_budget).
+void execute_request(PlanCache& cache, const Shape& shape,
+                     const StencilSpec& spec, const Options& o, GridRef grid,
+                     const ExecControl* ctl);
+
+}  // namespace detail
 
 }  // namespace tsv

@@ -25,7 +25,7 @@
 // bit-identical to the monolithic plan (tests/test_shard.cpp pins this).
 //
 // ShardedPlan (core/plan.hpp) owns the step loop and drives these fills as
-// parallel waves over Executor gangs; this header owns the geometry and the
+// parallel waves over Scheduler gangs; this header owns the geometry and the
 // per-shard copy bodies.
 
 #include <vector>
@@ -48,7 +48,7 @@ struct ShardSpec {
   int count = 0;
   /// Cap on each shard plan's OpenMP team (Options::max_threads). The
   /// default 1 runs every shard single-threaded — pure shard-level
-  /// parallelism, one shard per executor gang; raise it when gangs span
+  /// parallelism, one shard per Scheduler gang; raise it when gangs span
   /// several cores. 0 leaves the plan's own resolution uncapped.
   int threads_per_shard = 1;
   /// First-touch policy for the per-shard buffers (NUMA placement: with

@@ -90,7 +90,7 @@ class Workspace {
 
 // ---------------------------------------------------------------------------
 // Workspace reuse pool: the multi-tenant counterpart of the plan-owned
-// workspace. One pool serves one plan (the batched executor's PlanCache
+// workspace. One pool serves one plan (the Scheduler's PlanCache
 // keeps a pool per cached plan, so a recycled workspace's slots always
 // match the next request's keys and steady-state checkouts stay
 // allocation-free). Checkout moves a workspace OUT of the free list under
@@ -102,7 +102,7 @@ class WorkspacePool {
  public:
   /// RAII checkout: holds exclusive ownership of one Workspace and returns
   /// it to the pool on destruction. Movable, not copyable. The pool must
-  /// outlive the lease (the executor guarantees this by keeping the cached
+  /// outlive the lease (the Scheduler guarantees this by keeping the cached
   /// plan entry alive for the duration of every request it spawned).
   class Lease {
    public:

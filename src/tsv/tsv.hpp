@@ -30,7 +30,6 @@
 #include "tsv/common/grid.hpp"       // IWYU pragma: export
 #include "tsv/common/timer.hpp"      // IWYU pragma: export
 #include "tsv/core/capability.hpp"   // IWYU pragma: export
-#include "tsv/core/executor.hpp"     // IWYU pragma: export
 #include "tsv/core/fault.hpp"        // IWYU pragma: export
 #include "tsv/core/generic_stencil.hpp"  // IWYU pragma: export
 #include "tsv/core/halo.hpp"         // IWYU pragma: export

@@ -1,16 +1,19 @@
-// Concurrency suite for the batched executor (core/executor.hpp).
+// Concurrency suite for the Scheduler's gang pool (core/scheduler.hpp),
+// driven as a plain batch executor: FIFO policy, no coalescing.
 //
-// The contract under test: the executor changes SCHEDULING, never numerics.
+// The contract under test: the gangs change SCHEDULING, never numerics.
 // N threads submitting M requests over mixed shapes/dtypes/boundaries must
 // produce results bit-identical to running the same (grid, spec, options)
 // serially through Plan::execute; the plan cache must deduplicate
 // construction (hit/miss accounting is deterministic because insertion is
 // atomic under the shard lock); the workspace pool must never hand one
-// instance to two in-flight requests; and plan-time failures must surface
-// as ConfigError from future.get(), never crash a worker.
+// instance to two in-flight requests; plan-time failures must surface as
+// ConfigError from future.get(), never crash a gang; and one wait_idle()
+// quiesces the whole stack — requests and sharded waves alike.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -21,12 +24,16 @@
 #include <vector>
 
 #include "tsv/tsv.hpp"
+#include "test_support.hpp"
 
 namespace tsv {
 namespace {
 
+using test::fifo_pool;
+using test::gang_tasks;
+
 // Deterministic per-(case, copy) noise so a serially computed baseline and
-// an executor-computed grid start from identical bits.
+// a gang-computed grid start from identical bits.
 template <typename T>
 T noise(index salt, index lin) {
   return static_cast<T>(0.25 + 1e-3 * static_cast<double>((salt * 31 + lin * 7) % 101));
@@ -56,8 +63,8 @@ void fill_noise(G& g, index salt) {
     });
 }
 
-/// Mirrors Executor::submit's option normalization so a serial baseline
-/// resolves to the exact plan the executor runs.
+/// Mirrors Scheduler::submit's option normalization so a serial baseline
+/// resolves to the exact plan a gang runs.
 template <typename G>
 Options normalized(Options o, int threads_per_gang) {
   o.dtype = dtype_of<detail::grid_value_t<G>>();
@@ -66,8 +73,10 @@ Options normalized(Options o, int threads_per_gang) {
   return o;
 }
 
+using Fut = std::future<Scheduler::Result>;
+
 // One stress case: a (stencil spec, shape, options) configuration plus
-// `copies` independent grids submitted through the executor, verified
+// `copies` independent grids submitted through the gangs, verified
 // bitwise against one serially executed baseline.
 template <typename G>
 class StressCase {
@@ -81,10 +90,10 @@ class StressCase {
   }
 
   /// One submit thunk per grid copy (called concurrently from N threads).
-  void collect(std::vector<std::function<std::future<void>(Executor&)>>& out) {
+  void collect(std::vector<std::function<Fut(Scheduler&)>>& out) {
     for (auto& g : grids_)
-      out.push_back([this, grid = g.get()](Executor& ex) {
-        return ex.submit(*grid, spec_, o_);
+      out.push_back([this, grid = g.get()](Scheduler& sched) {
+        return sched.submit(*grid, spec_, o_);
       });
   }
 
@@ -108,6 +117,9 @@ class StressCase {
   std::vector<std::unique_ptr<G>> grids_;
 };
 
+const StencilSpec kSpec1d3p{.kind = StencilKind::k1d3p};
+const StencilSpec kSpec2d5p{.kind = StencilKind::k2d5p};
+
 Options opts(Method m, Tiling t, index steps, BoundarySpec bc = {}) {
   Options o;
   o.method = m;
@@ -119,11 +131,11 @@ Options opts(Method m, Tiling t, index steps, BoundarySpec bc = {}) {
 
 // ---------------------------------------------------------------------------
 // The headline stress: 4 submitter threads x mixed shapes/dtypes/boundaries
-// racing through one executor, every result bit-identical to serial.
+// racing through one gang pool, every result bit-identical to serial.
 // ---------------------------------------------------------------------------
 
-TEST(Executor, StressMixedRequestsBitIdenticalToSerial) {
-  Executor ex({.gangs = 4, .threads_per_gang = 1});
+TEST(GangPool, StressMixedRequestsBitIdenticalToSerial) {
+  Scheduler ex(fifo_pool(4));
   constexpr int kCopies = 4;
 
   StressCase<Grid1D<double>> c1(
@@ -159,7 +171,7 @@ TEST(Executor, StressMixedRequestsBitIdenticalToSerial) {
       StencilSpec{.kind = StencilKind::k1d3p}, shape1d(512),
       opts(Method::kDlt, Tiling::kSplit, 6), kCopies, 67);
 
-  std::vector<std::function<std::future<void>(Executor&)>> jobs;
+  std::vector<std::function<Fut(Scheduler&)>> jobs;
   c1.collect(jobs);
   c2.collect(jobs);
   c3.collect(jobs);
@@ -169,7 +181,7 @@ TEST(Executor, StressMixedRequestsBitIdenticalToSerial) {
 
   // N submitter threads racing the submit path itself.
   constexpr int kSubmitters = 4;
-  std::vector<std::future<void>> futures(jobs.size());
+  std::vector<Fut> futures(jobs.size());
   std::vector<std::thread> submitters;
   for (int t = 0; t < kSubmitters; ++t)
     submitters.emplace_back([&, t] {
@@ -186,31 +198,28 @@ TEST(Executor, StressMixedRequestsBitIdenticalToSerial) {
   c5.verify(ex.threads_per_gang());
   c6.verify(ex.threads_per_gang());
 
-  const ExecutorStats s = ex.stats();
+  const SchedulerStats s = ex.stats();
+  const ExecutorStats& e = s.executor;
   EXPECT_EQ(s.submitted, jobs.size());
   EXPECT_EQ(s.completed, jobs.size());
   EXPECT_EQ(s.failed, 0u);
   // 6 distinct configurations -> exactly 6 single-flighted builds.
-  EXPECT_EQ(s.plan_cache.misses, 6u);
-  EXPECT_EQ(s.plan_cache.hits, jobs.size() - 6u);
+  EXPECT_EQ(e.plan_cache.misses, 6u);
+  EXPECT_EQ(e.plan_cache.hits, jobs.size() - 6u);
   // Exclusivity bound: a pool only creates when its free list is empty, so
   // per entry at most `gangs` workspaces can ever exist (that is the peak
   // concurrency), and nothing may still be checked out after the drain.
-  EXPECT_EQ(s.workspaces.in_flight, 0u);
-  EXPECT_LE(s.workspaces.created, 6u * static_cast<unsigned>(ex.gangs()));
-  EXPECT_EQ(s.workspaces.created + s.workspaces.reused, s.submitted);
+  EXPECT_EQ(e.workspaces.in_flight, 0u);
+  EXPECT_LE(e.workspaces.created, 6u * static_cast<unsigned>(ex.gangs()));
+  EXPECT_EQ(e.workspaces.created + e.workspaces.reused, s.submitted);
   // Per-gang accounting: every completed request is attributed to exactly
   // one gang, busy time accumulates, and pool utilization is a fraction.
-  ASSERT_EQ(s.gangs.size(), static_cast<std::size_t>(ex.gangs()));
-  std::uint64_t gang_tasks = 0;
-  for (const GangStats& g : s.gangs) {
-    gang_tasks += g.tasks;
-    EXPECT_GE(g.busy_seconds, 0.0);
-  }
-  EXPECT_EQ(gang_tasks, s.completed);
-  EXPECT_GT(s.uptime_seconds, 0.0);
-  EXPECT_GE(utilization(s), 0.0);
-  EXPECT_LE(utilization(s), 1.0);
+  ASSERT_EQ(e.gangs.size(), static_cast<std::size_t>(ex.gangs()));
+  for (const GangStats& g : e.gangs) EXPECT_GE(g.busy_seconds, 0.0);
+  EXPECT_EQ(gang_tasks(s), s.completed);
+  EXPECT_GT(e.uptime_seconds, 0.0);
+  EXPECT_GE(utilization(e), 0.0);
+  EXPECT_LE(utilization(e), 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -220,10 +229,10 @@ TEST(Executor, StressMixedRequestsBitIdenticalToSerial) {
 // losing its gang attribution.
 // ---------------------------------------------------------------------------
 
-TEST(Executor, GangBusyCountersTrackSubmittedTasks) {
-  Executor ex({.gangs = 2, .threads_per_gang = 1});
+TEST(GangPool, GangBusyCountersTrackSubmittedTasks) {
+  Scheduler ex(fifo_pool(2));
   constexpr std::uint64_t kTasks = 8;
-  std::vector<std::future<void>> futs;
+  std::vector<Fut> futs;
   for (std::uint64_t i = 0; i < kTasks; ++i)
     futs.push_back(ex.submit_task(
         [] { std::this_thread::sleep_for(std::chrono::milliseconds(2)); }));
@@ -233,22 +242,20 @@ TEST(Executor, GangBusyCountersTrackSubmittedTasks) {
   EXPECT_THROW(futs.back().get(), std::runtime_error);
   ex.wait_idle();
 
-  const ExecutorStats s = ex.stats();
+  const SchedulerStats s = ex.stats();
   EXPECT_EQ(s.submitted, kTasks + 1);
   EXPECT_EQ(s.completed, kTasks);
   EXPECT_EQ(s.failed, 1u);
-  ASSERT_EQ(s.gangs.size(), 2u);
-  std::uint64_t tasks = 0;
+  // Tasks are batch-class requests in the one ledger.
+  EXPECT_EQ(s.latency_of(ServiceClass::kBatch).count(), kTasks);
+  ASSERT_EQ(s.executor.gangs.size(), 2u);
   double busy = 0.0;
-  for (const GangStats& g : s.gangs) {
-    tasks += g.tasks;
-    busy += g.busy_seconds;
-  }
-  EXPECT_EQ(tasks, kTasks + 1);  // the failed task still occupied a gang
+  for (const GangStats& g : s.executor.gangs) busy += g.busy_seconds;
+  EXPECT_EQ(gang_tasks(s), kTasks + 1);  // the failed task still occupied a gang
   EXPECT_GE(busy, static_cast<double>(kTasks) * 0.002);
-  EXPECT_GT(s.uptime_seconds, 0.0);
-  EXPECT_GT(utilization(s), 0.0);
-  EXPECT_LE(utilization(s), 1.0);
+  EXPECT_GT(s.executor.uptime_seconds, 0.0);
+  EXPECT_GT(utilization(s.executor), 0.0);
+  EXPECT_LE(utilization(s.executor), 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -256,34 +263,32 @@ TEST(Executor, GangBusyCountersTrackSubmittedTasks) {
 // under the shard lock, so M same-key submissions = 1 miss + M-1 hits.
 // ---------------------------------------------------------------------------
 
-TEST(Executor, PlanCacheAccounting) {
-  Executor ex({.gangs = 2, .threads_per_gang = 1});
+TEST(GangPool, PlanCacheAccounting) {
+  Scheduler ex(fifo_pool(2));
   const Shape shape = shape1d(256);
   const Options o = opts(Method::kTranspose, Tiling::kNone, 3);
 
   constexpr int kSame = 12;
   std::vector<std::unique_ptr<Grid1D<double>>> grids;
-  std::vector<std::future<void>> futs;
+  std::vector<Fut> futs;
   for (int i = 0; i < kSame; ++i) {
     grids.push_back(std::make_unique<Grid1D<double>>(make_grid<Grid1D<double>>(shape)));
     fill_noise(*grids.back(), i);
-    futs.push_back(ex.submit(*grids.back(), StencilKind::k1d3p, o));
+    futs.push_back(ex.submit(*grids.back(), kSpec1d3p, o));
   }
   for (auto& f : futs) f.get();
-  ExecutorStats s = ex.stats();
-  EXPECT_EQ(s.plan_cache.misses, 1u);
-  EXPECT_EQ(s.plan_cache.hits, static_cast<std::uint64_t>(kSame - 1));
-  EXPECT_EQ(s.plan_cache.entries, 1u);
+  PlanCacheStats s = ex.stats().executor.plan_cache;
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kSame - 1));
+  EXPECT_EQ(s.entries, 1u);
 
   // A different configuration is a new entry, not a hit.
   Grid1D<double> other = make_grid<Grid1D<double>>(shape);
   fill_noise(other, 99);
-  ex.submit(other, StencilKind::k1d3p,
-            opts(Method::kReorg, Tiling::kNone, 3))
-      .get();
-  s = ex.stats();
-  EXPECT_EQ(s.plan_cache.misses, 2u);
-  EXPECT_EQ(s.plan_cache.entries, 2u);
+  ex.submit(other, kSpec1d3p, opts(Method::kReorg, Tiling::kNone, 3)).get();
+  s = ex.stats().executor.plan_cache;
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.entries, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -293,7 +298,7 @@ TEST(Executor, PlanCacheAccounting) {
 // pinned.
 // ---------------------------------------------------------------------------
 
-TEST(Executor, PlanCacheBoundsIdleEntries) {
+TEST(GangPool, PlanCacheBoundsIdleEntries) {
   PlanCache cache(8);  // tiny bound: every shard's share is 1
   const Shape shape = shape1d(256);
   const StencilSpec spec{.kind = StencilKind::k1d3p};
@@ -319,17 +324,17 @@ TEST(Executor, PlanCacheBoundsIdleEntries) {
 }
 
 // ---------------------------------------------------------------------------
-// Failures propagate as ConfigError through the future; the executor keeps
+// Failures propagate as ConfigError through the future; the gangs keep
 // serving afterwards.
 // ---------------------------------------------------------------------------
 
-TEST(Executor, FutureExceptionPropagatesConfigError) {
-  Executor ex({.gangs = 2, .threads_per_gang = 1});
+TEST(GangPool, FutureExceptionPropagatesConfigError) {
+  Scheduler ex(fifo_pool(2));
 
   // nx = 251 violates every compiled width's DLT rule (odd, W >= 2).
   Grid1D<double> bad(251, 1);
   fill_noise(bad, 1);
-  auto f1 = ex.submit(bad, StencilKind::k1d3p,
+  auto f1 = ex.submit(bad, kSpec1d3p,
                       opts(Method::kDlt, Tiling::kNone, 2));
   EXPECT_THROW(f1.get(), ConfigError);
 
@@ -338,11 +343,11 @@ TEST(Executor, FutureExceptionPropagatesConfigError) {
   fill_noise(bad2, 2);
   Options o = opts(Method::kTransposeUJ, Tiling::kTessellate, 4);
   o.bt = 3;
-  auto f2 = ex.submit(bad2, StencilKind::k1d3p, o);
+  auto f2 = ex.submit(bad2, kSpec1d3p, o);
   EXPECT_THROW(f2.get(), ConfigError);
 
   // A deterministically-invalid key stays loud on every later submit.
-  auto f3 = ex.submit(bad, StencilKind::k1d3p,
+  auto f3 = ex.submit(bad, kSpec1d3p,
                       opts(Method::kDlt, Tiling::kNone, 2));
   EXPECT_THROW(f3.get(), ConfigError);
 
@@ -352,16 +357,16 @@ TEST(Executor, FutureExceptionPropagatesConfigError) {
   fill_noise(bad3, 4);
   Options neg = opts(Method::kTranspose, Tiling::kNone, 2);
   neg.max_threads = -1;
-  auto f4 = ex.submit(bad3, StencilKind::k1d3p, neg);
+  auto f4 = ex.submit(bad3, kSpec1d3p, neg);
   EXPECT_THROW(f4.get(), ConfigError);
 
   // The workers survived: a valid request still completes.
   Grid1D<double> good(512, 1);
   fill_noise(good, 3);
   EXPECT_NO_THROW(
-      ex.submit(good, StencilKind::k1d3p, opts(Method::kTranspose, Tiling::kNone, 2))
+      ex.submit(good, kSpec1d3p, opts(Method::kTranspose, Tiling::kNone, 2))
           .get());
-  const ExecutorStats s = ex.stats();
+  const SchedulerStats s = ex.stats();
   EXPECT_EQ(s.failed, 4u);
   EXPECT_EQ(s.completed, 1u);
 }
@@ -371,8 +376,8 @@ TEST(Executor, FutureExceptionPropagatesConfigError) {
 // one request can never fork a machine-wide team.
 // ---------------------------------------------------------------------------
 
-TEST(Executor, GangCapClampsThreads) {
-  Executor ex({.gangs = 2, .threads_per_gang = 2});
+TEST(GangPool, GangCapClampsThreads) {
+  Scheduler ex(fifo_pool(2, 2));
 
   // An executed tiled request whose team resolves from the runtime default
   // (clamped to the gang): under the TSan CI job OMP_NUM_THREADS=1 keeps
@@ -381,7 +386,7 @@ TEST(Executor, GangCapClampsThreads) {
   Grid2D<double> g = make_grid<Grid2D<double>>(shape2d(256, 16));
   fill_noise(g, 5);
   Options o = opts(Method::kAutoVec, Tiling::kTessellate, 2);
-  ex.submit(g, StencilKind::k2d5p, o).get();
+  ex.submit(g, kSpec2d5p, o).get();
 
   // The clamp itself, checked at resolve time with steps = 0: execute
   // returns before any parallel region, so asserting "8 requested threads
@@ -390,32 +395,31 @@ TEST(Executor, GangCapClampsThreads) {
   fill_noise(g2, 6);
   Options wide = opts(Method::kAutoVec, Tiling::kTessellate, 0);
   wide.threads = 8;  // wants the whole machine
-  ex.submit(g2, StencilKind::k2d5p, wide).get();
+  ex.submit(g2, kSpec2d5p, wide).get();
 
-  // Probe the cache under the executor's own normalization: same key, and
+  // Probe the cache under the scheduler's own normalization: same key, and
   // the resolved team must be the gang cap, not 8.
   const Options probe = normalized<Grid2D<double>>(wide, ex.threads_per_gang());
-  auto entry = ex.plan_cache().get(shape2d(256, 16),
-                                   StencilSpec{.kind = StencilKind::k2d5p}, probe);
+  auto entry = ex.plan_cache().get(shape2d(256, 16), kSpec2d5p, probe);
   EXPECT_EQ(entry->plan().config().threads, 2);
   EXPECT_LE(entry->plan().config().threads, ex.threads_per_gang());
-  EXPECT_GE(ex.stats().plan_cache.hits, 1u);  // the probe hit, not rebuilt
+  EXPECT_GE(ex.stats().executor.plan_cache.hits, 1u);  // the probe hit
 }
 
 // ---------------------------------------------------------------------------
 // Destruction drains: every submitted future is satisfied, never abandoned.
 // ---------------------------------------------------------------------------
 
-TEST(Executor, DestructorDrainsQueue) {
+TEST(GangPool, DestructorDrainsQueue) {
   constexpr int kJobs = 16;
   std::vector<std::unique_ptr<Grid1D<double>>> grids;
-  std::vector<std::future<void>> futs;
+  std::vector<Fut> futs;
   {
-    Executor ex({.gangs = 2, .threads_per_gang = 1});
+    Scheduler ex(fifo_pool(2));
     for (int i = 0; i < kJobs; ++i) {
       grids.push_back(std::make_unique<Grid1D<double>>(512, 1));
       fill_noise(*grids.back(), i);
-      futs.push_back(ex.submit(*grids.back(), StencilKind::k1d3p,
+      futs.push_back(ex.submit(*grids.back(), kSpec1d3p,
                                opts(Method::kTranspose, Tiling::kNone, 4)));
     }
   }  // destructor runs the whole queue before joining
@@ -425,20 +429,284 @@ TEST(Executor, DestructorDrainsQueue) {
   }
 }
 
-// wait_idle is the whole-batch barrier.
-TEST(Executor, WaitIdleDrains) {
-  Executor ex({.gangs = 2, .threads_per_gang = 1});
+// wait_idle is the whole-batch barrier: every future is ready and every
+// counter final when it returns.
+TEST(GangPool, WaitIdleDrains) {
+  Scheduler ex(fifo_pool(2));
   std::vector<std::unique_ptr<Grid1D<double>>> grids;
+  std::vector<Fut> futs;
   for (int i = 0; i < 8; ++i) {
     grids.push_back(std::make_unique<Grid1D<double>>(512, 1));
     fill_noise(*grids.back(), i);
-    ex.submit(*grids.back(), StencilKind::k1d3p,
-              opts(Method::kTranspose, Tiling::kNone, 3));
+    futs.push_back(ex.submit(*grids.back(), kSpec1d3p,
+                             opts(Method::kTranspose, Tiling::kNone, 3)));
   }
   ex.wait_idle();
-  const ExecutorStats s = ex.stats();
+  const SchedulerStats s = ex.stats();
   EXPECT_EQ(s.completed + s.failed, s.submitted);
-  EXPECT_EQ(s.workspaces.in_flight, 0u);
+  EXPECT_EQ(s.executor.workspaces.in_flight, 0u);
+  for (auto& f : futs)
+    EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+}
+
+// ---------------------------------------------------------------------------
+// One ledger, one wait: racing submitters (requests and submit_task
+// closures) followed by a SINGLE wait_idle() leave a snapshot that passes
+// every idle invariant — no second quiesce step, round after round.
+// ---------------------------------------------------------------------------
+
+TEST(GangPool, IdleInvariantsHoldAfterOneWait) {
+  Scheduler sched({.executor = {.gangs = 2, .threads_per_gang = 1}});
+  MetricsRegistry reg;
+  reg.attach(&sched);
+  constexpr int kRounds = 50, kSubmitters = 3, kPerThread = 3;
+  const Options o = opts(Method::kTranspose, Tiling::kNone, 2);
+  std::vector<std::unique_ptr<Grid1D<double>>> grids;
+  for (int i = 0; i < kSubmitters * kPerThread; ++i)
+    grids.push_back(std::make_unique<Grid1D<double>>(256, 1));
+
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<Fut> futs(static_cast<std::size_t>(kSubmitters * (kPerThread + 1)));
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kSubmitters; ++t)
+      submitters.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          const int k = t * kPerThread + i;
+          Grid1D<double>& g = *grids[static_cast<std::size_t>(k)];
+          fill_noise(g, round * 17 + k);
+          futs[static_cast<std::size_t>(k)] = sched.submit(
+              g, kSpec1d3p, o,
+              i % 2 ? ServiceClass::kBatch : ServiceClass::kInteractive);
+        }
+        futs[static_cast<std::size_t>(kSubmitters * kPerThread + t)] =
+            sched.submit_task([] {});
+      });
+    for (auto& t : submitters) t.join();
+
+    sched.wait_idle();  // the one and only quiesce step
+    const MetricsSnapshot m = reg.snapshot();
+    for (const std::string& v : metrics_check_invariants(m, /*idle=*/true))
+      ADD_FAILURE() << "round " << round << ": " << v;
+    EXPECT_EQ(m.scheduler.submitted,
+              static_cast<std::uint64_t>((round + 1) * kSubmitters *
+                                         (kPerThread + 1)));
+    for (auto& f : futs) {
+      ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready)
+          << "round " << round << ": wait_idle returned before a future";
+      EXPECT_NO_THROW(f.get());
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Waves and requests on one pool: a sharded plan's waves share the gangs
+// with concurrently submitted requests. Both stay bit-identical to their
+// serial runs, and the one ledger balances at idle.
+// ---------------------------------------------------------------------------
+
+TEST(GangPool, ShardedWavesAndRequestsShareOnePool) {
+  Scheduler sched({.executor = {.gangs = 2, .threads_per_gang = 1}});
+  const auto st = make_2d5p<double>(0.5, 0.12, 0.13);
+  Options so;
+  so.steps = 6;
+  so.boundary = BoundarySpec::uniform(Boundary::kPeriodic);
+  const Shape shape = shape2d(128, 24);
+  const ShardSpec spec{.count = 3};
+  const auto plan = make_sharded_plan(shape, st, spec, so);
+
+  Grid2D<double> init = make_grid<Grid2D<double>>(shape);
+  fill_noise(init, 5);
+  ShardedGrid<Grid2D<double>> serial(init, spec), waved(init, spec);
+  serial.scatter(init);
+  waved.scatter(init);
+  plan.execute(serial);
+
+  constexpr int kSubmitters = 2, kPerThread = 6;
+  const Options ro = opts(Method::kTranspose, Tiling::kNone, 3);
+  std::vector<std::unique_ptr<Grid1D<double>>> grids;
+  for (int i = 0; i < kSubmitters * kPerThread; ++i) {
+    grids.push_back(std::make_unique<Grid1D<double>>(512, 1));
+    fill_noise(*grids.back(), 200 + i);
+  }
+  std::vector<Fut> futs(grids.size());
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t)
+    submitters.emplace_back([&, t] {
+      for (int i = t; i < kSubmitters * kPerThread; i += kSubmitters)
+        futs[static_cast<std::size_t>(i)] =
+            sched.submit(*grids[static_cast<std::size_t>(i)], kSpec1d3p, ro);
+    });
+  plan.execute(waved, sched);  // races the submitters on the same gangs
+  for (auto& t : submitters) t.join();
+  for (auto& f : futs) EXPECT_NO_THROW(f.get());
+  sched.wait_idle();
+
+  Grid2D<double> a = make_grid<Grid2D<double>>(shape);
+  Grid2D<double> b = make_grid<Grid2D<double>>(shape);
+  serial.gather(a);
+  waved.gather(b);
+  EXPECT_EQ(max_abs_diff(a, b), 0.0);
+
+  const Plan serial_req = make_plan(shape1d(512), kSpec1d3p,
+                                    normalized<Grid1D<double>>(ro, 1));
+  for (int i = 0; i < kSubmitters * kPerThread; ++i) {
+    Grid1D<double> expected(512, 1);
+    fill_noise(expected, 200 + i);
+    serial_req.execute(expected);
+    EXPECT_EQ(max_abs_diff(expected, *grids[static_cast<std::size_t>(i)]), 0.0)
+        << "request " << i;
+  }
+
+  const SchedulerStats s = sched.stats();
+  EXPECT_EQ(s.completed + s.failed + s.shed, s.admitted);
+  EXPECT_EQ(s.failed, 0u);
+  // One fill wave plus an exchange and a sweep wave per step, one task per
+  // shard, all in the same ledger as the requests.
+  const auto wave_tasks =
+      static_cast<std::uint64_t>(spec.count * (1 + 2 * so.steps));
+  EXPECT_EQ(s.admitted, wave_tasks + kSubmitters * kPerThread);
+  EXPECT_EQ(gang_tasks(s), s.completed);
+}
+
+// ---------------------------------------------------------------------------
+// Task groups (a sharded plan's waves) never wait behind requests: they skip
+// the request capacity check and the tenant quota, and a gang takes them
+// before any queued request, whatever the policy.
+// ---------------------------------------------------------------------------
+
+TEST(GangPool, TasksSkipCapacityAndQuotaAndGoFirst) {
+  {
+    Scheduler sched({.executor = {.gangs = 1, .threads_per_gang = 1},
+                     .queue_capacity = 1});
+    sched.pause();
+    Grid1D<double> g1(512, 1), g2(512, 1);
+    fill_noise(g1, 1);
+    fill_noise(g2, 2);
+    const Options ro = opts(Method::kTranspose, Tiling::kNone, 2);
+    Fut r1 = sched.submit(g1, kSpec1d3p, ro, ServiceClass::kInteractive,
+                          60'000.0);
+    std::vector<Fut> tasks;
+    for (int i = 0; i < 3; ++i) tasks.push_back(sched.submit_task([] {}));
+    // The one request slot is r1's (live deadline, nothing to shed); the
+    // tasks took no slot, so only the second request is refused.
+    Fut r2 = sched.submit(g2, kSpec1d3p, ro, ServiceClass::kInteractive,
+                          60'000.0);
+    sched.resume();
+    for (std::size_t i = 0; i < tasks.size(); ++i)
+      EXPECT_EQ(tasks[i].get().dispatch_seq, i);
+    EXPECT_EQ(r1.get().dispatch_seq, 3u);
+    EXPECT_THROW(r2.get(), OverloadError);
+    sched.wait_idle();
+    const SchedulerStats s = sched.stats();
+    EXPECT_EQ(s.admitted, 4u);
+    EXPECT_EQ(s.rejected, 1u);
+  }
+  {
+    // Two tasks that can only finish together: a quota-bound pool would
+    // run them one after the other and the rendezvous would time out.
+    Scheduler sched({.executor = {.gangs = 2, .threads_per_gang = 1},
+                     .max_inflight_per_tenant = 1});
+    std::atomic<int> arrived{0};
+    const auto rendezvous = [&arrived] {
+      ++arrived;
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (arrived.load() < 2) {
+        if (std::chrono::steady_clock::now() > give_up)
+          throw std::runtime_error("tasks did not run concurrently");
+        std::this_thread::yield();
+      }
+    };
+    Fut a = sched.submit_task(rendezvous);
+    Fut b = sched.submit_task(rendezvous);
+    EXPECT_NO_THROW(a.get());
+    EXPECT_NO_THROW(b.get());
+    sched.wait_idle();
+    EXPECT_EQ(sched.stats().peak_tenant_inflight, 0u);  // tasks hold no quota
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A sharded plan keeps its guarantees on a pool whose request path is
+// saturated: a one-slot queue, a one-request tenant quota and the deadline
+// policy, while other threads keep submitting dated interactive requests.
+// No wave task is refused or starved; the sharded result stays
+// bit-identical and every completed request is too.
+// ---------------------------------------------------------------------------
+
+TEST(GangPool, ShardedWavesSurviveASaturatedRequestPath) {
+  Scheduler sched({.executor = {.gangs = 2, .threads_per_gang = 1},
+                   .queue_capacity = 1,
+                   .max_inflight_per_tenant = 1});
+  const auto st = make_2d5p<double>(0.5, 0.12, 0.13);
+  Options so;
+  so.steps = 6;
+  so.boundary = BoundarySpec::uniform(Boundary::kPeriodic);
+  const Shape shape = shape2d(128, 24);
+  const ShardSpec spec{.count = 3};
+  const auto plan = make_sharded_plan(shape, st, spec, so);
+
+  Grid2D<double> init = make_grid<Grid2D<double>>(shape);
+  fill_noise(init, 5);
+  ShardedGrid<Grid2D<double>> serial(init, spec), waved(init, spec);
+  serial.scatter(init);
+  waved.scatter(init);
+  plan.execute(serial);
+
+  constexpr int kSubmitters = 3;
+  const Options ro = opts(Method::kTranspose, Tiling::kNone, 3);
+  const Plan serial_req = make_plan(shape1d(512), kSpec1d3p,
+                                    normalized<Grid1D<double>>(ro, 1));
+  // Serial baselines first: a Plan's own workspace serves one caller.
+  std::vector<Grid1D<double>> expected;
+  for (int t = 0; t < kSubmitters; ++t) {
+    expected.emplace_back(512, 1);
+    fill_noise(expected.back(), 300 + t);
+    serial_req.execute(expected.back());
+  }
+  std::atomic<bool> waves_done{false};
+  std::atomic<int> served{0}, wrong{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t)
+    submitters.emplace_back([&, t] {
+      Grid1D<double> g(512, 1);
+      do {
+        fill_noise(g, 300 + t);
+        try {
+          sched.submit(g, kSpec1d3p, ro, ServiceClass::kInteractive, 1000.0,
+                       "tenant").get();
+          ++served;
+          if (max_abs_diff(expected[static_cast<std::size_t>(t)], g) != 0.0)
+            ++wrong;
+        } catch (const OverloadError&) {
+          // A full one-slot queue refuses requests; never a wave task.
+        }
+      } while (!waves_done.load());
+    });
+  EXPECT_NO_THROW(plan.execute(waved, sched));
+  waves_done = true;
+  for (auto& t : submitters) t.join();
+  sched.wait_idle();
+
+  Grid2D<double> a = make_grid<Grid2D<double>>(shape);
+  Grid2D<double> b = make_grid<Grid2D<double>>(shape);
+  serial.gather(a);
+  waved.gather(b);
+  EXPECT_EQ(max_abs_diff(a, b), 0.0);
+  EXPECT_GT(served.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
+
+  const SchedulerStats s = sched.stats();
+  EXPECT_EQ(s.completed + s.failed + s.shed, s.admitted);
+  EXPECT_EQ(s.failed, 0u);
+  EXPECT_EQ(s.submitted, s.admitted + s.rejected);
+  EXPECT_EQ(s.peak_tenant_inflight, 1u);
+  const auto wave_tasks =
+      static_cast<std::uint64_t>(spec.count * (1 + 2 * so.steps));
+  // Every admitted request was served or (past its deadline, queue full)
+  // shed; every wave task was admitted and completed.
+  EXPECT_EQ(s.admitted,
+            wave_tasks + static_cast<std::uint64_t>(served.load()) + s.shed);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Chaos suite for the resilience layer (core/fault.hpp, core/health.hpp,
 // and the retry/timeout/cancel paths threaded through
-// Scheduler -> Executor -> PlanCache -> Plan -> ShardedPlan).
+// Scheduler -> PlanCache -> Plan -> ShardedPlan).
 //
 // Every test is DETERMINISTIC: the injector's per-point splitmix64 streams
 // replay exactly under a fixed seed, trigger counts (`once`, `count`) are
@@ -25,9 +25,13 @@
 #include <vector>
 
 #include "tsv/tsv.hpp"
+#include "test_support.hpp"
 
 namespace tsv {
 namespace {
+
+using test::fifo_pool;
+using test::gang_tasks;
 
 template <typename T>
 T noise(index salt, index lin) {
@@ -43,7 +47,7 @@ Options opts(Method m, Tiling t, index steps) {
   return o;
 }
 
-/// Mirrors the scheduler's (= executor's) option normalization so a serial
+/// Mirrors the scheduler's option normalization so a serial
 /// baseline resolves to the exact plan a gang runs.
 Options normalized(Options o, int threads_per_gang) {
   o.dtype = dtype_of<double>();
@@ -365,54 +369,57 @@ TEST(ExecControlPlan, CancelBetweenStepsLeavesExactStepPrefix) {
 }
 
 // ---------------------------------------------------------------------------
-// Injection through the Executor: each fault point surfaces with the right
-// type, never strands a future, never leaks a workspace.
+// Injection through the gang pool without retry: each fault point surfaces
+// with the right type, never strands a future, never leaks a workspace.
 // ---------------------------------------------------------------------------
 
-TEST_F(FaultTest, WorkspaceAllocFaultFailsCleanlyThroughExecutor) {
-  Executor ex({.gangs = 1, .threads_per_gang = 1});
+TEST_F(FaultTest, WorkspaceAllocFaultFailsCleanlyThroughGangPool) {
+  Scheduler ex(fifo_pool(1));
   FaultInjector::instance().arm("workspace.alloc", {.once = true});
 
   Grid1D<double> g(512, 1);
   g.fill([](index x) { return noise<double>(5, x); });
   EXPECT_THROW(ex.submit(g, kSpec, kRun).get(), TransientError);
+  ex.wait_idle();
 
   // The lease never existed: nothing in flight, nothing leaked.
-  ExecutorStats s = ex.stats();
+  SchedulerStats s = ex.stats();
   EXPECT_EQ(s.failed, 1u);
   EXPECT_EQ(s.completed, 0u);
-  EXPECT_EQ(s.workspaces.in_flight, 0u);
+  EXPECT_EQ(s.executor.workspaces.in_flight, 0u);
 
   // The same request succeeds now (the point disarmed itself) and matches
   // the serial plan exactly — the fault fired before any mutation.
   g.fill([](index x) { return noise<double>(5, x); });
   EXPECT_NO_THROW(ex.submit(g, kSpec, kRun).get());
   EXPECT_EQ(max_abs_diff(serial_expected(5, kRun, 1), g), 0.0);
-  EXPECT_EQ(ex.stats().workspaces.in_flight, 0u);
+  EXPECT_EQ(ex.stats().executor.workspaces.in_flight, 0u);
 }
 
 TEST_F(FaultTest, DispatchFaultNeverStrandsTheFuture) {
   // Regression for the promise-fulfillment audit: a throw at the very top
-  // of the task body (before any plan/workspace state exists) must raise
+  // of a group's run (before any plan/workspace state exists) must raise
   // into the future — a stranded future here deadlocks this .get().
-  Executor ex({.gangs = 1, .threads_per_gang = 1});
+  Scheduler ex(fifo_pool(1));
   FaultInjector::instance().arm("executor.dispatch", {.once = true});
 
   Grid1D<double> g(512, 1);
   g.fill([](index x) { return noise<double>(6, x); });
-  std::future<void> fut = ex.submit(g, kSpec, kRun);
+  std::future<Scheduler::Result> fut = ex.submit(g, kSpec, kRun);
   ASSERT_EQ(fut.wait_for(std::chrono::seconds(30)),
             std::future_status::ready)
       << "the injected dispatch fault stranded the future";
   EXPECT_THROW(fut.get(), TransientError);
-  const ExecutorStats s = ex.stats();
+  ex.wait_idle();
+  const SchedulerStats s = ex.stats();
   EXPECT_EQ(s.submitted, 1u);
   EXPECT_EQ(s.failed, 1u);
   EXPECT_EQ(s.completed, 0u);
+  EXPECT_EQ(gang_tasks(s), 1u);
 }
 
 TEST_F(FaultTest, PlanBuildFaultReleasesTheSingleFlightClaim) {
-  Executor ex({.gangs = 1, .threads_per_gang = 1});
+  Scheduler ex(fifo_pool(1));
   FaultInjector::instance().arm("plan.build", {.once = true});
 
   Grid1D<double> g(512, 1);
@@ -424,32 +431,34 @@ TEST_F(FaultTest, PlanBuildFaultReleasesTheSingleFlightClaim) {
   g.fill([](index x) { return noise<double>(7, x); });
   EXPECT_NO_THROW(ex.submit(g, kSpec, kRun).get());
   EXPECT_EQ(max_abs_diff(serial_expected(7, kRun, 1), g), 0.0);
-  const ExecutorStats s = ex.stats();
-  EXPECT_EQ(s.plan_cache.misses, 2u);
-  EXPECT_EQ(s.plan_cache.hits, 0u);
+  const PlanCacheStats s = ex.stats().executor.plan_cache;
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.hits, 0u);
 }
 
 TEST_F(FaultTest, KernelSweepFaultSurfacesTransientAndPlanServesOn) {
-  Executor ex({.gangs = 1, .threads_per_gang = 1});
+  Scheduler ex(fifo_pool(1));
   FaultInjector::instance().arm("kernel.sweep", {.count = 1});
 
   Grid1D<double> g(512, 1);
   g.fill([](index x) { return noise<double>(8, x); });
   EXPECT_THROW(ex.submit(g, kSpec, kRun).get(), TransientError);
-  EXPECT_EQ(ex.stats().workspaces.in_flight, 0u);
+  ex.wait_idle();
+  EXPECT_EQ(ex.stats().executor.workspaces.in_flight, 0u);
 
-  // The sweep fault fired pre-mutation and the executor left the cached
+  // The sweep fault fired pre-mutation and the gang left the cached
   // plan alone: the next submit hits it and is bit-identical to the serial
   // plan.
   g.fill([](index x) { return noise<double>(8, x); });
   EXPECT_NO_THROW(ex.submit(g, kSpec, kRun).get());
   EXPECT_EQ(max_abs_diff(serial_expected(8, kRun, 1), g), 0.0);
-  const ExecutorStats s = ex.stats();
+  ex.wait_idle();
+  const SchedulerStats s = ex.stats();
   EXPECT_EQ(s.failed, 1u);
   EXPECT_EQ(s.completed, 1u);
-  EXPECT_EQ(s.plan_cache.misses, 1u);
-  EXPECT_EQ(s.plan_cache.hits, 1u);
-  EXPECT_EQ(s.workspaces.in_flight, 0u);
+  EXPECT_EQ(s.executor.plan_cache.misses, 1u);
+  EXPECT_EQ(s.executor.plan_cache.hits, 1u);
+  EXPECT_EQ(s.executor.workspaces.in_flight, 0u);
 }
 
 TEST_F(FaultTest, SchedulerRetriesKernelSweepFaultOnThePlannedKernel) {
@@ -474,10 +483,10 @@ TEST_F(FaultTest, SchedulerRetriesKernelSweepFaultOnThePlannedKernel) {
   EXPECT_EQ(st.executor.plan_cache.misses, 1u) << "the plan was rebuilt";
   EXPECT_EQ(FaultInjector::instance().stats("kernel.sweep").fires, 1u);
 
-  const auto entry = sched.executor().plan_cache().get(
+  const auto entry = sched.plan_cache().get(
       shape_of(*r.grid), kSpec, normalized(kRun, 1));
   EXPECT_EQ(entry->plan().config().isa, best_isa());
-  EXPECT_EQ(sched.executor().stats().plan_cache.misses, 1u);
+  EXPECT_EQ(sched.stats().executor.plan_cache.misses, 1u);
   EXPECT_EQ(max_abs_diff(serial_expected(8, kRun, 1), *r.grid), 0.0);
 }
 
@@ -684,8 +693,8 @@ TEST(SchedulerRobustness, CancelPrunesOneFollowerNotTheGroup) {
   EXPECT_EQ(s.failed, 1u);
   EXPECT_EQ(s.cancelled, 1u);
   EXPECT_EQ(s.timed_out, 0u);
-  // One group, one executor task, one execution.
-  EXPECT_EQ(s.executor.submitted, 1u);
+  // One group, one gang task, one execution.
+  EXPECT_EQ(gang_tasks(s), 1u);
 }
 
 TEST(SchedulerRobustness, WholeGroupCancelledSkipsExecutionEntirely) {
@@ -835,7 +844,6 @@ TEST_F(FaultTest, ChaosStatsSnapshotMatchesGroundTruthAndReplays) {
       }
     }
     sched.wait_idle();
-    sched.executor().wait_idle();  // idle invariants span both layers
 
     // Snapshot ledgers vs the ground truth.
     const MetricsSnapshot m = reg.snapshot();

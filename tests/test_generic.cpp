@@ -9,7 +9,7 @@
 //    tap sets, rank mismatches, wrong method, inconsistent scale extents)
 //    surface as structured ConfigErrors at plan time, never as crashes.
 //  * Pass-through: a lowered generic descriptor flows through ShardedPlan,
-//    Executor and Scheduler exactly like a compiled kind (bit-identical
+//    the Scheduler exactly like a compiled kind (bit-identical
 //    sharding; futures resolve to the oracle result).
 //  * Step-slicing regression: per-step boundary refreshes and cooperative
 //    cancellation share one step loop (TypedPlan::step_loop), so a cancel
@@ -293,7 +293,7 @@ TEST(GenericValidation, ScaleExtentMismatchRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass-through: ShardedPlan, Executor, Scheduler.
+// Pass-through: ShardedPlan, the FIFO gang pool, the Scheduler.
 // ---------------------------------------------------------------------------
 
 TEST(GenericPassThrough, ShardedBitIdenticalToMonolithic) {
@@ -337,7 +337,7 @@ TEST(GenericPassThrough, ScaleFieldRejectsSharding) {
   EXPECT_NO_THROW(make_plan(shape, lowered, o));
 }
 
-TEST(GenericPassThrough, ExecutorServesGenericRequests) {
+TEST(GenericPassThrough, FifoGangPoolServesGenericRequests) {
   StencilSpec spec;
   spec.generic = std::make_shared<const GenericStencil>(
       generic_star(2, 2, 0.4, 0.05));
@@ -350,8 +350,8 @@ TEST(GenericPassThrough, ExecutorServesGenericRequests) {
       make_filled<Grid2D<double>>(shape_for(2, 96, 9, 1, 2));
   Grid2D<double> ref = got;
   {
-    Executor ex;
-    ex.submit(got, spec, o).get();
+    Scheduler pool({.policy = SchedPolicy::kFifo, .coalesce = false});
+    pool.submit(got, spec, o).get();
   }
   generic_reference_run(ref, *spec.generic, o.steps, o.boundary);
   EXPECT_LE(max_abs_diff(ref, got), accuracy_tolerance<double>(o.steps));

@@ -52,15 +52,6 @@ struct Req {
 
 StencilSpec spec1d() { return StencilSpec{.kind = StencilKind::k1d3p}; }
 
-/// Full quiesce for the strict idle invariants: the scheduler's completion
-/// hook runs INSIDE the executor task body, so scheduler-idle can precede
-/// the executor's own completed/failed accounting by a few instructions —
-/// idle-snapshot tests must drain both layers.
-void quiesce(Scheduler& s) {
-  s.wait_idle();
-  s.executor().wait_idle();
-}
-
 // ---------------------------------------------------------------------------
 // Histogram accuracy: the log2 buckets bound every interpolated quantile by
 // a factor of 2 of the true order statistic.
@@ -274,7 +265,7 @@ TEST(MetricsProm, ExpositionMatchesGrammar) {
   for (index i = 0; i < 6; ++i) {
     reqs.emplace_back(i);
     reqs.back().fut = sched.submit(
-        {Executor::GridRef{reqs.back().grid.get()}, spec1d(), run_opts(),
+        {Scheduler::GridRef{reqs.back().grid.get()}, spec1d(), run_opts(),
          i % 2 ? ServiceClass::kBatch : ServiceClass::kInteractive});
   }
   for (Req& r : reqs) r.fut.get();
@@ -295,8 +286,11 @@ TEST(MetricsProm, ExpositionMatchesGrammar) {
   EXPECT_NE(page.find("tsv_request_latency_seconds_bucket{class=\"interactive"
                       "\",le=\"+Inf\"}"),
             std::string::npos);
-  EXPECT_NE(page.find("tsv_executor_submitted_total{via=\"scheduler\"}"),
+  EXPECT_NE(page.find("tsv_executor_gang_tasks_total{via=\"scheduler\","
+                      "gang=\"0\"}"),
             std::string::npos);
+  // Requests are counted once, in the scheduler ledger.
+  EXPECT_EQ(page.find("tsv_executor_submitted_total"), std::string::npos);
   EXPECT_NE(page.find("tsv_tune_trial_executions_total"), std::string::npos);
   EXPECT_NE(page.find("tsv_fault_fires_total{site=\"kernel.sweep\"}"),
             std::string::npos);
@@ -307,7 +301,7 @@ TEST(MetricsProm, ExpositionMatchesGrammar) {
 TEST(MetricsProm, HistogramBucketsCumulativePerClass) {
   Scheduler sched({.executor = {.gangs = 1}});
   Req r(1);
-  r.fut = sched.submit({Executor::GridRef{r.grid.get()}, spec1d(), run_opts(),
+  r.fut = sched.submit({Scheduler::GridRef{r.grid.get()}, spec1d(), run_opts(),
                         ServiceClass::kInteractive});
   r.fut.get();
   sched.wait_idle();
@@ -367,13 +361,12 @@ bool json_balanced(const std::string& s) {
 TEST(MetricsJson, ExportIsBalancedAndSectioned) {
   Scheduler sched({.executor = {.gangs = 1}, .trace_capacity = 4});
   Req r(7);
-  r.fut = sched.submit({Executor::GridRef{r.grid.get()}, spec1d(), run_opts(),
+  r.fut = sched.submit({Scheduler::GridRef{r.grid.get()}, spec1d(), run_opts(),
                         ServiceClass::kBatch});
   r.fut.get();
   sched.wait_idle();
   MetricsRegistry reg;
   reg.attach(&sched);
-  reg.attach(&sched.executor());  // both sources at once: no collision
   const std::string json = metrics_to_json(reg.snapshot());
   EXPECT_TRUE(json_balanced(json)) << json;
   for (const char* key :
@@ -402,11 +395,11 @@ TEST(MetricsInvariants, HoldAtIdle) {
   std::vector<Req> reqs;
   for (index i = 0; i < 8; ++i) {
     reqs.emplace_back(100 + i);
-    reqs.back().fut = sched.submit({Executor::GridRef{reqs.back().grid.get()},
+    reqs.back().fut = sched.submit({Scheduler::GridRef{reqs.back().grid.get()},
                                     spec1d(), run_opts()});
   }
   for (Req& r : reqs) r.fut.get();
-  quiesce(sched);
+  sched.wait_idle();
 
   MetricsRegistry reg;
   reg.attach(&sched);
@@ -450,7 +443,7 @@ TEST(MetricsInvariants, SnapshotsUnderLoadAreMonotoneAndUntorn) {
       for (int i = 0; i < kPerThread; ++i) {
         lane.emplace_back(1000 + t * 100 + i);
         lane.back().fut =
-            sched.submit({Executor::GridRef{lane.back().grid.get()}, spec1d(),
+            sched.submit({Scheduler::GridRef{lane.back().grid.get()}, spec1d(),
                           run_opts(2),
                           i % 2 ? ServiceClass::kBatch
                                 : ServiceClass::kInteractive});
@@ -472,7 +465,7 @@ TEST(MetricsInvariants, SnapshotsUnderLoadAreMonotoneAndUntorn) {
     prev_completed = m.scheduler.completed;
   }
   for (auto& t : threads) t.join();
-  quiesce(sched);
+  sched.wait_idle();
 
   const MetricsSnapshot fin = reg.snapshot();
   for (const std::string& v : metrics_check_invariants(fin, /*idle=*/true))
@@ -488,7 +481,7 @@ TEST(MetricsInvariants, SnapshotsUnderLoadAreMonotoneAndUntorn) {
 TEST(MetricsTraces, DisabledByDefault) {
   Scheduler sched({.executor = {.gangs = 1}});
   Req r(3);
-  r.fut = sched.submit({Executor::GridRef{r.grid.get()}, spec1d(), run_opts()});
+  r.fut = sched.submit({Scheduler::GridRef{r.grid.get()}, spec1d(), run_opts()});
   r.fut.get();
   sched.wait_idle();
   EXPECT_TRUE(sched.stats().traces.empty());
@@ -500,7 +493,7 @@ TEST(MetricsTraces, LifecycleOrderedAndRingCapped) {
   for (index i = 0; i < 7; ++i) {
     Req r(50 + i);
     sched
-        .submit({Executor::GridRef{r.grid.get()}, spec1d(), run_opts(),
+        .submit({Scheduler::GridRef{r.grid.get()}, spec1d(), run_opts(),
                  ServiceClass::kInteractive})
         .get();
   }
@@ -527,19 +520,19 @@ TEST(MetricsTraces, LifecycleOrderedAndRingCapped) {
 TEST(MetricsTraces, FailureOutcomesAreTagged) {
   Scheduler sched({.executor = {.gangs = 1}, .trace_capacity = 8});
   Req ok(60);
-  sched.submit({Executor::GridRef{ok.grid.get()}, spec1d(), run_opts()}).get();
+  sched.submit({Scheduler::GridRef{ok.grid.get()}, spec1d(), run_opts()}).get();
   // A cancelled request: cancel before it can dispatch (scheduler paused).
   sched.pause();
   Req doomed(61);
   CancelToken cancel = CancelToken::make();
-  Scheduler::Request req{Executor::GridRef{doomed.grid.get()}, spec1d(),
+  Scheduler::Request req{Scheduler::GridRef{doomed.grid.get()}, spec1d(),
                          run_opts()};
   req.cancel = cancel;
   std::future<Scheduler::Result> fut = sched.submit(std::move(req));
   cancel.cancel();
   sched.resume();
   EXPECT_THROW(fut.get(), CancelledError);
-  quiesce(sched);
+  sched.wait_idle();
 
   const SchedulerStats s = sched.stats();
   ASSERT_EQ(s.traces.size(), 2u);

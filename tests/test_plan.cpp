@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "tsv/kernels/reference.hpp"
 #include "tsv/tsv.hpp"
@@ -259,6 +260,24 @@ TEST(Plan, StencilKindPlanExecutes) {
   Grid1D<double> g1(nx, 1);
   g1.fill(f1);
   EXPECT_THROW(plan.execute(g1), ConfigError);  // wrong rank
+  Grid2D<float> gf(nx, ny, 1);
+  try {
+    plan.execute(gf);  // right rank, wrong dtype
+    ADD_FAILURE() << "dtype mismatch did not throw";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "plan was built for a different grid rank or dtype"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // A GridRef passes through to the same typed plan.
+  Grid2D<double> viaref(nx, ny, 1);
+  viaref.fill(f2);
+  GridRef ref_of_grid = &viaref;
+  Workspace ws;
+  plan.execute(ref_of_grid, ws);
+  EXPECT_EQ(max_abs_diff(g, viaref), 0.0);
 }
 
 }  // namespace

@@ -13,13 +13,17 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "tsv/tsv.hpp"
+#include "test_support.hpp"
 
 namespace tsv {
 namespace {
+
+using test::gang_tasks;
 
 template <typename T>
 T noise(index salt, index lin) {
@@ -35,7 +39,7 @@ Options opts(Method m, Tiling t, index steps) {
   return o;
 }
 
-/// Mirrors the scheduler's (= executor's) option normalization so a serial
+/// Mirrors the scheduler's option normalization so a serial
 /// baseline resolves to the exact plan a gang runs.
 Options normalized(Options o, int threads_per_gang) {
   o.dtype = dtype_of<double>();
@@ -117,7 +121,7 @@ TEST(Scheduler, CompletesBitIdenticalWithHonestCounters) {
 
   for (int i = 0; i < kN; ++i) {
     const Grid1D<double> expected =
-        serial_expected(i, kRun, sched.executor().threads_per_gang());
+        serial_expected(i, kRun, sched.threads_per_gang());
     EXPECT_EQ(max_abs_diff(expected, *reqs[static_cast<std::size_t>(i)].grid),
               0.0)
         << "request " << i << " diverged from serial Plan::execute";
@@ -139,10 +143,8 @@ TEST(Scheduler, CompletesBitIdenticalWithHonestCounters) {
   EXPECT_EQ(s.latency_of(ServiceClass::kBatch).count(),
             static_cast<std::uint64_t>(kN / 2));
   EXPECT_GT(s.latency_of(ServiceClass::kBatch).mean_seconds(), 0.0);
-  // The wrapped executor saw exactly one task per group, nothing queued.
-  EXPECT_EQ(s.executor.submitted, static_cast<std::uint64_t>(kN));
-  EXPECT_EQ(s.executor.queue_depth, 0u);
-  EXPECT_EQ(sched.executor().queue_depth(), 0u);
+  // The gangs ran exactly one task per group.
+  EXPECT_EQ(gang_tasks(s), static_cast<std::uint64_t>(kN));
 }
 
 // ---------------------------------------------------------------------------
@@ -195,20 +197,31 @@ TEST(Scheduler, FifoControlPreservesAdmissionOrder) {
 TEST(Scheduler, TenantQuotaLetsOtherTenantsOvertake) {
   Scheduler sched({.executor = {.gangs = 2, .threads_per_gang = 1},
                    .max_inflight_per_tenant = 1});
+  // a1 is held in flight by the test: its tiled plan autotunes (kFull
+  // always runs trials), and the trials wait on the process-wide trial lock
+  // held here. While a1 is in flight, tenant a is at its quota whichever
+  // gang wakes first, so the second pick is b1 under any timing.
+  std::unique_lock<std::mutex> hold_a1(tune_trial_mutex());
   sched.pause();
   Req a1(1), a2(2), a3(3), b1(4);
   const StencilSpec spec{.kind = StencilKind::k1d3p};
-  a1.fut = sched.submit(*a1.grid, spec, kRun, ServiceClass::kBatch, 0, "a");
+  Options tuned = opts(Method::kAutoVec, Tiling::kTessellate, 4);
+  tuned.tune = Tune::kFull;
+  a1.fut = sched.submit(*a1.grid, spec, tuned, ServiceClass::kBatch, 0, "a");
   a2.fut = sched.submit(*a2.grid, spec, kRun, ServiceClass::kBatch, 0, "a");
   a3.fut = sched.submit(*a3.grid, spec, kRun, ServiceClass::kBatch, 0, "a");
   b1.fut = sched.submit(*b1.grid, spec, kRun, ServiceClass::kBatch, 0, "b");
-  // resume dispatches both gangs' worth under ONE lock hold: a1 first
-  // (admission order), then b1 — a2/a3 are at tenant a's quota. The peak
-  // gauge is therefore exactly 1 before any completion can race it.
   sched.resume();
 
-  EXPECT_EQ(a1.fut.get().dispatch_seq, 0u);
+  // a1 first (admission order), then b1 overtakes a2/a3 — while a1 is
+  // still held.
   EXPECT_EQ(b1.fut.get().dispatch_seq, 1u);
+  EXPECT_EQ(a1.fut.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  EXPECT_EQ(a2.fut.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  hold_a1.unlock();
+  EXPECT_EQ(a1.fut.get().dispatch_seq, 0u);
   const Scheduler::Result ra2 = a2.fut.get();
   const Scheduler::Result ra3 = a3.fut.get();
   EXPECT_EQ(ra2.dispatch_seq, 2u);
@@ -219,7 +232,7 @@ TEST(Scheduler, TenantQuotaLetsOtherTenantsOvertake) {
 
 // ---------------------------------------------------------------------------
 // Coalescing: identical (spec, shape, options, contents) submissions against
-// a queued leader become ONE executor task; every waiter's grid gets the
+// a queued leader become ONE gang task; every waiter's grid gets the
 // leader's bits.
 // ---------------------------------------------------------------------------
 
@@ -249,7 +262,7 @@ TEST(Scheduler, CoalescesIdenticalSubmissionsToOneExecution) {
     }
   }
   const Grid1D<double> expected =
-      serial_expected(7, kRun, sched.executor().threads_per_gang());
+      serial_expected(7, kRun, sched.threads_per_gang());
   for (auto& r : reqs)
     EXPECT_EQ(max_abs_diff(expected, *r.grid), 0.0)
         << "a coalesced waiter is not bit-identical to the leader";
@@ -258,8 +271,8 @@ TEST(Scheduler, CoalescesIdenticalSubmissionsToOneExecution) {
   EXPECT_EQ(s.admitted, static_cast<std::uint64_t>(kWaiters));
   EXPECT_EQ(s.coalesced, static_cast<std::uint64_t>(kWaiters - 1));
   EXPECT_EQ(s.completed, static_cast<std::uint64_t>(kWaiters));
-  // Exactly ONE task reached the executor, ONE plan-cache probe ran.
-  EXPECT_EQ(s.executor.submitted, 1u);
+  // Exactly ONE task reached a gang, ONE plan-cache probe ran.
+  EXPECT_EQ(gang_tasks(s), 1u);
   EXPECT_EQ(s.executor.plan_cache.misses, 1u);
   EXPECT_EQ(s.executor.plan_cache.hits, 0u);
 
@@ -315,8 +328,8 @@ TEST(Scheduler, ShedsPastDeadlineLowestClassFirstThenRejects) {
   EXPECT_NO_THROW(i3.fut.get());
   s = sched.stats();
   EXPECT_EQ(s.completed, 2u);
-  // Shed work never reached the executor.
-  EXPECT_EQ(s.executor.submitted, 2u);
+  // Shed work never reached a gang.
+  EXPECT_EQ(gang_tasks(s), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -346,8 +359,55 @@ TEST(Scheduler, DeadlineMissAccountsCompletedLateWork) {
 }
 
 // ---------------------------------------------------------------------------
-// Failures surface through the future exactly like Executor::submit, and
-// count as failed, not completed.
+// A request runs one step at a time only when its group's ExecControl can
+// fire: every live member holds a cancel token, or every live member has a
+// timeout. Plain requests keep the plan's temporal blocking (bt > 1).
+// ---------------------------------------------------------------------------
+
+TEST(Scheduler, OnlyControllableGroupsRunStepSliced) {
+  Scheduler sched({.executor = {.gangs = 1, .threads_per_gang = 1}});
+  const StencilSpec spec{.kind = StencilKind::k1d3p};
+  const Options tiled = opts(Method::kAutoVec, Tiling::kTessellate, 8);
+  const Req probe(5);
+  ASSERT_GT(make_plan(shape_of(*probe.grid), spec, normalized(tiled, 1))
+                .config()
+                .bt,
+            1);
+  const Grid1D<double> expected = serial_expected(5, tiled, 1);
+  const auto run = [&](double timeout_ms, CancelToken tok) {
+    Req r(5);
+    Scheduler::Request req{.grid = r.grid.get(),
+                           .stencil = spec,
+                           .options = tiled,
+                           .timeout_ms = timeout_ms,
+                           .cancel = tok};
+    sched.submit(std::move(req)).get();
+    EXPECT_EQ(max_abs_diff(expected, *r.grid), 0.0);
+    return sched.stats().sliced_executes;
+  };
+  EXPECT_EQ(run(0.0, {}), 0u);                   // plain: blocked path
+  EXPECT_EQ(run(60'000.0, {}), 1u);              // timeout: polled per step
+  EXPECT_EQ(run(0.0, CancelToken::make()), 2u);  // token: polled per step
+
+  // A coalesced group polls only if EVERY live member can cancel: a
+  // token-holder riding with a plain request cannot abort the shared run.
+  sched.pause();
+  Req lead(6), follow(6);
+  Scheduler::Request with_token{.grid = lead.grid.get(),
+                                .stencil = spec,
+                                .options = tiled,
+                                .cancel = CancelToken::make()};
+  lead.fut = sched.submit(std::move(with_token));
+  follow.fut = sched.submit(*follow.grid, spec, tiled);
+  sched.resume();
+  lead.fut.get();
+  EXPECT_TRUE(follow.fut.get().coalesced);
+  EXPECT_EQ(sched.stats().sliced_executes, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Failures surface through the future exactly like the serial path's
+// throws, and count as failed, not completed.
 // ---------------------------------------------------------------------------
 
 TEST(Scheduler, ConfigErrorPropagatesThroughFuture) {

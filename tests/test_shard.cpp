@@ -436,9 +436,9 @@ TEST(ShardedPlan, Radius2SeamEveryBoundaryBothDtypes) {
     }
 }
 
-// ---- executor-driven waves --------------------------------------------------
+// ---- scheduler-driven waves -------------------------------------------------
 
-TEST(ShardedPlan, ExecutorWavesBitIdenticalToSerial) {
+TEST(ShardedPlan, SchedulerWavesBitIdenticalToSerial) {
   const auto s = make_2d5p<double>(0.5, 0.12, 0.13);
   const BoundarySpec bc{.x = Boundary::kPeriodic, .y = Boundary::kNeumann};
   Options o = combo_options(Method::kAutoVec, Tiling::kNone, Isa::kAuto,
@@ -453,10 +453,10 @@ TEST(ShardedPlan, ExecutorWavesBitIdenticalToSerial) {
   serial.scatter(init);
   plan.execute(serial);
 
-  Executor ex({.gangs = 2, .threads_per_gang = 1});
+  Scheduler sched({.executor = {.gangs = 2, .threads_per_gang = 1}});
   ShardedGrid<Grid2D<double>> waved(init, spec);
   waved.scatter(init);
-  plan.execute(waved, ex);
+  plan.execute(waved, sched);
 
   Grid2D<double> a(kNx, kNy, 1), b(kNx, kNy, 1);
   serial.gather(a);
@@ -464,12 +464,12 @@ TEST(ShardedPlan, ExecutorWavesBitIdenticalToSerial) {
   EXPECT_EQ(max_abs_diff(a, b), 0.0);
 
   // The wave tasks ran through the gangs and are visible in the stats.
-  const ExecutorStats st = ex.stats();
+  const SchedulerStats st = sched.stats();
   EXPECT_EQ(st.failed, 0u);
   EXPECT_GT(st.completed, 0u);
-  ASSERT_EQ(st.gangs.size(), 2u);
+  ASSERT_EQ(st.executor.gangs.size(), 2u);
   std::uint64_t tasks = 0;
-  for (const GangStats& g : st.gangs) tasks += g.tasks;
+  for (const GangStats& g : st.executor.gangs) tasks += g.tasks;
   EXPECT_EQ(tasks, st.completed);
 }
 
