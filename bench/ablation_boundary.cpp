@@ -16,8 +16,9 @@ int main(int argc, char** argv) {
   const Config cfg = Config::parse(argc, argv);
   print_header("Ablation: tile-boundary (partial vector set) overhead");
 
-  const tsv::index nx = cfg.paper_scale ? 10240000 : storage_ladder()[3].nx;
-  const tsv::index steps = cfg.paper_scale ? 1000 : 256;
+  const auto ladder = storage_ladder(cfg.smoke);
+  const tsv::index nx = cfg.paper_scale ? 10240000 : ladder.back().nx;
+  const tsv::index steps = cfg.smoke ? 16 : cfg.paper_scale ? 1000 : 256;
   const tsv::index bx = 2048;
   CsvSink csv(cfg.csv_path, "ablation,bt,method,gflops");
 

@@ -18,14 +18,15 @@ template <typename V>
 void sweep(const char* isa, const Config& cfg) {
   constexpr int W = V::width;
   const auto s = tsv::make_1d3p(1.0 / 3.0);
-  const auto ladder = storage_ladder();
-  const SizeRung rungs[] = {ladder[1], ladder[3]};
+  const auto ladder = storage_ladder(cfg.smoke);
+  const std::vector<SizeRung> rungs =
+      cfg.smoke ? ladder : std::vector<SizeRung>{ladder[1], ladder[3]};
   CsvSink csv(cfg.csv_path, "ablation,isa,level,nx,m,gflops");
 
   for (const SizeRung& r : rungs) {
     // nx must divide by W*m for every m in the sweep (and by nx/W itself).
     const tsv::index nx = tsv::round_up(r.nx, W * 64);
-    const tsv::index steps = cfg.paper_scale ? 1000 : 100;
+    const tsv::index steps = cfg.smoke ? 4 : cfg.paper_scale ? 1000 : 100;
     std::printf("[%s] %-4s nx=%td T=%td\n  %8s %10s\n", isa, r.level, nx,
                 steps, "m", "GFLOP/s");
     std::vector<tsv::index> ms = {1, 2, 4, W, 16, 64, nx / W};
@@ -35,8 +36,10 @@ void sweep(const char* isa, const Config& cfg) {
       if (m > nx / W || nx % (W * m) != 0) continue;
       tsv::Grid1D<double> g(nx, 1);
       g.fill([](tsv::index x) { return 0.25 + 1e-4 * static_cast<double>(x % 101); });
+      tsv::Workspace ws;  // parity buffer created outside the timed region
+      tsv::ws_grid_like(ws, tsv::kWsTmpGrid, g);
       tsv::Timer t;
-      tsv::blocked_m_run<V, 1>(g, s, steps, m);
+      tsv::blocked_m_run<V, 1>(g, s, steps, m, ws);
       const double gf = 1e-9 * static_cast<double>(nx) *
                         static_cast<double>(steps) *
                         static_cast<double>(s.flops_per_point) / t.seconds();

@@ -18,21 +18,25 @@ double run_k(tsv::index nx, tsv::index steps) {
   const auto s = tsv::make_1d3p(1.0 / 3.0);
   tsv::Grid1D<double> g(nx, 1);
   g.fill([](tsv::index x) { return 0.25 + 1e-4 * static_cast<double>(x % 101); });
+  tsv::Workspace ws;  // parity buffer created outside the timed region
+  tsv::ws_grid_like(ws, tsv::kWsTmpGrid, g);
   tsv::Timer t;
-  tsv::unroll_jam_run<V, 1, K>(g, s, steps);
+  tsv::unroll_jam_run<V, 1, K>(g, s, steps, ws);
   return 1e-9 * static_cast<double>(nx) * static_cast<double>(steps) *
          static_cast<double>(s.flops_per_point) / t.seconds();
 }
 
 template <typename V>
 void sweep(const char* isa, const Config& cfg) {
-  const auto ladder = storage_ladder();
-  const SizeRung rungs[] = {ladder[1], ladder[2], ladder[3]};
+  const auto ladder = storage_ladder(cfg.smoke);
+  const std::vector<SizeRung> rungs =
+      cfg.smoke ? ladder
+                : std::vector<SizeRung>{ladder[1], ladder[2], ladder[3]};
   std::printf("[%s]\n%-5s %10s | %9s %9s %9s %9s\n", isa, "level", "nx",
               "K=1", "K=2", "K=3", "K=4");
   CsvSink csv(cfg.csv_path, "ablation,isa,level,nx,k,gflops");
   for (const SizeRung& r : rungs) {
-    const tsv::index steps = cfg.paper_scale ? 1000 : 120;
+    const tsv::index steps = cfg.smoke ? 8 : cfg.paper_scale ? 1000 : 120;
     std::printf("%-5s %10td |", r.level, r.nx);
     const double g1 = run_k<V, 1>(r.nx, steps);
     const double g2 = run_k<V, 2>(r.nx, steps);

@@ -14,7 +14,8 @@ int main(int argc, char** argv) {
   const Config cfg = Config::parse(argc, argv);
   print_header("Table 2: speedup over multiload per storage level");
 
-  const tsv::index steps = cfg.paper_scale ? 1000 : (cfg.long_t ? 1000 : 100);
+  const tsv::index steps =
+      cfg.smoke ? 8 : cfg.paper_scale ? 1000 : (cfg.long_t ? 1000 : 100);
   const auto s = tsv::make_1d3p(1.0 / 3.0);
 
   // Registry-enumerated method list, normalized to multiload (the paper's
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
 
   std::vector<double> mean(n, 0.0);
   int nlev = 0;
-  for (const SizeRung& rung : storage_ladder()) {
+  for (const SizeRung& rung : storage_ladder(cfg.smoke)) {
     std::vector<double> gf(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
       tsv::Grid1D<double> g(rung.nx, 1);

@@ -13,14 +13,15 @@ int main(int argc, char** argv) {
   const Config cfg = Config::parse(argc, argv);
   print_header("Table 3: multicore speedups over SDSL (1D heat, tiled)");
 
-  const tsv::index steps = cfg.paper_scale ? 1000 : 240;
+  const tsv::index steps = cfg.smoke ? 16 : cfg.paper_scale ? 1000 : 240;
   struct Blocking {
     const char* name;
     tsv::index bx, bt;
   };
   const Blocking blockings[] = {{"L1", 2048, 128}, {"L2", 16384, 512}};
-  const auto ladder = storage_ladder();
-  const SizeRung rungs[] = {ladder[2], ladder[3]};  // L3 cache / memory
+  const auto ladder = storage_ladder(cfg.smoke);
+  const std::vector<SizeRung> rungs =  // L3 cache / memory
+      cfg.smoke ? ladder : std::vector<SizeRung>{ladder[2], ladder[3]};
 
   CsvSink csv(cfg.csv_path, "table,level,blocking,method,speedup_vs_sdsl");
   std::printf("%-7s %-4s | %13s %8s %8s\n", "level", "blk", "Tessellation",

@@ -13,6 +13,7 @@
 // writing these same cells via core/halo.hpp — the kernels are identical.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
 
@@ -232,6 +233,57 @@ class Grid3D {
   index nx_, ny_, nz_, halo_, lead_, stride_, plane_;
   AlignedBuffer<T> buf_;
 };
+
+// ---------------------------------------------------------------------------
+// Rank-generic access: the kernel layers iterate every grid rank as a box of
+// unit-stride rows over (y, z).
+// ---------------------------------------------------------------------------
+
+/// Half-open box of interior cells [xlo, xhi) x [ylo, yhi) x [zlo, zhi).
+/// Axes beyond a grid's rank are [0, 1).
+struct Box {
+  index xlo = 0, xhi = 1, ylo = 0, yhi = 1, zlo = 0, zhi = 1;
+};
+
+/// The whole interior of @p g.
+template <typename G>
+Box full_box(const G& g) {
+  Box b{0, g.nx()};
+  if constexpr (G::kRank >= 2) b.yhi = g.ny();
+  if constexpr (G::kRank >= 3) b.zhi = g.nz();
+  return b;
+}
+
+/// Interior extents {nx, ny, nz} of @p g; 1 on axes beyond its rank.
+template <typename G>
+std::array<index, 3> extents(const G& g) {
+  const Box b = full_box(g);
+  return {b.xhi, b.yhi, b.zhi};
+}
+
+/// Pointer to x = 0 of row (y, z); coordinates beyond the rank are ignored.
+template <typename G>
+auto* row_at(G& g, index y, index z) {
+  if constexpr (G::kRank == 1)
+    return g.x0();
+  else if constexpr (G::kRank == 2)
+    return g.row(y);
+  else
+    return g.row(y, z);
+}
+
+/// A grid of G's rank with interior extents @p e (entries beyond the rank
+/// are ignored).
+template <typename G>
+G make_grid(const std::array<index, 3>& e, index halo,
+            FirstTouch ft = FirstTouch::kSerial) {
+  if constexpr (G::kRank == 1)
+    return G(e[0], halo, ft);
+  else if constexpr (G::kRank == 2)
+    return G(e[0], e[1], halo, ft);
+  else
+    return G(e[0], e[1], e[2], halo, ft);
+}
 
 /// Largest |a-b| over the interior of two grids (used by the test suite).
 template <typename T>

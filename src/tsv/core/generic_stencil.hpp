@@ -129,8 +129,11 @@ struct GenericStencil1D {
   index snx = 0;
   index flops_per_point = 0;
 
-  /// Interior scale row, or nullptr when the shape has no scale field.
-  const T* scale_row() const { return scale ? scale->data() : nullptr; }
+  /// Interior scale row, or nullptr when the shape has no scale field. The
+  /// (y, z) coordinates every rank's accessor takes are ignored in 1D.
+  const T* scale_row(index, index) const {
+    return scale ? scale->data() : nullptr;
+  }
 
   /// nullptr when this descriptor may run on a grid of the given interior
   /// extents; else the reason (the scale field is bound to exact extents,
@@ -162,7 +165,7 @@ struct GenericStencil2D {
   index snx = 0, sny = 0;
   index flops_per_point = 0;
 
-  const T* scale_row(index y) const {
+  const T* scale_row(index y, index) const {
     return scale ? scale->data() + y * snx : nullptr;
   }
 
@@ -234,20 +237,6 @@ template <int R, typename T>
 inline constexpr bool is_generic_stencil_v<GenericStencil3D<R, T>> = true;
 
 namespace detail {
-
-/// Upper bound on std::size(s.rows), usable as a compile-time array
-/// capacity: the compile-time row count for the specialized descriptors,
-/// the radius-derived bound for the lowered generic ones.
-template <typename S>
-constexpr int generic_max_rows() {
-  if constexpr (requires { S::nrows; }) {
-    return S::nrows;
-  } else if constexpr (S::dim == 2) {
-    return 2 * S::radius + 1;
-  } else {
-    return (2 * S::radius + 1) * (2 * S::radius + 1);
-  }
-}
 
 template <typename T>
 std::shared_ptr<const std::vector<T>> lower_scale(const GenericStencil& gs) {

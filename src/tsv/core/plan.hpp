@@ -177,15 +177,16 @@ using grid_value_t = typename grid_value<G>::type;
 template <typename G, typename S>
 using ExecFn = void (*)(G&, const S&, const ResolvedOptions&, Workspace&);
 
-/// The kernel adapters: each (method, tiling) combination defined ONCE,
-/// generically over grid rank. `if constexpr` forwards the rank-appropriate
-/// block arguments; combinations the registry does not claim for a rank are
-/// never registered, so their discarded branches never run. Every adapter
-/// passes the plan's Workspace down so steady-state executes never allocate;
-/// the vector write-back drivers also receive the resolved streaming flag.
+/// The kernel adapters: each (method, tiling) combination defined ONCE.
+/// Every driver serves ranks 1-3, so no adapter branches on the rank: the
+/// tiled ones pass {bx, by, bz}, whose entries beyond the rank are unused.
+/// Every adapter passes the plan's Workspace down so steady-state executes
+/// never allocate; the vector write-back drivers also receive the resolved
+/// streaming flag.
 template <typename V, typename G, typename S>
 struct Exec {
   static constexpr int rank = grid_rank<G>;
+  static Blocks blocks(const ResolvedOptions& r) { return {r.bx, r.by, r.bz}; }
 
   // -- untiled --------------------------------------------------------------
   static void scalar(G& g, const S& s, const ResolvedOptions& r,
@@ -214,49 +215,29 @@ struct Exec {
   }
   static void transpose_uj(G& g, const S& s, const ResolvedOptions& r,
                            Workspace& ws) {
-    if constexpr (rank == 1)
-      unroll_jam_run<V, S::radius, 2>(g, s, r.steps, ws);
-    else
-      unroll_jam2_run<V>(g, s, r.steps, ws);
+    unroll_jam_run<V>(g, s, r.steps, ws);
   }
 
   // -- tessellate tiling ----------------------------------------------------
   static void tess_autovec(G& g, const S& s, const ResolvedOptions& r,
                            Workspace& ws) {
-    if constexpr (rank == 1)
-      tess_autovec_run(g, s, r.steps, r.bx, r.bt, ws);
-    else if constexpr (rank == 2)
-      tess_autovec_run(g, s, r.steps, r.bx, r.by, r.bt, ws);
-    else
-      tess_autovec_run(g, s, r.steps, r.bx, r.by, r.bz, r.bt, ws);
+    tess_autovec_run(g, s, r.steps, blocks(r), r.bt, ws);
   }
   static void tess_multiload(G& g, const S& s, const ResolvedOptions& r,
                              Workspace& ws) {
-    if constexpr (rank == 1)
-      tess_multiload_run<V>(g, s, r.steps, r.bx, r.bt, ws);
+    tess_multiload_run<V>(g, s, r.steps, blocks(r), r.bt, ws);
   }
   static void tess_reorg(G& g, const S& s, const ResolvedOptions& r,
                          Workspace& ws) {
-    if constexpr (rank == 1) tess_reorg_run<V>(g, s, r.steps, r.bx, r.bt, ws);
+    tess_reorg_run<V>(g, s, r.steps, blocks(r), r.bt, ws);
   }
   static void tess_transpose(G& g, const S& s, const ResolvedOptions& r,
                              Workspace& ws) {
-    if constexpr (rank == 1)
-      tess_transpose_run<V>(g, s, r.steps, r.bx, r.bt, ws, r.streaming);
-    else if constexpr (rank == 2)
-      tess_transpose_run<V>(g, s, r.steps, r.bx, r.by, r.bt, ws, r.streaming);
-    else
-      tess_transpose_run<V>(g, s, r.steps, r.bx, r.by, r.bz, r.bt, ws,
-                            r.streaming);
+    tess_transpose_run<V>(g, s, r.steps, blocks(r), r.bt, ws, r.streaming);
   }
   static void tess_transpose_uj(G& g, const S& s, const ResolvedOptions& r,
                                 Workspace& ws) {
-    if constexpr (rank == 1)
-      tess_transpose_uj2_run<V>(g, s, r.steps, r.bx, r.bt, ws);
-    else if constexpr (rank == 2)
-      tess_transpose_uj2_run<V>(g, s, r.steps, r.bx, r.by, r.bt, ws);
-    else
-      tess_transpose_uj2_run<V>(g, s, r.steps, r.bx, r.by, r.bz, r.bt, ws);
+    tess_transpose_uj2_run<V>(g, s, r.steps, blocks(r), r.bt, ws);
   }
 
   // -- split tiling (uniform signature: the split axis is resolved) ---------
@@ -272,12 +253,7 @@ struct Exec {
   }
   static void tess_generic(G& g, const S& s, const ResolvedOptions& r,
                            Workspace& ws) {
-    if constexpr (rank == 1)
-      tess_generic_run<V>(g, s, r.steps, r.bx, r.bt, ws);
-    else if constexpr (rank == 2)
-      tess_generic_run<V>(g, s, r.steps, r.bx, r.by, r.bt, ws);
-    else
-      tess_generic_run<V>(g, s, r.steps, r.bx, r.by, r.bz, r.bt, ws);
+    tess_generic_run<V>(g, s, r.steps, blocks(r), r.bt, ws);
   }
 };
 
@@ -289,9 +265,9 @@ ExecFn<G, S> exec_for(Method m, Tiling t) {
   using E = Exec<V, G, S>;
   // Runtime-row descriptors (lowered GenericStencils) execute ONLY through
   // the generic interpreter. The branch below is `if constexpr` on purpose:
-  // taking a specialized adapter's address instantiates its body, and those
-  // bodies require a compile-time row count — they would not compile
-  // against a vector-of-rows type even though they could never be called.
+  // taking a specialized adapter's address instantiates its body, and the
+  // layout kernels (transpose, DLT, unroll&jam) sweep a compile-time row
+  // count — they must never be bound to a runtime-row descriptor.
   if constexpr (is_generic_stencil_v<S>) {
     if (m != Method::kGeneric) return nullptr;
     return t == Tiling::kNone        ? &E::generic
@@ -316,9 +292,14 @@ ExecFn<G, S> exec_for(Method m, Tiling t) {
       case Tiling::kTessellate:
         switch (m) {
           case Method::kAutoVec: return &E::tess_autovec;
+          // The tiled ablation variants are registered for 1D only; other
+          // ranks are never instantiated.
           case Method::kMultiLoad:
-            return E::rank == 1 ? &E::tess_multiload : nullptr;
-          case Method::kReorg: return E::rank == 1 ? &E::tess_reorg : nullptr;
+            if constexpr (E::rank == 1) return &E::tess_multiload;
+            return nullptr;
+          case Method::kReorg:
+            if constexpr (E::rank == 1) return &E::tess_reorg;
+            return nullptr;
           case Method::kTranspose: return &E::tess_transpose;
           case Method::kTransposeUJ: return &E::tess_transpose_uj;
           case Method::kGeneric: return &E::tess_generic;

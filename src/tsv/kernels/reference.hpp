@@ -51,7 +51,7 @@ void reference_step(const Grid1D<T>& in, Grid1D<T>& out,
                     const GenericStencil1D<R, T>& s) {
   const T* ip = in.x0();
   T* op = out.x0();
-  const T* sp = s.scale_row();
+  const T* sp = s.scale_row(0, 0);
   for (index x = 0; x < in.nx(); ++x) {
     const T acc = s.apply(ip + x);
     op[x] = sp != nullptr ? sp[x] * acc : acc;
@@ -63,7 +63,7 @@ void reference_step(const Grid2D<T>& in, Grid2D<T>& out,
                     const GenericStencil2D<R, T>& s) {
   for (index y = 0; y < in.ny(); ++y) {
     T* op = out.row(y);
-    const T* sp = s.scale_row(y);
+    const T* sp = s.scale_row(y, 0);
     for (index x = 0; x < in.nx(); ++x) {
       const T acc = s.apply([&](int dy) { return in.row(y + dy); }, x);
       op[x] = sp != nullptr ? sp[x] * acc : acc;

@@ -8,6 +8,7 @@
 // AVX-512 (double x 8 / float x 16) — are included at the bottom of this
 // header and are bit-compatible drop-ins.
 
+#include <cmath>
 #include <cstring>
 
 #if defined(__SSE2__)
@@ -83,11 +84,26 @@ struct Vec {
   }
 };
 
-/// r = a*b + c with a single rounding where the ISA provides FMA.
+/// a*b + c with a single rounding where the ISA provides FMA — the rounding
+/// of every vector fma below. Spelled std::fma there rather than left to
+/// the compiler's contraction of a*b + c, which varies with the inlining
+/// context and the optimization level: a kernel whose scalar rim cells and
+/// vector body round differently gives a cell a value that depends on the
+/// tile rim it falls on.
+template <typename T>
+inline T madd(T a, T b, T c) {
+#if defined(__FMA__)
+  return std::fma(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
+
+/// r = a*b + c lane by lane, rounded like madd().
 template <typename T, int W>
 inline Vec<T, W> fma(Vec<T, W> a, Vec<T, W> b, Vec<T, W> c) {
   Vec<T, W> r;
-  for (int i = 0; i < W; ++i) r.lane[i] = a.lane[i] * b.lane[i] + c.lane[i];
+  for (int i = 0; i < W; ++i) r.lane[i] = madd(a.lane[i], b.lane[i], c.lane[i]);
   return r;
 }
 

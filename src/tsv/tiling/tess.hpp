@@ -1,5 +1,5 @@
 #pragma once
-// Tessellate tiling engines (paper §3.4; Yuan SC'17).
+// Tessellate tiling engine (paper §3.4; Yuan SC'17).
 //
 // Space-time is covered by triangles (stage 0) and inverted triangles
 // (stage 1) per dimension; multidimensional domains use the tensor product
@@ -7,10 +7,11 @@
 // the inverted profile, processed in subset order (DESIGN.md §6.3). All
 // tiles within a stage are independent and run under `omp parallel for`.
 //
-// The engines are generic over the *advance* callback, which moves a region
-// forward one time unit between the two Jacobi parity buffers. A unit is one
-// time step for ordinary methods (slope = r) or one two-step pair for the
-// unroll-and-jam scheme (slope = 2r) — the engine is agnostic.
+// One engine serves every rank. It is generic over the *advance* callback,
+// which moves a Box of cells forward one time unit between the two Jacobi
+// parity buffers. A unit is one time step for ordinary methods (slope = r)
+// or one two-step pair for the unroll-and-jam scheme (slope = 2r) — the
+// engine is agnostic.
 //
 // Boundary tiles do not shrink at physical domain edges (Dirichlet halo
 // values are valid at every time level), making boundary triangles
@@ -18,6 +19,7 @@
 
 #include <omp.h>
 
+#include <array>
 #include <utility>
 
 #include "tsv/common/check.hpp"
@@ -54,68 +56,31 @@ inline void check_tile_dim(index n, index blk, index slope, index tau,
                 " (shrinking triangles must not invert)");
 }
 
-// ---------------------------------------------------------------------------
-// 1D engine. Also drives SDSL's split tiling (domain = DLT columns) and the
-// outer-dimension-only hybrid tilings, since the domain length is explicit.
-// ---------------------------------------------------------------------------
+/// Per-axis tile blocks {bx, by, bz}. A block <= 0 leaves its axis untiled:
+/// one tile spanning the whole extent (how axes beyond a grid's rank, and
+/// the full-row axes of the hybrid tilings, arrive).
+using Blocks = std::array<index, 3>;
 
-/// Advances @p units time units; A holds even-parity units, B odd. The
-/// result is guaranteed to end in A. adv(in, out, lo, hi) advances one unit.
+/// Advances @p units time units over the domain [0, extent) of each axis; A
+/// holds even-parity units, B odd. The result is guaranteed to end in A.
+/// adv(in, out, box) advances one unit of @p box.
+///
+/// Stage `mask` uses the inverted profile on the axes whose bit is set;
+/// stages run in mask order, and a stage with no tile on some axis (an
+/// untiled axis has no inverted seams) is skipped, so a rank-D domain runs
+/// its 2^D tensor-product stages. The extents are explicit so the hybrid
+/// tilings can tile full DLT rows or planes with the same engine.
 template <typename GridT, typename AdvanceFn>
-void tess1d_engine(GridT& A, GridT& B, index domain, index units, index tau,
-                   index slope, index blk, AdvanceFn&& adv) {
-  check_tile_dim(domain, blk, slope, tau, "x");
-  const index ntiles = tile_count(domain, blk);
-  index parity = 0;
-  auto in_buf = [&](index u) -> const GridT& {
-    return ((parity + u) % 2 == 0) ? A : B;
-  };
-  auto out_buf = [&](index u) -> GridT& {
-    return ((parity + u + 1) % 2 == 0) ? A : B;
-  };
-
-  index done = 0;
-  while (done < units) {
-    const index t = std::min(tau, units - done);
-    // Static schedule on purpose: the legality bound (blk >= 2*slope*tau)
-    // makes every interior tile's work identical at each unit, and the
-    // boundary trapezoids differ by at most slope*tau cells — so there is
-    // nothing for a dynamic scheduler to balance. Static dispatch drops the
-    // per-tile queue traffic and keeps the tile->thread mapping stable
-    // across time blocks, which is what the workspace first-touch relies
-    // on for NUMA locality. (fig8/fig9 smoke showed parity-or-better on
-    // this box; the ragged-tile split engine in tiling/tiled.hpp is the
-    // one place dynamic stays.)
-#pragma omp parallel for schedule(static)
-    for (index c = 0; c < ntiles; ++c)
-      for (index u = 0; u < t; ++u) {
-        const auto [a, b] = tri_range(c, ntiles, domain, blk, slope, u);
-        if (a < b) adv(in_buf(u), out_buf(u), a, b);
-      }
-#pragma omp parallel for schedule(static)
-    for (index c = 1; c < ntiles; ++c)
-      for (index u = 1; u < t; ++u) {
-        const auto [a, b] = inv_range(c * blk, domain, slope, u);
-        if (a < b) adv(in_buf(u), out_buf(u), a, b);
-      }
-    parity += t;
-    done += t;
+void tess_engine(GridT& A, GridT& B, const std::array<index, 3>& extent,
+                 Blocks blk, index units, index tau, index slope,
+                 AdvanceFn&& adv) {
+  static const char* const kAxis[3] = {"x", "y", "z"};
+  std::array<index, 3> count;
+  for (int a = 0; a < 3; ++a) {
+    if (blk[a] <= 0) blk[a] = extent[a];
+    check_tile_dim(extent[a], blk[a], slope, tau, kAxis[a]);
+    count[a] = tile_count(extent[a], blk[a]);
   }
-  if (parity % 2 != 0) A.swap_storage(B);
-}
-
-// ---------------------------------------------------------------------------
-// 2D engine: four tensor-product stages.
-// ---------------------------------------------------------------------------
-
-template <typename GridT, typename AdvanceFn>
-void tess2d_engine(GridT& A, GridT& B, index units,
-                   index tau, index slope, index bx, index by,
-                   AdvanceFn&& adv) {
-  const index nx = A.nx(), ny = A.ny();
-  check_tile_dim(nx, bx, slope, tau, "x");
-  check_tile_dim(ny, by, slope, tau, "y");
-  const index cx = tile_count(nx, bx), cy = tile_count(ny, by);
   index parity = 0;
   auto in_buf = [&](index u) -> const GridT& {
     return ((parity + u) % 2 == 0) ? A : B;
@@ -123,56 +88,11 @@ void tess2d_engine(GridT& A, GridT& B, index units,
   auto out_buf = [&](index u) -> GridT& {
     return ((parity + u + 1) % 2 == 0) ? A : B;
   };
-
-  index done = 0;
-  while (done < units) {
-    const index t = std::min(tau, units - done);
-    for (int mask = 0; mask < 4; ++mask) {
-      const bool ix = mask & 1, iy = mask & 2;  // inverted profile per dim?
-      const index n_x = ix ? cx - 1 : cx;
-      const index n_y = iy ? cy - 1 : cy;
-      if (n_x <= 0 || n_y <= 0) continue;
-      const index u0 = (mask == 0) ? 0 : 1;
-      // Static for the same homogeneity reason as tess1d_engine above.
-#pragma omp parallel for collapse(2) schedule(static)
-      for (index tx = 0; tx < n_x; ++tx)
-        for (index ty = 0; ty < n_y; ++ty)
-          for (index u = u0; u < t; ++u) {
-            const auto xr = ix ? inv_range((tx + 1) * bx, nx, slope, u)
-                               : tri_range(tx, cx, nx, bx, slope, u);
-            const auto yr = iy ? inv_range((ty + 1) * by, ny, slope, u)
-                               : tri_range(ty, cy, ny, by, slope, u);
-            if (xr.first < xr.second && yr.first < yr.second)
-              adv(in_buf(u), out_buf(u), xr.first, xr.second, yr.first,
-                  yr.second);
-          }
-    }
-    parity += t;
-    done += t;
-  }
-  if (parity % 2 != 0) A.swap_storage(B);
-}
-
-// ---------------------------------------------------------------------------
-// 3D engine: eight tensor-product stages.
-// ---------------------------------------------------------------------------
-
-template <typename GridT, typename AdvanceFn>
-void tess3d_engine(GridT& A, GridT& B, index units,
-                   index tau, index slope, index bx, index by, index bz,
-                   AdvanceFn&& adv) {
-  const index nx = A.nx(), ny = A.ny(), nz = A.nz();
-  check_tile_dim(nx, bx, slope, tau, "x");
-  check_tile_dim(ny, by, slope, tau, "y");
-  check_tile_dim(nz, bz, slope, tau, "z");
-  const index cx = tile_count(nx, bx), cy = tile_count(ny, by),
-              cz = tile_count(nz, bz);
-  index parity = 0;
-  auto in_buf = [&](index u) -> const GridT& {
-    return ((parity + u) % 2 == 0) ? A : B;
-  };
-  auto out_buf = [&](index u) -> GridT& {
-    return ((parity + u + 1) % 2 == 0) ? A : B;
+  // Axis a's range for tile c at unit u: triangle, or the inverted seam
+  // after tile c.
+  auto range = [&](int a, bool inverted, index c, index u) {
+    return inverted ? inv_range((c + 1) * blk[a], extent[a], slope, u)
+                    : tri_range(c, count[a], extent[a], blk[a], slope, u);
   };
 
   index done = 0;
@@ -180,27 +100,33 @@ void tess3d_engine(GridT& A, GridT& B, index units,
     const index t = std::min(tau, units - done);
     for (int mask = 0; mask < 8; ++mask) {
       const bool ix = mask & 1, iy = mask & 2, iz = mask & 4;
-      const index n_x = ix ? cx - 1 : cx;
-      const index n_y = iy ? cy - 1 : cy;
-      const index n_z = iz ? cz - 1 : cz;
+      const index n_x = ix ? count[0] - 1 : count[0];
+      const index n_y = iy ? count[1] - 1 : count[1];
+      const index n_z = iz ? count[2] - 1 : count[2];
       if (n_x <= 0 || n_y <= 0 || n_z <= 0) continue;
       const index u0 = (mask == 0) ? 0 : 1;
-      // Static for the same homogeneity reason as tess1d_engine above.
+      // Static schedule on purpose: the legality bound (blk >= 2*slope*tau)
+      // makes every interior tile's work identical at each unit, and the
+      // boundary trapezoids differ by at most slope*tau cells — so there is
+      // nothing for a dynamic scheduler to balance. Static dispatch drops
+      // the per-tile queue traffic and keeps the tile->thread mapping
+      // stable across time blocks, which is what the workspace first-touch
+      // relies on for NUMA locality. (fig8/fig9 smoke showed
+      // parity-or-better on this box; the ragged-tile split engine in
+      // tiling/tiled.hpp is the one place dynamic stays.)
 #pragma omp parallel for collapse(3) schedule(static)
       for (index tx = 0; tx < n_x; ++tx)
         for (index ty = 0; ty < n_y; ++ty)
           for (index tz = 0; tz < n_z; ++tz)
             for (index u = u0; u < t; ++u) {
-              const auto xr = ix ? inv_range((tx + 1) * bx, nx, slope, u)
-                                 : tri_range(tx, cx, nx, bx, slope, u);
-              const auto yr = iy ? inv_range((ty + 1) * by, ny, slope, u)
-                                 : tri_range(ty, cy, ny, by, slope, u);
-              const auto zr = iz ? inv_range((tz + 1) * bz, nz, slope, u)
-                                 : tri_range(tz, cz, nz, bz, slope, u);
+              const auto xr = range(0, ix, tx, u);
+              const auto yr = range(1, iy, ty, u);
+              const auto zr = range(2, iz, tz, u);
               if (xr.first < xr.second && yr.first < yr.second &&
                   zr.first < zr.second)
-                adv(in_buf(u), out_buf(u), xr.first, xr.second, yr.first,
-                    yr.second, zr.first, zr.second);
+                adv(in_buf(u), out_buf(u),
+                    Box{xr.first, xr.second, yr.first, yr.second, zr.first,
+                        zr.second});
             }
     }
     parity += t;

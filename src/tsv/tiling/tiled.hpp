@@ -4,6 +4,7 @@
 //  * tess_autovec_run      — "Tessellation" baseline (Yuan SC'17): tessellate
 //                            tiling + compiler-vectorized kernels.
 //  * tess_multiload/reorg  — ablation variants.
+//  * tess_generic_run      — the generic interpreter under tessellation.
 //  * tess_transpose_run    — the paper's scheme ("Our"): tessellate tiling +
 //                            transpose-layout vector sets; partial sets at
 //                            moving tile edges via the layout index map.
@@ -18,6 +19,8 @@
 //                            2D/3D: hybrid tiling — outer-dimension
 //                            tessellation over full DLT rows/planes).
 //
+// Every driver serves ranks 1-3 through one tessellation engine (tess.hpp)
+// and takes its blocks as {bx, by, bz} (entries beyond the rank ignored).
 // Every driver is generic over the element type: the V-parameterized ones
 // compute in vec_value_t<V>, the autovec ones in the grid's own T.
 //
@@ -27,8 +30,7 @@
 // second and subsequent executes of a plan are allocation-free. Parity /
 // staging buffers only need their *halo* refreshed per execute (every time
 // unit rewrites the whole interior before reading it); per-thread pools are
-// first-touched by their owning threads. Each driver also has a
-// self-contained overload (local Workspace) for direct/test use.
+// first-touched by their owning threads.
 // The @p stream flag (plan-resolved; see ResolvedOptions::streaming) selects
 // non-temporal write-back in the vector sweeps — only ever enabled when the
 // working set exceeds the LLC threshold and the temporal block is 1, i.e.
@@ -42,148 +44,153 @@
 #include "tsv/tiling/tess.hpp"
 #include "tsv/vectorize/autovec.hpp"
 #include "tsv/vectorize/dlt_method.hpp"
+#include "tsv/vectorize/generic.hpp"
 #include "tsv/vectorize/multiload.hpp"
 #include "tsv/vectorize/reorg.hpp"
 #include "tsv/vectorize/unroll_jam.hpp"
 
 namespace tsv {
 
-// ---------------------------------------------------------------------------
-// 1D drivers
-// ---------------------------------------------------------------------------
+namespace detail {
 
-template <int R, typename T>
-TSV_NOINLINE void tess_autovec_run(Grid1D<T>& g, const Stencil1D<R, T>& s, index steps,
-                      index bx, index bt, Workspace& ws) {
-  Grid1D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
+/// Tessellates @p steps Jacobi steps of @p g with adv(in, out, box); the
+/// parity buffer comes from @p ws (only its halo is refreshed per execute).
+template <typename G, typename AdvanceFn>
+void tess_jacobi(G& g, index steps, const Blocks& b, index bt, index slope,
+                 Workspace& ws, AdvanceFn&& adv) {
+  G& tmp = ws_grid_like(ws, kWsTmpGrid, g);
   tmp.copy_halo_from(g);
-  tess1d_engine(g, tmp, g.nx(), steps, bt, R, bx,
-                [&](const Grid1D<T>& in, Grid1D<T>& out, index lo,
-                    index hi) { autovec_step_region(in, out, s, lo, hi); });
+  tess_engine(g, tmp, extents(g), b, steps, bt, slope, adv);
 }
 
-template <int R, typename T>
-void tess_autovec_run(Grid1D<T>& g, const Stencil1D<R, T>& s, index steps,
-                      index bx, index bt) {
-  Workspace ws;
-  tess_autovec_run(g, s, steps, bx, bt, ws);
+/// Per-thread scratch pool in @p ws, one make() per thread, each
+/// first-touched by its owning thread (static schedule = thread i zeroes
+/// pool[i] when the team matches, which is how the tile loops index it).
+template <typename Scratch, typename Make>
+std::vector<Scratch>& thread_pool(Workspace& ws, std::uint64_t key,
+                                  int nthreads, Make&& make) {
+  using Pool = std::vector<Scratch>;
+  return ws.slot<Pool>(kWsScratchPool, key, [&] {
+    Pool p;
+    p.reserve(static_cast<std::size_t>(nthreads));
+    for (int i = 0; i < nthreads; ++i) p.push_back(make());
+#pragma omp parallel for schedule(static)
+    for (int i = 0; i < nthreads; ++i) p[i].zero();
+    return p;
+  });
 }
 
-template <typename V, int R>
-TSV_NOINLINE void tess_multiload_run(Grid1D<vec_value_t<V>>& g,
-                        const Stencil1D<R, vec_value_t<V>>& s, index steps,
-                        index bx, index bt, Workspace& ws) {
-  using T = vec_value_t<V>;
-  Grid1D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-  tmp.copy_halo_from(g);
-  tess1d_engine(g, tmp, g.nx(), steps, bt, R, bx,
-                [&](const Grid1D<T>& in, Grid1D<T>& out, index lo,
-                    index hi) { multiload_step_region<V>(in, out, s, lo, hi); });
+}  // namespace detail
+
+template <typename G, typename S>
+TSV_NOINLINE void tess_autovec_run(G& g, const S& s, index steps,
+                                   const Blocks& b, index bt, Workspace& ws) {
+  detail::tess_jacobi(g, steps, b, bt, S::radius, ws,
+                      [&](const G& in, G& out, const Box& r) {
+                        autovec_step_region(in, out, s, r);
+                      });
 }
 
-template <typename V, int R>
-void tess_multiload_run(Grid1D<vec_value_t<V>>& g,
-                        const Stencil1D<R, vec_value_t<V>>& s, index steps,
-                        index bx, index bt) {
-  Workspace ws;
-  tess_multiload_run<V>(g, s, steps, bx, bt, ws);
+template <typename V, typename G, typename S>
+TSV_NOINLINE void tess_multiload_run(G& g, const S& s, index steps,
+                                     const Blocks& b, index bt,
+                                     Workspace& ws) {
+  detail::tess_jacobi(g, steps, b, bt, S::radius, ws,
+                      [&](const G& in, G& out, const Box& r) {
+                        multiload_step_region<V>(in, out, s, r);
+                      });
 }
 
-template <typename V, int R>
-TSV_NOINLINE void tess_reorg_run(Grid1D<vec_value_t<V>>& g,
-                    const Stencil1D<R, vec_value_t<V>>& s, index steps,
-                    index bx, index bt, Workspace& ws) {
-  using T = vec_value_t<V>;
-  Grid1D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-  tmp.copy_halo_from(g);
-  tess1d_engine(g, tmp, g.nx(), steps, bt, R, bx,
-                [&](const Grid1D<T>& in, Grid1D<T>& out, index lo,
-                    index hi) { reorg_step_region<V>(in, out, s, lo, hi); });
+template <typename V, typename G, typename S>
+TSV_NOINLINE void tess_reorg_run(G& g, const S& s, index steps,
+                                 const Blocks& b, index bt, Workspace& ws) {
+  detail::tess_jacobi(g, steps, b, bt, S::radius, ws,
+                      [&](const G& in, G& out, const Box& r) {
+                        reorg_step_region<V>(in, out, s, r);
+                      });
 }
 
-template <typename V, int R>
-void tess_reorg_run(Grid1D<vec_value_t<V>>& g,
-                    const Stencil1D<R, vec_value_t<V>>& s, index steps,
-                    index bx, index bt) {
-  Workspace ws;
-  tess_reorg_run<V>(g, s, steps, bx, bt, ws);
+template <typename V, typename G, typename S>
+TSV_NOINLINE void tess_generic_run(G& g, const S& s, index steps,
+                                   const Blocks& b, index bt, Workspace& ws) {
+  detail::tess_jacobi(g, steps, b, bt, S::radius, ws,
+                      [&](const G& in, G& out, const Box& r) {
+                        generic_step_region<V>(in, out, s, r);
+                      });
 }
 
-template <typename V, int R>
-TSV_NOINLINE void tess_transpose_run(Grid1D<vec_value_t<V>>& g,
-                        const Stencil1D<R, vec_value_t<V>>& s, index steps,
-                        index bx, index bt, Workspace& ws,
-                        bool stream = false) {
+template <typename V, typename G, typename S>
+TSV_NOINLINE void tess_transpose_run(G& g, const S& s, index steps,
+                                     const Blocks& b, index bt, Workspace& ws,
+                                     bool stream = false) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
   detail::require_transpose_conforming(g, W);
   block_transpose_grid<T, W>(g);
-  {
-    Grid1D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-    tmp.copy_halo_from(g);
-    const index nx = g.nx();
-    const auto sweep = stream ? &transpose_sweep_row_region<V, R, 1, true>
-                              : &transpose_sweep_row_region<V, R, 1, false>;
-    tess1d_engine(g, tmp, nx, steps, bt, R, bx,
-                  [&](const Grid1D<T>& in, Grid1D<T>& out, index lo,
-                      index hi) {
-                    sweep({in.x0()}, out.x0(), {s.w}, nx, lo, hi);
-                    if (stream) stream_fence();  // once per region
-                  });
-  }
+  detail::tess_jacobi(g, steps, b, bt, S::radius, ws,
+                      [&](const G& in, G& out, const Box& r) {
+                        if (stream)  // fences once per region
+                          transpose_step<V, true>(in, out, s, r);
+                        else
+                          transpose_step<V>(in, out, s, r);
+                      });
   block_transpose_grid<T, W>(g);
-}
-
-template <typename V, int R>
-void tess_transpose_run(Grid1D<vec_value_t<V>>& g,
-                        const Stencil1D<R, vec_value_t<V>>& s, index steps,
-                        index bx, index bt) {
-  Workspace ws;
-  tess_transpose_run<V>(g, s, steps, bx, bt, ws);
 }
 
 /// "Our (2 steps)" with tiling: pair-granular tessellation. @p bt is the time
-/// range in *steps* (must be even when tiling is active).
-template <typename V, int R>
-TSV_NOINLINE void tess_transpose_uj2_run(Grid1D<vec_value_t<V>>& g,
-                            const Stencil1D<R, vec_value_t<V>>& s,
-                            index steps, index bx, index bt, Workspace& ws) {
+/// range in *steps* (must be even when tiling is active). A pair advances a
+/// box in two sweeps: level +1 over the box grown by R (clipped to the
+/// domain) into a per-thread scratch, then level +2 from the scratch into
+/// the opposite parity buffer.
+template <typename V, typename G, typename S>
+TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
+                                         const Blocks& b, index bt,
+                                         Workspace& ws) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
-  constexpr index B = block_elems<W>;
+  constexpr int R = S::radius;
+  using Rows = decltype(tap_rows(s));
   detail::require_transpose_conforming(g, W);
   require_fmt(bt % 2 == 0, "uj2 tiling: time range bt=", bt, " must be even");
+  const Rows rows = tap_rows(s);
   const index nx = g.nx();
+  const int nthreads = omp_get_max_threads();
+  auto sweep = [&](const auto& rp, T* op, index xlo, index xhi) {
+    transpose_sweep_row_region<V, R, Rows::kCap>(rp, op, rows.w, nx, xlo,
+                                                 xhi);
+  };
+  auto run = [&](auto&& pair_adv) {
+    G& tmp = ws_grid_like(ws, kWsTmpGrid, g);
+    tmp.copy_halo_from(g);
+    const index pairs = steps / 2;
+    if (pairs > 0)
+      tess_engine(g, tmp, extents(g), b, pairs, std::max<index>(1, bt / 2),
+                  2 * R, pair_adv);
+    if (steps % 2 != 0)  // odd tail: one ordinary tiled step
+      tess_engine(g, tmp, extents(g), b, 1, 1, R,
+                  [&](const G& in, G& out, const Box& r) {
+                    transpose_step<V>(in, out, s, r);
+                  });
+  };
 
   block_transpose_grid<T, W>(g);
-  {
-    Grid1D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-    tmp.copy_halo_from(g);
-    // Per-thread scratch for the transient odd level of one tile region,
-    // first-touched by its owning thread (static schedule = thread i zeroes
-    // pool[i] when the team matches, which is how the tile loops index it).
-    // The lead halo must cover the deepest left-tail vector load of the
-    // second sweep — R*W elements before the first touched block when the
-    // virtual row origin sits below x = 0 of the scratch.
-    const index scr_len = bx + 2 * B + 2 * R + 16;
+  if constexpr (G::kRank == 1) {
+    // A row-segment scratch just wider than one tile: the level +1 range
+    // lands at a block-aligned virtual row origin. The lead halo must cover
+    // the deepest left-tail vector load of the second sweep — R*W elements
+    // before the first touched block when the virtual row origin sits below
+    // x = 0 of the scratch.
+    constexpr index B = block_elems<W>;
+    const index scr_len = (b[0] > 0 ? b[0] : nx) + 2 * B + 2 * R + 16;
     const index scr_halo = std::max<index>(static_cast<index>(R) * W, 8);
-    const int nthreads = omp_get_max_threads();
-    using Pool = std::vector<detail::ScratchRow<T>>;
-    Pool& pool = ws.slot<Pool>(
-        kWsScratchPool, ws_key(scr_len, scr_halo, nthreads), [&] {
-          Pool p(static_cast<std::size_t>(nthreads));
-          for (auto& q : p)
-            q = detail::ScratchRow<T>(scr_len, scr_halo, FirstTouch::kNone);
-#pragma omp parallel for schedule(static)
-          for (int i = 0; i < nthreads; ++i) p[i].zero();
-          return p;
+    auto& pool = detail::thread_pool<detail::ScratchRow<T>>(
+        ws, ws_key(scr_len, scr_halo, nthreads), nthreads, [&] {
+          return detail::ScratchRow<T>(scr_len, scr_halo, FirstTouch::kNone);
         });
-
-    auto pair_adv = [&](const Grid1D<T>& in, Grid1D<T>& out,
-                        index lo, index hi) {
+    run([&](const G& in, G& out, const Box& r) {
       detail::ScratchRow<T>& scr = pool[omp_get_thread_num()];
-      const index c_lo = std::max<index>(0, lo - R);
-      const index c_hi = std::min(nx, hi + R);
+      const index c_lo = std::max<index>(0, r.xlo - R);
+      const index c_hi = std::min(nx, r.xhi + R);
       const index b0 = c_lo / B * B;
       T* view = scr.x0() - b0;  // virtual row origin, block-aligned
       if (c_lo == 0)
@@ -191,44 +198,62 @@ TSV_NOINLINE void tess_transpose_uj2_run(Grid1D<vec_value_t<V>>& g,
       if (c_hi == nx)
         for (index l = 0; l < R; ++l) view[nx + l] = in.x0()[nx + l];
       // Level +1 (odd, transient) over the extended range into scratch.
-      transpose_sweep_row_region<V, R, 1>({in.x0()}, view, {s.w}, nx, c_lo,
-                                          c_hi);
+      sweep(std::array<const T*, 1>{in.x0()}, view, c_lo, c_hi);
       // Level +2 over the store range into the opposite parity buffer.
-      transpose_sweep_row_region<V, R, 1>({view}, out.x0(), {s.w}, nx, lo, hi);
-    };
-
-    const index pairs = steps / 2;
-    if (pairs > 0)
-      tess1d_engine(g, tmp, nx, pairs, std::max<index>(1, bt / 2), 2 * R, bx,
-                    pair_adv);
-    if (steps % 2 != 0)  // odd tail: one ordinary tiled step
-      tess1d_engine(g, tmp, nx, 1, 1, R, bx,
-                    [&](const Grid1D<T>& in, Grid1D<T>& out,
-                        index lo, index hi) {
-                      transpose_sweep_row_region<V, R, 1>(
-                          {in.x0()}, out.x0(), {s.w}, nx, lo, hi);
-                    });
+      sweep(std::array<const T*, 1>{view}, out.x0(), r.xlo, r.xhi);
+    });
+  } else {
+    // A grid of full rows whose outermost axis holds one tile grown by R;
+    // scratch row (y, z) stores grid row (y + c.ylo, z + c.zlo).
+    const Box dom = full_box(g);
+    constexpr int k = G::kRank - 1;
+    std::array<index, 3> se = extents(g);
+    se[k] = (b[k] > 0 ? std::min(se[k], b[k]) : se[k]) + 2 * R + 4;
+    auto& pool = detail::thread_pool<G>(
+        ws, ws_key(se[0], se[1], se[2], R, nthreads), nthreads, [&] {
+          return make_grid<G>(se, std::max<index>(R, 1), FirstTouch::kNone);
+        });
+    run([&](const G& in, G& out, const Box& r) {
+      G& scr = pool[omp_get_thread_num()];
+      const Box c{std::max(dom.xlo, r.xlo - R), std::min(dom.xhi, r.xhi + R),
+                  std::max(dom.ylo, r.ylo - R), std::min(dom.yhi, r.yhi + R),
+                  std::max(dom.zlo, r.zlo - R), std::min(dom.zhi, r.zhi + R)};
+      auto scr_row = [&](index y, index z) {
+        return row_at(scr, y - c.ylo, z - c.zlo);
+      };
+      // Level +1 into the scratch rows, whose x halo carries the grid's.
+      walk_rows(c, rows, rows_of(in), scr_row,
+                [&](const auto& rp, T* d, index y, index z) {
+                  const T* src = row_at(in, y, z);
+                  for (index l = 1; l <= R; ++l) d[-l] = src[-l];
+                  for (index l = 0; l < R; ++l) d[nx + l] = src[nx + l];
+                  sweep(rp, d, c.xlo, c.xhi);
+                });
+      // Level +2 into the opposite parity buffer; rows outside the grown box
+      // are grid halo rows.
+      auto l1_row = [&](index y, index z) -> const T* {
+        const bool inside =
+            y >= c.ylo && y < c.yhi && z >= c.zlo && z < c.zhi;
+        return inside ? scr_row(y, z) : row_at(in, y, z);
+      };
+      walk_rows(r, rows, l1_row, rows_of(out),
+                [&](const auto& rp, T* op, index, index) {
+                  sweep(rp, op, r.xlo, r.xhi);
+                });
+    });
   }
   block_transpose_grid<T, W>(g);
 }
 
-template <typename V, int R>
-void tess_transpose_uj2_run(Grid1D<vec_value_t<V>>& g,
-                            const Stencil1D<R, vec_value_t<V>>& s,
-                            index steps, index bx, index bt) {
-  Workspace ws;
-  tess_transpose_uj2_run<V>(g, s, steps, bx, bt, ws);
-}
-
-/// Split-tiling engine over DLT columns: like tess1d_engine, but *all* tiles
-/// shrink (the domain ends are not physical boundaries — columns 0 and L-1
-/// are coupled through the lane seam) and the seam set includes the wrapped
-/// seam at column 0/L, processed as two ranges.
+/// Split-tiling engine over DLT columns: like tess_engine on one axis, but
+/// *all* tiles shrink (the domain ends are not physical boundaries —
+/// columns 0 and L-1 are coupled through the lane seam) and the seam set
+/// includes the wrapped seam at column 0/L, processed as two ranges.
 ///
 /// Both stage loops stay schedule(dynamic): the last tile may be ragged
 /// (tile_count rounds up) and tile 0 of the seam stage does the wrapped
 /// seam's two disjoint ranges, so per-tile work is NOT homogeneous here —
-/// unlike the tessellate engines (see tess.hpp), where the legality bound
+/// unlike the tessellate engine (see tess.hpp), where the legality bound
 /// makes all interior tiles identical and static scheduling measured no
 /// worse while saving the dynamic dispatch.
 template <typename GridT, typename AdvanceFn>
@@ -279,450 +304,51 @@ void split1d_wrap_engine(GridT& A, GridT& B, index domain, index units,
   if (parity % 2 != 0) A.swap_storage(B);
 }
 
-/// SDSL baseline, 1D: DLT layout + split tiling over columns. @p bi is the
-/// tile size in columns (elements / W).
-template <typename V, int R>
-TSV_NOINLINE void sdsl_run(Grid1D<vec_value_t<V>>& g,
-              const Stencil1D<R, vec_value_t<V>>& s, index steps, index bi,
-              index bt, Workspace& ws, bool stream = false) {
+/// SDSL baseline (Henretty ICS'13): DLT layout + split tiling. 1D: split
+/// tiling over DLT columns with a wrapped seam at the lane boundary; 2D/3D:
+/// hybrid tiling — tessellation of the outermost axis (rows, planes) over
+/// full DLT rows. @p split is that axis's block: DLT columns in 1D (elements
+/// / W), rows in 2D, planes in 3D.
+template <typename V, typename G, typename S>
+TSV_NOINLINE void sdsl_run(G& g, const S& s, index steps, index split,
+                           index bt, Workspace& ws, bool stream = false) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
+  constexpr int R = S::radius;
   require_fmt(g.nx() % W == 0, "SDSL/DLT requires nx % W == 0");
-  const index nx = g.nx();
-  const index L = nx / W;
-  // Clamp the temporal range so the inverted seams fit the smallest tile
-  // (ragged last tiles would otherwise make seam regions overlap the wrap).
-  const index ntiles = tile_count(L, bi);
-  const index last_tile = L - (ntiles - 1) * bi;
-  const index tau =
-      std::max<index>(1, std::min(bt, std::min(bi, last_tile) / (2 * R)));
-  Grid1D<T>& dltA = ws_grid_like(ws, kWsDltA, g);
+  const Box cols = dlt_columns<W>(g);
+  G& dltA = ws_grid_like(ws, kWsDltA, g);
   dltA.copy_halo_from(g);
   dlt_forward_grid<T, W>(g, dltA);
-  Grid1D<T>& dltB = ws_grid_like(ws, kWsDltB, g);
+  G& dltB = ws_grid_like(ws, kWsDltB, g);
   dltB.copy_halo_from(dltA);
-  // The plan only resolves stream=true at bt == 1, where tau clamps to 1 —
-  // every sweep is then a full pass with no cross-unit cache reuse.
-  const auto sweep = stream ? &dlt_sweep_row_region<V, R, 1, true>
-                            : &dlt_sweep_row_region<V, R, 1, false>;
-  split1d_wrap_engine(dltA, dltB, L, steps, tau, R, bi,
-                      [&](const Grid1D<T>& in, Grid1D<T>& out,
-                          index ilo, index ihi) {
-                        sweep({in.x0()}, out.x0(), {s.w}, nx, ilo, ihi);
-                        if (stream) stream_fence();  // once per region
-                      });
+  // The plan only resolves stream=true at bt == 1 — every sweep is then a
+  // full pass with no cross-unit cache reuse.
+  auto adv = [&](const G& in, G& out, const Box& r) {
+    if (stream)  // fences once per region
+      dlt_step<V, true>(in, out, s, r);
+    else
+      dlt_step<V>(in, out, s, r);
+  };
+  if constexpr (G::kRank == 1) {
+    // Clamp the temporal range so the inverted seams fit the smallest tile
+    // (ragged last tiles would otherwise make seam regions overlap the wrap).
+    const index L = cols.xhi;
+    const index ntiles = tile_count(L, split);
+    const index last_tile = L - (ntiles - 1) * split;
+    const index tau =
+        std::max<index>(1, std::min(bt, std::min(split, last_tile) / (2 * R)));
+    split1d_wrap_engine(dltA, dltB, L, steps, tau, R, split,
+                        [&](const G& in, G& out, index ilo, index ihi) {
+                          adv(in, out, Box{ilo, ihi});
+                        });
+  } else {
+    Blocks blk{};  // x and the inner axis untiled: full DLT rows/planes
+    blk[G::kRank - 1] = split;
+    tess_engine(dltA, dltB, {cols.xhi, cols.yhi, cols.zhi}, blk, steps, bt, R,
+                adv);
+  }
   dlt_backward_grid<T, W>(dltA, g);
-}
-
-template <typename V, int R>
-void sdsl_run(Grid1D<vec_value_t<V>>& g,
-              const Stencil1D<R, vec_value_t<V>>& s, index steps, index bi,
-              index bt) {
-  Workspace ws;
-  sdsl_run<V>(g, s, steps, bi, bt, ws);
-}
-
-// ---------------------------------------------------------------------------
-// 2D drivers
-// ---------------------------------------------------------------------------
-
-template <int R, int NR, typename T>
-TSV_NOINLINE void tess_autovec_run(Grid2D<T>& g, const Stencil2D<R, NR, T>& s,
-                      index steps, index bx, index by, index bt,
-                      Workspace& ws) {
-  Grid2D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-  tmp.copy_halo_from(g);
-  tess2d_engine(g, tmp, steps, bt, R, bx, by,
-                [&](const Grid2D<T>& in, Grid2D<T>& out, index xlo,
-                    index xhi, index ylo, index yhi) {
-                  autovec_step_region(in, out, s, xlo, xhi, ylo, yhi);
-                });
-}
-
-template <int R, int NR, typename T>
-void tess_autovec_run(Grid2D<T>& g, const Stencil2D<R, NR, T>& s,
-                      index steps, index bx, index by, index bt) {
-  Workspace ws;
-  tess_autovec_run(g, s, steps, bx, by, bt, ws);
-}
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void tess_transpose_run(Grid2D<vec_value_t<V>>& g,
-                        const Stencil2D<R, NR, vec_value_t<V>>& s,
-                        index steps, index bx, index by, index bt,
-                        Workspace& ws, bool stream = false) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  detail::require_transpose_conforming(g, W);
-  block_transpose_grid<T, W>(g);
-  {
-    Grid2D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-    tmp.copy_halo_from(g);
-    const index nx = g.nx();
-    std::array<std::array<T, 2 * R + 1>, NR> w;
-    for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-    const auto sweep = stream ? &transpose_sweep_row_region<V, R, NR, true>
-                              : &transpose_sweep_row_region<V, R, NR, false>;
-    tess2d_engine(g, tmp, steps, bt, R, bx, by,
-                  [&](const Grid2D<T>& in, Grid2D<T>& out, index xlo,
-                      index xhi, index ylo, index yhi) {
-                    for (index y = ylo; y < yhi; ++y) {
-                      std::array<const T*, NR> rp;
-                      for (int r = 0; r < NR; ++r)
-                        rp[r] = in.row(y + s.rows[r].dy);
-                      sweep(rp, out.row(y), w, nx, xlo, xhi);
-                    }
-                    if (stream) stream_fence();  // once per region
-                  });
-  }
-  block_transpose_grid<T, W>(g);
-}
-
-template <typename V, int R, int NR>
-void tess_transpose_run(Grid2D<vec_value_t<V>>& g,
-                        const Stencil2D<R, NR, vec_value_t<V>>& s,
-                        index steps, index bx, index by, index bt) {
-  Workspace ws;
-  tess_transpose_run<V>(g, s, steps, bx, by, bt, ws);
-}
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void tess_transpose_uj2_run(Grid2D<vec_value_t<V>>& g,
-                            const Stencil2D<R, NR, vec_value_t<V>>& s,
-                            index steps, index bx, index by, index bt,
-                            Workspace& ws) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  detail::require_transpose_conforming(g, W);
-  require_fmt(bt % 2 == 0, "uj2 tiling: time range bt=", bt, " must be even");
-  const index nx = g.nx(), ny = g.ny();
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-
-  block_transpose_grid<T, W>(g);
-  {
-    Grid2D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-    tmp.copy_halo_from(g);
-    const index scr_ny = std::min(ny, by) + 2 * R + 4;
-    const int nthreads = omp_get_max_threads();
-    using Pool = std::vector<Grid2D<T>>;
-    Pool& pool = ws.slot<Pool>(
-        kWsScratchPool, ws_key(nx, scr_ny, R, nthreads), [&] {
-          Pool p;
-          p.reserve(static_cast<std::size_t>(nthreads));
-          for (int i = 0; i < nthreads; ++i)
-            p.emplace_back(nx, scr_ny, std::max<index>(R, 1),
-                           FirstTouch::kNone);
-#pragma omp parallel for schedule(static)
-          for (int i = 0; i < nthreads; ++i) p[i].zero();
-          return p;
-        });
-
-    auto pair_adv = [&](const Grid2D<T>& in, Grid2D<T>& out,
-                        index xlo, index xhi, index ylo, index yhi) {
-      Grid2D<T>& scr = pool[omp_get_thread_num()];
-      const index c_xlo = std::max<index>(0, xlo - R);
-      const index c_xhi = std::min(nx, xhi + R);
-      const index c_ylo = std::max<index>(0, ylo - R);
-      const index c_yhi = std::min(ny, yhi + R);
-      // Level +1 into scratch rows (y - c_ylo).
-      for (index y = c_ylo; y < c_yhi; ++y) {
-        T* d = scr.row(y - c_ylo);
-        const T* src = in.row(y);
-        for (index l = 1; l <= R; ++l) d[-l] = src[-l];
-        for (index l = 0; l < R; ++l) d[nx + l] = src[nx + l];
-        std::array<const T*, NR> rp;
-        for (int r = 0; r < NR; ++r) rp[r] = in.row(y + s.rows[r].dy);
-        transpose_sweep_row_region<V, R, NR>(rp, d, w, nx, c_xlo, c_xhi);
-      }
-      // Level +2 into the opposite parity buffer.
-      for (index y = ylo; y < yhi; ++y) {
-        std::array<const T*, NR> rp;
-        for (int r = 0; r < NR; ++r) {
-          const index yy = y + s.rows[r].dy;
-          rp[r] = (yy >= c_ylo && yy < c_yhi) ? scr.row(yy - c_ylo)
-                                              : in.row(yy);  // grid halo row
-        }
-        transpose_sweep_row_region<V, R, NR>(rp, out.row(y), w, nx, xlo, xhi);
-      }
-    };
-
-    const index pairs = steps / 2;
-    if (pairs > 0)
-      tess2d_engine(g, tmp, pairs, std::max<index>(1, bt / 2), 2 * R, bx, by,
-                    pair_adv);
-    if (steps % 2 != 0)
-      tess2d_engine(g, tmp, 1, 1, R, bx, by,
-                    [&](const Grid2D<T>& in, Grid2D<T>& out,
-                        index xlo, index xhi, index ylo, index yhi) {
-                      for (index y = ylo; y < yhi; ++y) {
-                        std::array<const T*, NR> rp;
-                        for (int r = 0; r < NR; ++r)
-                          rp[r] = in.row(y + s.rows[r].dy);
-                        transpose_sweep_row_region<V, R, NR>(rp, out.row(y), w,
-                                                             nx, xlo, xhi);
-                      }
-                    });
-  }
-  block_transpose_grid<T, W>(g);
-}
-
-template <typename V, int R, int NR>
-void tess_transpose_uj2_run(Grid2D<vec_value_t<V>>& g,
-                            const Stencil2D<R, NR, vec_value_t<V>>& s,
-                            index steps, index bx, index by, index bt) {
-  Workspace ws;
-  tess_transpose_uj2_run<V>(g, s, steps, bx, by, bt, ws);
-}
-
-/// SDSL baseline, 2D (hybrid tiling): DLT layout on x, tessellation over y
-/// with full rows per region.
-template <typename V, int R, int NR>
-TSV_NOINLINE void sdsl_run(Grid2D<vec_value_t<V>>& g,
-              const Stencil2D<R, NR, vec_value_t<V>>& s, index steps,
-              index by, index bt, Workspace& ws, bool stream = false) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  require_fmt(g.nx() % W == 0, "SDSL/DLT requires nx % W == 0");
-  const index nx = g.nx();
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  Grid2D<T>& dltA = ws_grid_like(ws, kWsDltA, g);
-  dltA.copy_halo_from(g);
-  dlt_forward_grid<T, W>(g, dltA);
-  Grid2D<T>& dltB = ws_grid_like(ws, kWsDltB, g);
-  dltB.copy_halo_from(dltA);
-  const auto sweep = stream ? &dlt_sweep_row<V, R, NR, true>
-                            : &dlt_sweep_row<V, R, NR, false>;
-  tess1d_engine(dltA, dltB, g.ny(), steps, bt, R, by,
-                [&](const Grid2D<T>& in, Grid2D<T>& out, index ylo,
-                    index yhi) {
-                  for (index y = ylo; y < yhi; ++y) {
-                    std::array<const T*, NR> rp;
-                    for (int r = 0; r < NR; ++r)
-                      rp[r] = in.row(y + s.rows[r].dy);
-                    sweep(rp, out.row(y), w, nx);
-                  }
-                  if (stream) stream_fence();  // once per region
-                });
-  dlt_backward_grid<T, W>(dltA, g);
-}
-
-template <typename V, int R, int NR>
-void sdsl_run(Grid2D<vec_value_t<V>>& g,
-              const Stencil2D<R, NR, vec_value_t<V>>& s, index steps,
-              index by, index bt) {
-  Workspace ws;
-  sdsl_run<V>(g, s, steps, by, bt, ws);
-}
-
-// ---------------------------------------------------------------------------
-// 3D drivers
-// ---------------------------------------------------------------------------
-
-template <int R, int NR, typename T>
-TSV_NOINLINE void tess_autovec_run(Grid3D<T>& g, const Stencil3D<R, NR, T>& s,
-                      index steps, index bx, index by, index bz, index bt,
-                      Workspace& ws) {
-  Grid3D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-  tmp.copy_halo_from(g);
-  tess3d_engine(g, tmp, steps, bt, R, bx, by, bz,
-                [&](const Grid3D<T>& in, Grid3D<T>& out, index xlo,
-                    index xhi, index ylo, index yhi, index zlo, index zhi) {
-                  autovec_step_region(in, out, s, xlo, xhi, ylo, yhi, zlo,
-                                      zhi);
-                });
-}
-
-template <int R, int NR, typename T>
-void tess_autovec_run(Grid3D<T>& g, const Stencil3D<R, NR, T>& s,
-                      index steps, index bx, index by, index bz, index bt) {
-  Workspace ws;
-  tess_autovec_run(g, s, steps, bx, by, bz, bt, ws);
-}
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void tess_transpose_run(Grid3D<vec_value_t<V>>& g,
-                        const Stencil3D<R, NR, vec_value_t<V>>& s,
-                        index steps, index bx, index by, index bz, index bt,
-                        Workspace& ws, bool stream = false) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  detail::require_transpose_conforming(g, W);
-  block_transpose_grid<T, W>(g);
-  {
-    Grid3D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-    tmp.copy_halo_from(g);
-    const index nx = g.nx();
-    std::array<std::array<T, 2 * R + 1>, NR> w;
-    for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-    const auto sweep = stream ? &transpose_sweep_row_region<V, R, NR, true>
-                              : &transpose_sweep_row_region<V, R, NR, false>;
-    tess3d_engine(g, tmp, steps, bt, R, bx, by, bz,
-                  [&](const Grid3D<T>& in, Grid3D<T>& out, index xlo,
-                      index xhi, index ylo, index yhi, index zlo, index zhi) {
-                    for (index z = zlo; z < zhi; ++z)
-                      for (index y = ylo; y < yhi; ++y) {
-                        std::array<const T*, NR> rp;
-                        for (int r = 0; r < NR; ++r)
-                          rp[r] =
-                              in.row(y + s.rows[r].dy, z + s.rows[r].dz);
-                        sweep(rp, out.row(y, z), w, nx, xlo, xhi);
-                      }
-                    if (stream) stream_fence();  // once per region
-                  });
-  }
-  block_transpose_grid<T, W>(g);
-}
-
-template <typename V, int R, int NR>
-void tess_transpose_run(Grid3D<vec_value_t<V>>& g,
-                        const Stencil3D<R, NR, vec_value_t<V>>& s,
-                        index steps, index bx, index by, index bz, index bt) {
-  Workspace ws;
-  tess_transpose_run<V>(g, s, steps, bx, by, bz, bt, ws);
-}
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void tess_transpose_uj2_run(Grid3D<vec_value_t<V>>& g,
-                            const Stencil3D<R, NR, vec_value_t<V>>& s,
-                            index steps, index bx, index by, index bz,
-                            index bt, Workspace& ws) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  detail::require_transpose_conforming(g, W);
-  require_fmt(bt % 2 == 0, "uj2 tiling: time range bt=", bt, " must be even");
-  const index nx = g.nx(), ny = g.ny(), nz = g.nz();
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-
-  block_transpose_grid<T, W>(g);
-  {
-    Grid3D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-    tmp.copy_halo_from(g);
-    const index scr_nz = std::min(nz, bz) + 2 * R + 4;
-    const int nthreads = omp_get_max_threads();
-    using Pool = std::vector<Grid3D<T>>;
-    Pool& pool = ws.slot<Pool>(
-        kWsScratchPool, ws_key(nx, ny, scr_nz, R, nthreads), [&] {
-          Pool p;
-          p.reserve(static_cast<std::size_t>(nthreads));
-          for (int i = 0; i < nthreads; ++i)
-            p.emplace_back(nx, ny, scr_nz, std::max<index>(R, 1),
-                           FirstTouch::kNone);
-#pragma omp parallel for schedule(static)
-          for (int i = 0; i < nthreads; ++i) p[i].zero();
-          return p;
-        });
-
-    auto pair_adv = [&](const Grid3D<T>& in, Grid3D<T>& out,
-                        index xlo, index xhi, index ylo, index yhi, index zlo,
-                        index zhi) {
-      Grid3D<T>& scr = pool[omp_get_thread_num()];
-      const index c_xlo = std::max<index>(0, xlo - R);
-      const index c_xhi = std::min(nx, xhi + R);
-      const index c_ylo = std::max<index>(0, ylo - R);
-      const index c_yhi = std::min(ny, yhi + R);
-      const index c_zlo = std::max<index>(0, zlo - R);
-      const index c_zhi = std::min(nz, zhi + R);
-      for (index z = c_zlo; z < c_zhi; ++z)
-        for (index y = c_ylo; y < c_yhi; ++y) {
-          T* d = scr.row(y, z - c_zlo);
-          const T* src = in.row(y, z);
-          for (index l = 1; l <= R; ++l) d[-l] = src[-l];
-          for (index l = 0; l < R; ++l) d[nx + l] = src[nx + l];
-          std::array<const T*, NR> rp;
-          for (int r = 0; r < NR; ++r)
-            rp[r] = in.row(y + s.rows[r].dy, z + s.rows[r].dz);
-          transpose_sweep_row_region<V, R, NR>(rp, d, w, nx, c_xlo, c_xhi);
-        }
-      for (index z = zlo; z < zhi; ++z)
-        for (index y = ylo; y < yhi; ++y) {
-          std::array<const T*, NR> rp;
-          for (int r = 0; r < NR; ++r) {
-            const index yy = y + s.rows[r].dy;
-            const index zz = z + s.rows[r].dz;
-            rp[r] = (yy >= c_ylo && yy < c_yhi && zz >= c_zlo && zz < c_zhi)
-                        ? scr.row(yy, zz - c_zlo)
-                        : in.row(yy, zz);  // grid halo
-          }
-          transpose_sweep_row_region<V, R, NR>(rp, out.row(y, z), w, nx, xlo,
-                                               xhi);
-        }
-    };
-
-    const index pairs = steps / 2;
-    if (pairs > 0)
-      tess3d_engine(g, tmp, pairs, std::max<index>(1, bt / 2), 2 * R, bx, by,
-                    bz, pair_adv);
-    if (steps % 2 != 0)
-      tess3d_engine(g, tmp, 1, 1, R, bx, by, bz,
-                    [&](const Grid3D<T>& in, Grid3D<T>& out,
-                        index xlo, index xhi, index ylo, index yhi, index zlo,
-                        index zhi) {
-                      for (index z = zlo; z < zhi; ++z)
-                        for (index y = ylo; y < yhi; ++y) {
-                          std::array<const T*, NR> rp;
-                          for (int r = 0; r < NR; ++r)
-                            rp[r] =
-                                in.row(y + s.rows[r].dy, z + s.rows[r].dz);
-                          transpose_sweep_row_region<V, R, NR>(
-                              rp, out.row(y, z), w, nx, xlo, xhi);
-                        }
-                    });
-  }
-  block_transpose_grid<T, W>(g);
-}
-
-template <typename V, int R, int NR>
-void tess_transpose_uj2_run(Grid3D<vec_value_t<V>>& g,
-                            const Stencil3D<R, NR, vec_value_t<V>>& s,
-                            index steps, index bx, index by, index bz,
-                            index bt) {
-  Workspace ws;
-  tess_transpose_uj2_run<V>(g, s, steps, bx, by, bz, bt, ws);
-}
-
-/// SDSL baseline, 3D (hybrid tiling): DLT layout on x, tessellation over z
-/// with full (x, y) planes per region.
-template <typename V, int R, int NR>
-TSV_NOINLINE void sdsl_run(Grid3D<vec_value_t<V>>& g,
-              const Stencil3D<R, NR, vec_value_t<V>>& s, index steps,
-              index bz, index bt, Workspace& ws, bool stream = false) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  require_fmt(g.nx() % W == 0, "SDSL/DLT requires nx % W == 0");
-  const index nx = g.nx();
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  Grid3D<T>& dltA = ws_grid_like(ws, kWsDltA, g);
-  dltA.copy_halo_from(g);
-  dlt_forward_grid<T, W>(g, dltA);
-  Grid3D<T>& dltB = ws_grid_like(ws, kWsDltB, g);
-  dltB.copy_halo_from(dltA);
-  const auto sweep = stream ? &dlt_sweep_row<V, R, NR, true>
-                            : &dlt_sweep_row<V, R, NR, false>;
-  tess1d_engine(dltA, dltB, g.nz(), steps, bt, R, bz,
-                [&](const Grid3D<T>& in, Grid3D<T>& out, index zlo,
-                    index zhi) {
-                  for (index z = zlo; z < zhi; ++z)
-                    for (index y = 0; y < in.ny(); ++y) {
-                      std::array<const T*, NR> rp;
-                      for (int r = 0; r < NR; ++r)
-                        rp[r] = in.row(y + s.rows[r].dy, z + s.rows[r].dz);
-                      sweep(rp, out.row(y, z), w, nx);
-                    }
-                  if (stream) stream_fence();  // once per region
-                });
-  dlt_backward_grid<T, W>(dltA, g);
-}
-
-template <typename V, int R, int NR>
-void sdsl_run(Grid3D<vec_value_t<V>>& g,
-              const Stencil3D<R, NR, vec_value_t<V>>& s, index steps,
-              index bz, index bt) {
-  Workspace ws;
-  sdsl_run<V>(g, s, steps, bz, bt, ws);
 }
 
 }  // namespace tsv

@@ -7,118 +7,38 @@
 // "Tessellation" baseline uses inside its tiles (Yuan SC'17 relies on
 // compiler auto-vectorization), and it stands in for "what ICC does".
 //
-// Region entry points take half-open x/y/z ranges so the tiling frameworks
-// can drive them tile-by-tile; the *_run drivers sweep the whole interior.
+// The region sweep takes a half-open Box so the tiling frameworks can drive
+// it tile-by-tile; autovec_run sweeps the whole interior.
 
 #include "tsv/vectorize/method_common.hpp"
 
 namespace tsv {
 
-// ---- 1D --------------------------------------------------------------------
-
-template <int R, typename T>
-TSV_NOINLINE void autovec_step_region(const Grid1D<T>& in, Grid1D<T>& out,
-                         const Stencil1D<R, T>& s, index xlo, index xhi) {
-  const T* __restrict ip = in.x0();
-  T* __restrict op = out.x0();
-  const auto w = s.w;  // local copy: lets the vectorizer keep weights in regs
+template <typename G, typename S>
+TSV_NOINLINE void autovec_step_region(const G& in, G& out, const S& s,
+                                      const Box& b) {
+  using T = typename S::value_type;
+  constexpr int R = S::radius;
+  // Local table: lets the vectorizer keep the weights in registers.
+  const auto rows = tap_rows(s);
+  walk_rows(b, rows, rows_of(in), rows_of(out),
+            [&](const auto& rp, T* __restrict op, index, index) {
 #pragma omp simd
-  for (index x = xlo; x < xhi; ++x) {
-    T acc = 0;
-    for (int dx = -R; dx <= R; ++dx) acc += w[dx + R] * ip[x + dx];
-    op[x] = acc;
-  }
+              for (index x = b.xlo; x < b.xhi; ++x) {
+                T acc = 0;
+                for (int r = 0; r < rows.count(); ++r)
+                  for (int dx = -R; dx <= R; ++dx)
+                    acc += rows.w[r][dx + R] * rp[r][x + dx];
+                op[x] = acc;
+              }
+            });
 }
 
-template <int R, typename T>
-TSV_NOINLINE void autovec_run(Grid1D<T>& g, const Stencil1D<R, T>& s, index steps,
-                              Workspace& ws) {
-  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid1D<T>& in,
-                                           Grid1D<T>& out) {
-    autovec_step_region(in, out, s, 0, g.nx());
+template <typename G, typename S>
+TSV_NOINLINE void autovec_run(G& g, const S& s, index steps, Workspace& ws) {
+  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const G& in, G& out) {
+    autovec_step_region(in, out, s, full_box(in));
   });
-}
-
-template <int R, typename T>
-void autovec_run(Grid1D<T>& g, const Stencil1D<R, T>& s, index steps) {
-  Workspace ws;
-  autovec_run(g, s, steps, ws);
-}
-
-// ---- 2D --------------------------------------------------------------------
-
-template <int R, int NR, typename T>
-TSV_NOINLINE void autovec_step_region(const Grid2D<T>& in, Grid2D<T>& out,
-                         const Stencil2D<R, NR, T>& s, index xlo, index xhi,
-                         index ylo, index yhi) {
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  for (index y = ylo; y < yhi; ++y) {
-    T* __restrict op = out.row(y);
-    std::array<const T*, NR> rp;
-    for (int r = 0; r < NR; ++r) rp[r] = in.row(y + s.rows[r].dy);
-#pragma omp simd
-    for (index x = xlo; x < xhi; ++x) {
-      T acc = 0;
-      for (int r = 0; r < NR; ++r)
-        for (int dx = -R; dx <= R; ++dx) acc += w[r][dx + R] * rp[r][x + dx];
-      op[x] = acc;
-    }
-  }
-}
-
-template <int R, int NR, typename T>
-TSV_NOINLINE void autovec_run(Grid2D<T>& g, const Stencil2D<R, NR, T>& s, index steps,
-                              Workspace& ws) {
-  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid2D<T>& in,
-                                           Grid2D<T>& out) {
-    autovec_step_region(in, out, s, 0, g.nx(), 0, g.ny());
-  });
-}
-
-template <int R, int NR, typename T>
-void autovec_run(Grid2D<T>& g, const Stencil2D<R, NR, T>& s, index steps) {
-  Workspace ws;
-  autovec_run(g, s, steps, ws);
-}
-
-// ---- 3D --------------------------------------------------------------------
-
-template <int R, int NR, typename T>
-TSV_NOINLINE void autovec_step_region(const Grid3D<T>& in, Grid3D<T>& out,
-                         const Stencil3D<R, NR, T>& s, index xlo, index xhi,
-                         index ylo, index yhi, index zlo, index zhi) {
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  for (index z = zlo; z < zhi; ++z)
-    for (index y = ylo; y < yhi; ++y) {
-      T* __restrict op = out.row(y, z);
-      std::array<const T*, NR> rp;
-      for (int r = 0; r < NR; ++r)
-        rp[r] = in.row(y + s.rows[r].dy, z + s.rows[r].dz);
-#pragma omp simd
-      for (index x = xlo; x < xhi; ++x) {
-        T acc = 0;
-        for (int r = 0; r < NR; ++r)
-          for (int dx = -R; dx <= R; ++dx) acc += w[r][dx + R] * rp[r][x + dx];
-        op[x] = acc;
-      }
-    }
-}
-
-template <int R, int NR, typename T>
-TSV_NOINLINE void autovec_run(Grid3D<T>& g, const Stencil3D<R, NR, T>& s, index steps,
-                              Workspace& ws) {
-  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid3D<T>& in,
-                                           Grid3D<T>& out) {
-    autovec_step_region(in, out, s, 0, g.nx(), 0, g.ny(), 0, g.nz());
-  });
-}
-
-template <int R, int NR, typename T>
-void autovec_run(Grid3D<T>& g, const Stencil3D<R, NR, T>& s, index steps) {
-  Workspace ws;
-  autovec_run(g, s, steps, ws);
 }
 
 }  // namespace tsv

@@ -107,14 +107,16 @@ void blocked_m_sweep_row(const vec_value_t<V>* ip, vec_value_t<V>* op,
 }
 
 /// Full run driver: forward transform, T Jacobi steps, backward transform.
+/// The parity buffer lives in @p ws.
 template <typename V, int R>
 TSV_NOINLINE void blocked_m_run(Grid1D<vec_value_t<V>>& g,
                                 const Stencil1D<R, vec_value_t<V>>& s,
-                                index steps, index m) {
+                                index steps, index m, Workspace& ws) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
   blocked_m_forward_row<T, W>(g.x0(), g.nx(), m);
-  jacobi_run(g, steps, [&](const Grid1D<T>& in, Grid1D<T>& out) {
+  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid1D<T>& in,
+                                           Grid1D<T>& out) {
     blocked_m_sweep_row<V, R>(in.x0(), out.x0(), s.w, in.nx(), m);
   });
   blocked_m_backward_row<T, W>(g.x0(), g.nx(), m);

@@ -102,14 +102,6 @@ void dlt_sweep_row_region(
   }
 }
 
-/// Full-row sweep (all columns).
-template <typename V, int R, int NR, bool Stream = false>
-inline void dlt_sweep_row(
-    const std::array<const vec_value_t<V>*, NR>& rp, vec_value_t<V>* op,
-    const std::array<std::array<vec_value_t<V>, 2 * R + 1>, NR>& w, index nx) {
-  dlt_sweep_row_region<V, R, NR, Stream>(rp, op, w, nx, 0, nx / V::width);
-}
-
 // Compiled once in src/tsv/kernels_tu.cpp; see transpose_vs.hpp for why.
 #define TSV_DECLARE_DLT_SWEEP(V, R, NR)                                      \
   extern template void dlt_sweep_row_region<V, R, NR, false>(                \
@@ -141,43 +133,29 @@ TSV_DECLARE_DLT_SWEEPS_FOR(VecF16)
 #endif
 #endif  // !TSV_KERNELS_TU
 
-// ---- full-grid steps (grids already in DLT layout) ---------------------------
+// ---- region step (grids already in DLT layout) ------------------------------
 
-template <typename V, bool Stream = false, int R>
-void dlt_step(const Grid1D<vec_value_t<V>>& in, Grid1D<vec_value_t<V>>& out,
-              const Stencil1D<R, vec_value_t<V>>& s) {
-  dlt_sweep_row<V, R, 1, Stream>({in.x0()}, out.x0(), {s.w}, in.nx());
-  if constexpr (Stream) stream_fence();
-}
-
-template <typename V, bool Stream = false, int R, int NR>
-void dlt_step(const Grid2D<vec_value_t<V>>& in, Grid2D<vec_value_t<V>>& out,
-              const Stencil2D<R, NR, vec_value_t<V>>& s) {
-  using T = vec_value_t<V>;
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  for (index y = 0; y < in.ny(); ++y) {
-    std::array<const T*, NR> rp;
-    for (int r = 0; r < NR; ++r) rp[r] = in.row(y + s.rows[r].dy);
-    dlt_sweep_row<V, R, NR, Stream>(rp, out.row(y), w, in.nx());
-  }
+/// One Jacobi step over box @p b of a DLT-layout grid of any rank; the box's
+/// x range counts DLT columns, [0, nx / W) for a whole row. Stream = true
+/// fences once at the end.
+template <typename V, bool Stream = false, typename G, typename S>
+void dlt_step(const G& in, G& out, const S& s, const Box& b) {
+  using Rows = decltype(tap_rows(s));
+  const Rows rows = tap_rows(s);
+  walk_rows(b, rows, rows_of(in), rows_of(out),
+            [&](const auto& rp, vec_value_t<V>* op, index, index) {
+              dlt_sweep_row_region<V, S::radius, Rows::kCap, Stream>(
+                  rp, op, rows.w, in.nx(), b.xlo, b.xhi);
+            });
   if constexpr (Stream) stream_fence();  // once per step, not per row
 }
 
-template <typename V, bool Stream = false, int R, int NR>
-void dlt_step(const Grid3D<vec_value_t<V>>& in, Grid3D<vec_value_t<V>>& out,
-              const Stencil3D<R, NR, vec_value_t<V>>& s) {
-  using T = vec_value_t<V>;
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  for (index z = 0; z < in.nz(); ++z)
-    for (index y = 0; y < in.ny(); ++y) {
-      std::array<const T*, NR> rp;
-      for (int r = 0; r < NR; ++r)
-        rp[r] = in.row(y + s.rows[r].dy, z + s.rows[r].dz);
-      dlt_sweep_row<V, R, NR, Stream>(rp, out.row(y, z), w, in.nx());
-    }
-  if constexpr (Stream) stream_fence();  // once per step, not per row
+/// All DLT columns of @p g: the full interior with x counted in columns.
+template <int W, typename G>
+Box dlt_columns(const G& g) {
+  Box b = full_box(g);
+  b.xhi = g.nx() / W;
+  return b;
 }
 
 /// Full run: forward DLT (out-of-place, into a second grid — the extra array
@@ -197,19 +175,13 @@ TSV_NOINLINE void dlt_run(Grid& g, const S& s, index steps, Workspace& ws,
   dlt_forward_grid<T, W>(g, t);
   if (stream)
     jacobi_run(t, steps, ws, kWsTmpGrid, [&](const Grid& in, Grid& out) {
-      dlt_step<V, true>(in, out, s);
+      dlt_step<V, true>(in, out, s, dlt_columns<W>(in));
     });
   else
     jacobi_run(t, steps, ws, kWsTmpGrid, [&](const Grid& in, Grid& out) {
-      dlt_step<V>(in, out, s);
+      dlt_step<V>(in, out, s, dlt_columns<W>(in));
     });
   dlt_backward_grid<T, W>(t, g);
-}
-
-template <typename V, typename Grid, typename S>
-void dlt_run(Grid& g, const S& s, index steps) {
-  Workspace ws;
-  dlt_run<V>(g, s, steps, ws);
 }
 
 }  // namespace tsv

@@ -3,8 +3,8 @@
 //
 // Executes any row-based stencil descriptor — the lowered runtime shapes
 // from core/generic_stencil.hpp as well as the compiled Table-1 descriptors
-// — without a shape-specialized kernel. The structure mirrors the multiload
-// baseline (one unaligned load per shifted vector), with two twists that
+// — without a shape-specialized kernel. It runs the multiload baseline's
+// unaligned-load row body (vectorize/multiload.hpp), with two twists that
 // keep the interpreter within reach of the precompiled kernels:
 //
 //  * The tap loop is unrolled at compile time over the padded span 2R+1
@@ -22,252 +22,30 @@
 // field access out of their instantiation entirely.
 
 #include "tsv/core/generic_stencil.hpp"
-#include "tsv/tiling/tess.hpp"
 #include "tsv/vectorize/method_common.hpp"
 #include "tsv/vectorize/multiload.hpp"
 
 namespace tsv {
 
-namespace detail {
+template <typename V, typename G, typename S>
+TSV_NOINLINE void generic_step_region(const G& in, G& out, const S& s,
+                                      const Box& b) {
+  using T = vec_value_t<V>;
+  const auto rows = tap_rows(s);
+  walk_rows(b, rows, rows_of(in), rows_of(out),
+            [&](const auto& rp, T* op, index y, index z) {
+              const T* sp = nullptr;
+              if constexpr (requires { s.scale_row(y, z); })
+                sp = s.scale_row(y, z);
+              detail::unaligned_row<V, 4>(rp, op, rows, b.xlo, b.xhi, sp);
+            });
+}
 
-/// Vector tap accumulate over NB consecutive output vectors: one broadcast
-/// per live tap, NB fused multiply-adds per broadcast.
-template <typename V, int R, int NB>
-TSV_ALWAYS_INLINE void generic_row_acc(const vec_value_t<V>* p, index x,
-                                       const std::array<vec_value_t<V>,
-                                                        2 * R + 1>& w,
-                                       std::array<V, NB>& acc) {
-  static_for<0, 2 * R + 1>([&]<int DXI>() TSV_ALWAYS_INLINE_LAMBDA {
-    if (w[DXI] != 0) {
-      const V wv = V::broadcast(w[DXI]);
-      static_for<0, NB>([&]<int B>() TSV_ALWAYS_INLINE_LAMBDA {
-        acc[B] = fma(wv, V::loadu(p + x + B * V::width + (DXI - R)), acc[B]);
-      });
-    }
+template <typename V, typename G, typename S>
+TSV_NOINLINE void generic_run(G& g, const S& s, index steps, Workspace& ws) {
+  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const G& in, G& out) {
+    generic_step_region<V>(in, out, s, full_box(in));
   });
-}
-
-}  // namespace detail
-
-// ---- 1D --------------------------------------------------------------------
-
-template <typename V, typename S>
-TSV_NOINLINE void generic_step_region(const Grid1D<vec_value_t<V>>& in,
-                                      Grid1D<vec_value_t<V>>& out, const S& s,
-                                      index xlo, index xhi) {
-  using T = vec_value_t<V>;
-  constexpr int R = S::radius;
-  constexpr int W = V::width;
-  constexpr int NB = 4;
-  const T* ip = in.x0();
-  T* op = out.x0();
-  const T* sp = nullptr;
-  if constexpr (requires { s.scale_row(); }) sp = s.scale_row();
-  index x = xlo;
-  for (; x + NB * W <= xhi; x += NB * W) {
-    std::array<V, NB> acc;
-    static_for<0, NB>([&]<int B>() { acc[B] = V::zero(); });
-    detail::generic_row_acc<V, R, NB>(ip, x, s.w, acc);
-    static_for<0, NB>([&]<int B>() {
-      V r = acc[B];
-      if (sp != nullptr) r = r * V::loadu(sp + x + B * W);
-      r.storeu(op + x + B * W);
-    });
-  }
-  for (; x + W <= xhi; x += W) {
-    std::array<V, 1> acc{V::zero()};
-    detail::generic_row_acc<V, R, 1>(ip, x, s.w, acc);
-    V r = acc[0];
-    if (sp != nullptr) r = r * V::loadu(sp + x);
-    r.storeu(op + x);
-  }
-  for (; x < xhi; ++x) {
-    const T acc = detail::scalar_row_acc<R>(ip, x, s.w, T(0));
-    op[x] = sp != nullptr ? sp[x] * acc : acc;
-  }
-}
-
-template <typename V, typename S>
-TSV_NOINLINE void generic_run(Grid1D<vec_value_t<V>>& g, const S& s,
-                              index steps, Workspace& ws) {
-  using T = vec_value_t<V>;
-  jacobi_run(g, steps, ws, kWsTmpGrid,
-             [&](const Grid1D<T>& in, Grid1D<T>& out) {
-               generic_step_region<V>(in, out, s, 0, g.nx());
-             });
-}
-
-template <typename V, typename S>
-TSV_NOINLINE void tess_generic_run(Grid1D<vec_value_t<V>>& g, const S& s,
-                                   index steps, index bx, index bt,
-                                   Workspace& ws) {
-  using T = vec_value_t<V>;
-  Grid1D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-  tmp.copy_halo_from(g);
-  tess1d_engine(g, tmp, g.nx(), steps, bt, S::radius, bx,
-                [&](const Grid1D<T>& in, Grid1D<T>& out, index lo, index hi) {
-                  generic_step_region<V>(in, out, s, lo, hi);
-                });
-}
-
-// ---- 2D --------------------------------------------------------------------
-
-template <typename V, typename S>
-TSV_NOINLINE void generic_step_region(const Grid2D<vec_value_t<V>>& in,
-                                      Grid2D<vec_value_t<V>>& out, const S& s,
-                                      index xlo, index xhi, index ylo,
-                                      index yhi) {
-  using T = vec_value_t<V>;
-  constexpr int R = S::radius;
-  constexpr int W = V::width;
-  constexpr int NB = 4;
-  constexpr int kCap = detail::generic_max_rows<S>();
-  const int nr = static_cast<int>(std::size(s.rows));
-  std::array<std::array<T, 2 * R + 1>, kCap> w;
-  std::array<int, kCap> dy;
-  for (int r = 0; r < nr; ++r) {
-    w[r] = padded_taps<R>(s.rows[r]);
-    dy[r] = s.rows[r].dy;
-  }
-  for (index y = ylo; y < yhi; ++y) {
-    T* op = out.row(y);
-    std::array<const T*, kCap> rp;
-    for (int r = 0; r < nr; ++r) rp[r] = in.row(y + dy[r]);
-    const T* sp = nullptr;
-    if constexpr (requires { s.scale_row(y); }) sp = s.scale_row(y);
-    index x = xlo;
-    for (; x + NB * W <= xhi; x += NB * W) {
-      std::array<V, NB> acc;
-      static_for<0, NB>([&]<int B>() { acc[B] = V::zero(); });
-      for (int r = 0; r < nr; ++r)
-        detail::generic_row_acc<V, R, NB>(rp[r], x, w[r], acc);
-      static_for<0, NB>([&]<int B>() {
-        V v = acc[B];
-        if (sp != nullptr) v = v * V::loadu(sp + x + B * W);
-        v.storeu(op + x + B * W);
-      });
-    }
-    for (; x + W <= xhi; x += W) {
-      std::array<V, 1> acc{V::zero()};
-      for (int r = 0; r < nr; ++r)
-        detail::generic_row_acc<V, R, 1>(rp[r], x, w[r], acc);
-      V v = acc[0];
-      if (sp != nullptr) v = v * V::loadu(sp + x);
-      v.storeu(op + x);
-    }
-    for (; x < xhi; ++x) {
-      T acc = 0;
-      for (int r = 0; r < nr; ++r)
-        acc = detail::scalar_row_acc<R>(rp[r], x, w[r], acc);
-      op[x] = sp != nullptr ? sp[x] * acc : acc;
-    }
-  }
-}
-
-template <typename V, typename S>
-TSV_NOINLINE void generic_run(Grid2D<vec_value_t<V>>& g, const S& s,
-                              index steps, Workspace& ws) {
-  using T = vec_value_t<V>;
-  jacobi_run(g, steps, ws, kWsTmpGrid,
-             [&](const Grid2D<T>& in, Grid2D<T>& out) {
-               generic_step_region<V>(in, out, s, 0, g.nx(), 0, g.ny());
-             });
-}
-
-template <typename V, typename S>
-TSV_NOINLINE void tess_generic_run(Grid2D<vec_value_t<V>>& g, const S& s,
-                                   index steps, index bx, index by, index bt,
-                                   Workspace& ws) {
-  using T = vec_value_t<V>;
-  Grid2D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-  tmp.copy_halo_from(g);
-  tess2d_engine(g, tmp, steps, bt, S::radius, bx, by,
-                [&](const Grid2D<T>& in, Grid2D<T>& out, index xlo, index xhi,
-                    index ylo, index yhi) {
-                  generic_step_region<V>(in, out, s, xlo, xhi, ylo, yhi);
-                });
-}
-
-// ---- 3D --------------------------------------------------------------------
-
-template <typename V, typename S>
-TSV_NOINLINE void generic_step_region(const Grid3D<vec_value_t<V>>& in,
-                                      Grid3D<vec_value_t<V>>& out, const S& s,
-                                      index xlo, index xhi, index ylo,
-                                      index yhi, index zlo, index zhi) {
-  using T = vec_value_t<V>;
-  constexpr int R = S::radius;
-  constexpr int W = V::width;
-  constexpr int NB = 4;
-  constexpr int kCap = detail::generic_max_rows<S>();
-  const int nr = static_cast<int>(std::size(s.rows));
-  std::array<std::array<T, 2 * R + 1>, kCap> w;
-  std::array<int, kCap> dy, dz;
-  for (int r = 0; r < nr; ++r) {
-    w[r] = padded_taps<R>(s.rows[r]);
-    dy[r] = s.rows[r].dy;
-    dz[r] = s.rows[r].dz;
-  }
-  for (index z = zlo; z < zhi; ++z)
-    for (index y = ylo; y < yhi; ++y) {
-      T* op = out.row(y, z);
-      std::array<const T*, kCap> rp;
-      for (int r = 0; r < nr; ++r) rp[r] = in.row(y + dy[r], z + dz[r]);
-      const T* sp = nullptr;
-      if constexpr (requires { s.scale_row(y, z); }) sp = s.scale_row(y, z);
-      index x = xlo;
-      for (; x + NB * W <= xhi; x += NB * W) {
-        std::array<V, NB> acc;
-        static_for<0, NB>([&]<int B>() { acc[B] = V::zero(); });
-        for (int r = 0; r < nr; ++r)
-          detail::generic_row_acc<V, R, NB>(rp[r], x, w[r], acc);
-        static_for<0, NB>([&]<int B>() {
-          V v = acc[B];
-          if (sp != nullptr) v = v * V::loadu(sp + x + B * W);
-          v.storeu(op + x + B * W);
-        });
-      }
-      for (; x + W <= xhi; x += W) {
-        std::array<V, 1> acc{V::zero()};
-        for (int r = 0; r < nr; ++r)
-          detail::generic_row_acc<V, R, 1>(rp[r], x, w[r], acc);
-        V v = acc[0];
-        if (sp != nullptr) v = v * V::loadu(sp + x);
-        v.storeu(op + x);
-      }
-      for (; x < xhi; ++x) {
-        T acc = 0;
-        for (int r = 0; r < nr; ++r)
-          acc = detail::scalar_row_acc<R>(rp[r], x, w[r], acc);
-        op[x] = sp != nullptr ? sp[x] * acc : acc;
-      }
-    }
-}
-
-template <typename V, typename S>
-TSV_NOINLINE void generic_run(Grid3D<vec_value_t<V>>& g, const S& s,
-                              index steps, Workspace& ws) {
-  using T = vec_value_t<V>;
-  jacobi_run(g, steps, ws, kWsTmpGrid,
-             [&](const Grid3D<T>& in, Grid3D<T>& out) {
-               generic_step_region<V>(in, out, s, 0, g.nx(), 0, g.ny(), 0,
-                                      g.nz());
-             });
-}
-
-template <typename V, typename S>
-TSV_NOINLINE void tess_generic_run(Grid3D<vec_value_t<V>>& g, const S& s,
-                                   index steps, index bx, index by, index bz,
-                                   index bt, Workspace& ws) {
-  using T = vec_value_t<V>;
-  Grid3D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-  tmp.copy_halo_from(g);
-  tess3d_engine(g, tmp, steps, bt, S::radius, bx, by, bz,
-                [&](const Grid3D<T>& in, Grid3D<T>& out, index xlo, index xhi,
-                    index ylo, index yhi, index zlo, index zhi) {
-                  generic_step_region<V>(in, out, s, xlo, xhi, ylo, yhi, zlo,
-                                         zhi);
-                });
 }
 
 }  // namespace tsv

@@ -5,6 +5,11 @@
 // load — no inter-register data reorganization at all. This inflates the
 // CPU-memory transfer volume and incurs unaligned-access penalties, which is
 // exactly the behaviour the paper measures for this method.
+//
+// The unaligned-load row body below is shared with the generic interpreter
+// (vectorize/generic.hpp): multiload instantiates it with one output vector
+// per iteration — the paper's unblocked Table-2 baseline — and the
+// interpreter with four.
 
 #include "tsv/vectorize/method_common.hpp"
 
@@ -12,165 +17,90 @@ namespace tsv {
 
 namespace detail {
 
-/// Vector-accumulates all taps of one padded row at position x.
-template <typename V, int R>
-TSV_ALWAYS_INLINE V multiload_row_acc(const vec_value_t<V>* p, index x,
-                           const std::array<vec_value_t<V>, 2 * R + 1>& w,
-                           V acc) {
-  static_for<0, 2 * R + 1>([&]<int DXI>() {
-    if (w[DXI] != 0)
-      acc = fma(V::broadcast(w[DXI]), V::loadu(p + x + (DXI - R)), acc);
+/// Vector tap accumulate of one padded row over NB consecutive output
+/// vectors at x: one broadcast per live tap, NB unaligned loads + fused
+/// multiply-adds per broadcast.
+template <typename V, int R, int NB>
+TSV_ALWAYS_INLINE void unaligned_row_acc(
+    const vec_value_t<V>* p, index x,
+    const std::array<vec_value_t<V>, 2 * R + 1>& w, std::array<V, NB>& acc) {
+  static_for<0, 2 * R + 1>([&]<int DXI>() TSV_ALWAYS_INLINE_LAMBDA {
+    if (w[DXI] != 0) {
+      const V wv = V::broadcast(w[DXI]);
+      static_for<0, NB>([&]<int B>() TSV_ALWAYS_INLINE_LAMBDA {
+        acc[B] = fma(wv, V::loadu(p + x + B * V::width + (DXI - R)), acc[B]);
+      });
+    }
   });
-  return acc;
 }
 
-/// Scalar tap application on one padded row.
+/// Scalar tap application on one padded row, in dx order and rounded like
+/// the vector fma (madd), so rim cells match the vector body bit for bit.
 template <int R, typename T>
 TSV_ALWAYS_INLINE T scalar_row_acc(const T* p, index x,
                              const std::array<T, 2 * R + 1>& w, T acc) {
-  for (int dx = -R; dx <= R; ++dx) acc += w[dx + R] * p[x + dx];
+  for (int dx = -R; dx <= R; ++dx) acc = madd(w[dx + R], p[x + dx], acc);
   return acc;
+}
+
+/// NB output vectors at x from every tap row, each optionally scaled by the
+/// per-cell coefficient row @p sp (nullptr = no scale).
+template <typename V, int NB, typename Rows>
+TSV_ALWAYS_INLINE void unaligned_vectors(
+    const std::array<const vec_value_t<V>*, Rows::kCap>& rp,
+    vec_value_t<V>* op, const Rows& rows, index x, const vec_value_t<V>* sp) {
+  constexpr int W = V::width;
+  std::array<V, NB> acc;
+  static_for<0, NB>([&]<int B>() { acc[B] = V::zero(); });
+  for (int r = 0; r < rows.count(); ++r)
+    unaligned_row_acc<V, Rows::radius, NB>(rp[r], x, rows.w[r], acc);
+  static_for<0, NB>([&]<int B>() {
+    V v = acc[B];
+    if (sp != nullptr) v = v * V::loadu(sp + x + B * W);
+    v.storeu(op + x + B * W);
+  });
+}
+
+/// One output row over [xlo, xhi) from unaligned loads: NB output vectors
+/// per iteration, then single vectors, then scalar cells.
+template <typename V, int NB, typename Rows>
+TSV_ALWAYS_INLINE void unaligned_row(
+    const std::array<const vec_value_t<V>*, Rows::kCap>& rp,
+    vec_value_t<V>* op, const Rows& rows, index xlo, index xhi,
+    const vec_value_t<V>* sp) {
+  using T = vec_value_t<V>;
+  constexpr int W = V::width;
+  index x = xlo;
+  if constexpr (NB > 1)
+    for (; x + NB * W <= xhi; x += NB * W)
+      unaligned_vectors<V, NB>(rp, op, rows, x, sp);
+  for (; x + W <= xhi; x += W) unaligned_vectors<V, 1>(rp, op, rows, x, sp);
+  for (; x < xhi; ++x) {
+    T acc = 0;
+    for (int r = 0; r < rows.count(); ++r)
+      acc = scalar_row_acc<Rows::radius>(rp[r], x, rows.w[r], acc);
+    op[x] = sp != nullptr ? sp[x] * acc : acc;
+  }
 }
 
 }  // namespace detail
 
-// ---- 1D --------------------------------------------------------------------
-
-template <typename V, int R>
-TSV_NOINLINE void multiload_step_region(const Grid1D<vec_value_t<V>>& in,
-                           Grid1D<vec_value_t<V>>& out,
-                           const Stencil1D<R, vec_value_t<V>>& s, index xlo,
-                           index xhi) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  const T* ip = in.x0();
-  T* op = out.x0();
-  index x = xlo;
-  for (; x + W <= xhi; x += W) {
-    const V acc = detail::multiload_row_acc<V, R>(ip, x, s.w, V::zero());
-    acc.storeu(op + x);
-  }
-  for (; x < xhi; ++x)
-    op[x] = detail::scalar_row_acc<R>(ip, x, s.w, T(0));
+template <typename V, typename G, typename S>
+TSV_NOINLINE void multiload_step_region(const G& in, G& out, const S& s,
+                                        const Box& b) {
+  const auto rows = tap_rows(s);
+  walk_rows(b, rows, rows_of(in), rows_of(out),
+            [&](const auto& rp, vec_value_t<V>* op, index, index) {
+              detail::unaligned_row<V, 1>(rp, op, rows, b.xlo, b.xhi,
+                                          nullptr);
+            });
 }
 
-template <typename V, int R>
-TSV_NOINLINE void multiload_run(Grid1D<vec_value_t<V>>& g,
-                   const Stencil1D<R, vec_value_t<V>>& s, index steps,
-                   Workspace& ws) {
-  using T = vec_value_t<V>;
-  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid1D<T>& in,
-                                           Grid1D<T>& out) {
-    multiload_step_region<V>(in, out, s, 0, g.nx());
+template <typename V, typename G, typename S>
+TSV_NOINLINE void multiload_run(G& g, const S& s, index steps, Workspace& ws) {
+  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const G& in, G& out) {
+    multiload_step_region<V>(in, out, s, full_box(in));
   });
-}
-
-template <typename V, int R>
-void multiload_run(Grid1D<vec_value_t<V>>& g,
-                   const Stencil1D<R, vec_value_t<V>>& s, index steps) {
-  Workspace ws;
-  multiload_run<V>(g, s, steps, ws);
-}
-
-// ---- 2D --------------------------------------------------------------------
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void multiload_step_region(const Grid2D<vec_value_t<V>>& in,
-                           Grid2D<vec_value_t<V>>& out,
-                           const Stencil2D<R, NR, vec_value_t<V>>& s,
-                           index xlo, index xhi, index ylo, index yhi) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  for (index y = ylo; y < yhi; ++y) {
-    T* op = out.row(y);
-    std::array<const T*, NR> rp;
-    for (int r = 0; r < NR; ++r) rp[r] = in.row(y + s.rows[r].dy);
-    index x = xlo;
-    for (; x + W <= xhi; x += W) {
-      V acc = V::zero();
-      for (int r = 0; r < NR; ++r)
-        acc = detail::multiload_row_acc<V, R>(rp[r], x, w[r], acc);
-      acc.storeu(op + x);
-    }
-    for (; x < xhi; ++x) {
-      T acc = 0;
-      for (int r = 0; r < NR; ++r)
-        acc = detail::scalar_row_acc<R>(rp[r], x, w[r], acc);
-      op[x] = acc;
-    }
-  }
-}
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void multiload_run(Grid2D<vec_value_t<V>>& g,
-                   const Stencil2D<R, NR, vec_value_t<V>>& s, index steps,
-                   Workspace& ws) {
-  using T = vec_value_t<V>;
-  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid2D<T>& in,
-                                           Grid2D<T>& out) {
-    multiload_step_region<V>(in, out, s, 0, g.nx(), 0, g.ny());
-  });
-}
-
-template <typename V, int R, int NR>
-void multiload_run(Grid2D<vec_value_t<V>>& g,
-                   const Stencil2D<R, NR, vec_value_t<V>>& s, index steps) {
-  Workspace ws;
-  multiload_run<V>(g, s, steps, ws);
-}
-
-// ---- 3D --------------------------------------------------------------------
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void multiload_step_region(const Grid3D<vec_value_t<V>>& in,
-                           Grid3D<vec_value_t<V>>& out,
-                           const Stencil3D<R, NR, vec_value_t<V>>& s,
-                           index xlo, index xhi, index ylo, index yhi,
-                           index zlo, index zhi) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  for (index z = zlo; z < zhi; ++z)
-    for (index y = ylo; y < yhi; ++y) {
-      T* op = out.row(y, z);
-      std::array<const T*, NR> rp;
-      for (int r = 0; r < NR; ++r)
-        rp[r] = in.row(y + s.rows[r].dy, z + s.rows[r].dz);
-      index x = xlo;
-      for (; x + W <= xhi; x += W) {
-        V acc = V::zero();
-        for (int r = 0; r < NR; ++r)
-          acc = detail::multiload_row_acc<V, R>(rp[r], x, w[r], acc);
-        acc.storeu(op + x);
-      }
-      for (; x < xhi; ++x) {
-        T acc = 0;
-        for (int r = 0; r < NR; ++r)
-          acc = detail::scalar_row_acc<R>(rp[r], x, w[r], acc);
-        op[x] = acc;
-      }
-    }
-}
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void multiload_run(Grid3D<vec_value_t<V>>& g,
-                   const Stencil3D<R, NR, vec_value_t<V>>& s, index steps,
-                   Workspace& ws) {
-  using T = vec_value_t<V>;
-  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid3D<T>& in,
-                                           Grid3D<T>& out) {
-    multiload_step_region<V>(in, out, s, 0, g.nx(), 0, g.ny(), 0, g.nz());
-  });
-}
-
-template <typename V, int R, int NR>
-void multiload_run(Grid3D<vec_value_t<V>>& g,
-                   const Stencil3D<R, NR, vec_value_t<V>>& s, index steps) {
-  Workspace ws;
-  multiload_run<V>(g, s, steps, ws);
 }
 
 }  // namespace tsv

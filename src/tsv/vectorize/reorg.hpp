@@ -8,7 +8,9 @@
 // the trade-off the paper discusses.
 //
 // Vectorized spans must start at W-aligned x positions; regions with
-// unaligned edges fall back to scalar cells at the rims.
+// unaligned edges fall back to scalar cells at the rims. Both paths sum the
+// taps in dx order, so a cell's value does not depend on which path a tile
+// rim routes it through.
 
 #include "tsv/vectorize/method_common.hpp"
 #include "tsv/vectorize/multiload.hpp"
@@ -18,13 +20,14 @@ namespace tsv {
 namespace detail {
 
 /// Accumulates all taps of one padded row for the aligned vector at x
-/// (x % W == 0). Aligned loads of prev/cur/next + compile-time shifts.
+/// (x % W == 0), in dx order: left taps, centre, right taps. Aligned loads
+/// of prev/cur/next (each at most once, and only when a live tap needs it)
+/// + compile-time shifts.
 template <typename V, int R>
 TSV_ALWAYS_INLINE V reorg_row_acc(const vec_value_t<V>* p, index x,
                        const std::array<vec_value_t<V>, 2 * R + 1>& w, V acc) {
   constexpr int W = V::width;
   const V cur = V::load(p + x);
-  if (w[R] != 0) acc = fma(V::broadcast(w[R]), cur, acc);
 
   bool need_prev = false, need_next = false;
   for (int dx = -R; dx < 0; ++dx) need_prev |= (w[dx + R] != 0);
@@ -38,6 +41,7 @@ TSV_ALWAYS_INLINE V reorg_row_acc(const vec_value_t<V>* p, index x,
         acc = fma(V::broadcast(w[I]), concat_shift<W + dx>(prev, cur), acc);
     });
   }
+  if (w[R] != 0) acc = fma(V::broadcast(w[R]), cur, acc);
   if (need_next) {
     const V next = V::load(p + x + W);
     static_for<R + 1, 2 * R + 1>([&]<int I>() {
@@ -51,147 +55,39 @@ TSV_ALWAYS_INLINE V reorg_row_acc(const vec_value_t<V>* p, index x,
 
 }  // namespace detail
 
-// ---- 1D --------------------------------------------------------------------
-
-template <typename V, int R>
-TSV_NOINLINE void reorg_step_region(const Grid1D<vec_value_t<V>>& in,
-                       Grid1D<vec_value_t<V>>& out,
-                       const Stencil1D<R, vec_value_t<V>>& s, index xlo,
-                       index xhi) {
+template <typename V, typename G, typename S>
+TSV_NOINLINE void reorg_step_region(const G& in, G& out, const S& s,
+                                    const Box& b) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
-  const T* ip = in.x0();
-  T* op = out.x0();
-  index x = xlo;
-  const index xv = std::min(round_up(xlo, W), xhi);
-  for (; x < xv; ++x) op[x] = detail::scalar_row_acc<R>(ip, x, s.w, T(0));
-  for (; x + W <= xhi; x += W)
-    detail::reorg_row_acc<V, R>(ip, x, s.w, V::zero()).store(op + x);
-  for (; x < xhi; ++x) op[x] = detail::scalar_row_acc<R>(ip, x, s.w, T(0));
+  constexpr int R = S::radius;
+  const auto rows = tap_rows(s);
+  const index xv = std::min(round_up(b.xlo, W), b.xhi);
+  walk_rows(b, rows, rows_of(in), rows_of(out),
+            [&](const auto& rp, T* op, index, index) {
+              auto scalar_cell = [&](index x) {
+                T acc = 0;
+                for (int r = 0; r < rows.count(); ++r)
+                  acc = detail::scalar_row_acc<R>(rp[r], x, rows.w[r], acc);
+                op[x] = acc;
+              };
+              index x = b.xlo;
+              for (; x < xv; ++x) scalar_cell(x);
+              for (; x + W <= b.xhi; x += W) {
+                V acc = V::zero();
+                for (int r = 0; r < rows.count(); ++r)
+                  acc = detail::reorg_row_acc<V, R>(rp[r], x, rows.w[r], acc);
+                acc.store(op + x);
+              }
+              for (; x < b.xhi; ++x) scalar_cell(x);
+            });
 }
 
-template <typename V, int R>
-TSV_NOINLINE void reorg_run(Grid1D<vec_value_t<V>>& g,
-               const Stencil1D<R, vec_value_t<V>>& s, index steps,
-               Workspace& ws) {
-  using T = vec_value_t<V>;
-  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid1D<T>& in,
-                                           Grid1D<T>& out) {
-    reorg_step_region<V>(in, out, s, 0, g.nx());
+template <typename V, typename G, typename S>
+TSV_NOINLINE void reorg_run(G& g, const S& s, index steps, Workspace& ws) {
+  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const G& in, G& out) {
+    reorg_step_region<V>(in, out, s, full_box(in));
   });
-}
-
-template <typename V, int R>
-void reorg_run(Grid1D<vec_value_t<V>>& g,
-               const Stencil1D<R, vec_value_t<V>>& s, index steps) {
-  Workspace ws;
-  reorg_run<V>(g, s, steps, ws);
-}
-
-// ---- 2D --------------------------------------------------------------------
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void reorg_step_region(const Grid2D<vec_value_t<V>>& in,
-                       Grid2D<vec_value_t<V>>& out,
-                       const Stencil2D<R, NR, vec_value_t<V>>& s, index xlo,
-                       index xhi, index ylo, index yhi) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  for (index y = ylo; y < yhi; ++y) {
-    T* op = out.row(y);
-    std::array<const T*, NR> rp;
-    for (int r = 0; r < NR; ++r) rp[r] = in.row(y + s.rows[r].dy);
-    index x = xlo;
-    const index xv = std::min(round_up(xlo, W), xhi);
-    auto scalar_cell = [&](index xx) {
-      T acc = 0;
-      for (int r = 0; r < NR; ++r)
-        acc = detail::scalar_row_acc<R>(rp[r], xx, w[r], acc);
-      op[xx] = acc;
-    };
-    for (; x < xv; ++x) scalar_cell(x);
-    for (; x + W <= xhi; x += W) {
-      V acc = V::zero();
-      for (int r = 0; r < NR; ++r)
-        acc = detail::reorg_row_acc<V, R>(rp[r], x, w[r], acc);
-      acc.store(op + x);
-    }
-    for (; x < xhi; ++x) scalar_cell(x);
-  }
-}
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void reorg_run(Grid2D<vec_value_t<V>>& g,
-               const Stencil2D<R, NR, vec_value_t<V>>& s, index steps,
-               Workspace& ws) {
-  using T = vec_value_t<V>;
-  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid2D<T>& in,
-                                           Grid2D<T>& out) {
-    reorg_step_region<V>(in, out, s, 0, g.nx(), 0, g.ny());
-  });
-}
-
-template <typename V, int R, int NR>
-void reorg_run(Grid2D<vec_value_t<V>>& g,
-               const Stencil2D<R, NR, vec_value_t<V>>& s, index steps) {
-  Workspace ws;
-  reorg_run<V>(g, s, steps, ws);
-}
-
-// ---- 3D --------------------------------------------------------------------
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void reorg_step_region(const Grid3D<vec_value_t<V>>& in,
-                       Grid3D<vec_value_t<V>>& out,
-                       const Stencil3D<R, NR, vec_value_t<V>>& s, index xlo,
-                       index xhi, index ylo, index yhi, index zlo, index zhi) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  for (index z = zlo; z < zhi; ++z)
-    for (index y = ylo; y < yhi; ++y) {
-      T* op = out.row(y, z);
-      std::array<const T*, NR> rp;
-      for (int r = 0; r < NR; ++r)
-        rp[r] = in.row(y + s.rows[r].dy, z + s.rows[r].dz);
-      index x = xlo;
-      const index xv = std::min(round_up(xlo, W), xhi);
-      auto scalar_cell = [&](index xx) {
-        T acc = 0;
-        for (int r = 0; r < NR; ++r)
-          acc = detail::scalar_row_acc<R>(rp[r], xx, w[r], acc);
-        op[xx] = acc;
-      };
-      for (; x < xv; ++x) scalar_cell(x);
-      for (; x + W <= xhi; x += W) {
-        V acc = V::zero();
-        for (int r = 0; r < NR; ++r)
-          acc = detail::reorg_row_acc<V, R>(rp[r], x, w[r], acc);
-        acc.store(op + x);
-      }
-      for (; x < xhi; ++x) scalar_cell(x);
-    }
-}
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void reorg_run(Grid3D<vec_value_t<V>>& g,
-               const Stencil3D<R, NR, vec_value_t<V>>& s, index steps,
-               Workspace& ws) {
-  using T = vec_value_t<V>;
-  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid3D<T>& in,
-                                           Grid3D<T>& out) {
-    reorg_step_region<V>(in, out, s, 0, g.nx(), 0, g.ny(), 0, g.nz());
-  });
-}
-
-template <typename V, int R, int NR>
-void reorg_run(Grid3D<vec_value_t<V>>& g,
-               const Stencil3D<R, NR, vec_value_t<V>>& s, index steps) {
-  Workspace ws;
-  reorg_run<V>(g, s, steps, ws);
 }
 
 }  // namespace tsv

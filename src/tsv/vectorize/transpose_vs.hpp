@@ -233,45 +233,19 @@ TSV_DECLARE_TRANSPOSE_SWEEPS_FOR(VecF16)
 #endif
 #endif  // !TSV_KERNELS_TU
 
-// ---- full-grid steps (grids already in transpose layout) --------------------
+// ---- region step (grids already in transpose layout) ------------------------
 
-template <typename V, bool Stream = false, int R>
-void transpose_step(const Grid1D<vec_value_t<V>>& in,
-                    Grid1D<vec_value_t<V>>& out,
-                    const Stencil1D<R, vec_value_t<V>>& s) {
-  transpose_sweep_row<V, R, 1, Stream>({in.x0()}, out.x0(), {s.w}, in.nx());
-  if constexpr (Stream) stream_fence();
-}
-
-template <typename V, bool Stream = false, int R, int NR>
-void transpose_step(const Grid2D<vec_value_t<V>>& in,
-                    Grid2D<vec_value_t<V>>& out,
-                    const Stencil2D<R, NR, vec_value_t<V>>& s) {
-  using T = vec_value_t<V>;
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  for (index y = 0; y < in.ny(); ++y) {
-    std::array<const T*, NR> rp;
-    for (int r = 0; r < NR; ++r) rp[r] = in.row(y + s.rows[r].dy);
-    transpose_sweep_row<V, R, NR, Stream>(rp, out.row(y), w, in.nx());
-  }
-  if constexpr (Stream) stream_fence();  // once per step, not per row
-}
-
-template <typename V, bool Stream = false, int R, int NR>
-void transpose_step(const Grid3D<vec_value_t<V>>& in,
-                    Grid3D<vec_value_t<V>>& out,
-                    const Stencil3D<R, NR, vec_value_t<V>>& s) {
-  using T = vec_value_t<V>;
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  for (index z = 0; z < in.nz(); ++z)
-    for (index y = 0; y < in.ny(); ++y) {
-      std::array<const T*, NR> rp;
-      for (int r = 0; r < NR; ++r)
-        rp[r] = in.row(y + s.rows[r].dy, z + s.rows[r].dz);
-      transpose_sweep_row<V, R, NR, Stream>(rp, out.row(y, z), w, in.nx());
-    }
+/// One Jacobi step over box @p b of a transpose-layout grid of any rank.
+/// Stream = true fences once at the end.
+template <typename V, bool Stream = false, typename G, typename S>
+void transpose_step(const G& in, G& out, const S& s, const Box& b) {
+  using Rows = decltype(tap_rows(s));
+  const Rows rows = tap_rows(s);
+  walk_rows(b, rows, rows_of(in), rows_of(out),
+            [&](const auto& rp, vec_value_t<V>* op, index, index) {
+              transpose_sweep_row_region<V, S::radius, Rows::kCap, Stream>(
+                  rp, op, rows.w, in.nx(), b.xlo, b.xhi);
+            });
   if constexpr (Stream) stream_fence();  // once per step, not per row
 }
 
@@ -298,19 +272,13 @@ TSV_NOINLINE void transpose_vs_run(Grid& g, const S& s, index steps,
   block_transpose_grid<T, W>(g);
   if (stream)
     jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid& in, Grid& out) {
-      transpose_step<V, true>(in, out, s);
+      transpose_step<V, true>(in, out, s, full_box(in));
     });
   else
     jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid& in, Grid& out) {
-      transpose_step<V>(in, out, s);
+      transpose_step<V>(in, out, s, full_box(in));
     });
   block_transpose_grid<T, W>(g);
-}
-
-template <typename V, typename Grid, typename S>
-void transpose_vs_run(Grid& g, const S& s, index steps) {
-  Workspace ws;
-  transpose_vs_run<V>(g, s, steps, ws);
 }
 
 }  // namespace tsv

@@ -149,16 +149,9 @@ TSV_NOINLINE void unroll_jam_run(Grid1D<vec_value_t<V>>& g,
   if (rem > 0)
     jacobi_run(g, rem, ws, kWsTmpGrid, [&](const Grid1D<T>& in,
                                            Grid1D<T>& out) {
-      transpose_step<V>(in, out, s);
+      transpose_step<V>(in, out, s, full_box(in));
     });
   block_transpose_grid<T, W>(g);
-}
-
-template <typename V, int R, int K = 2>
-void unroll_jam_run(Grid1D<vec_value_t<V>>& g,
-                    const Stencil1D<R, vec_value_t<V>>& s, index steps) {
-  Workspace ws;
-  unroll_jam_run<V, R, K>(g, s, steps, ws);
 }
 
 // ---- 2D: ring of row buffers holding the intermediate level -----------------
@@ -198,15 +191,14 @@ class ScratchRow {
 /// 2D K=2 run driver (see header comment). Grid ends in original layout;
 /// the level-1 row ring and the remainder parity buffer live in @p ws.
 template <typename V, int R, int NR>
-TSV_NOINLINE void unroll_jam2_run(Grid2D<vec_value_t<V>>& g,
-                     const Stencil2D<R, NR, vec_value_t<V>>& s, index steps,
-                     Workspace& ws) {
+TSV_NOINLINE void unroll_jam_run(Grid2D<vec_value_t<V>>& g,
+                                 const Stencil2D<R, NR, vec_value_t<V>>& s,
+                                 index steps, Workspace& ws) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
   detail::require_transpose_conforming(g, W);
   const index nx = g.nx(), ny = g.ny();
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
+  const auto rows = tap_rows(s);
 
   block_transpose_grid<T, W>(g);
 
@@ -232,15 +224,15 @@ TSV_NOINLINE void unroll_jam2_run(Grid2D<vec_value_t<V>>& g,
         detail::ScratchRow<T>& dst = ring[ring_slot(yy)];
         dst.copy_halo(g.row(yy), nx, R);
         std::array<const T*, NR> rp;
-        for (int r = 0; r < NR; ++r) rp[r] = g.row(yy + s.rows[r].dy);
-        transpose_sweep_row<V, R, NR>(rp, dst.x0(), w, nx);
+        for (int r = 0; r < NR; ++r) rp[r] = g.row(yy + rows.dy[r]);
+        transpose_sweep_row<V, R, NR>(rp, dst.x0(), rows.w, nx);
       }
       const index y2 = yy - R;
       if (y2 >= 0 && y2 < ny) {
         // Level 2 of row y2 from the ring, written in place.
         std::array<const T*, NR> rp;
-        for (int r = 0; r < NR; ++r) rp[r] = row_l1(y2 + s.rows[r].dy);
-        transpose_sweep_row<V, R, NR>(rp, g.row(y2), w, nx);
+        for (int r = 0; r < NR; ++r) rp[r] = row_l1(y2 + rows.dy[r]);
+        transpose_sweep_row<V, R, NR>(rp, g.row(y2), rows.w, nx);
       }
     }
   }
@@ -248,16 +240,9 @@ TSV_NOINLINE void unroll_jam2_run(Grid2D<vec_value_t<V>>& g,
   if (rem > 0)
     jacobi_run(g, rem, ws, kWsTmpGrid, [&](const Grid2D<T>& in,
                                            Grid2D<T>& out) {
-      transpose_step<V>(in, out, s);
+      transpose_step<V>(in, out, s, full_box(in));
     });
   block_transpose_grid<T, W>(g);
-}
-
-template <typename V, int R, int NR>
-void unroll_jam2_run(Grid2D<vec_value_t<V>>& g,
-                     const Stencil2D<R, NR, vec_value_t<V>>& s, index steps) {
-  Workspace ws;
-  unroll_jam2_run<V>(g, s, steps, ws);
 }
 
 // ---- 3D: ring of plane buffers ----------------------------------------------
@@ -266,15 +251,14 @@ void unroll_jam2_run(Grid2D<vec_value_t<V>>& g,
 /// (Grid2D scratch, same row layout as g's planes); ring and remainder
 /// parity buffer live in @p ws.
 template <typename V, int R, int NR>
-TSV_NOINLINE void unroll_jam2_run(Grid3D<vec_value_t<V>>& g,
-                     const Stencil3D<R, NR, vec_value_t<V>>& s, index steps,
-                     Workspace& ws) {
+TSV_NOINLINE void unroll_jam_run(Grid3D<vec_value_t<V>>& g,
+                                 const Stencil3D<R, NR, vec_value_t<V>>& s,
+                                 index steps, Workspace& ws) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
   detail::require_transpose_conforming(g, W);
   const index nx = g.nx(), ny = g.ny(), nz = g.nz();
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
+  const auto rows = tap_rows(s);
 
   block_transpose_grid<T, W>(g);
 
@@ -307,8 +291,8 @@ TSV_NOINLINE void unroll_jam2_run(Grid3D<vec_value_t<V>>& g,
           for (index l = 0; l < R; ++l) d[nx + l] = srow[nx + l];
           std::array<const T*, NR> rp;
           for (int r = 0; r < NR; ++r)
-            rp[r] = g.row(y + s.rows[r].dy, zz + s.rows[r].dz);
-          transpose_sweep_row<V, R, NR>(rp, d, w, nx);
+            rp[r] = g.row(y + rows.dy[r], zz + rows.dz[r]);
+          transpose_sweep_row<V, R, NR>(rp, d, rows.w, nx);
         }
       }
       const index z2 = zz - R;
@@ -316,8 +300,8 @@ TSV_NOINLINE void unroll_jam2_run(Grid3D<vec_value_t<V>>& g,
         for (index y = 0; y < ny; ++y) {
           std::array<const T*, NR> rp;
           for (int r = 0; r < NR; ++r)
-            rp[r] = row_l1(y + s.rows[r].dy, z2 + s.rows[r].dz);
-          transpose_sweep_row<V, R, NR>(rp, g.row(y, z2), w, nx);
+            rp[r] = row_l1(y + rows.dy[r], z2 + rows.dz[r]);
+          transpose_sweep_row<V, R, NR>(rp, g.row(y, z2), rows.w, nx);
         }
       }
     }
@@ -326,16 +310,9 @@ TSV_NOINLINE void unroll_jam2_run(Grid3D<vec_value_t<V>>& g,
   if (rem > 0)
     jacobi_run(g, rem, ws, kWsTmpGrid, [&](const Grid3D<T>& in,
                                            Grid3D<T>& out) {
-      transpose_step<V>(in, out, s);
+      transpose_step<V>(in, out, s, full_box(in));
     });
   block_transpose_grid<T, W>(g);
-}
-
-template <typename V, int R, int NR>
-void unroll_jam2_run(Grid3D<vec_value_t<V>>& g,
-                     const Stencil3D<R, NR, vec_value_t<V>>& s, index steps) {
-  Workspace ws;
-  unroll_jam2_run<V>(g, s, steps, ws);
 }
 
 }  // namespace tsv

@@ -51,20 +51,21 @@ void check_blocked_m_matches_reference() {
   constexpr int W = V::width;
   const auto s3 = make_1d3p(0.32);
   const auto s5 = make_1d5p(0.06, 0.2, 0.45);
+  Workspace ws;
   for (index m : {1, 2, 3, 8, 16}) {
     const index nx = W * m * 8;
     Grid1D<double> ref(nx, 2), got(nx, 2);
     ref.fill(f1);
     got.fill(f1);
     reference_run(ref, s3, 4);
-    blocked_m_run<V, 1>(got, s3, 4, m);
+    blocked_m_run<V, 1>(got, s3, 4, m, ws);
     EXPECT_LE(max_abs_diff(ref, got), 1e-11) << "m=" << m << " W=" << W;
     if (m >= 2) {  // radius-2 stencil needs m >= R
       Grid1D<double> r2(nx, 2), g2(nx, 2);
       r2.fill(f1);
       g2.fill(f1);
       reference_run(r2, s5, 3);
-      blocked_m_run<V, 2>(g2, s5, 3, m);
+      blocked_m_run<V, 2>(g2, s5, 3, m, ws);
       EXPECT_LE(max_abs_diff(r2, g2), 1e-11) << "m=" << m << " W=" << W;
     }
   }
@@ -74,7 +75,7 @@ void check_blocked_m_matches_reference() {
   ref.fill(f1);
   got.fill(f1);
   reference_run(ref, s3, 5);
-  blocked_m_run<V, 1>(got, s3, 5, nx / W);
+  blocked_m_run<V, 1>(got, s3, 5, nx / W, ws);
   EXPECT_LE(max_abs_diff(ref, got), 1e-11);
 }
 
@@ -94,16 +95,17 @@ TEST(BlockedM, MatchesReferenceAvx512) {
 
 TEST(BlockedM, RejectsBadConfig) {
   auto s = make_1d5p();
+  Workspace ws;
   Grid1D<double> g(64, 2);
   g.fill(f1);
   // m < radius
-  EXPECT_THROW((blocked_m_run<Vec<double, 4>, 2>(g, s, 1, 1)),
+  EXPECT_THROW((blocked_m_run<Vec<double, 4>, 2>(g, s, 1, 1, ws)),
                std::invalid_argument);
   // nx not a multiple of W*m
   Grid1D<double> h(60, 1);
   h.fill(f1);
   auto s3 = make_1d3p();
-  EXPECT_THROW((blocked_m_run<Vec<double, 4>, 1>(h, s3, 1, 8)),
+  EXPECT_THROW((blocked_m_run<Vec<double, 4>, 1>(h, s3, 1, 8, ws)),
                std::invalid_argument);
 }
 

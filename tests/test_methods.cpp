@@ -5,10 +5,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <random>
+#include <tuple>
 
 #include "tsv/kernels/reference.hpp"
 #include "tsv/vectorize/autovec.hpp"
 #include "tsv/vectorize/dlt_method.hpp"
+#include "tsv/vectorize/generic.hpp"
 #include "tsv/vectorize/multiload.hpp"
 #include "tsv/vectorize/reorg.hpp"
 #include "tsv/vectorize/transpose_vs.hpp"
@@ -44,7 +47,8 @@ void expect_matches_reference_1d(index nx, index steps, const Stencil1D<R>& s,
   Grid1D<double> got = make_grid_1d<R>(nx);
   const Grid1D<double> before = got;  // bitwise snapshot
   reference_run(ref, s, steps);
-  method_fn(got, s, steps);
+  Workspace ws;
+  method_fn(got, s, steps, ws);
   EXPECT_LE(max_abs_diff(ref, got), kTol) << "nx=" << nx << " T=" << steps;
   // Halo must be bitwise untouched.
   for (index l = 1; l <= R; ++l) {
@@ -61,7 +65,8 @@ void expect_matches_reference_2d(index nx, index ny, index steps,
   ref.fill(field2);
   got.fill(field2);
   reference_run(ref, s, steps);
-  method_fn(got, s, steps);
+  Workspace ws;
+  method_fn(got, s, steps, ws);
   EXPECT_LE(max_abs_diff(ref, got), kTol)
       << "nx=" << nx << " ny=" << ny << " T=" << steps;
 }
@@ -73,7 +78,8 @@ void expect_matches_reference_3d(index nx, index ny, index nz, index steps,
   ref.fill(field3);
   got.fill(field3);
   reference_run(ref, s, steps);
-  method_fn(got, s, steps);
+  Workspace ws;
+  method_fn(got, s, steps, ws);
   EXPECT_LE(max_abs_diff(ref, got), kTol)
       << nx << "x" << ny << "x" << nz << " T=" << steps;
 }
@@ -91,64 +97,75 @@ void all_methods_1d() {
 
   for (index nx : conforming)
     for (index steps : steps_list) {
-      expect_matches_reference_1d(nx, steps, s3, [](auto& g, auto& s, index t) {
-        multiload_run<V>(g, s, t);
-      });
-      expect_matches_reference_1d(nx, steps, s3, [](auto& g, auto& s, index t) {
-        reorg_run<V>(g, s, t);
-      });
-      expect_matches_reference_1d(nx, steps, s3, [](auto& g, auto& s, index t) {
-        dlt_run<V>(g, s, t);
-      });
-      expect_matches_reference_1d(nx, steps, s3, [](auto& g, auto& s, index t) {
-        transpose_vs_run<V>(g, s, t);
-      });
-      expect_matches_reference_1d(nx, steps, s3, [](auto& g, auto& s, index t) {
-        unroll_jam_run<V, 1, 2>(g, s, t);
-      });
+      expect_matches_reference_1d(
+          nx, steps, s3, [](auto& g, auto& s, index t, Workspace& ws) {
+            multiload_run<V>(g, s, t, ws);
+          });
+      expect_matches_reference_1d(
+          nx, steps, s3, [](auto& g, auto& s, index t, Workspace& ws) {
+            reorg_run<V>(g, s, t, ws);
+          });
+      expect_matches_reference_1d(
+          nx, steps, s3, [](auto& g, auto& s, index t, Workspace& ws) {
+            dlt_run<V>(g, s, t, ws);
+          });
+      expect_matches_reference_1d(
+          nx, steps, s3, [](auto& g, auto& s, index t, Workspace& ws) {
+            transpose_vs_run<V>(g, s, t, ws);
+          });
+      expect_matches_reference_1d(
+          nx, steps, s3, [](auto& g, auto& s, index t, Workspace& ws) {
+            unroll_jam_run<V, 1, 2>(g, s, t, ws);
+          });
       // Radius-2 stencil.
-      expect_matches_reference_1d(nx, steps, s5, [](auto& g, auto& s, index t) {
-        reorg_run<V>(g, s, t);
-      });
-      expect_matches_reference_1d(nx, steps, s5, [](auto& g, auto& s, index t) {
-        transpose_vs_run<V>(g, s, t);
-      });
-      expect_matches_reference_1d(nx, steps, s5, [](auto& g, auto& s, index t) {
-        unroll_jam_run<V, 2, 2>(g, s, t);
-      });
+      expect_matches_reference_1d(
+          nx, steps, s5, [](auto& g, auto& s, index t, Workspace& ws) {
+            reorg_run<V>(g, s, t, ws);
+          });
+      expect_matches_reference_1d(
+          nx, steps, s5, [](auto& g, auto& s, index t, Workspace& ws) {
+            transpose_vs_run<V>(g, s, t, ws);
+          });
+      expect_matches_reference_1d(
+          nx, steps, s5, [](auto& g, auto& s, index t, Workspace& ws) {
+            unroll_jam_run<V, 2, 2>(g, s, t, ws);
+          });
       if (nx / W > 2)  // DLT's own minimum-size constraint for R = 2
-        expect_matches_reference_1d(nx, steps, s5,
-                                    [](auto& g, auto& s, index t) {
-                                      dlt_run<V>(g, s, t);
-                                    });
+        expect_matches_reference_1d(
+            nx, steps, s5, [](auto& g, auto& s, index t, Workspace& ws) {
+              dlt_run<V>(g, s, t, ws);
+            });
     }
 
   // Methods without layout constraints must handle awkward sizes.
   for (index nx : {static_cast<index>(2 * W + 3), static_cast<index>(101)}) {
-    expect_matches_reference_1d(nx, 3, s3, [](auto& g, auto& s, index t) {
-      multiload_run<V>(g, s, t);
-    });
-    expect_matches_reference_1d(nx, 3, s3, [](auto& g, auto& s, index t) {
-      reorg_run<V>(g, s, t);
-    });
-    expect_matches_reference_1d(nx, 3, s3, [](auto& g, auto& s, index t) {
-      autovec_run(g, s, t);
-    });
+    expect_matches_reference_1d(
+        nx, 3, s3, [](auto& g, auto& s, index t, Workspace& ws) {
+          multiload_run<V>(g, s, t, ws);
+        });
+    expect_matches_reference_1d(
+        nx, 3, s3, [](auto& g, auto& s, index t, Workspace& ws) {
+          reorg_run<V>(g, s, t, ws);
+        });
+    expect_matches_reference_1d(
+        nx, 3, s3, [](auto& g, auto& s, index t, Workspace& ws) {
+          autovec_run(g, s, t, ws);
+        });
   }
 
   // Unroll factors other than the paper's K=2, including odd K and K > 2.
   for (int rep = 0; rep < 1; ++rep) {
     expect_matches_reference_1d(3 * W * W, 5, s3,
-                                [](auto& g, auto& s, index t) {
-                                  unroll_jam_run<V, 1, 1>(g, s, t);
+                                [](auto& g, auto& s, index t, Workspace& ws) {
+                                  unroll_jam_run<V, 1, 1>(g, s, t, ws);
                                 });
     expect_matches_reference_1d(3 * W * W, 9, s3,
-                                [](auto& g, auto& s, index t) {
-                                  unroll_jam_run<V, 1, 3>(g, s, t);
+                                [](auto& g, auto& s, index t, Workspace& ws) {
+                                  unroll_jam_run<V, 1, 3>(g, s, t, ws);
                                 });
     expect_matches_reference_1d(3 * W * W, 8, s3,
-                                [](auto& g, auto& s, index t) {
-                                  unroll_jam_run<V, 1, 4>(g, s, t);
+                                [](auto& g, auto& s, index t, Workspace& ws) {
+                                  unroll_jam_run<V, 1, 4>(g, s, t, ws);
                                 });
   }
 }
@@ -164,27 +181,29 @@ TEST(Methods1D, Avx512) { all_methods_1d<Vec<double, 8>>(); }
 TEST(Methods1D, AutovecMatchesReference) {
   const auto s5 = make_1d5p(0.04, 0.21, 0.47);
   for (index steps : {0, 1, 5})
-    expect_matches_reference_1d(96, steps, s5, [](auto& g, auto& s, index t) {
-      autovec_run(g, s, t);
-    });
+    expect_matches_reference_1d(
+        96, steps, s5, [](auto& g, auto& s, index t, Workspace& ws) {
+          autovec_run(g, s, t, ws);
+        });
 }
 
 // ---- layout-constraint failure injection ------------------------------------
 
 TEST(Methods1D, LayoutMethodsRejectNonConformingSizes) {
   auto s = make_1d3p();
+  Workspace ws;
   // W = 2: transpose layout needs nx % 4 == 0, DLT needs nx % 2 == 0.
   Grid1D<double> g10(10, 1);
   g10.fill(field1);
-  EXPECT_THROW((transpose_vs_run<Vec<double, 2>>(g10, s, 1)),
+  EXPECT_THROW((transpose_vs_run<Vec<double, 2>>(g10, s, 1, ws)),
                std::invalid_argument);
-  EXPECT_THROW((unroll_jam_run<Vec<double, 2>, 1, 2>(g10, s, 1)),
+  EXPECT_THROW((unroll_jam_run<Vec<double, 2>, 1, 2>(g10, s, 1, ws)),
                std::invalid_argument);
   Grid1D<double> g11(11, 1);
   g11.fill(field1);
-  EXPECT_THROW((dlt_run<Vec<double, 2>>(g11, s, 1)), std::invalid_argument);
+  EXPECT_THROW((dlt_run<Vec<double, 2>>(g11, s, 1, ws)), std::invalid_argument);
   // Multiload has no constraint: same size must work.
-  EXPECT_NO_THROW((multiload_run<Vec<double, 2>>(g11, s, 1)));
+  EXPECT_NO_THROW((multiload_run<Vec<double, 2>>(g11, s, 1, ws)));
 }
 
 // ---- 2D ----------------------------------------------------------------------
@@ -199,48 +218,51 @@ void all_methods_2d() {
   for (index ny : {static_cast<index>(1), static_cast<index>(5)})
     for (index steps : {0, 1, 2, 5}) {
       expect_matches_reference_2d(nx, ny, steps, s5,
-                                  [](auto& g, auto& s, index t) {
-                                    multiload_run<V>(g, s, t);
+                                  [](auto& g, auto& s, index t, Workspace& ws) {
+                                    multiload_run<V>(g, s, t, ws);
                                   });
       expect_matches_reference_2d(nx, ny, steps, s5,
-                                  [](auto& g, auto& s, index t) {
-                                    reorg_run<V>(g, s, t);
+                                  [](auto& g, auto& s, index t, Workspace& ws) {
+                                    reorg_run<V>(g, s, t, ws);
                                   });
       expect_matches_reference_2d(nx, ny, steps, s5,
-                                  [](auto& g, auto& s, index t) {
-                                    dlt_run<V>(g, s, t);
+                                  [](auto& g, auto& s, index t, Workspace& ws) {
+                                    dlt_run<V>(g, s, t, ws);
                                   });
       expect_matches_reference_2d(nx, ny, steps, s5,
-                                  [](auto& g, auto& s, index t) {
-                                    transpose_vs_run<V>(g, s, t);
+                                  [](auto& g, auto& s, index t, Workspace& ws) {
+                                    transpose_vs_run<V>(g, s, t, ws);
                                   });
       expect_matches_reference_2d(nx, ny, steps, s5,
-                                  [](auto& g, auto& s, index t) {
-                                    unroll_jam2_run<V>(g, s, t);
+                                  [](auto& g, auto& s, index t, Workspace& ws) {
+                                    unroll_jam_run<V>(g, s, t, ws);
                                   });
       expect_matches_reference_2d(nx, ny, steps, s9,
-                                  [](auto& g, auto& s, index t) {
-                                    transpose_vs_run<V>(g, s, t);
+                                  [](auto& g, auto& s, index t, Workspace& ws) {
+                                    transpose_vs_run<V>(g, s, t, ws);
                                   });
       expect_matches_reference_2d(nx, ny, steps, s9,
-                                  [](auto& g, auto& s, index t) {
-                                    unroll_jam2_run<V>(g, s, t);
+                                  [](auto& g, auto& s, index t, Workspace& ws) {
+                                    unroll_jam_run<V>(g, s, t, ws);
                                   });
       expect_matches_reference_2d(nx, ny, steps, s9,
-                                  [](auto& g, auto& s, index t) {
-                                    reorg_run<V>(g, s, t);
+                                  [](auto& g, auto& s, index t, Workspace& ws) {
+                                    reorg_run<V>(g, s, t, ws);
                                   });
     }
 
-  expect_matches_reference_2d(nx, 7, 3, s9, [](auto& g, auto& s, index t) {
-    autovec_run(g, s, t);
-  });
-  expect_matches_reference_2d(nx, 7, 3, s9, [](auto& g, auto& s, index t) {
-    dlt_run<V>(g, s, t);
-  });
-  expect_matches_reference_2d(nx, 7, 3, s9, [](auto& g, auto& s, index t) {
-    multiload_run<V>(g, s, t);
-  });
+  expect_matches_reference_2d(
+      nx, 7, 3, s9, [](auto& g, auto& s, index t, Workspace& ws) {
+        autovec_run(g, s, t, ws);
+      });
+  expect_matches_reference_2d(
+      nx, 7, 3, s9, [](auto& g, auto& s, index t, Workspace& ws) {
+        dlt_run<V>(g, s, t, ws);
+      });
+  expect_matches_reference_2d(
+      nx, 7, 3, s9, [](auto& g, auto& s, index t, Workspace& ws) {
+        multiload_run<V>(g, s, t, ws);
+      });
 }
 
 TEST(Methods2D, GenericW2) { all_methods_2d<Vec<double, 2>>(); }
@@ -263,37 +285,37 @@ void all_methods_3d() {
   const index ny = 4, nz = 3;
   for (index steps : {0, 1, 2, 5}) {
     expect_matches_reference_3d(nx, ny, nz, steps, s7,
-                                [](auto& g, auto& s, index t) {
-                                  multiload_run<V>(g, s, t);
+                                [](auto& g, auto& s, index t, Workspace& ws) {
+                                  multiload_run<V>(g, s, t, ws);
                                 });
     expect_matches_reference_3d(nx, ny, nz, steps, s7,
-                                [](auto& g, auto& s, index t) {
-                                  reorg_run<V>(g, s, t);
+                                [](auto& g, auto& s, index t, Workspace& ws) {
+                                  reorg_run<V>(g, s, t, ws);
                                 });
     expect_matches_reference_3d(nx, ny, nz, steps, s7,
-                                [](auto& g, auto& s, index t) {
-                                  dlt_run<V>(g, s, t);
+                                [](auto& g, auto& s, index t, Workspace& ws) {
+                                  dlt_run<V>(g, s, t, ws);
                                 });
     expect_matches_reference_3d(nx, ny, nz, steps, s7,
-                                [](auto& g, auto& s, index t) {
-                                  transpose_vs_run<V>(g, s, t);
+                                [](auto& g, auto& s, index t, Workspace& ws) {
+                                  transpose_vs_run<V>(g, s, t, ws);
                                 });
     expect_matches_reference_3d(nx, ny, nz, steps, s7,
-                                [](auto& g, auto& s, index t) {
-                                  unroll_jam2_run<V>(g, s, t);
+                                [](auto& g, auto& s, index t, Workspace& ws) {
+                                  unroll_jam_run<V>(g, s, t, ws);
                                 });
     expect_matches_reference_3d(nx, ny, nz, steps, s27,
-                                [](auto& g, auto& s, index t) {
-                                  transpose_vs_run<V>(g, s, t);
+                                [](auto& g, auto& s, index t, Workspace& ws) {
+                                  transpose_vs_run<V>(g, s, t, ws);
                                 });
     expect_matches_reference_3d(nx, ny, nz, steps, s27,
-                                [](auto& g, auto& s, index t) {
-                                  unroll_jam2_run<V>(g, s, t);
+                                [](auto& g, auto& s, index t, Workspace& ws) {
+                                  unroll_jam_run<V>(g, s, t, ws);
                                 });
   }
   expect_matches_reference_3d(nx, ny, nz, 2, s27,
-                              [](auto& g, auto& s, index t) {
-                                autovec_run(g, s, t);
+                              [](auto& g, auto& s, index t, Workspace& ws) {
+                                autovec_run(g, s, t, ws);
                               });
 }
 
@@ -351,6 +373,140 @@ TEST(RegionSweep, WritesOnlyRangeAvx512) {
 }
 #endif
 
+// ---- region contract: one region sweep per method, every rank ----------------
+// The tiled drivers hand a region sweep one tile box at a time and rely on
+// its contract: every cell inside the box is bit-equal to a full-grid step,
+// every cell outside it (halo included) is untouched. Checked on random
+// sub-boxes against a sentinel fill, for each method's single region sweep
+// at ranks 1-3 in both dtypes. The layout methods (transpose, DLT) run in
+// their layout and are compared after the backward transform; the DLT box
+// counts x in DLT columns, so it covers cells whose x % (nx / W) lies in it.
+
+enum class Sweep { kAutovec, kMultiload, kReorg, kGeneric, kTranspose, kDlt };
+
+template <typename V, typename G, typename S>
+void check_region_contract(Sweep m, const S& s, std::mt19937& rng) {
+  using T = vec_value_t<V>;
+  constexpr int W = V::width;
+  const index h = S::radius;
+  const std::array<index, 3> ext{512, 7, 5};
+  const Box dom = full_box(make_grid<G>(ext, h));
+  const index L = dom.xhi / W;  // DLT columns per row
+  const T sentinel = T(-777.0);
+  // Every cell of a grid, halo included on the grid's own axes.
+  auto for_all = [&](auto&& f) {
+    const index hy = G::kRank >= 2 ? h : 0, hz = G::kRank >= 3 ? h : 0;
+    for (index z = dom.zlo - hz; z < dom.zhi + hz; ++z)
+      for (index y = dom.ylo - hy; y < dom.yhi + hy; ++y)
+        for (index x = -h; x < dom.xhi + h; ++x) f(x, y, z);
+  };
+  auto sweep = [&](const G& in, G& out, const Box& b) {
+    switch (m) {
+      case Sweep::kAutovec: autovec_step_region(in, out, s, b); break;
+      case Sweep::kMultiload: multiload_step_region<V>(in, out, s, b); break;
+      case Sweep::kReorg: reorg_step_region<V>(in, out, s, b); break;
+      case Sweep::kGeneric: generic_step_region<V>(in, out, s, b); break;
+      case Sweep::kTranspose: transpose_step<V>(in, out, s, b); break;
+      case Sweep::kDlt: dlt_step<V>(in, out, s, b); break;
+    }
+  };
+  // Logical layout -> the sweep's layout and back.
+  auto to_layout = [&](const G& g) {
+    G t = g;
+    if (m == Sweep::kTranspose) block_transpose_grid<T, W>(t);
+    if (m == Sweep::kDlt) dlt_forward_grid<T, W>(g, t);
+    return t;
+  };
+  auto to_logical = [&](const G& t) {
+    G g = t;
+    if (m == Sweep::kTranspose) block_transpose_grid<T, W>(g);
+    if (m == Sweep::kDlt) dlt_backward_grid<T, W>(t, g);
+    return g;
+  };
+  const index xdom = m == Sweep::kDlt ? L : dom.xhi;
+
+  G in = make_grid<G>(ext, h);
+  for_all([&](index x, index y, index z) {
+    row_at(in, y, z)[x] =
+        T(0.5 + 0.4 * std::sin(0.031 * double(x) + 0.7 * double(y) -
+                               0.3 * double(z)));
+  });
+  const G src = to_layout(in);
+  G full = src;
+  Box all = dom;
+  all.xhi = xdom;
+  sweep(src, full, all);
+  const G ref = to_logical(full);
+
+  auto draw = [&](index lo, index hi) {  // non-empty [a, b) in [lo, hi)
+    std::uniform_int_distribution<index> d(lo, hi - 1);
+    index a = d(rng), b = d(rng);
+    if (a > b) std::swap(a, b);
+    return std::pair<index, index>{a, b + 1};
+  };
+  for (int k = 0; k < 8; ++k) {
+    Box b = all;
+    if (k > 0) {  // k == 0: the whole domain
+      std::tie(b.xlo, b.xhi) = draw(0, xdom);
+      std::tie(b.ylo, b.yhi) = draw(dom.ylo, dom.yhi);
+      std::tie(b.zlo, b.zhi) = draw(dom.zlo, dom.zhi);
+    }
+    G out = make_grid<G>(ext, h);
+    for_all([&](index x, index y, index z) {
+      row_at(out, y, z)[x] = sentinel;
+    });
+    sweep(src, out, b);
+    const G got = to_logical(out);
+    index wrong = 0, leaked = 0;
+    for_all([&](index x, index y, index z) {
+      const bool interior = x >= 0 && x < dom.xhi && y >= dom.ylo &&
+                            y < dom.yhi && z >= dom.zlo && z < dom.zhi;
+      const index xb = m == Sweep::kDlt ? (interior ? x % L : -1) : x;
+      const bool inside = interior && xb >= b.xlo && xb < b.xhi &&
+                          y >= b.ylo && y < b.yhi && z >= b.zlo && z < b.zhi;
+      const T v = row_at(got, y, z)[x];
+      if (inside && !(v == row_at(ref, y, z)[x])) ++wrong;
+      if (!inside && !(v == sentinel)) ++leaked;
+    });
+    EXPECT_EQ(wrong, 0) << "sweep " << int(m) << " rank " << G::kRank
+                        << " W=" << W << " box x[" << b.xlo << "," << b.xhi
+                        << ") y[" << b.ylo << "," << b.yhi << ") z["
+                        << b.zlo << "," << b.zhi << ")";
+    EXPECT_EQ(leaked, 0) << "sweep " << int(m) << " rank " << G::kRank
+                         << " W=" << W;
+  }
+}
+
+template <typename V>
+void region_contract_all_sweeps() {
+  using T = vec_value_t<V>;
+  std::mt19937 rng(1234 + V::width);
+  for (Sweep m : {Sweep::kAutovec, Sweep::kMultiload, Sweep::kReorg,
+                  Sweep::kGeneric, Sweep::kTranspose, Sweep::kDlt}) {
+    check_region_contract<V, Grid1D<T>>(m, make_1d3p<T>(0.3), rng);
+    check_region_contract<V, Grid1D<T>>(m, make_1d5p<T>(), rng);
+    check_region_contract<V, Grid2D<T>>(m, make_2d5p<T>(), rng);
+    check_region_contract<V, Grid2D<T>>(m, make_2d9p<T>(), rng);
+    check_region_contract<V, Grid3D<T>>(m, make_3d7p<T>(), rng);
+    check_region_contract<V, Grid3D<T>>(m, make_3d27p<T>(), rng);
+  }
+}
+
+TEST(RegionContract, F64W2) { region_contract_all_sweeps<Vec<double, 2>>(); }
+TEST(RegionContract, F32W4) { region_contract_all_sweeps<Vec<float, 4>>(); }
+#if defined(__AVX2__)
+TEST(RegionContract, F64Avx2) { region_contract_all_sweeps<Vec<double, 4>>(); }
+TEST(RegionContract, F32Avx2) { region_contract_all_sweeps<Vec<float, 8>>(); }
+#endif
+#if defined(__AVX512F__)
+TEST(RegionContract, F64Avx512) {
+  region_contract_all_sweeps<Vec<double, 8>>();
+}
+TEST(RegionContract, F32Avx512) {
+  region_contract_all_sweeps<Vec<float, 16>>();
+}
+#endif
+
 // ---- float methods: every kernel in single precision -------------------------
 
 // Bounded away from zero: ULP comparisons are meaningful for O(1)-magnitude
@@ -370,7 +526,8 @@ void expect_matches_float_reference_1d(index nx, index steps,
   ref.fill(ffield1<float>);
   got.fill(ffield1<float>);
   reference_run(ref, s, steps);
-  method_fn(got, s, steps);
+  Workspace ws;
+  method_fn(got, s, steps, ws);
   EXPECT_LE(max_abs_diff(ref, got), accuracy_tolerance<float>(steps))
       << "nx=" << nx << " T=" << steps << " W=" << V::width;
 }
@@ -384,23 +541,33 @@ void all_float_methods_1d() {
     for (index steps : {0, 1, 2, 7}) {
       expect_matches_float_reference_1d<V>(
           nx, steps, s3,
-          [](auto& g, auto& s, index t) { multiload_run<V>(g, s, t); });
+          [](auto& g, auto& s, index t, Workspace& ws) {
+            multiload_run<V>(g, s, t, ws);
+          });
       expect_matches_float_reference_1d<V>(
           nx, steps, s3,
-          [](auto& g, auto& s, index t) { reorg_run<V>(g, s, t); });
+          [](auto& g, auto& s, index t, Workspace& ws) {
+            reorg_run<V>(g, s, t, ws);
+          });
       expect_matches_float_reference_1d<V>(
           nx, steps, s3,
-          [](auto& g, auto& s, index t) { dlt_run<V>(g, s, t); });
+          [](auto& g, auto& s, index t, Workspace& ws) {
+            dlt_run<V>(g, s, t, ws);
+          });
       expect_matches_float_reference_1d<V>(
           nx, steps, s3,
-          [](auto& g, auto& s, index t) { transpose_vs_run<V>(g, s, t); });
+          [](auto& g, auto& s, index t, Workspace& ws) {
+            transpose_vs_run<V>(g, s, t, ws);
+          });
       expect_matches_float_reference_1d<V>(
-          nx, steps, s3, [](auto& g, auto& s, index t) {
-            unroll_jam_run<V, 1, 2>(g, s, t);
+          nx, steps, s3, [](auto& g, auto& s, index t, Workspace& ws) {
+            unroll_jam_run<V, 1, 2>(g, s, t, ws);
           });
       expect_matches_float_reference_1d<V>(
           nx, steps, s5,
-          [](auto& g, auto& s, index t) { transpose_vs_run<V>(g, s, t); });
+          [](auto& g, auto& s, index t, Workspace& ws) {
+            transpose_vs_run<V>(g, s, t, ws);
+          });
     }
 }
 
@@ -416,6 +583,7 @@ template <typename V>
 void float_methods_2d_3d() {
   constexpr int W = V::width;
   const auto tol = [](index steps) { return accuracy_tolerance<float>(steps); };
+  Workspace ws;
   {
     const auto s = make_2d5p<float>(0.46, 0.13, 0.14);
     const index nx = W * W, ny = 5, steps = 3;
@@ -426,11 +594,11 @@ void float_methods_2d_3d() {
     ref.fill(f);
     got.fill(f);
     reference_run(ref, s, steps);
-    transpose_vs_run<V>(got, s, steps);
+    transpose_vs_run<V>(got, s, steps, ws);
     EXPECT_LE(max_abs_diff(ref, got), tol(steps)) << "2d W=" << W;
     Grid2D<float> got_uj(nx, ny, 1);
     got_uj.fill(f);
-    unroll_jam2_run<V>(got_uj, s, steps);
+    unroll_jam_run<V>(got_uj, s, steps, ws);
     EXPECT_LE(max_abs_diff(ref, got_uj), tol(steps)) << "2d uj W=" << W;
   }
   {
@@ -444,7 +612,7 @@ void float_methods_2d_3d() {
     ref.fill(f);
     got.fill(f);
     reference_run(ref, s, steps);
-    transpose_vs_run<V>(got, s, steps);
+    transpose_vs_run<V>(got, s, steps, ws);
     EXPECT_LE(max_abs_diff(ref, got), tol(steps)) << "3d W=" << W;
   }
 }
@@ -486,7 +654,8 @@ void float_tracks_double_within_ulps() {
   gd.fill([](index x) { return double(ffield1<float>(x)); });  // same values
   gf.fill(ffield1<float>);
   reference_run(gd, sd, steps);
-  transpose_vs_run<V>(gf, sf, steps);
+  Workspace ws;
+  transpose_vs_run<V>(gf, sf, steps, ws);
 
   // Rounding + reassociation contribute a few ulps per step, and boundary
   // cells see mild cancellation that amplifies the relative error; 4
@@ -519,9 +688,10 @@ TEST(Methods1D, WidthsAgreeWithEachOther) {
   const index nx = 4 * 64;  // conforming for W in {2, 4, 8}
   Grid1D<double> g2 = make_grid_1d<1>(nx), g4 = make_grid_1d<1>(nx),
                  g8 = make_grid_1d<1>(nx);
-  transpose_vs_run<Vec<double, 2>>(g2, s, 6);
-  transpose_vs_run<Vec<double, 4>>(g4, s, 6);
-  transpose_vs_run<Vec<double, 8>>(g8, s, 6);
+  Workspace ws;
+  transpose_vs_run<Vec<double, 2>>(g2, s, 6, ws);
+  transpose_vs_run<Vec<double, 4>>(g4, s, 6, ws);
+  transpose_vs_run<Vec<double, 8>>(g8, s, 6, ws);
   EXPECT_LE(max_abs_diff(g2, g4), kTol);
   EXPECT_LE(max_abs_diff(g4, g8), kTol);
 }

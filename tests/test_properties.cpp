@@ -22,6 +22,7 @@
 // printed with every failure, so any found divergence replays exactly.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
@@ -336,6 +337,96 @@ INSTANTIATE_TEST_SUITE_P(
       return "bx" + std::to_string(std::get<0>(info.param)) + "_bt" +
              std::to_string(std::get<1>(info.param));
     });
+
+// ---------------------------------------------------------------------------
+// Blocked == step-sliced. An active ExecControl makes TypedPlan::execute run
+// one step at a time, and its contract is that this slicing is
+// bit-identical to the blocked schedule. Tile rims move cells between a
+// kernel's vector and scalar paths, so any kernel whose two paths sum taps
+// in a different order breaks it. Every tessellated (method, rank, runnable
+// ISA, dtype) the registry claims, with a Dirichlet boundary, bt > 1 and a
+// bx that is no multiple of any vector width.
+// ---------------------------------------------------------------------------
+
+template <typename G>
+G sliced_test_grid(const Shape& sh) {
+  using T = typename G::value_type;
+  G g = make_grid<G>({sh.nx, sh.ny, sh.nz}, sh.halo);
+  auto v = [](index lin) {
+    return static_cast<T>(0.4 + 0.3 * std::sin(0.017 * double(lin)));
+  };
+  if constexpr (G::kRank == 1)
+    g.fill([&](index x) { return v(x); });
+  else if constexpr (G::kRank == 2)
+    g.fill([&](index x, index y) { return v(x + 613 * y); });
+  else
+    g.fill([&](index x, index y, index z) { return v(x + 613 * y + 71 * z); });
+  return g;
+}
+
+template <typename T>
+void expect_sliced_equals_blocked(const Shape& sh, StencilKind kind,
+                                  const Options& o, const std::string& what) {
+  const Plan plan = make_plan(sh, kind, o);
+  auto check = [&](auto blocked) {
+    auto sliced = blocked;
+    Workspace ws;
+    plan.execute(blocked, ws);
+    ExecControl far;  // active, but never fires
+    far.deadline = ExecControl::Clock::now() + std::chrono::hours(1);
+    plan.execute(sliced, ws, &far);
+    EXPECT_EQ(max_abs_diff(blocked, sliced), T(0)) << what;
+  };
+  switch (sh.rank) {
+    case 1: check(sliced_test_grid<Grid1D<T>>(sh)); break;
+    case 2: check(sliced_test_grid<Grid2D<T>>(sh)); break;
+    default: check(sliced_test_grid<Grid3D<T>>(sh)); break;
+  }
+}
+
+TEST(BlockedVsSliced, EveryTessellatedConfigIsBitIdentical) {
+  const StencilKind kinds[] = {StencilKind::k1d3p, StencilKind::k1d5p,
+                               StencilKind::k2d5p, StencilKind::k2d9p,
+                               StencilKind::k3d7p, StencilKind::k3d27p};
+  int checked = 0;
+  for (const Capability& cap : capabilities()) {
+    if (cap.tiling != Tiling::kTessellate) continue;
+    for (StencilKind kind : kinds) {
+      const int rank = stencil_kind_rank(kind);
+      const int radius = stencil_kind_radius(kind);
+      if (!cap.supports_rank(rank)) continue;
+      const Shape sh = rank == 1   ? shape1d(1024, radius)
+                       : rank == 2 ? shape2d(512, 37, radius)
+                                   : shape3d(256, 13, 19, radius);
+      for (Dtype dt : all_dtypes()) {
+        if (!cap.supports_dtype(dt)) continue;
+        for (Isa isa : runnable_isas()) {
+          Options o;
+          o.method = cap.method;
+          o.tiling = cap.tiling;
+          o.isa = isa;
+          o.dtype = dt;
+          o.steps = 8;
+          o.bx = 101;  // odd: tile rims cut through every vector width
+          o.by = 13;
+          o.bz = 9;
+          o.bt = 4;
+          o.threads = 2;
+          const std::string what =
+              std::string(method_name(cap.method)) + " " +
+              stencil_kind_name(kind) + " " + isa_name(isa) + " " +
+              dtype_name(dt);
+          if (dt == Dtype::kF32)
+            expect_sliced_equals_blocked<float>(sh, kind, o, what);
+          else
+            expect_sliced_equals_blocked<double>(sh, kind, o, what);
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
 
 // ---------------------------------------------------------------------------
 // Seeded randomized differential fuzzer.

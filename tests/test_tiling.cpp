@@ -4,7 +4,11 @@
 // every triangle/inverted-triangle/seam/boundary combination.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "tsv/kernels/reference.hpp"
 #include "tsv/tiling/tiled.hpp"
@@ -27,7 +31,8 @@ void check_1d(index nx, index steps, const Stencil1D<R>& s, Fn&& fn,
   ref.fill(f1);
   got.fill(f1);
   reference_run(ref, s, steps);
-  fn(got, s, steps);
+  Workspace ws;
+  fn(got, s, steps, ws);
   EXPECT_LE(max_abs_diff(ref, got), kTol)
       << what << " nx=" << nx << " T=" << steps;
 }
@@ -42,8 +47,8 @@ TEST(Tess1D, AutovecAllConfigs) {
         for (index steps : {0, 1, 3, 6, 7}) {
           if (tile_count(nx, bx) > 1 && bx < 2 * 1 * bt) continue;
           check_1d(nx, steps, s,
-                   [&](auto& g, auto& st, index t) {
-                     tess_autovec_run(g, st, t, bx, bt);
+                   [&](auto& g, auto& st, index t, Workspace& ws) {
+                     tess_autovec_run(g, st, t, {bx}, bt, ws);
                    },
                    "tess-autovec");
         }
@@ -56,8 +61,8 @@ TEST(Tess1D, AutovecRadius2) {
       for (index steps : {3, 8}) {
         if (24 < 2 * 2 * bt && bx == 24) continue;
         check_1d(96, steps, s,
-                 [&](auto& g, auto& st, index t) {
-                   tess_autovec_run(g, st, t, bx, bt);
+                 [&](auto& g, auto& st, index t, Workspace& ws) {
+                   tess_autovec_run(g, st, t, {bx}, bt, ws);
                  },
                  "tess-autovec-r2");
       }
@@ -73,8 +78,8 @@ void transpose_tiled_1d_sweep() {
       for (index steps : {0, 1, 4, 7}) {
         if (bx < 2 * bt) continue;
         check_1d(nx, steps, s,
-                 [&](auto& g, auto& st, index t) {
-                   tess_transpose_run<V>(g, st, t, bx, bt);
+                 [&](auto& g, auto& st, index t, Workspace& ws) {
+                   tess_transpose_run<V>(g, st, t, {bx}, bt, ws);
                  },
                  "tess-transpose");
       }
@@ -82,8 +87,8 @@ void transpose_tiled_1d_sweep() {
   const auto s5 = make_1d5p(0.06, 0.2, 0.44);
   for (index steps : {2, 5})
     check_1d(nx, steps, s5,
-             [&](auto& g, auto& st, index t) {
-               tess_transpose_run<V>(g, st, t, 2 * W * W, 2);
+             [&](auto& g, auto& st, index t, Workspace& ws) {
+               tess_transpose_run<V>(g, st, t, {2 * W * W}, 2, ws);
              },
              "tess-transpose-r2");
 }
@@ -106,16 +111,16 @@ void uj2_tiled_1d_sweep() {
       for (index steps : {0, 2, 4, 6, 7, 9}) {  // odd tails included
         if (bx < 2 * bt) continue;
         check_1d(nx, steps, s,
-                 [&](auto& g, auto& st, index t) {
-                   tess_transpose_uj2_run<V>(g, st, t, bx, bt);
+                 [&](auto& g, auto& st, index t, Workspace& ws) {
+                   tess_transpose_uj2_run<V>(g, st, t, {bx}, bt, ws);
                  },
                  "tess-uj2");
       }
   const auto s5 = make_1d5p(0.05, 0.22, 0.4);
   for (index steps : {4, 5})
     check_1d(nx, steps, s5,
-             [&](auto& g, auto& st, index t) {
-               tess_transpose_uj2_run<V>(g, st, t, 4 * W * W, 2);
+             [&](auto& g, auto& st, index t, Workspace& ws) {
+               tess_transpose_uj2_run<V>(g, st, t, {4 * W * W}, 2, ws);
              },
              "tess-uj2-r2");
 }
@@ -138,14 +143,16 @@ void sdsl_1d_sweep() {
       for (index steps : {0, 1, 4, 9}) {
         if (bi < 2 * bt) continue;
         check_1d(nx, steps, s,
-                 [&](auto& g, auto& st, index t) {
-                   sdsl_run<V>(g, st, t, bi, bt);
+                 [&](auto& g, auto& st, index t, Workspace& ws) {
+                   sdsl_run<V>(g, st, t, bi, bt, ws);
                  },
                  "sdsl");
       }
   const auto s5 = make_1d5p(0.07, 0.2, 0.42);
   check_1d(nx, 6, s5,
-           [&](auto& g, auto& st, index t) { sdsl_run<V>(g, st, t, 16, 2); },
+           [&](auto& g, auto& st, index t, Workspace& ws) {
+             sdsl_run<V>(g, st, t, 16, 2, ws);
+           },
            "sdsl-r2");
 }
 
@@ -162,13 +169,13 @@ TEST(Tess1D, MultiloadAndReorgTiled) {
   using V = Vec<double, 2>;
   for (index steps : {3, 6}) {
     check_1d(96, steps, s,
-             [&](auto& g, auto& st, index t) {
-               tess_multiload_run<V>(g, st, t, 32, 3);
+             [&](auto& g, auto& st, index t, Workspace& ws) {
+               tess_multiload_run<V>(g, st, t, {32}, 3, ws);
              },
              "tess-multiload");
     check_1d(96, steps, s,
-             [&](auto& g, auto& st, index t) {
-               tess_reorg_run<V>(g, st, t, 32, 3);
+             [&](auto& g, auto& st, index t, Workspace& ws) {
+               tess_reorg_run<V>(g, st, t, {32}, 3, ws);
              },
              "tess-reorg");
   }
@@ -184,7 +191,9 @@ TEST(Split1D, RaggedLastTileIsSafe) {
   const index nx = 2 * 123;
   for (index bt : {4, 16, 64})
     check_1d(nx, 9, s,
-             [&](auto& g, auto& st, index t) { sdsl_run<V>(g, st, t, 32, bt); },
+             [&](auto& g, auto& st, index t, Workspace& ws) {
+               sdsl_run<V>(g, st, t, 32, bt, ws);
+             },
              "sdsl-ragged");
 }
 
@@ -193,8 +202,8 @@ TEST(Tess1D, RaggedLastTileIsSafe) {
   for (index nx : {70, 100})
     for (index bt : {2, 4})
       check_1d(nx, 7, s,
-               [&](auto& g, auto& st, index t) {
-                 tess_autovec_run(g, st, t, 32, bt);
+               [&](auto& g, auto& st, index t, Workspace& ws) {
+                 tess_autovec_run(g, st, t, {32}, bt, ws);
                },
                "tess-ragged");
 }
@@ -204,10 +213,79 @@ TEST(Tess1D, RejectsBadBlocking) {
   Grid1D<double> g(64, 1);
   g.fill(f1);
   // Multiple tiles with bx < 2*r*bt must be rejected.
-  EXPECT_THROW(tess_autovec_run(g, s, 4, 8, 8), std::invalid_argument);
+  Workspace ws;
+  EXPECT_THROW(tess_autovec_run(g, s, 4, {8}, 8, ws), std::invalid_argument);
   // Odd bt for the pair scheme must be rejected.
-  EXPECT_THROW((tess_transpose_uj2_run<Vec<double, 2>>(g, s, 4, 16, 3)),
+  EXPECT_THROW((tess_transpose_uj2_run<Vec<double, 2>>(g, s, 4, {16}, 3, ws)),
                std::invalid_argument);
+}
+
+// ---- the tessellation engine's schedule ---------------------------------------
+// Drives the one engine directly on one thread with an advance callback that
+// records the unit each cell has reached. Every cell must advance exactly
+// once per unit, each box must be one time level, the parity buffers must
+// alternate with that level, and every in-domain input within `slope` of a
+// cell must be at the level being read — or one above, whose write went to
+// the other buffer — when the cell advances.
+
+void check_engine_schedule(int rank, index slope, index tau) {
+  const index blk = 2 * slope * tau + 3;  // legal; no extent is a multiple
+  const index n[3] = {2 * blk + 5, blk + 4, blk + 2};
+  std::array<index, 3> ext{1, 1, 1};
+  Blocks b{};  // axes beyond the rank stay untiled
+  for (int a = 0; a < rank; ++a) {
+    ext[a] = n[a];
+    b[a] = blk;
+  }
+  const index units = tau + 2;  // one full time block and a partial one
+  std::vector<index> level(static_cast<std::size_t>(ext[0] * ext[1] * ext[2]));
+  auto at = [&](index x, index y, index z) -> index& {
+    return level[static_cast<std::size_t>((z * ext[1] + y) * ext[0] + x)];
+  };
+  // The inputs of cell v along axis a: [lo(v), hi(v, a)).
+  auto lo = [&](index v) { return std::max<index>(0, v - slope); };
+  auto hi = [&](index v, int a) { return std::min(ext[a], v + slope + 1); };
+  Grid1D<float> A(1, 0), B(1, 0);  // the engine only routes and swaps them
+  index bad_box = 0, bad_buffer = 0, bad_input = 0;
+  tess_engine(A, B, ext, b, units, tau, slope,
+              [&](const Grid1D<float>& in, Grid1D<float>& out, const Box& r) {
+                const index l = at(r.xlo, r.ylo, r.zlo);
+                if (&in != (l % 2 == 0 ? &A : &B) ||
+                    &out != (l % 2 == 0 ? &B : &A))
+                  ++bad_buffer;
+                for (index z = r.zlo; z < r.zhi; ++z)
+                  for (index y = r.ylo; y < r.yhi; ++y)
+                    for (index x = r.xlo; x < r.xhi; ++x) {
+                      if (at(x, y, z) != l) ++bad_box;
+                      for (index zz = lo(z); zz < hi(z, 2); ++zz)
+                        for (index yy = lo(y); yy < hi(y, 1); ++yy)
+                          for (index xx = lo(x); xx < hi(x, 0); ++xx) {
+                            const index m = at(xx, yy, zz);
+                            if (m != l && m != l + 1) ++bad_input;
+                          }
+                      at(x, y, z) = l + 1;
+                    }
+              });
+  index wrong_count = 0;
+  for (index v : level) wrong_count += v != units;
+  const std::string what = "rank " + std::to_string(rank) + " slope " +
+                           std::to_string(slope) + " tau " +
+                           std::to_string(tau);
+  EXPECT_EQ(wrong_count, 0) << what;
+  EXPECT_EQ(bad_box, 0) << what;
+  EXPECT_EQ(bad_buffer, 0) << what;
+  EXPECT_EQ(bad_input, 0) << what;
+}
+
+TEST(TessEngine, EveryCellAdvancesOncePerUnitAfterItsInputs) {
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  for (int rank = 1; rank <= 3; ++rank)
+    for (index slope : {1, 2})  // slope R and 2R (unroll-and-jam pairs)
+      for (index tau = 1; tau <= 4; ++tau)
+        check_engine_schedule(rank, slope, tau);
+  for (index tau = 1; tau <= 4; ++tau) check_engine_schedule(1, 4, tau);
+  omp_set_num_threads(saved);
 }
 
 // ---- 2D ----------------------------------------------------------------------
@@ -219,7 +297,8 @@ void check_2d(index nx, index ny, index steps, const Stencil2D<R, NR>& s,
   ref.fill(f2);
   got.fill(f2);
   reference_run(ref, s, steps);
-  fn(got, s, steps);
+  Workspace ws;
+  fn(got, s, steps, ws);
   EXPECT_LE(max_abs_diff(ref, got), kTol)
       << what << " " << nx << "x" << ny << " T=" << steps;
 }
@@ -232,8 +311,8 @@ TEST(Tess2D, AutovecConfigs) {
         for (index steps : {0, 3, 7}) {
           if (bx < 2 * bt || by < 2 * bt) continue;
           check_2d(32, 24, steps, s,
-                   [&](auto& g, auto& st, index t) {
-                     tess_autovec_run(g, st, t, bx, by, bt);
+                   [&](auto& g, auto& st, index t, Workspace& ws) {
+                     tess_autovec_run(g, st, t, {bx, by}, bt, ws);
                    },
                    "tess2d-autovec");
         }
@@ -242,8 +321,8 @@ TEST(Tess2D, AutovecConfigs) {
 TEST(Tess2D, AutovecBox) {
   const auto s = make_2d9p(0.21, 0.1, 0.07);
   check_2d(32, 24, 6, s,
-           [&](auto& g, auto& st, index t) {
-             tess_autovec_run(g, st, t, 16, 12, 3);
+           [&](auto& g, auto& st, index t, Workspace& ws) {
+             tess_autovec_run(g, st, t, {16, 12}, 3, ws);
            },
            "tess2d-autovec-box");
 }
@@ -256,27 +335,29 @@ void tess2d_transpose_sweep() {
   const index nx = 4 * W * W;
   for (index steps : {0, 3, 6}) {
     check_2d(nx, 24, steps, s5,
-             [&](auto& g, auto& st, index t) {
-               tess_transpose_run<V>(g, st, t, 2 * W * W, 12, 3);
+             [&](auto& g, auto& st, index t, Workspace& ws) {
+               tess_transpose_run<V>(g, st, t, {2 * W * W, 12}, 3, ws);
              },
              "tess2d-transpose");
     check_2d(nx, 24, steps, s9,
-             [&](auto& g, auto& st, index t) {
-               tess_transpose_run<V>(g, st, t, 2 * W * W, 12, 3);
+             [&](auto& g, auto& st, index t, Workspace& ws) {
+               tess_transpose_run<V>(g, st, t, {2 * W * W, 12}, 3, ws);
              },
              "tess2d-transpose-box");
     check_2d(nx, 24, steps, s5,
-             [&](auto& g, auto& st, index t) {
-               tess_transpose_uj2_run<V>(g, st, t, 2 * W * W, 12, 2);
+             [&](auto& g, auto& st, index t, Workspace& ws) {
+               tess_transpose_uj2_run<V>(g, st, t, {2 * W * W, 12}, 2, ws);
              },
              "tess2d-uj2");
     check_2d(nx, 24, steps, s9,
-             [&](auto& g, auto& st, index t) {
-               tess_transpose_uj2_run<V>(g, st, t, 2 * W * W, 12, 2);
+             [&](auto& g, auto& st, index t, Workspace& ws) {
+               tess_transpose_uj2_run<V>(g, st, t, {2 * W * W, 12}, 2, ws);
              },
              "tess2d-uj2-box");
     check_2d(nx, 24, steps, s5,
-             [&](auto& g, auto& st, index t) { sdsl_run<V>(g, st, t, 12, 3); },
+             [&](auto& g, auto& st, index t, Workspace& ws) {
+               sdsl_run<V>(g, st, t, 12, 3, ws);
+             },
              "sdsl2d");
   }
 }
@@ -298,7 +379,8 @@ void check_3d(index nx, index ny, index nz, index steps,
   ref.fill(f3);
   got.fill(f3);
   reference_run(ref, s, steps);
-  fn(got, s, steps);
+  Workspace ws;
+  fn(got, s, steps, ws);
   EXPECT_LE(max_abs_diff(ref, got), kTol)
       << what << " " << nx << "x" << ny << "x" << nz << " T=" << steps;
 }
@@ -306,8 +388,8 @@ void check_3d(index nx, index ny, index nz, index steps,
 TEST(Tess3D, Autovec) {
   const auto s = make_3d7p(0.4, 0.1, 0.11, 0.09);
   check_3d(24, 16, 16, 5, s,
-           [&](auto& g, auto& st, index t) {
-             tess_autovec_run(g, st, t, 12, 8, 8, 2);
+           [&](auto& g, auto& st, index t, Workspace& ws) {
+             tess_autovec_run(g, st, t, {12, 8, 8}, 2, ws);
            },
            "tess3d-autovec");
 }
@@ -320,22 +402,24 @@ void tess3d_transpose_sweep() {
   const index nx = 2 * W * W;
   for (index steps : {0, 3, 6}) {
     check_3d(nx, 16, 16, steps, s7,
-             [&](auto& g, auto& st, index t) {
-               tess_transpose_run<V>(g, st, t, W * W, 8, 8, 2);
+             [&](auto& g, auto& st, index t, Workspace& ws) {
+               tess_transpose_run<V>(g, st, t, {W * W, 8, 8}, 2, ws);
              },
              "tess3d-transpose");
     check_3d(nx, 16, 16, steps, s7,
-             [&](auto& g, auto& st, index t) {
-               tess_transpose_uj2_run<V>(g, st, t, W * W, 8, 8, 2);
+             [&](auto& g, auto& st, index t, Workspace& ws) {
+               tess_transpose_uj2_run<V>(g, st, t, {W * W, 8, 8}, 2, ws);
              },
              "tess3d-uj2");
     check_3d(nx, 16, 16, steps, s27,
-             [&](auto& g, auto& st, index t) {
-               tess_transpose_uj2_run<V>(g, st, t, W * W, 8, 8, 2);
+             [&](auto& g, auto& st, index t, Workspace& ws) {
+               tess_transpose_uj2_run<V>(g, st, t, {W * W, 8, 8}, 2, ws);
              },
              "tess3d-uj2-box");
     check_3d(nx, 16, 16, steps, s7,
-             [&](auto& g, auto& st, index t) { sdsl_run<V>(g, st, t, 8, 2); },
+             [&](auto& g, auto& st, index t, Workspace& ws) {
+               sdsl_run<V>(g, st, t, 8, 2, ws);
+             },
              "sdsl3d");
   }
 }
