@@ -130,6 +130,18 @@ HealthCheck health_check_from_name(const std::string& name);
 /// autotuner's candidate seeding (tuner.cpp) so the two cannot drift.
 inline constexpr index kDefaultBxTarget = 4096;
 
+/// Elements per spatial block such that one tile's two parity regions fit a
+/// fraction of @p cache_bytes; rounded down to a 256-element granule (every
+/// layout rule accepts multiples of 256 at every compiled width/dtype).
+/// Sizes resolve's default 2D/3D tessellate tile and the tuner's seeds.
+inline index cache_fit_elems(index cache_bytes, index elem_size,
+                             double frac) {
+  const index raw =
+      static_cast<index>(static_cast<double>(cache_bytes) * frac) /
+      (2 * elem_size);
+  return raw < 256 ? index{256} : raw / 256 * 256;
+}
+
 struct Options {
   Method method = Method::kTranspose;
   Tiling tiling = Tiling::kNone;

@@ -1,6 +1,7 @@
 #include "tsv/core/plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "tsv/core/workspace.hpp"
@@ -184,13 +185,30 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
     }
     const index min_block = 2 * slope * tau;
 
-    // Per-axis blocks: x defaults to a cache-friendly target, y/z default to
-    // the full extent (one tile). A multi-tile axis must keep shrinking
+    // Per-axis blocks: x defaults to a cache-friendly target. Unset y/z
+    // blocks keep a grid whose two buffers fit half the per-thread L2 one
+    // tile; a larger grid gets the largest y (2D) or square y/z (3D) block
+    // whose tile fits that budget. A multi-tile axis must keep shrinking
     // triangles from inverting: block >= 2 * slope * tau.
     r.bx = o.bx > 0 ? o.bx
                     : std::min(shape.nx, std::max(min_block, kDefaultBxTarget));
-    r.by = rank >= 2 ? (o.by > 0 ? o.by : shape.ny) : 0;
-    r.bz = rank >= 3 ? (o.bz > 0 ? o.bz : shape.nz) : 0;
+    r.by = rank >= 2 ? o.by : 0;
+    r.bz = rank >= 3 ? o.bz : 0;
+    const int unset = (rank >= 2 && r.by <= 0) + (rank >= 3 && r.bz <= 0);
+    const index budget =
+        cache_fit_elems(cpu_info().l2_bytes, dtype_size(r.dtype), 0.5);
+    const index points = shape.nx * shape.ny * (rank >= 3 ? shape.nz : 1);
+    index blk = std::max(shape.ny, shape.nz);  // one tile
+    if (unset > 0 && points > budget) {
+      const double room =
+          static_cast<double>(budget) /
+          static_cast<double>(r.bx * std::max<index>(1, r.by) *
+                              std::max<index>(1, r.bz));
+      blk = std::max(min_block, static_cast<index>(
+                                    unset == 1 ? room : std::sqrt(room)));
+    }
+    if (rank >= 2 && r.by <= 0) r.by = std::min(blk, shape.ny);
+    if (rank >= 3 && r.bz <= 0) r.bz = std::min(blk, shape.nz);
 
     const struct {
       const char* name;

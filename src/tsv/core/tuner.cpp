@@ -426,16 +426,6 @@ std::size_t tune_cache_import_json(const std::string& path) {
 
 namespace {
 
-/// Elements per spatial block such that one tile's two parity regions fit a
-/// fraction of @p cache_bytes; rounded down to a 256-element granule (every
-/// layout rule accepts multiples of 256 at every compiled width/dtype).
-index cache_fit_elems(index cache_bytes, index elem_size, double frac) {
-  const index raw =
-      static_cast<index>(static_cast<double>(cache_bytes) * frac) /
-      (2 * elem_size);
-  return std::max<index>(256, raw / 256 * 256);
-}
-
 void push_unique(std::vector<index>& v, index x) {
   if (x > 0 && std::find(v.begin(), v.end(), x) == v.end()) v.push_back(x);
 }
@@ -543,30 +533,11 @@ std::vector<TunedBlocks> tune_candidates(int rank, index nx, index ny,
     push_unique(bxs, nx);  // one tile in x
   }
 
-  std::vector<index> bys{index{0}};
-  if (rank >= 2) {
-    bys.clear();
-    if (user.by > 0) {
-      bys.push_back(user.by);
-    } else {
-      bys.push_back(0);  // full extent (one tile)
-      const index rows_per_l2 = std::max<index>(1, l2e / std::max<index>(nx, 1));
-      push_unique(bys, std::min(rows_per_l2, ny));
-    }
-  }
-
-  std::vector<index> bzs{index{0}};
-  if (rank >= 3) {
-    bzs.clear();
-    if (user.bz > 0) {
-      bzs.push_back(user.bz);
-    } else {
-      bzs.push_back(0);  // full extent
-      const index planes = std::max<index>(
-          1, l2e / std::max<index>(nx * std::max<index>(ny, 1), 1));
-      push_unique(bzs, std::min(planes, nz));
-    }
-  }
+  // y/z: the user's block, or resolve's cache-fit default (0) and the
+  // full-extent one tile.
+  std::vector<index> bys{user.by}, bzs{user.bz};
+  if (rank >= 2 && user.by <= 0) bys.push_back(ny);
+  if (rank >= 3 && user.bz <= 0) bzs.push_back(nz);
 
   for (index bt : bts) {
     const index mb = min_block(bt);
@@ -586,10 +557,6 @@ std::vector<TunedBlocks> tune_candidates(int rank, index nx, index ny,
           b.bx = legal_axis(b.bx, nx);
           if (rank >= 2) b.by = legal_axis(b.by, ny);
           if (rank >= 3) b.bz = legal_axis(b.bz, nz);
-          // The heuristic x default is only legal when min(nx, target) >=
-          // mb; pre-empt an invalid resolve by pinning bx to the bound.
-          if (b.bx == 0 && std::min(nx, kDefaultBxTarget) < mb)
-            b.bx = std::min(nx, mb);
           push_unique(out, b);
         }
   }

@@ -1,8 +1,10 @@
 // Plan-engine tests: configure-once/execute-many semantics, default
-// resolution (ISA, threads, blocks), the unified split-tiling blocking rule,
+// resolution (ISA, threads, blocks), the cache-fit tessellate default
+// blocks, the unified split-tiling blocking rule,
 // structured ConfigError reporting, and the rank-erased StencilKind plans.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -237,6 +239,146 @@ TEST(Plan, ShapeMismatchAtExecute) {
 TEST(Plan, ShapeRankMismatchAtPlanTime) {
   EXPECT_THROW(make_plan(shape2d(128, 8), make_1d3p(), Options{}),
                ConfigError);
+}
+
+// ---- cache-fit default blocks (tessellate, rank 2/3) ------------------------
+//
+// Unset y/z blocks follow one cache model: a grid whose two buffers fit half
+// the per-thread L2 stays one tile; a larger one gets the largest y block
+// (2D) or square y/z block (3D) whose tile's two buffers fit that budget,
+// floored at 2*slope*tau and capped at the extent. Asserted on resolved
+// fields only, never on timing.
+
+index l2_budget_elems(Dtype dt) {
+  return cache_fit_elems(cpu_info().l2_bytes, dtype_size(dt), 0.5);
+}
+
+/// @p n rounded down to a multiple of 256 (legal for every layout rule).
+index x256(index n) { return std::max<index>(256, n / 256 * 256); }
+
+TEST(Plan, CacheFitDefaultTilesLargeGrids) {
+  // A 3d7p f64 tessellated solve over 2 x 212 MB buffers (transpose-uj2).
+  Options o;
+  o.method = Method::kTransposeUJ;
+  o.tiling = Tiling::kTessellate;
+  o.steps = 8;
+  o.threads = 3;
+  const Shape sh = shape3d(320, 288, 288);
+  const ResolvedOptions r = resolve_options(sh, 1, o);
+  // uj2 tessellates step pairs: slope 2r = 2, tau = bt/2 = 2.
+  ASSERT_EQ(r.bt, 4);
+  const index min_block = 2 * 2 * 2;
+  const index budget = l2_budget_elems(Dtype::kF64);
+  EXPECT_EQ(r.bx, 320);
+  EXPECT_LT(r.by, sh.ny);
+  EXPECT_LT(r.bz, sh.nz);
+  EXPECT_EQ(r.by, r.bz) << "3D default is a square y/z block";
+  EXPECT_GE(r.by, min_block);
+  if (r.by > min_block) {
+    EXPECT_LE(r.bx * r.by * r.bz, budget) << "tile must fit the L2 budget";
+    EXPECT_GT(r.bx * (r.by + 1) * (r.bz + 1), budget)
+        << "the largest square block that fits";
+  }
+
+  // 2D: the largest y block whose tile fits the budget.
+  o.method = Method::kTranspose;
+  const Shape sh2 = shape2d(1024, 4 * budget / 1024 + 64);
+  const ResolvedOptions r2 = resolve_options(sh2, 1, o);
+  EXPECT_EQ(r2.bx, 1024);
+  EXPECT_LT(r2.by, sh2.ny);
+  EXPECT_EQ(r2.by, std::max<index>(budget / 1024, 2 * r2.bt));
+}
+
+TEST(Plan, CacheFitDefaultKeepsSmallGridsOneTile) {
+  Options o;
+  o.method = Method::kTranspose;
+  o.tiling = Tiling::kTessellate;
+  o.steps = 8;
+  for (Dtype dt : all_dtypes()) {
+    o.dtype = dt;
+    const index budget = l2_budget_elems(dt);
+    // Two buffers that exactly fit the budget: still one tile.
+    const Shape sh2 = shape2d(256, budget / 256);
+    const ResolvedOptions r2 = resolve_options(sh2, 1, o);
+    EXPECT_EQ(r2.by, sh2.ny) << dtype_name(dt);
+    index side = 1;
+    while (256 * (side + 1) * (side + 1) <= budget) ++side;
+    const Shape sh3 = shape3d(256, side, side);
+    const ResolvedOptions r3 = resolve_options(sh3, 1, o);
+    EXPECT_EQ(r3.by, sh3.ny) << dtype_name(dt);
+    EXPECT_EQ(r3.bz, sh3.nz) << dtype_name(dt);
+    // Explicit blocks are never overridden.
+    o.by = 16;
+    o.bz = 8;
+    const ResolvedOptions pinned =
+        resolve_options(shape3d(256, 512, 512), 1, o);
+    EXPECT_EQ(pinned.by, 16);
+    EXPECT_EQ(pinned.bz, 8);
+    // One pinned axis leaves the rest of the budget to the other.
+    o.bz = 0;
+    const ResolvedOptions half =
+        resolve_options(shape3d(256, 512, 512), 1, o);
+    EXPECT_EQ(half.by, 16);
+    EXPECT_EQ(half.bz,
+              std::min<index>(512, std::max<index>(budget / (256 * 16), 8)));
+    o.by = o.bz = 0;
+  }
+}
+
+// Legality sweep: wherever explicit one-tile blocks (by = ny, bz = nz)
+// resolve, the cache-fit default must resolve too.
+TEST(Plan, CacheFitDefaultIsLegalWhereOneTileWas) {
+  const StencilKind kinds[] = {StencilKind::k2d5p, StencilKind::k2d9p,
+                               StencilKind::k3d7p, StencilKind::k3d27p};
+  int resolved = 0;
+  for (const Capability& cap : capabilities()) {
+    if (cap.tiling != Tiling::kTessellate) continue;
+    for (StencilKind kind : kinds) {
+      const int rank = stencil_kind_rank(kind);
+      const int radius = stencil_kind_radius(kind);
+      if (!cap.supports_rank(rank)) continue;
+      for (Dtype dt : all_dtypes()) {
+        const index budget = l2_budget_elems(dt);
+        // Well above the budget, just above it with short y/z extents (the
+        // floor and the cap meet), and a wide-x grid (bx alone fills L2).
+        const Shape shapes[] = {
+            rank == 2 ? shape2d(256, 4 * budget / 256, radius)
+                      : shape3d(256, 64, 4 * budget / (256 * 64), radius),
+            rank == 2 ? shape2d(2 * budget, 12, radius)
+                      : shape3d(x256(budget / 16), 5, 7, radius),
+            rank == 2 ? shape2d(budget / 2, 40, radius)
+                      : shape3d(x256(budget / 4), 24, 24, radius)};
+        for (const Shape& sh : shapes)
+          for (index bt : {0, 1, 2, 4, 8})
+            for (Boundary bc : {Boundary::kZero, Boundary::kPeriodic}) {
+              Options o;
+              o.method = cap.method;
+              o.tiling = cap.tiling;
+              o.dtype = dt;
+              o.steps = 8;
+              o.bt = bt;
+              o.boundary = BoundarySpec::uniform(bc);
+              Options one_tile = o;
+              one_tile.by = sh.ny;
+              one_tile.bz = rank >= 3 ? sh.nz : 0;
+              try {
+                resolve_options(sh, radius, one_tile);
+              } catch (const ConfigError&) {
+                continue;  // the old default was already illegal here
+              }
+              const std::string what =
+                  std::string(method_name(cap.method)) + " " +
+                  stencil_kind_name(kind) + " " + dtype_name(dt) + " " +
+                  std::to_string(sh.nx) + "x" + std::to_string(sh.ny) + "x" +
+                  std::to_string(sh.nz) + " bt=" + std::to_string(bt) + " " +
+                  boundary_name(bc);
+              EXPECT_NO_THROW(resolve_options(sh, radius, o)) << what;
+              ++resolved;
+            }
+      }
+    }
+  }
+  EXPECT_GT(resolved, 0);
 }
 
 // ---- rank-erased plans ------------------------------------------------------

@@ -429,6 +429,80 @@ TEST(BlockedVsSliced, EveryTessellatedConfigIsBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
+// Default blocks == one tile. The cache-fit default tiles y/z of grids whose
+// two buffers exceed half the per-thread L2. Blocking reorders the
+// traversal, never the arithmetic, so a default-block plan must be
+// bit-identical to the explicit one-tile plan (by = ny, bz = nz). Grids are
+// sized from the detected L2 so the default is multi-tile on any host.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+void expect_default_equals_one_tile(const Shape& sh, StencilKind kind,
+                                    Options o, const std::string& what) {
+  const Plan dflt = make_plan(sh, kind, o);
+  EXPECT_LT(dflt.config().by, sh.ny) << what << ": the default must tile y";
+  if (sh.rank >= 3)
+    EXPECT_LT(dflt.config().bz, sh.nz) << what << ": the default must tile z";
+  o.by = sh.ny;
+  o.bz = sh.rank >= 3 ? sh.nz : 0;
+  const Plan one_tile = make_plan(sh, kind, o);
+  auto check = [&](auto a) {
+    auto b = a;
+    Workspace ws;
+    dflt.execute(a, ws);
+    one_tile.execute(b, ws);
+    EXPECT_EQ(max_abs_diff(a, b), T(0)) << what;
+  };
+  if (sh.rank == 2)
+    check(sliced_test_grid<Grid2D<T>>(sh));
+  else
+    check(sliced_test_grid<Grid3D<T>>(sh));
+}
+
+TEST(DefaultBlocks, BitIdenticalToOneTile) {
+  int checked = 0;
+  for (const Capability& cap : capabilities()) {
+    if (cap.tiling != Tiling::kTessellate) continue;
+    for (StencilKind kind : {StencilKind::k2d9p, StencilKind::k3d7p}) {
+      const int rank = stencil_kind_rank(kind);
+      const int radius = stencil_kind_radius(kind);
+      if (!cap.supports_rank(rank)) continue;
+      for (Dtype dt : all_dtypes()) {
+        if (!cap.supports_dtype(dt)) continue;
+        const index budget =
+            cache_fit_elems(cpu_info().l2_bytes, dtype_size(dt), 0.5);
+        // nx = 256 is legal for every layout rule; y/z span about three
+        // default tiles plus a ragged remainder.
+        index side = 1;
+        while (256 * (side + 1) * (side + 1) <= budget) ++side;
+        const Shape sh = rank == 2 ? shape2d(256, 3 * budget / 256 + 7, radius)
+                                   : shape3d(256, 3 * side + 5, 3 * side + 3,
+                                             radius);
+        for (Boundary bc : {Boundary::kZero, Boundary::kPeriodic}) {
+          if (!cap.supports_boundary(bc)) continue;
+          Options o;
+          o.method = cap.method;
+          o.tiling = cap.tiling;
+          o.dtype = dt;
+          o.steps = 6;
+          o.threads = 2;
+          o.boundary = BoundarySpec::uniform(bc);
+          const std::string what = std::string(method_name(cap.method)) +
+                                   " " + stencil_kind_name(kind) + " " +
+                                   dtype_name(dt) + " " + boundary_name(bc);
+          if (dt == Dtype::kF32)
+            expect_default_equals_one_tile<float>(sh, kind, o, what);
+          else
+            expect_default_equals_one_tile<double>(sh, kind, o, what);
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+// ---------------------------------------------------------------------------
 // Seeded randomized differential fuzzer.
 //
 // Every iteration draws one registry capability and randomizes everything a

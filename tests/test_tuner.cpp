@@ -48,6 +48,31 @@ TEST(Tuner, CandidatesIncludeDefaultAndRespectPins) {
   EXPECT_GT(cands.size(), 1u) << "unpinned bt should produce alternatives";
 }
 
+// The y/z seeds are resolve's cache-fit default (a 0 block) and the
+// full-extent one tile; the tuner keeps no cache-ladder seeds of its own.
+TEST(Tuner, CandidatesSeedYzFromResolveDefaultAndOneTile) {
+  const Options user;
+  const struct {
+    int rank;
+    index nx, ny, nz;
+  } shapes[] = {{2, 1024, 4096, 1}, {3, 256, 256, 256}};
+  for (const auto& sh : shapes) {
+    const auto cands =
+        tune_candidates(sh.rank, sh.nx, sh.ny, sh.nz, 1, Tiling::kTessellate,
+                        false, 16, user);
+    ASSERT_FALSE(cands.empty());
+    EXPECT_EQ(cands.front(), (TunedBlocks{0, 0, 0, 0}));
+    bool one_tile = false;
+    for (const TunedBlocks& b : cands) {
+      EXPECT_TRUE(b.by == 0 || b.by == sh.ny) << "rank " << sh.rank;
+      if (sh.rank >= 3) EXPECT_TRUE(b.bz == 0 || b.bz == sh.nz);
+      one_tile = one_tile || (b.by == sh.ny && (sh.rank < 3 || b.bz == sh.nz));
+    }
+    EXPECT_TRUE(one_tile) << "rank " << sh.rank
+                          << ": the one-tile alternative must stay";
+  }
+}
+
 TEST(Tuner, TrialStepsAreBudgetCapped) {
   // Small grid: trials run two full time blocks.
   EXPECT_EQ(tune_trial_steps(4096, 32, 1000), 64);
@@ -294,6 +319,29 @@ TEST(Tuner, ConcurrentDistinctKeysAllLand) {
     make_plan(shape1d(nx), s, tess_options(Tune::kCached, 8));
     EXPECT_EQ(tune_cache_size(), before) << "nx=" << nx;
   }
+}
+
+// A 2D warm start: the imported decision replays with zero timed trials and
+// resolves to the same blocks, whether it stored a cache-fit 0 or a
+// concrete block.
+TEST(Tuner, WarmStart2DRunsZeroTrials) {
+  tune_cache_clear();
+  const index budget =
+      cache_fit_elems(cpu_info().l2_bytes, dtype_size(Dtype::kF64), 0.5);
+  const Shape shape = shape2d(256, 2 * budget / 256);
+  const auto s = make_2d5p();
+  const Options o = tess_options(Tune::kCached, 8);
+  const auto cold = make_plan(shape, s, o);
+  const std::string json = tune_cache_to_json();
+
+  tune_cache_clear();
+  tune_counters_reset();
+  ASSERT_EQ(tune_cache_from_json(json), 1u);
+  const auto warm = make_plan(shape, s, o);
+  EXPECT_EQ(tune_counters().trial_executions, 0u);
+  EXPECT_EQ(tune_counters().trial_searches, 0u);
+  EXPECT_EQ(warm.config().by, cold.config().by);
+  EXPECT_EQ(warm.config().bt, cold.config().bt);
 }
 
 // Rank-erased plans tune through the same path.
