@@ -26,7 +26,7 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 
 constexpr const char* kSiteNames[kFaultSiteCount] = {
     "workspace.alloc", "plan.build", "executor.dispatch", "shard.exchange",
-    "kernel.sweep",
+    "kernel.sweep",    "workspace.slot",
 };
 
 }  // namespace

@@ -25,17 +25,21 @@
 //
 // Fault injection
 // ---------------
-// Five named fault points thread through the execution stack:
+// Six named fault points thread through the execution stack:
 //
 //   workspace.alloc     WorkspacePool::checkout, before any allocation
 //   plan.build          PlanCache::get, before make_plan
 //   executor.dispatch   Scheduler gang, before a group's execution starts
 //   shard.exchange      ShardedPlan halo-exchange wave
 //   kernel.sweep        TypedPlan::execute, before the kernel dispatch
+//   workspace.slot      Workspace::slot, before a scratch buffer is created
 //
 // Every site fires BEFORE the step it guards mutates anything and throws
 // TransientError, so a fault is always retry-safe: re-running the same plan
-// from the same input is bit-identical to a fault-free run. That re-run is
+// from the same input is bit-identical to a fault-free run. workspace.slot
+// is the one site inside a plan's execution; it is pre-mutation because
+// TypedPlan::execute creates every slot a run uses (prepare) before its
+// first write to the grid, so a real bad_alloc there is too. That re-run is
 // the only recovery path — the Scheduler's retry_budget for requests, one
 // in-place retry per wave for sharded plans — so a recovered request always
 // runs the configuration it was planned for.
@@ -184,8 +188,9 @@ enum class FaultSite : int {
   kGangDispatch = 2,   // "executor.dispatch"
   kShardExchange = 3,   // "shard.exchange"
   kKernelSweep = 4,     // "kernel.sweep"
+  kWorkspaceSlot = 5,   // "workspace.slot"
 };
-inline constexpr int kFaultSiteCount = 5;
+inline constexpr int kFaultSiteCount = 6;
 
 const char* fault_site_name(FaultSite site) noexcept;
 

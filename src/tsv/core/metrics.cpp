@@ -81,7 +81,8 @@ std::string metrics_to_json(const MetricsSnapshot& m) {
     section("scheduler");
     os << "{\"submitted\":" << s.submitted << ",\"admitted\":" << s.admitted
        << ",\"rejected\":" << s.rejected << ",\"shed\":" << s.shed
-       << ",\"coalesced\":" << s.coalesced << ",\"completed\":" << s.completed
+       << ",\"coalesced\":" << s.coalesced << ",\"digests\":" << s.digests
+       << ",\"completed\":" << s.completed
        << ",\"failed\":" << s.failed
        << ",\"deadline_missed\":" << s.deadline_missed
        << ",\"retries\":" << s.retries
@@ -237,6 +238,10 @@ std::string metrics_to_prometheus(const MetricsSnapshot& m) {
             "Queued requests dropped to make room for newer work.", s.shed);
     counter("tsv_scheduler_coalesced_total",
             "Requests served by another request's execution.", s.coalesced);
+    counter("tsv_scheduler_digests_total",
+            "Grid content digests computed for coalescing (plan-key "
+            "matches only).",
+            s.digests);
     counter("tsv_scheduler_completed_total",
             "Requests completed successfully.", s.completed);
     counter("tsv_scheduler_failed_total",
@@ -366,6 +371,10 @@ std::vector<std::string> metrics_check_invariants(const MetricsSnapshot& m,
           s.completed);
     check(s.coalesced <= s.admitted, "scheduler: coalesced <= admitted",
           s.coalesced, s.admitted);
+    check(s.coalesced <= s.digests, "scheduler: coalesced <= digests",
+          s.coalesced, s.digests);
+    check(s.digests <= s.submitted, "scheduler: digests <= submitted",
+          s.digests, s.submitted);
     if (idle) {
       check(s.completed + s.failed + s.shed == s.admitted,
             "scheduler idle: completed + failed + shed == admitted",

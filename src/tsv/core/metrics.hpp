@@ -97,6 +97,7 @@ std::string metrics_to_prometheus(const MetricsSnapshot& m);
 ///           cancelled + timed_out <= failed
 ///           per-class latency counts sum == completed
 ///           deadline_missed <= completed; coalesced <= admitted
+///           coalesced <= digests <= submitted
 ///           workspace free + in_flight <= created
 ///           tuner memo_hits <= lookups, db_warm_hits <= memo_hits
 ///           per-site fault fires <= passes

@@ -188,7 +188,8 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
     // Per-axis blocks: x defaults to a cache-friendly target. Unset y/z
     // blocks keep a grid whose two buffers fit half the per-thread L2 one
     // tile; a larger grid gets the largest y (2D) or square y/z (3D) block
-    // whose tile fits that budget. A multi-tile axis must keep shrinking
+    // whose tile fits that budget. When the square's z side caps at nz, y
+    // takes the budget z cannot use. A multi-tile axis must keep shrinking
     // triangles from inverting: block >= 2 * slope * tau.
     r.bx = o.bx > 0 ? o.bx
                     : std::min(shape.nx, std::max(min_block, kDefaultBxTarget));
@@ -198,8 +199,9 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
     const index budget =
         cache_fit_elems(cpu_info().l2_bytes, dtype_size(r.dtype), 0.5);
     const index points = shape.nx * shape.ny * (rank >= 3 ? shape.nz : 1);
+    const bool fit = unset > 0 && points > budget;
     index blk = std::max(shape.ny, shape.nz);  // one tile
-    if (unset > 0 && points > budget) {
+    if (fit) {
       const double room =
           static_cast<double>(budget) /
           static_cast<double>(r.bx * std::max<index>(1, r.by) *
@@ -207,8 +209,12 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
       blk = std::max(min_block, static_cast<index>(
                                     unset == 1 ? room : std::sqrt(room)));
     }
+    if (rank >= 3 && r.bz <= 0) {
+      r.bz = std::min(blk, shape.nz);
+      if (fit && unset == 2 && r.bz < blk)
+        blk = std::max(min_block, budget / (r.bx * r.bz));
+    }
     if (rank >= 2 && r.by <= 0) r.by = std::min(blk, shape.ny);
-    if (rank >= 3 && r.bz <= 0) r.bz = std::min(blk, shape.nz);
 
     const struct {
       const char* name;

@@ -176,6 +176,17 @@ using grid_value_t = typename grid_value<G>::type;
 
 template <typename G, typename S>
 using ExecFn = void (*)(G&, const S&, const ResolvedOptions&, Workspace&);
+template <typename G, typename S>
+using PrepFn = void (*)(const G&, const S&, const ResolvedOptions&,
+                        Workspace&);
+
+/// One bound kernel: the driver, and the prepare step that creates every
+/// workspace slot the driver fetches for the same grid and options.
+template <typename G, typename S>
+struct Kernel {
+  ExecFn<G, S> run = nullptr;
+  PrepFn<G, S> prepare = nullptr;
+};
 
 /// The kernel adapters: each (method, tiling) combination defined ONCE.
 /// Every driver serves ranks 1-3, so no adapter branches on the rank: the
@@ -255,13 +266,38 @@ struct Exec {
                            Workspace& ws) {
     tess_generic_run<V>(g, s, r.steps, blocks(r), r.bt, ws);
   }
+
+  // -- the workspace slots each driver fetches (TypedPlan::prepare) ---------
+  static void parity_slot(const G& g, const S&, const ResolvedOptions&,
+                          Workspace& ws) {
+    ws_grid_like(ws, kWsTmpGrid, g);
+  }
+  static void dlt_slots(const G& g, const S&, const ResolvedOptions&,
+                        Workspace& ws) {
+    ws_grid_like(ws, kWsDltA, g);
+    ws_grid_like(ws, kWsTmpGrid, g);
+  }
+  static void split_dlt_slots(const G& g, const S&, const ResolvedOptions&,
+                              Workspace& ws) {
+    ws_grid_like(ws, kWsDltA, g);
+    ws_grid_like(ws, kWsDltB, g);
+  }
+  static void transpose_uj_slots(const G& g, const S&,
+                                 const ResolvedOptions& r, Workspace& ws) {
+    unroll_jam_prepare<S::radius>(g, r.steps, ws);
+  }
+  static void tess_transpose_uj_slots(const G& g, const S& s,
+                                      const ResolvedOptions& r,
+                                      Workspace& ws) {
+    tess_transpose_uj2_prepare<V>(g, s, blocks(r), ws);
+  }
 };
 
 /// Enum -> kernel adapter for one vector width. The one and only
-/// method/tiling switch, shared by every rank. Returns nullptr for
+/// method/tiling switch, shared by every rank. Returns an empty Kernel for
 /// combinations the registry must not claim.
 template <typename V, typename G, typename S>
-ExecFn<G, S> exec_for(Method m, Tiling t) {
+Kernel<G, S> exec_for(Method m, Tiling t) {
   using E = Exec<V, G, S>;
   // Runtime-row descriptors (lowered GenericStencils) execute ONLY through
   // the generic interpreter. The branch below is `if constexpr` on purpose:
@@ -269,46 +305,52 @@ ExecFn<G, S> exec_for(Method m, Tiling t) {
   // layout kernels (transpose, DLT, unroll&jam) sweep a compile-time row
   // count — they must never be bound to a runtime-row descriptor.
   if constexpr (is_generic_stencil_v<S>) {
-    if (m != Method::kGeneric) return nullptr;
-    return t == Tiling::kNone        ? &E::generic
-           : t == Tiling::kTessellate ? &E::tess_generic
-                                       : nullptr;
+    if (m != Method::kGeneric) return {};
+    if (t == Tiling::kNone) return {&E::generic, &E::parity_slot};
+    if (t == Tiling::kTessellate) return {&E::tess_generic, &E::parity_slot};
+    return {};
   } else {
     switch (t) {
       case Tiling::kNone:
         switch (m) {
-          case Method::kScalar: return &E::scalar;
-          case Method::kAutoVec: return &E::autovec;
-          case Method::kMultiLoad: return &E::multiload;
-          case Method::kReorg: return &E::reorg;
-          case Method::kDlt: return &E::dlt;
-          case Method::kTranspose: return &E::transpose;
-          case Method::kTransposeUJ: return &E::transpose_uj;
+          case Method::kScalar: return {&E::scalar, &E::parity_slot};
+          case Method::kAutoVec: return {&E::autovec, &E::parity_slot};
+          case Method::kMultiLoad: return {&E::multiload, &E::parity_slot};
+          case Method::kReorg: return {&E::reorg, &E::parity_slot};
+          case Method::kDlt: return {&E::dlt, &E::dlt_slots};
+          case Method::kTranspose: return {&E::transpose, &E::parity_slot};
+          case Method::kTransposeUJ:
+            return {&E::transpose_uj, &E::transpose_uj_slots};
           // The interpreter also runs the compiled descriptors — that is
           // what the fig14 overhead bench and the registry sweep measure.
-          case Method::kGeneric: return &E::generic;
+          case Method::kGeneric: return {&E::generic, &E::parity_slot};
         }
-        return nullptr;
+        return {};
       case Tiling::kTessellate:
         switch (m) {
-          case Method::kAutoVec: return &E::tess_autovec;
+          case Method::kAutoVec: return {&E::tess_autovec, &E::parity_slot};
           // The tiled ablation variants are registered for 1D only; other
           // ranks are never instantiated.
           case Method::kMultiLoad:
-            if constexpr (E::rank == 1) return &E::tess_multiload;
-            return nullptr;
+            if constexpr (E::rank == 1)
+              return {&E::tess_multiload, &E::parity_slot};
+            return {};
           case Method::kReorg:
-            if constexpr (E::rank == 1) return &E::tess_reorg;
-            return nullptr;
-          case Method::kTranspose: return &E::tess_transpose;
-          case Method::kTransposeUJ: return &E::tess_transpose_uj;
-          case Method::kGeneric: return &E::tess_generic;
-          default: return nullptr;
+            if constexpr (E::rank == 1)
+              return {&E::tess_reorg, &E::parity_slot};
+            return {};
+          case Method::kTranspose:
+            return {&E::tess_transpose, &E::parity_slot};
+          case Method::kTransposeUJ:
+            return {&E::tess_transpose_uj, &E::tess_transpose_uj_slots};
+          case Method::kGeneric: return {&E::tess_generic, &E::parity_slot};
+          default: return {};
         }
       case Tiling::kSplit:
-        return m == Method::kDlt ? &E::split_dlt : nullptr;
+        if (m == Method::kDlt) return {&E::split_dlt, &E::split_dlt_slots};
+        return {};
     }
-    return nullptr;
+    return {};
   }
 }
 
@@ -317,15 +359,15 @@ struct ExecEntry {
   Method method;
   Tiling tiling;
   Isa isa;
-  ExecFn<G, S> fn;
+  Kernel<G, S> kernel;
 };
 
 template <typename V, typename G, typename S>
 void add_entries(std::vector<ExecEntry<G, S>>& table, Isa isa) {
   for (const Capability& cap : capabilities()) {
     if (!cap.supports_rank(grid_rank<G>)) continue;
-    if (ExecFn<G, S> fn = exec_for<V, G, S>(cap.method, cap.tiling))
-      table.push_back({cap.method, cap.tiling, isa, fn});
+    const Kernel<G, S> k = exec_for<V, G, S>(cap.method, cap.tiling);
+    if (k.run != nullptr) table.push_back({cap.method, cap.tiling, isa, k});
   }
 }
 
@@ -350,10 +392,10 @@ const std::vector<ExecEntry<G, S>>& exec_table() {
 }
 
 template <typename G, typename S>
-ExecFn<G, S> lookup_exec(const ResolvedOptions& r) {
+Kernel<G, S> lookup_exec(const ResolvedOptions& r) {
   for (const ExecEntry<G, S>& e : exec_table<G, S>())
     if (e.method == r.method && e.tiling == r.tiling && e.isa == r.isa)
-      return e.fn;
+      return e.kernel;
   throw ConfigError(r.method, r.tiling, grid_rank<G>,
                     "registry/dispatch-table mismatch: no kernel bound for "
                     "this combination (internal error)");
@@ -370,7 +412,8 @@ ExecFn<G, S> lookup_exec(const ResolvedOptions& r) {
 ///
 /// The plan owns a Workspace holding every scratch buffer its kernels need;
 /// the first execute populates it (NUMA first touch by the compute threads)
-/// and all subsequent executes are allocation-free. Copies of a plan SHARE
+/// before it writes to the grid, and all subsequent executes are
+/// allocation-free. Copies of a plan SHARE
 /// the workspace, so one plan object must not be executed from two threads
 /// concurrently THROUGH THE OWNED WORKSPACE — either build one plan per
 /// concurrent execution stream, or use the execute(g, ws) overload with a
@@ -384,7 +427,7 @@ class TypedPlan {
       : shape_(shape),
         stencil_(stencil),
         cfg_(cfg),
-        fn_(detail::lookup_exec<G, S>(cfg)),
+        kernel_(detail::lookup_exec<G, S>(cfg)),
         ws_(std::make_shared<Workspace>()) {}
 
   /// Advances @p g by config().steps time steps. The grid must match the
@@ -414,25 +457,38 @@ class TypedPlan {
   /// expression over the same step-(t-1) values no matter how the steps are
   /// grouped — blocking reorders traversal, never arithmetic.
   void execute(G& g, Workspace& ws, const ExecControl* ctl = nullptr) const {
-    if (shape_of(g) != shape_)
-      throw ConfigError(cfg_.method, cfg_.tiling, detail::grid_rank<G>,
-                        "grid does not match the planned shape");
+    check_shape(g);
     // Pre-mutation: an injected sweep fault leaves the grid untouched, so
     // the caller can re-run this same plan from the same input.
     fault_point(FaultSite::kKernelSweep);
     const bool polled = ctl != nullptr && ctl->active();
     if (polled) ctl->check();
-    if (cfg_.tiling != Tiling::kNone)
-      omp_set_num_threads(cfg_.threads);  // per-thread ICV; concrete after
-                                          // resolve, so no cross-plan leak
+    prepare(g, ws, ctl);
     if (cfg_.steps <= 0) return;
-    if (needs_per_step_fill(cfg_.boundary) || polled)
+    if (sliced(ctl))
       step_loop(g, ws, polled ? ctl : nullptr);
     else {
       fill_ghosts(g, cfg_.boundary, S::radius);  // no-op unless a kZero axis
-      fn_(g, stencil_, cfg_, ws);
+      kernel_.run(g, stencil_, cfg_, ws);
     }
     health_scan(g, cfg_.health);
+  }
+
+  /// Creates every workspace slot execute(g, ws, ctl) fetches, for the
+  /// blocked or the step-sliced schedule that @p ctl selects, and pins the
+  /// calling thread's OpenMP team to the plan's (tiled plans; the
+  /// per-thread ICV is concrete after resolve, so nothing leaks across
+  /// plans). execute runs it before its first write to @p g, so every
+  /// allocation failure — a std::bad_alloc or the injected workspace.slot
+  /// fault — leaves @p g untouched and a re-run of the same plan is
+  /// bit-identical. Calling it ahead of execute moves the allocations out
+  /// of the execute.
+  void prepare(const G& g, Workspace& ws,
+               const ExecControl* ctl = nullptr) const {
+    check_shape(g);
+    if (cfg_.tiling != Tiling::kNone) omp_set_num_threads(cfg_.threads);
+    if (cfg_.steps > 0)
+      kernel_.prepare(g, stencil_, sliced(ctl) ? step_options() : cfg_, ws);
   }
 
   const Shape& shape() const { return shape_; }
@@ -450,19 +506,35 @@ class TypedPlan {
   /// the poll comes BEFORE the step's ghost fill, so an aborted run never
   /// half-updates anything.
   void step_loop(G& g, Workspace& ws, const ExecControl* ctl) const {
-    ResolvedOptions step = cfg_;
-    step.steps = 1;
+    const ResolvedOptions step = step_options();
     for (index t = 0; t < cfg_.steps; ++t) {
       if (ctl != nullptr && t > 0) ctl->check();
       fill_ghosts(g, cfg_.boundary, S::radius);
-      fn_(g, stencil_, step, ws);
+      kernel_.run(g, stencil_, step, ws);
     }
+  }
+
+  /// True when execute runs step_loop: a per-step ghost refresh, or an
+  /// active control to poll between steps.
+  bool sliced(const ExecControl* ctl) const {
+    return needs_per_step_fill(cfg_.boundary) ||
+           (ctl != nullptr && ctl->active());
+  }
+  ResolvedOptions step_options() const {
+    ResolvedOptions step = cfg_;
+    step.steps = 1;
+    return step;
+  }
+  void check_shape(const G& g) const {
+    if (shape_of(g) != shape_)
+      throw ConfigError(cfg_.method, cfg_.tiling, detail::grid_rank<G>,
+                        "grid does not match the planned shape");
   }
 
   Shape shape_;
   S stencil_;
   ResolvedOptions cfg_;
-  detail::ExecFn<G, S> fn_;
+  detail::Kernel<G, S> kernel_;
   std::shared_ptr<Workspace> ws_;
 };
 

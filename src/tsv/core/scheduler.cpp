@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <exception>
+#include <iterator>
 #include <optional>
 #include <thread>
 #include <tuple>
@@ -61,10 +62,10 @@ ErrKind err_kind(const std::exception_ptr& e) noexcept {
 // is FNV-1a over every logical cell including the halo (Dirichlet halos are
 // inputs too); lead-padding bytes outside the halo are skipped, so two grids
 // that are cell-for-cell equal hash equal regardless of allocator noise.
-// The cost is one O(n) read per submission — the price of content
-// addressing, paid on the submitter's thread BEFORE it takes mu_: every
-// idle gang takes its next group under mu_, so a digest computed under the
-// lock would stall the whole pool for the length of the read.
+// It is one O(n) read, so it runs only when a submission's plan key matches
+// a queued group (Scheduler::match_locked), and never under mu_: every idle
+// gang takes its next group under mu_, so a digest computed under the lock
+// would stall the whole pool for the length of the read.
 
 std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t bytes) {
   const unsigned char* c = static_cast<const unsigned char*>(p);
@@ -144,33 +145,6 @@ void copy_content(Scheduler::GridRef dst, const Scheduler::GridRef& src) {
           copy_content(*d, *s);
         } else {
           require(false, "Scheduler: coalesced grids of different type");
-        }
-      },
-      dst, src);
-}
-
-// Retry snapshot: an owned deep copy of the group's input grid, taken
-// before the first attempt and copied back before each re-execution. Every
-// fault point fires pre-mutation, so for INJECTED faults the restore is a
-// no-op by construction — the snapshot is what makes the retry guarantee
-// hold for real faults too (a bad_alloc or partial failure mid-execution
-// leaves whatever state it leaves; the restore erases it).
-using GridCopy =
-    std::variant<Grid1D<double>, Grid2D<double>, Grid3D<double>,
-                 Grid1D<float>, Grid2D<float>, Grid3D<float>>;
-
-GridCopy snapshot_content(const Scheduler::GridRef& src) {
-  return std::visit([](auto* g) { return GridCopy{*g}; }, src);
-}
-
-void restore_content(Scheduler::GridRef dst, const GridCopy& src) {
-  std::visit(
-      [](auto* d, const auto& s) {
-        if constexpr (std::is_same_v<std::remove_pointer_t<decltype(d)>,
-                                     std::decay_t<decltype(s)>>) {
-          copy_content(*d, s);
-        } else {
-          require(false, "Scheduler: snapshot/grid type mismatch");
         }
       },
       dst, src);
@@ -288,7 +262,13 @@ struct Scheduler::Group {
   StencilSpec spec;
   Options options;  ///< normalized: dtype from the grid, gang-capped team
   Shape shape;
-  std::pair<PlanKey, std::uint64_t> key;
+  PlanKey key;
+  /// Content digest of the leader's grid, computed the first time another
+  /// submission's key matches this group (guarded by mu_).
+  std::optional<std::uint64_t> digest;
+  /// A submitter is hashing this group's grid outside mu_: the group is
+  /// neither dispatched nor shed until the digest lands (guarded by mu_).
+  bool pinned = false;
   ServiceClass cls = ServiceClass::kBatch;
   Clock::time_point deadline = kNoDeadline;
   std::uint64_t seq = 0;           ///< admission order (tiebreak)
@@ -362,11 +342,7 @@ std::future<Scheduler::Result> Scheduler::submit(Request req) {
 
   auto g = std::make_shared<Group>();
   g->shape = std::visit([](auto* p) { return shape_of(*p); }, req.grid);
-  g->key = {PlanKey::make(g->shape, req.stencil, o), 0};
-  // The digest reads the whole grid, so it runs here, before mu_ (see
-  // content_digest). The read races nothing: the caller owns the grid until
-  // its future resolves.
-  if (cfg_.coalesce) g->key.second = content_digest(req.grid);
+  g->key = PlanKey::make(g->shape, req.stencil, o);
   g->spec = std::move(req.stencil);
   g->options = o;
   g->tenant = std::move(req.tenant);
@@ -404,25 +380,27 @@ std::future<Scheduler::Result> Scheduler::admit(std::shared_ptr<Group> g,
   std::shared_ptr<Group> victim;       // shed group: promises failed post-unlock
   const char* reject_msg = nullptr;    // set => reject this submission
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
+    std::shared_ptr<Group> match;
+    if (coalesce && !stopping_) match = match_locked(lock, *g, m.grid);
+    // Counted together with the admit/reject below, never before a hash
+    // drops the lock, so a concurrent stats() always reads
+    // admitted + rejected == submitted and digests <= submitted.
     ++stats_.submitted;
+    if (g->digest) ++stats_.digests;
 
     if (stopping_) {
       ++stats_.rejected;
       reject_msg = "tsv::Scheduler: shutting down";
     } else {
-      if (coalesce) {
-        auto it = open_.find(g->key);
-        if (it != open_.end()) {
-          Group& leader = *it->second;
-          m.follower = true;
-          leader.cls = std::min(leader.cls, m.cls);
-          leader.deadline = std::min(leader.deadline, m.deadline);
-          leader.members.push_back(std::move(m));
-          ++stats_.admitted;
-          ++stats_.coalesced;
-          return fut;  // no queue slot consumed: the work already exists
-        }
+      if (match) {
+        m.follower = true;
+        match->cls = std::min(match->cls, m.cls);
+        match->deadline = std::min(match->deadline, m.deadline);
+        match->members.push_back(std::move(m));
+        ++stats_.admitted;
+        ++stats_.coalesced;
+        return fut;  // no queue slot consumed: the work already exists
       }
 
       // Task groups neither take nor need a queue slot: a wave task refused
@@ -439,7 +417,10 @@ std::future<Scheduler::Result> Scheduler::admit(std::shared_ptr<Group> g,
         std::size_t best = queue_.size();
         for (std::size_t i = 0; i < queue_.size(); ++i) {
           const Group& q = *queue_[i];
-          if (q.deadline == kNoDeadline || q.deadline > now) continue;
+          // A pinned group's grid is being hashed: its caller must not get
+          // the grid back (a shed future) until the read is done.
+          if (q.pinned || q.deadline == kNoDeadline || q.deadline > now)
+            continue;
           if (best == queue_.size() || shed_rank(q) < shed_rank(*queue_[best]))
             best = i;
         }
@@ -447,7 +428,7 @@ std::future<Scheduler::Result> Scheduler::admit(std::shared_ptr<Group> g,
           victim = queue_[best];
           queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
           // A victim is never a task group: tasks have no deadline.
-          if (cfg_.coalesce) open_.erase(victim->key);
+          close_locked(*victim);
           stats_.shed += victim->members.size();
         } else {
           ++stats_.rejected;
@@ -481,11 +462,81 @@ std::future<Scheduler::Result> Scheduler::admit(std::shared_ptr<Group> g,
   return fut;
 }
 
+/// The queued group a request with @p g's key and @p grid's content joins,
+/// or null when it must open its own group. Called and returns under
+/// @p lock (mu_), but drops it while hashing. A request whose key matches
+/// no open group is admitted without a digest. On a match it hashes its own
+/// grid and every same-key group that has none yet, each at most once,
+/// pinning those groups so that no gang writes and no shed frees their
+/// grids during the read; then it re-scans. A same-key group pinned by
+/// another submitter is waited for, so identical concurrent submissions
+/// still meet. Coalescing stays exact: only equal digests join.
+std::shared_ptr<Scheduler::Group> Scheduler::match_locked(
+    std::unique_lock<std::mutex>& lock, Group& g, GridRef grid) {
+  struct Pending {
+    std::shared_ptr<Group> group;  // pinned by this call
+    GridRef grid;
+    std::uint64_t digest = 0;
+  };
+  for (;;) {
+    const auto [lo, hi] = open_.equal_range(g.key);
+    if (lo == hi || stopping_) return nullptr;
+    // Reserved before any pin, so nothing below can throw with a pin held.
+    std::vector<Pending> hash;
+    hash.reserve(static_cast<std::size_t>(std::distance(lo, hi)));
+    bool wait = false;
+    for (auto it = lo; it != hi; ++it) {
+      Group& q = *it->second;
+      if (q.digest) {
+        if (q.digest == g.digest) return it->second;
+      } else if (q.pinned) {
+        wait = true;
+      } else {
+        q.pinned = true;
+        hash.push_back({it->second, q.members.front().grid});
+      }
+    }
+    if (g.digest && hash.empty()) {
+      if (!wait) return nullptr;
+      digest_cv_.wait(lock);
+      continue;
+    }
+
+    const bool self = !g.digest;
+    lock.unlock();
+    if (!hash.empty() && pinned_hook_) pinned_hook_();
+    const std::uint64_t mine = self ? content_digest(grid) : 0;
+    for (Pending& p : hash) p.digest = content_digest(p.grid);
+    lock.lock();
+
+    if (self) g.digest = mine;
+    for (Pending& p : hash) {
+      p.group->digest = p.digest;
+      p.group->pinned = false;
+    }
+    stats_.digests += hash.size();  // this grid's counts in admit
+    if (!hash.empty()) {
+      digest_cv_.notify_all();  // submitters waiting on these pins
+      work_cv_.notify_all();    // gangs that skipped them
+    }
+  }
+}
+
+void Scheduler::close_locked(const Group& g) {
+  const auto [lo, hi] = open_.equal_range(g.key);
+  for (auto it = lo; it != hi; ++it)
+    if (it->second.get() == &g) {
+      open_.erase(it);
+      return;
+    }
+}
+
 std::shared_ptr<Scheduler::Group> Scheduler::take_locked() {
   if (paused_) return nullptr;
   std::size_t best = queue_.size();
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     const Group& g = *queue_[i];
+    if (g.pinned) continue;  // its grid is being hashed (match_locked)
     // Task groups go first, oldest first (the queue is in admission
     // order), and ignore tenant quotas: a wave is a barrier, so a shard
     // task left behind a stream of requests would stall the whole
@@ -526,7 +577,7 @@ std::shared_ptr<Scheduler::Group> Scheduler::take_locked() {
     --queued_tasks_;
     return g;
   }
-  if (cfg_.coalesce) open_.erase(g->key);  // closed: input in use
+  close_locked(*g);  // closed: input in use
   const int t = ++tenant_inflight_[g->tenant];
   stats_.peak_tenant_inflight =
       std::max(stats_.peak_tenant_inflight, static_cast<std::size_t>(t));
@@ -594,10 +645,12 @@ void Scheduler::worker_loop(int gang) {
 /// shared plan cache (one cache probe, one execution per GROUP) under the
 /// group's ExecControl; the other live members receive a byte copy of that
 /// result — coalesced waiters are bit-identical by construction. Transient
-/// failures re-execute from a snapshot of the input under the retry budget;
-/// members already cancelled or timed out at dispatch are pruned up front
-/// and fail individually without costing an execution. Returns the group's
-/// shared error (null on success).
+/// failures re-execute the same plan on the same grid under the retry
+/// budget: every transient is raised before the plan's first write (see
+/// TypedPlan::prepare), so the grid still holds the input. Members already
+/// cancelled or timed out at dispatch are pruned up front and fail
+/// individually without costing an execution. Returns the group's shared
+/// error (null on success).
 std::exception_ptr Scheduler::run_group(const std::shared_ptr<Group>& g) {
   g->sweep_start = Clock::now();
   try {
@@ -663,8 +716,6 @@ std::exception_ptr Scheduler::run_group(const std::shared_ptr<Group>& g) {
       g->sliced = ctl.active();
 
       GridRef exec_grid = g->members[live.front()].grid;
-      std::optional<GridCopy> snap;
-      if (cfg_.retry_budget > 0) snap = snapshot_content(exec_grid);
       std::uint64_t jitter_state = g->seq;
 
       for (int attempt = 0;; ++attempt) {
@@ -682,7 +733,6 @@ std::exception_ptr Scheduler::run_group(const std::shared_ptr<Group>& g) {
             throw;
           }
           ++g->retries_used;
-          if (snap) restore_content(exec_grid, *snap);
           double backoff_ms =
               std::min(cfg_.retry_backoff_ms * std::ldexp(1.0, attempt),
                        cfg_.retry_backoff_max_ms);

@@ -42,12 +42,16 @@
 //   * submit_task groups (sharded-plan waves) go ahead of every request and
 //     are exempt from the capacity and quota checks above.
 //   * single-flight coalescing — concurrent submissions with identical
-//     (stencil, shape, options, grid-content digest) become ONE execution:
-//     the leader computes, followers' grids receive a byte copy of the
-//     leader's result, every waiter's future completes. The coalescing
-//     window is the leader's time in the queue — by the time a gang takes
-//     it its input is being consumed, so a later identical submission
-//     starts a fresh group.
+//     (stencil, shape, options, grid contents) become ONE execution: the
+//     leader computes, followers' grids receive a byte copy of the leader's
+//     result, every waiter's future completes. The coalescing window is the
+//     leader's time in the queue — by the time a gang takes it its input is
+//     being consumed, so a later identical submission starts a fresh group.
+//     Open groups are indexed by plan key alone, and the content digest (an
+//     O(grid) read) is paid only on a key match: the newcomer hashes its
+//     own grid and each same-key group not yet hashed, outside the lock,
+//     while those groups are pinned (neither dispatched nor shed). Traffic
+//     with distinct keys never hashes (SchedulerStats::digests stays 0).
 //
 // Shared state along the request path and who guards it:
 //   * plan construction  — deduplicated + single-flighted by the scheduler's
@@ -222,9 +226,11 @@ struct SchedulerConfig {
   /// Transparent re-executions per dispatched group on a TRANSIENT failure
   /// (TransientError — which every injected fault point throws, kernel
   /// sweep included — or std::bad_alloc; see is_transient_error). Every
-  /// fault point fires before its step mutates anything and the group's
-  /// input is snapshotted before the first attempt, so a retry re-runs the
-  /// same cached plan and is bit-identical to a fault-free run.
+  /// fault point fires before its step mutates anything, and a plan creates
+  /// all its workspace slots before its first write to the grid
+  /// (TypedPlan::prepare), so a transient always leaves the input intact:
+  /// a retry re-runs the same cached plan on the same grid, with no copy
+  /// taken, and is bit-identical to a fault-free run.
   /// Coalesced followers ride their leader's retries: one budget per group,
   /// one shared outcome. 0 disables retry (transients surface immediately).
   int retry_budget = 0;
@@ -251,6 +257,10 @@ struct SchedulerStats {
   std::uint64_t rejected = 0;   ///< refused at admission (OverloadError)
   std::uint64_t shed = 0;       ///< dropped from the queue (OverloadError)
   std::uint64_t coalesced = 0;  ///< served by another request's execution
+  /// Grid content digests computed for coalescing: only submissions whose
+  /// plan key matched a queued group hash (each grid at most once), so
+  /// coalesced <= digests <= submitted.
+  std::uint64_t digests = 0;
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;     ///< raised into the future (e.g. ConfigError)
   std::uint64_t deadline_missed = 0;
@@ -385,8 +395,13 @@ class Scheduler {
   struct Member;  // one submission's completion endpoint
   struct Group;   // one queue entry: a leader plus coalesced followers
 
+  friend struct SchedulerTestAccess;  // tests: pinned_hook_
+
   std::future<Result> admit(std::shared_ptr<Group> g, Member m,
                             bool coalesce);
+  std::shared_ptr<Group> match_locked(std::unique_lock<std::mutex>& lock,
+                                      Group& g, GridRef grid);
+  void close_locked(const Group& g);
   std::shared_ptr<Group> take_locked();
   void worker_loop(int gang);
   std::exception_ptr run_group(const std::shared_ptr<Group>& g);
@@ -400,9 +415,13 @@ class Scheduler {
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  // work queued / resumed / stopping
   std::condition_variable idle_cv_;  // queued == 0 && inflight == 0
+  std::condition_variable digest_cv_;  // a pinned group's digest landed
   std::deque<std::shared_ptr<Group>> queue_;
-  /// Coalesce index over QUEUED groups: (plan key, content digest) -> group.
-  std::map<std::pair<PlanKey, std::uint64_t>, std::shared_ptr<Group>> open_;
+  /// Coalesce index over QUEUED request groups, keyed by plan key alone.
+  std::multimap<PlanKey, std::shared_ptr<Group>> open_;
+  /// Runs on a submitting thread while it holds pins, before it hashes
+  /// (tests use it to observe a pinned group); empty otherwise.
+  std::function<void()> pinned_hook_;
   std::map<std::string, int> tenant_inflight_;  // request groups only
   std::size_t queued_tasks_ = 0;  // submit_task groups in queue_
   std::size_t inflight_ = 0;

@@ -13,6 +13,12 @@
 // The workspace test suite asserts the second execute of every tiled driver
 // performs zero heap allocations.
 //
+// Slot creation is the only allocation a plan's execution makes, so
+// TypedPlan::execute creates every slot its run will fetch (its prepare
+// step) before the first write to the caller's grid: a bad_alloc — or the
+// injected workspace.slot fault — then always leaves the grid untouched, and
+// a retry of the same plan on the same input is bit-identical.
+//
 // Concurrency contract: a Workspace (and therefore Plan::execute on one plan
 // object) is NOT safe to enter from two threads at once. Copies of a
 // TypedPlan share one workspace; create separate plans for concurrent
@@ -28,6 +34,7 @@
 #include <vector>
 
 #include "tsv/common/grid.hpp"
+#include "tsv/core/fault.hpp"
 
 namespace tsv {
 
@@ -63,6 +70,7 @@ class Workspace {
     auto it = entries_.find(id);
     if (it == entries_.end() || it->second.key != key ||
         it->second.type != std::type_index(typeid(T))) {
+      fault_point(FaultSite::kWorkspaceSlot);
       Entry e;
       e.key = key;
       e.type = std::type_index(typeid(T));

@@ -27,7 +27,9 @@
 // Memory behaviour: every buffer a driver needs beyond the user's grid —
 // the tessellation parity buffer, DLT staging grids, per-thread uj2 scratch
 // pools — comes from the plan-owned Workspace (core/workspace.hpp), so the
-// second and subsequent executes of a plan are allocation-free. Parity /
+// second and subsequent executes of a plan are allocation-free; the plan's
+// prepare step creates them all before a driver writes the grid
+// (tess_transpose_uj2_prepare covers the uj2 pool). Parity /
 // staging buffers only need their *halo* refreshed per execute (every time
 // unit rewrites the whole interior before reading it); per-thread pools are
 // first-touched by their owning threads.
@@ -78,6 +80,35 @@ std::vector<Scratch>& thread_pool(Workspace& ws, std::uint64_t key,
     for (int i = 0; i < nthreads; ++i) p[i].zero();
     return p;
   });
+}
+
+/// The per-thread level +1 scratch pool of tess_transpose_uj2_run.
+/// 1D: a row segment just wider than one tile; the level +1 range lands at
+/// a block-aligned virtual row origin, and the lead halo must cover the
+/// deepest left-tail vector load of the second sweep — R*W elements before
+/// the first touched block when that origin sits below x = 0 of the
+/// scratch. 2D/3D: a grid of full rows whose outermost axis holds one tile
+/// grown by R.
+template <int W, int R, typename G>
+auto& uj2_pool(Workspace& ws, const G& g, const Blocks& b, int nthreads) {
+  using T = typename G::value_type;
+  if constexpr (G::kRank == 1) {
+    constexpr index B = block_elems<W>;
+    const index scr_len = (b[0] > 0 ? b[0] : g.nx()) + 2 * B + 2 * R + 16;
+    const index scr_halo = std::max<index>(static_cast<index>(R) * W, 8);
+    return thread_pool<ScratchRow<T>>(
+        ws, ws_key(scr_len, scr_halo, nthreads), nthreads, [&] {
+          return ScratchRow<T>(scr_len, scr_halo, FirstTouch::kNone);
+        });
+  } else {
+    constexpr int k = G::kRank - 1;
+    std::array<index, 3> se = extents(g);
+    se[k] = (b[k] > 0 ? std::min(se[k], b[k]) : se[k]) + 2 * R + 4;
+    return thread_pool<G>(
+        ws, ws_key(se[0], se[1], se[2], R, nthreads), nthreads, [&] {
+          return make_grid<G>(se, std::max<index>(R, 1), FirstTouch::kNone);
+        });
+  }
 }
 
 }  // namespace detail
@@ -173,20 +204,10 @@ TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
                   });
   };
 
+  auto& pool = detail::uj2_pool<W, R>(ws, g, b, nthreads);
   block_transpose_grid<T, W>(g);
   if constexpr (G::kRank == 1) {
-    // A row-segment scratch just wider than one tile: the level +1 range
-    // lands at a block-aligned virtual row origin. The lead halo must cover
-    // the deepest left-tail vector load of the second sweep — R*W elements
-    // before the first touched block when the virtual row origin sits below
-    // x = 0 of the scratch.
     constexpr index B = block_elems<W>;
-    const index scr_len = (b[0] > 0 ? b[0] : nx) + 2 * B + 2 * R + 16;
-    const index scr_halo = std::max<index>(static_cast<index>(R) * W, 8);
-    auto& pool = detail::thread_pool<detail::ScratchRow<T>>(
-        ws, ws_key(scr_len, scr_halo, nthreads), nthreads, [&] {
-          return detail::ScratchRow<T>(scr_len, scr_halo, FirstTouch::kNone);
-        });
     run([&](const G& in, G& out, const Box& r) {
       detail::ScratchRow<T>& scr = pool[omp_get_thread_num()];
       const index c_lo = std::max<index>(0, r.xlo - R);
@@ -203,16 +224,8 @@ TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
       sweep(std::array<const T*, 1>{view}, out.x0(), r.xlo, r.xhi);
     });
   } else {
-    // A grid of full rows whose outermost axis holds one tile grown by R;
-    // scratch row (y, z) stores grid row (y + c.ylo, z + c.zlo).
+    // Scratch row (y, z) stores grid row (y + c.ylo, z + c.zlo).
     const Box dom = full_box(g);
-    constexpr int k = G::kRank - 1;
-    std::array<index, 3> se = extents(g);
-    se[k] = (b[k] > 0 ? std::min(se[k], b[k]) : se[k]) + 2 * R + 4;
-    auto& pool = detail::thread_pool<G>(
-        ws, ws_key(se[0], se[1], se[2], R, nthreads), nthreads, [&] {
-          return make_grid<G>(se, std::max<index>(R, 1), FirstTouch::kNone);
-        });
     run([&](const G& in, G& out, const Box& r) {
       G& scr = pool[omp_get_thread_num()];
       const Box c{std::max(dom.xlo, r.xlo - R), std::min(dom.xhi, r.xhi + R),
@@ -243,6 +256,16 @@ TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
     });
   }
   block_transpose_grid<T, W>(g);
+}
+
+/// Creates every workspace slot tess_transpose_uj2_run(g, s, steps, b, bt,
+/// ws) fetches under the calling thread's OpenMP team: the parity buffer
+/// and the per-thread scratch pool.
+template <typename V, typename G, typename S>
+void tess_transpose_uj2_prepare(const G& g, const S&, const Blocks& b,
+                                Workspace& ws) {
+  ws_grid_like(ws, kWsTmpGrid, g);
+  detail::uj2_pool<V::width, S::radius>(ws, g, b, omp_get_max_threads());
 }
 
 /// Split-tiling engine over DLT columns: like tess_engine on one axis, but

@@ -186,7 +186,39 @@ class ScratchRow {
   AlignedBuffer<T> buf_;
 };
 
+/// The level-1 ring of the 2D driver: 2R+1 scratch rows in @p ws.
+template <int R, typename T>
+auto& uj_ring(Workspace& ws, const Grid2D<T>& g) {
+  using Ring = std::array<ScratchRow<T>, 2 * R + 1>;
+  return ws.slot<Ring>(kWsRing, ws_key(g.nx(), R), [&] {
+    Ring r;
+    for (auto& row : r) row = ScratchRow<T>(g.nx(), R);
+    return r;
+  });
+}
+
+/// The level-1 ring of the 3D driver: 2R+1 plane buffers in @p ws.
+template <int R, typename T>
+auto& uj_ring(Workspace& ws, const Grid3D<T>& g) {
+  using Ring = std::vector<Grid2D<T>>;
+  return ws.slot<Ring>(kWsRing, ws_key(g.nx(), g.ny(), R), [&] {
+    Ring r;
+    r.reserve(2 * R + 1);
+    for (int i = 0; i < 2 * R + 1; ++i) r.emplace_back(g.nx(), g.ny(), R);
+    return r;
+  });
+}
+
 }  // namespace detail
+
+/// Creates every workspace slot unroll_jam_run(g, s, steps, ws) fetches:
+/// the level-1 ring (2D/3D) and, for an odd step count, the parity buffer
+/// of the remainder step.
+template <int R, typename G>
+void unroll_jam_prepare(const G& g, index steps, Workspace& ws) {
+  if constexpr (G::kRank > 1) detail::uj_ring<R>(ws, g);
+  if (steps % 2 != 0) ws_grid_like(ws, kWsTmpGrid, g);
+}
 
 /// 2D K=2 run driver (see header comment). Grid ends in original layout;
 /// the level-1 row ring and the remainder parity buffer live in @p ws.
@@ -205,12 +237,7 @@ TSV_NOINLINE void unroll_jam_run(Grid2D<vec_value_t<V>>& g,
   // Ring of 2R+1 level-1 rows; level-1 values of halo rows are the halo rows
   // themselves (Dirichlet), provided by pointer selection in row_l1().
   constexpr index RB = 2 * R + 1;
-  using Ring = std::array<detail::ScratchRow<T>, RB>;
-  Ring& ring = ws.slot<Ring>(kWsRing, ws_key(nx, R), [&] {
-    Ring r;
-    for (auto& row : r) row = detail::ScratchRow<T>(nx, R);
-    return r;
-  });
+  auto& ring = detail::uj_ring<R>(ws, g);
   auto ring_slot = [&](index y) { return ((y % RB) + RB) % RB; };
   auto row_l1 = [&](index y) -> const T* {
     return (y < 0 || y >= ny) ? g.row(y) : ring[ring_slot(y)].x0();
@@ -263,13 +290,7 @@ TSV_NOINLINE void unroll_jam_run(Grid3D<vec_value_t<V>>& g,
   block_transpose_grid<T, W>(g);
 
   constexpr index RB = 2 * R + 1;
-  std::vector<Grid2D<T>>& ring =
-      ws.slot<std::vector<Grid2D<T>>>(kWsRing, ws_key(nx, ny, R), [&] {
-        std::vector<Grid2D<T>> r;
-        r.reserve(RB);
-        for (index i = 0; i < RB; ++i) r.emplace_back(nx, ny, R);
-        return r;
-      });
+  auto& ring = detail::uj_ring<R>(ws, g);
   auto ring_slot = [&](index z) { return ((z % RB) + RB) % RB; };
   // Row y of the level-1 plane z; halo planes and halo rows resolve to the
   // main grid (Dirichlet values, valid at every level).

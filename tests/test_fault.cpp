@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -487,6 +488,117 @@ TEST_F(FaultTest, SchedulerRetriesKernelSweepFaultOnThePlannedKernel) {
       shape_of(*r.grid), kSpec, normalized(kRun, 1));
   EXPECT_EQ(entry->plan().config().isa, best_isa());
   EXPECT_EQ(sched.stats().executor.plan_cache.misses, 1u);
+  EXPECT_EQ(max_abs_diff(serial_expected(8, kRun, 1), *r.grid), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// workspace.slot: the one allocation inside a plan's execution. The plan
+// creates every slot before its first write to the grid (TypedPlan::
+// prepare), so a slot fault — like a real bad_alloc there — leaves the
+// caller's grid bit-identical to its input, and a retry needs no snapshot.
+// The configurations below would each write the grid before creating a
+// slot without that ordering: the transpose layout pass, the uj ring and
+// remainder parity buffer, the uj2 scratch pool, a periodic ghost fill.
+// ---------------------------------------------------------------------------
+
+/// Every cell of @p a and @p b, ghosts included, has the same bits.
+bool same_bits(const Grid2D<double>& a, const Grid2D<double>& b) {
+  const index h = a.halo();
+  for (index y = -h; y < a.ny() + h; ++y)
+    if (std::memcmp(a.row(y) - h, b.row(y) - h,
+                    static_cast<std::size_t>(a.nx() + 2 * h) *
+                        sizeof(double)) != 0)
+      return false;
+  return true;
+}
+
+struct SlotCase {
+  const char* what;
+  StencilKind kind;
+  Options o;
+};
+
+std::vector<SlotCase> slot_cases() {
+  Options tess = opts(Method::kTranspose, Tiling::kTessellate, 3);
+  tess.by = 8;
+  tess.bt = 2;
+  Options uj = opts(Method::kTransposeUJ, Tiling::kNone, 3);
+  Options uj2 = opts(Method::kTransposeUJ, Tiling::kTessellate, 3);
+  uj2.by = 8;
+  uj2.bt = 2;
+  Options periodic = tess;
+  periodic.boundary = BoundarySpec::uniform(Boundary::kPeriodic);
+  return {{"tessellated transpose", StencilKind::k2d5p, tess},
+          {"untiled transpose-uj", StencilKind::k2d9p, uj},
+          {"tessellated transpose-uj2", StencilKind::k2d5p, uj2},
+          {"periodic tessellated transpose", StencilKind::k2d5p, periodic}};
+}
+
+Grid2D<double> slot_input() {
+  Grid2D<double> g(256, 24, 1);
+  const index h = g.halo();
+  for (index y = -h; y < g.ny() + h; ++y)
+    for (index x = -h; x < g.nx() + h; ++x)
+      g.row(y)[x] = noise<double>(y + 5, x + 3);
+  return g;
+}
+
+TEST_F(FaultTest, SlotFaultLeavesTheInputUntouchedWithoutRetry) {
+  for (const SlotCase& c : slot_cases()) {
+    FaultInjector::instance().arm("workspace.slot", {.count = 1});
+    Scheduler sched({.executor = {.gangs = 1, .threads_per_gang = 1}});
+    const Grid2D<double> input = slot_input();
+    Grid2D<double> g = input;
+    EXPECT_THROW(sched.submit(g, StencilSpec{.kind = c.kind}, c.o).get(),
+                 TransientError)
+        << c.what;
+    EXPECT_TRUE(same_bits(g, input)) << c.what << ": the grid was written";
+    EXPECT_EQ(FaultInjector::instance().stats("workspace.slot").fires, 1u)
+        << c.what;
+    FaultInjector::instance().reset();
+  }
+}
+
+TEST_F(FaultTest, SlotFaultRetriesBitIdenticalToTheSerialPlan) {
+  for (const SlotCase& c : slot_cases()) {
+    FaultInjector::instance().arm("workspace.slot", {.count = 1});
+    Scheduler sched({.executor = {.gangs = 1, .threads_per_gang = 1},
+                     .retry_budget = 1,
+                     .retry_backoff_ms = 0.0});
+    Grid2D<double> g = slot_input();
+    EXPECT_NO_THROW(
+        sched.submit(g, StencilSpec{.kind = c.kind}, c.o).get())
+        << c.what;
+    sched.wait_idle();
+    EXPECT_EQ(sched.stats().retries, 1u) << c.what;
+    EXPECT_EQ(FaultInjector::instance().stats("workspace.slot").fires, 1u)
+        << c.what;
+    FaultInjector::instance().reset();
+
+    Grid2D<double> expected = slot_input();
+    make_plan(shape_of(expected), StencilSpec{.kind = c.kind},
+              normalized(c.o, 1))
+        .execute(expected);
+    EXPECT_TRUE(same_bits(g, expected)) << c.what;
+  }
+}
+
+// A retry keeps no copy of the grid: on a warm plan and workspace, a
+// request whose sweep faults once and is retried allocates no buffer.
+TEST_F(FaultTest, RetryTakesNoCopyOfTheGrid) {
+  Scheduler sched({.executor = {.gangs = 1, .threads_per_gang = 1},
+                   .retry_budget = 1,
+                   .retry_backoff_ms = 0.0});
+  Req warm(8);
+  EXPECT_NO_THROW(sched.submit(*warm.grid, kSpec, kRun).get());
+
+  FaultInjector::instance().arm("kernel.sweep", {.count = 1});
+  Req r(8);
+  const std::uint64_t before = aligned_alloc_count();
+  EXPECT_NO_THROW(sched.submit(*r.grid, kSpec, kRun).get());
+  EXPECT_EQ(aligned_alloc_count() - before, 0u);
+  sched.wait_idle();
+  EXPECT_EQ(sched.stats().retries, 1u);
   EXPECT_EQ(max_abs_diff(serial_expected(8, kRun, 1), *r.grid), 0.0);
 }
 

@@ -502,6 +502,45 @@ TEST(DefaultBlocks, BitIdenticalToOneTile) {
   EXPECT_GT(checked, 0);
 }
 
+// A short z caps the square y/z tile at bz = nz; y then takes the budget z
+// could not use instead of staying at the square side. fig9's smoke grid
+// (512 x 32 x 8) is that case: the square rule gave by = 11 on a 2 MB L2.
+TEST(DefaultBlocks, ShortZGivesYTheFreedBudget) {
+  const Shape sh = shape3d(512, 32, 8, 1);
+  const index budget = cache_fit_elems(cpu_info().l2_bytes, 8, 0.5);
+  Options o;
+  o.method = Method::kTranspose;
+  o.tiling = Tiling::kTessellate;
+  o.steps = 6;
+  o.threads = 2;
+  const Plan dflt = make_plan(sh, StencilKind::k3d7p, o);
+  const ResolvedOptions& r = dflt.config();
+  const index min_block = 2 * 1 * r.bt;
+  if (sh.nx * sh.ny * sh.nz <= budget) {
+    EXPECT_EQ(r.by, sh.ny) << "a grid that fits stays one tile";
+    EXPECT_EQ(r.bz, sh.nz);
+  } else {
+    const index square = std::max(
+        min_block, static_cast<index>(std::sqrt(static_cast<double>(budget) /
+                                                static_cast<double>(r.bx))));
+    EXPECT_EQ(r.bz, std::min(square, sh.nz));
+    EXPECT_EQ(r.by, std::min(sh.ny, std::max(min_block,
+                                             budget / (r.bx * r.bz))));
+    if (r.by > min_block)
+      EXPECT_LE(r.bx * r.by * r.bz, budget) << "the tile must fit the budget";
+    if (square > sh.nz && square < sh.ny)
+      EXPECT_GT(r.by, square) << "y must take the budget z cannot use";
+  }
+  o.by = sh.ny;
+  o.bz = sh.nz;
+  const Plan one_tile = make_plan(sh, StencilKind::k3d7p, o);
+  Grid3D<double> a = sliced_test_grid<Grid3D<double>>(sh), b = a;
+  Workspace ws;
+  dflt.execute(a, ws);
+  one_tile.execute(b, ws);
+  EXPECT_EQ(max_abs_diff(a, b), 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // Seeded randomized differential fuzzer.
 //

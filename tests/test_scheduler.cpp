@@ -11,9 +11,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +23,15 @@
 #include "test_support.hpp"
 
 namespace tsv {
+
+/// Test seam (friend of Scheduler): runs a callback on a submitting thread
+/// while it holds pins on the groups it is about to hash.
+struct SchedulerTestAccess {
+  static void set_pinned_hook(Scheduler& s, std::function<void()> hook) {
+    s.pinned_hook_ = std::move(hook);
+  }
+};
+
 namespace {
 
 using test::gang_tasks;
@@ -270,6 +281,9 @@ TEST(Scheduler, CoalescesIdenticalSubmissionsToOneExecution) {
   const SchedulerStats s = sched.stats();
   EXPECT_EQ(s.admitted, static_cast<std::uint64_t>(kWaiters));
   EXPECT_EQ(s.coalesced, static_cast<std::uint64_t>(kWaiters - 1));
+  // The leader was hashed once, by the first follower; each follower hashed
+  // its own grid.
+  EXPECT_EQ(s.digests, static_cast<std::uint64_t>(kWaiters));
   EXPECT_EQ(s.completed, static_cast<std::uint64_t>(kWaiters));
   // Exactly ONE task reached a gang, ONE plan-cache probe ran.
   EXPECT_EQ(gang_tasks(s), 1u);
@@ -284,6 +298,117 @@ TEST(Scheduler, CoalescesIdenticalSubmissionsToOneExecution) {
   late.fut = sched.submit(*late.grid, spec, kRun, ServiceClass::kBatch);
   EXPECT_FALSE(late.fut.get().coalesced);
   EXPECT_EQ(sched.stats().coalesced, static_cast<std::uint64_t>(kWaiters - 1));
+  // Nothing was queued under its key, so it was admitted without a digest.
+  EXPECT_EQ(sched.stats().digests, static_cast<std::uint64_t>(kWaiters));
+}
+
+// The content digest is paid only on a plan-key match: traffic whose keys
+// all differ never reads a grid for coalescing, even with every group
+// queued at once.
+TEST(Scheduler, DistinctKeysAreAdmittedWithoutDigests) {
+  Scheduler sched({.executor = {.gangs = 1, .threads_per_gang = 1}});
+  sched.pause();
+  const StencilSpec spec{.kind = StencilKind::k1d3p};
+  constexpr int kReqs = 6;
+  std::vector<Req> reqs;
+  const auto steps = [](int i) {
+    return opts(Method::kTranspose, Tiling::kNone, 1 + i);
+  };
+  for (int i = 0; i < kReqs; ++i) {
+    reqs.emplace_back(3);  // equal contents; only the step count differs
+    reqs.back().fut = sched.submit(*reqs.back().grid, spec, steps(i));
+  }
+  EXPECT_EQ(sched.stats().digests, 0u);
+  sched.resume();
+  for (int i = 0; i < kReqs; ++i) {
+    Req& r = reqs[static_cast<std::size_t>(i)];
+    EXPECT_FALSE(r.fut.get().coalesced);
+    EXPECT_EQ(max_abs_diff(serial_expected(3, steps(i),
+                                           sched.threads_per_gang()),
+                           *r.grid),
+              0.0);
+  }
+  const SchedulerStats s = sched.stats();
+  EXPECT_EQ(s.digests, 0u);
+  EXPECT_EQ(s.coalesced, 0u);
+  EXPECT_EQ(gang_tasks(s), static_cast<std::uint64_t>(kReqs));
+}
+
+// Same plan key, different contents: the newcomer hashes both grids, the
+// digests differ, and each request runs on its own.
+TEST(Scheduler, SameKeyDifferentContentsHashBothAndNeverCoalesce) {
+  Scheduler sched({.executor = {.gangs = 1, .threads_per_gang = 1}});
+  sched.pause();
+  const StencilSpec spec{.kind = StencilKind::k1d3p};
+  Req a(1), b(2);
+  a.fut = sched.submit(*a.grid, spec, kRun);
+  EXPECT_EQ(sched.stats().digests, 0u);
+  b.fut = sched.submit(*b.grid, spec, kRun);
+  EXPECT_EQ(sched.stats().digests, 2u);
+  sched.resume();
+  EXPECT_FALSE(a.fut.get().coalesced);
+  EXPECT_FALSE(b.fut.get().coalesced);
+  const int tpg = sched.threads_per_gang();
+  EXPECT_EQ(max_abs_diff(serial_expected(1, kRun, tpg), *a.grid), 0.0);
+  EXPECT_EQ(max_abs_diff(serial_expected(2, kRun, tpg), *b.grid), 0.0);
+  const SchedulerStats s = sched.stats();
+  EXPECT_EQ(s.coalesced, 0u);
+  EXPECT_EQ(gang_tasks(s), 2u);
+}
+
+// While a submitter hashes a queued group's grid outside the lock, that
+// group is pinned: a free gang does not take it (the gang would write the
+// grid being read) and a full queue does not shed it (its caller would get
+// the grid back mid-read). The hook holds the submitter at that point.
+TEST(Scheduler, PinnedGroupIsNeitherDispatchedNorShed) {
+  Scheduler sched({.executor = {.gangs = 1, .threads_per_gang = 1},
+                   .queue_capacity = 1});
+  sched.pause();
+  const StencilSpec spec{.kind = StencilKind::k1d3p};
+  Req a(1), b(2), c(3);
+  a.fut = sched.submit(*a.grid, spec, kRun, ServiceClass::kBatch, 1e-6);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));  // a overdue
+
+  std::promise<void> pinned, release;
+  std::shared_future<void> released = release.get_future().share();
+  SchedulerTestAccess::set_pinned_hook(sched, [&] {
+    pinned.set_value();
+    released.wait();
+  });
+  std::thread submitter([&] { b.fut = sched.submit(*b.grid, spec, kRun); });
+  pinned.get_future().wait();
+
+  // A free gang and a queued group, but the group is pinned.
+  sched.resume();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  SchedulerStats s = sched.stats();
+  EXPECT_EQ(gang_tasks(s), 0u);
+  EXPECT_EQ(s.queued, 1u);
+
+  // The queue is full and its only group is overdue, yet pinned: the
+  // newcomer (another key, so no hashing) is rejected instead.
+  c.fut = sched.submit(*c.grid, spec,
+                       opts(Method::kTranspose, Tiling::kNone, 3));
+  EXPECT_THROW(c.fut.get(), OverloadError);
+  s = sched.stats();
+  EXPECT_EQ(s.shed, 0u);
+  EXPECT_EQ(s.rejected, 1u);
+
+  // Released, the submitter stores both digests, unpins a, finds no match
+  // and — still under the lock — sheds the overdue a for its own slot.
+  release.set_value();
+  submitter.join();
+  EXPECT_THROW(a.fut.get(), OverloadError);
+  EXPECT_FALSE(b.fut.get().coalesced);
+  EXPECT_EQ(max_abs_diff(serial_expected(2, kRun, sched.threads_per_gang()),
+                         *b.grid),
+            0.0);
+  sched.wait_idle();
+  s = sched.stats();
+  EXPECT_EQ(s.digests, 2u);
+  EXPECT_EQ(s.coalesced, 0u);
+  EXPECT_EQ(s.shed, 1u);
+  EXPECT_EQ(gang_tasks(s), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -496,6 +621,48 @@ TEST(Scheduler, ConcurrentSubmittersKeepCountersConsistent) {
   EXPECT_EQ(s.queued, 0u);
   EXPECT_EQ(s.inflight, 0u);
   EXPECT_EQ(s.executor.workspaces.in_flight, 0u);
+}
+
+// Concurrent same-key submitters against live gangs: digests, pins and
+// coalescing race the dispatch loop. Three contents share one key, so
+// submitters hash each other's queued leaders while gangs take them. Every
+// request must still match its serial result (exact coalescing), and the
+// counters must satisfy coalesced <= digests <= submitted.
+TEST(Scheduler, ConcurrentSameKeySubmitsCoalesceExactly) {
+  Scheduler sched({.executor = {.gangs = 2, .threads_per_gang = 1}});
+  constexpr int kThreads = 4, kPerThread = 12, kContents = 3;
+  constexpr index kNx = 4096;
+  const Options o = opts(Method::kTranspose, Tiling::kNone, 2);
+  std::vector<Req> reqs;
+  for (int i = 0; i < kThreads * kPerThread; ++i)
+    reqs.emplace_back(i % kContents, kNx);
+
+  std::vector<std::thread> submitters;
+  const StencilSpec spec{.kind = StencilKind::k1d3p};
+  for (int t = 0; t < kThreads; ++t)
+    submitters.emplace_back([&, t] {
+      for (int i = t; i < kThreads * kPerThread; i += kThreads)
+        reqs[static_cast<std::size_t>(i)].fut =
+            sched.submit(*reqs[static_cast<std::size_t>(i)].grid, spec, o);
+    });
+  for (auto& t : submitters) t.join();
+  for (auto& r : reqs) EXPECT_NO_THROW(r.fut.get());
+  sched.wait_idle();
+
+  for (int i = 0; i < kThreads * kPerThread; ++i)
+    EXPECT_EQ(max_abs_diff(serial_expected(i % kContents, o, 1, kNx),
+                           *reqs[static_cast<std::size_t>(i)].grid),
+              0.0)
+        << "request " << i;
+  MetricsSnapshot m;
+  m.has_scheduler = true;
+  m.scheduler = sched.stats();
+  const SchedulerStats& s = m.scheduler;
+  EXPECT_EQ(s.completed, static_cast<std::uint64_t>(kThreads * kPerThread));
+  EXPECT_LE(s.coalesced, s.digests);
+  EXPECT_LE(s.digests, s.submitted);
+  for (const std::string& v : metrics_check_invariants(m, /*idle=*/true))
+    ADD_FAILURE() << v;
 }
 
 }  // namespace

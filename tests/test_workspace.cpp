@@ -12,10 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <new>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -358,6 +360,88 @@ TEST(Workspace, StreamingResolutionPolicy) {
   oa.steps = 2;
   oa.stream = StreamMode::kOn;
   EXPECT_FALSE(make_plan(shape1d(1024), s, oa).config().streaming);
+}
+
+// ---- prepare: every allocation before the first write ----------------------
+//
+// TypedPlan::prepare creates every slot an execute fetches, for the blocked
+// schedule and for the step-sliced one an active ExecControl selects (the
+// 2-step unroll&jam needs a parity buffer only when sliced). After it, even
+// the FIRST execute on a fresh workspace allocates nothing — which is what
+// makes every allocation failure pre-mutation (retry without a snapshot).
+
+template <typename S, typename G>
+void expect_prepared_execute_alloc_free(const Shape& sh, const S& s,
+                                        const G& input, const Options& o,
+                                        const std::string& what) {
+  const auto plan = make_plan(sh, s, o);
+  for (bool sliced : {false, true}) {
+    ExecControl ctl;
+    if (sliced)
+      ctl.deadline = ExecControl::Clock::now() + std::chrono::hours(1);
+    const ExecControl* c = sliced ? &ctl : nullptr;
+    Workspace ws;
+    G g = input;
+    plan.prepare(g, ws, c);
+    const std::string label = what + (sliced ? " sliced" : " blocked");
+    expect_alloc_free([&] { plan.execute(g, ws, c); }, label.c_str());
+  }
+}
+
+template <typename T>
+int check_prepared_first_execute(const Capability& cap, index steps) {
+  const Dtype dt = dtype_of<T>();
+  if (!cap.supports_dtype(dt)) return 0;
+  int checked = 0;
+  for (int rank = 1; rank <= 3; ++rank) {
+    if (!cap.supports_rank(rank)) continue;
+    Options o;
+    o.method = cap.method;
+    o.tiling = cap.tiling;
+    o.steps = steps;
+    if (cap.tiling != Tiling::kNone) {
+      o.bt = 2;
+      o.bx = rank == 1 ? (cap.tiling == Tiling::kSplit ? 64 : 256) : 0;
+      o.by = 8;
+      o.bz = 4;
+    }
+    const std::string what = std::string(method_name(cap.method)) + "+" +
+                             tiling_name(cap.tiling) + " " +
+                             std::to_string(rank) + "D " + dtype_name(dt) +
+                             " steps=" + std::to_string(steps);
+    if (rank == 1) {
+      Grid1D<T> g(512, 1);
+      g.fill([](index x) { return static_cast<T>(f1(x)); });
+      expect_prepared_execute_alloc_free(shape1d(512), make_1d3p<T>(), g, o,
+                                         what);
+    } else if (rank == 2) {
+      Grid2D<T> g(256, 24, 1);
+      g.fill([](index x, index y) { return static_cast<T>(f2(x, y)); });
+      expect_prepared_execute_alloc_free(shape2d(256, 24), make_2d5p<T>(), g,
+                                         o, what);
+    } else {
+      Grid3D<T> g(256, 12, 10, 1);
+      g.fill([](index x, index y, index z) {
+        return static_cast<T>(f3(x, y, z));
+      });
+      expect_prepared_execute_alloc_free(shape3d(256, 12, 10),
+                                         make_3d7p<T>(), g, o, what);
+    }
+    ++checked;
+  }
+  return checked;
+}
+
+TEST(Workspace, FirstExecuteAfterPrepareIsAllocationFree) {
+  int checked = 0;
+  for (const Capability& cap : capabilities())
+    // Odd steps run the 2-step schemes' remainder step when blocked; even
+    // steps need the remainder's parity buffer only when sliced.
+    for (index steps : {3, 4}) {
+      checked += check_prepared_first_execute<double>(cap, steps);
+      checked += check_prepared_first_execute<float>(cap, steps);
+    }
+  EXPECT_GT(checked, 0);
 }
 
 }  // namespace
