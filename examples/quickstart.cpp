@@ -7,8 +7,8 @@
 // Expected output: identical results from every method, with the transpose
 // scheme (and its 2-step variant) fastest once the problem spills L2 — and
 // the float runs roughly twice as fast as the double runs (2x lanes).
-// Under --boundary periodic|neumann every method runs step-granular with a
-// ghost refresh between steps (see docs/TUNING.md) and must still agree
+// Under --boundary periodic|neumann every method advances single steps with
+// a ghost refresh between them (see docs/TUNING.md) and must still agree
 // with the scalar reference executed under the same condition.
 
 #include <cstdio>

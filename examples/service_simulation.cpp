@@ -23,6 +23,12 @@
 // and the plan cache must show exactly one construction per distinct
 // configuration (the coalesced duplicate triggers none).
 //
+// A held-layout round then serves tessellated 2-step unroll&jam requests
+// that carry a timeout or a periodic boundary — the requests whose plan
+// polls its control or refreshes ghosts between time blocks inside the
+// layout — and checks them bit for bit against the serial plan, with the
+// scheduler counting exactly one polled execute per timeout request.
+//
 // The run ends with one observability scrape (core/metrics.hpp): the final
 // Prometheus exposition is printed, three conservation invariants are
 // spot-checked by hand, and the full metrics_check_invariants audit must
@@ -194,6 +200,85 @@ bool chaos_round() {
     }
   }
   std::printf("  retried work bit-identical, failed sessions untouched\n\n");
+  return ok;
+}
+
+// ---- held-layout round -----------------------------------------------------
+// Tessellated transpose-uj2 requests, every one its own coalesce group
+// (distinct contents): kTimed carry a generous timeout, so their plans poll
+// the control after every time block without it ever firing; kPeriodic run
+// a periodic boundary, refreshing ghosts between steps inside the layout.
+// Both kinds make one driver call per request; the served grids must be
+// bit-identical to the serial plan, and polled_executes must count exactly
+// the timeout groups.
+bool held_layout_round() {
+  constexpr int kTimed = 3, kPeriodic = 3;
+  constexpr tsv::index kNx = 256, kNy = 48;
+  std::printf("held-layout round: %d timeout + %d periodic tiled requests\n",
+              kTimed, kPeriodic);
+
+  const tsv::StencilSpec spec{.kind = tsv::StencilKind::k2d5p};
+  tsv::Options o;
+  o.method = tsv::Method::kTransposeUJ;
+  o.tiling = tsv::Tiling::kTessellate;
+  o.steps = 13;  // odd: the pair schedule ends on a single step
+  o.bx = 128;
+  o.by = 16;
+  o.bt = 4;
+  o.max_threads = 1;
+  tsv::Options periodic = o;
+  periodic.boundary = tsv::BoundarySpec::uniform(tsv::Boundary::kPeriodic);
+
+  std::vector<std::unique_ptr<tsv::Grid2D<double>>> grids;
+  std::vector<tsv::Grid2D<double>> expect;
+  for (int s = 0; s < kTimed + kPeriodic; ++s) {
+    grids.push_back(std::make_unique<tsv::Grid2D<double>>(kNx, kNy, 1));
+    grids.back()->fill([s](tsv::index x, tsv::index y) {
+      return 0.3 + 1e-3 * static_cast<double>((x + 5 * y + 17 * s) % 97);
+    });
+    expect.push_back(*grids.back());
+    tsv::make_plan(tsv::shape_of(expect.back()), spec,
+                   s < kTimed ? o : periodic)
+        .execute(expect.back());
+  }
+
+  tsv::Scheduler sched({.executor = {.gangs = 2, .threads_per_gang = 1}});
+  sched.pause();
+  std::vector<std::future<tsv::Scheduler::Result>> futs;
+  for (int s = 0; s < kTimed + kPeriodic; ++s) {
+    const bool timed = s < kTimed;
+    futs.push_back(sched.submit(
+        {tsv::Scheduler::GridRef{grids[static_cast<std::size_t>(s)].get()},
+         spec, timed ? o : periodic, tsv::ServiceClass::kBatch,
+         /*deadline_ms=*/0.0, "held", /*timeout_ms=*/timed ? 60'000.0 : 0.0}));
+  }
+  sched.resume();
+  bool ok = true;
+  try {
+    drain(futs);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "held-layout: request failed: %s\n", e.what());
+    return false;
+  }
+  for (int s = 0; s < kTimed + kPeriodic; ++s)
+    if (tsv::max_abs_diff(*grids[static_cast<std::size_t>(s)],
+                          expect[static_cast<std::size_t>(s)]) != 0.0) {
+      std::fprintf(stderr, "held-layout: request %d not bit-identical\n", s);
+      ok = false;
+    }
+  const tsv::SchedulerStats st = sched.stats();
+  std::printf("  completed %llu, coalesced %llu, polled executes %llu\n\n",
+              static_cast<unsigned long long>(st.completed),
+              static_cast<unsigned long long>(st.coalesced),
+              static_cast<unsigned long long>(st.polled_executes));
+  if (st.completed != kTimed + kPeriodic || st.coalesced != 0 ||
+      st.polled_executes != kTimed) {
+    std::fprintf(stderr,
+                 "held-layout: expected %d completed, 0 coalesced and %d "
+                 "polled executes\n",
+                 kTimed + kPeriodic, kTimed);
+    ok = false;
+  }
   return ok;
 }
 
@@ -406,6 +491,7 @@ int main(int argc, char** argv) {
                       opt_c.boundary, "C (3D Neumann)");
 
   std::printf("\n");
+  ok &= held_layout_round();
   ok &= chaos_round();
 
   std::printf("%s\n", ok ? "service simulation: OK" : "service simulation: FAILED");

@@ -285,6 +285,31 @@ G make_grid(const std::array<index, 3>& e, index halo,
     return G(e[0], e[1], e[2], halo, ft);
 }
 
+/// Interior x index map of a row held in original layout: x -> x. The
+/// layout drivers hold their levels under another map (the transpose
+/// layout's block_transposed_offset, DLT's dlt_offset) and hand it to the
+/// block hook below, so ghost fills can find interior cells.
+struct IdentityX {
+  constexpr index operator()(index x, index /*nx*/) const { return x; }
+};
+
+/// The between-time-blocks hook protocol of every run driver and tiling
+/// engine: at the top of each time block the driver calls hook(cur, xmap),
+/// where @p cur is the buffer holding the current level and @p xmap its x
+/// index map. A false return stops the run at that block boundary; the
+/// driver still delivers the current level to the caller's grid, in the
+/// original layout. refreshes() is true when the hook refreshes ghost cells
+/// at every call: drivers that fuse two steps (unroll&jam) then advance
+/// single steps, since a fused pair has no boundary between its steps.
+/// This no-op hook is what a plain run takes; it compiles away.
+struct NoBlockHook {
+  static constexpr bool refreshes() { return false; }
+  template <typename G, typename XMap>
+  constexpr bool operator()(G&, const XMap&) const {
+    return true;
+  }
+};
+
 /// Largest |a-b| over the interior of two grids (used by the test suite).
 template <typename T>
 T max_abs_diff(const Grid1D<T>& a, const Grid1D<T>& b) {

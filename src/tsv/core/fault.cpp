@@ -44,10 +44,16 @@ bool is_transient_error(const std::exception_ptr& ep) noexcept {
   }
 }
 
-void ExecControl::check() const {
-  if (cancelled && cancelled()) throw CancelledError("request cancelled");
+ExecControl::Stop ExecControl::poll() const {
+  if (cancelled && cancelled()) return Stop::kCancelled;
   if (deadline != Clock::time_point::max() && Clock::now() >= deadline)
-    throw TimeoutError("request timeout expired");
+    return Stop::kTimeout;
+  return Stop::kNone;
+}
+
+void ExecControl::raise(Stop why) {
+  if (why == Stop::kCancelled) throw CancelledError("request cancelled");
+  if (why == Stop::kTimeout) throw TimeoutError("request timeout expired");
 }
 
 const char* fault_site_name(FaultSite site) noexcept {

@@ -157,25 +157,34 @@ class CancelToken {
   std::shared_ptr<std::atomic<bool>> flag_;
 };
 
-// Execution-control block threaded down to TypedPlan::execute: the kernel
-// loop polls it between time steps (via the existing steps=1 slicing) and
-// aborts with the matching error. `cancelled` is a predicate, not a token,
-// so a coalesced group can encode "all live members cancelled" without the
-// plan layer knowing about groups.
+// Execution-control block threaded down to TypedPlan::execute: the plan
+// polls it at dispatch and after every time block of its one driver call,
+// and aborts with the matching error. `cancelled` is a predicate, not a
+// token, so a coalesced group can encode "all live members cancelled"
+// without the plan layer knowing about groups.
 struct ExecControl {
   using Clock = std::chrono::steady_clock;
   Clock::time_point deadline = Clock::time_point::max();
   std::function<bool()> cancelled;
 
-  // True when this control can ever fire — lets the plan skip the per-step
-  // slicing (and its per-step ghost fills) for plain requests.
+  /// Why a request should stop, if it should.
+  enum class Stop { kNone, kCancelled, kTimeout };
+
+  // True when this control can ever fire — lets the plan skip the block
+  // hook entirely for plain requests.
   bool active() const {
     return static_cast<bool>(cancelled) ||
            deadline != Clock::time_point::max();
   }
-  // Throws CancelledError / TimeoutError when the request should stop.
-  // Cancel wins over timeout: an explicit cancel is the caller's word.
-  void check() const;
+  // Non-throwing poll (one call of the predicate): what the block hook runs
+  // between time blocks, so a driver can stop at a block boundary and still
+  // hand back the current level. Cancel wins over timeout: an explicit
+  // cancel is the caller's word.
+  Stop poll() const;
+  // Throws CancelledError / TimeoutError for @p why; no-op for kNone.
+  static void raise(Stop why);
+  // raise(poll()).
+  void check() const { raise(poll()); }
 };
 
 // ---------------------------------------------------------------------------

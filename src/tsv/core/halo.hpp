@@ -19,13 +19,17 @@
 // ghost values.
 //
 // Execution model (see TypedPlan::execute in core/plan.hpp): kDirichlet
-// axes are never touched; kZero axes are filled once per execute; plans
-// with a kPeriodic or kNeumann axis run step-at-a-time with a fill_ghosts
-// refresh between steps, because those ghosts depend on the evolving
-// interior. Methods that fuse several time steps per driver call (the
-// 2-step unroll&jam scheme, temporal tiling with bt > 1) degrade gracefully
-// to their single-step path between refreshes — resolve_options reports the
-// temporal block that actually executes.
+// axes are never touched; kZero axes are filled once per execute; a
+// kPeriodic or kNeumann axis makes the ghosts depend on the evolving
+// interior, so the plan refreshes them between time steps. The run still
+// makes one driver call: the driver transforms into its layout once and
+// calls the plan's block hook between steps, which fills the ghosts of the
+// buffer holding the current level in place. Layout rows keep their x halo
+// in original order, so the x fill reads the interior through the layout's
+// index map (the xmap argument below); the y/z ghost rows are whole-row
+// copies and carry the layout with them. Methods that fuse several steps
+// per block (the 2-step unroll&jam schemes, temporal tiling with bt > 1)
+// advance single steps instead — resolve_options reports bt = 1.
 
 #include <cstring>
 #include <optional>
@@ -67,10 +71,13 @@ void zero_row_segment(T* dst, index n) {
 
 /// x-axis fill for one unit-stride row, one side at a time: lo fills the
 /// ghost cells at [-r, 0), hi the ones at [nx, nx + r), around the interior
-/// [0, nx). Element loops, O(r). Split per face so the sharded execution
-/// path can fill exactly the physical face of a split axis.
-template <typename T>
-void fill_row_x_lo(T* row, index nx, int r, Boundary b) {
+/// [0, nx), whose element x sits at row[xmap(x, nx)] (the layout's index
+/// map; the ghost cells themselves are always in original order). Element
+/// loops, O(r). Split per face so the sharded execution path can fill
+/// exactly the physical face of a split axis.
+template <typename T, typename XMap = IdentityX>
+void fill_row_x_lo(T* row, index nx, int r, Boundary b,
+                   const XMap& xmap = {}) {
   switch (b) {
     case Boundary::kDirichlet:
       break;
@@ -78,16 +85,17 @@ void fill_row_x_lo(T* row, index nx, int r, Boundary b) {
       for (int d = 1; d <= r; ++d) row[-d] = T(0);
       break;
     case Boundary::kPeriodic:
-      for (int d = 1; d <= r; ++d) row[-d] = row[nx - d];
+      for (int d = 1; d <= r; ++d) row[-d] = row[xmap(nx - d, nx)];
       break;
     case Boundary::kNeumann:
-      for (int d = 1; d <= r; ++d) row[-d] = row[d - 1];
+      for (int d = 1; d <= r; ++d) row[-d] = row[xmap(d - 1, nx)];
       break;
   }
 }
 
-template <typename T>
-void fill_row_x_hi(T* row, index nx, int r, Boundary b) {
+template <typename T, typename XMap = IdentityX>
+void fill_row_x_hi(T* row, index nx, int r, Boundary b,
+                   const XMap& xmap = {}) {
   switch (b) {
     case Boundary::kDirichlet:
       break;
@@ -95,18 +103,18 @@ void fill_row_x_hi(T* row, index nx, int r, Boundary b) {
       for (int d = 0; d < r; ++d) row[nx + d] = T(0);
       break;
     case Boundary::kPeriodic:
-      for (int d = 0; d < r; ++d) row[nx + d] = row[d];
+      for (int d = 0; d < r; ++d) row[nx + d] = row[xmap(d, nx)];
       break;
     case Boundary::kNeumann:
-      for (int d = 0; d < r; ++d) row[nx + d] = row[nx - 1 - d];
+      for (int d = 0; d < r; ++d) row[nx + d] = row[xmap(nx - 1 - d, nx)];
       break;
   }
 }
 
-template <typename T>
-void fill_row_x(T* row, index nx, int r, Boundary b) {
-  fill_row_x_lo(row, nx, r, b);
-  fill_row_x_hi(row, nx, r, b);
+template <typename T, typename XMap>
+void fill_row_x(T* row, index nx, int r, Boundary b, const XMap& xmap) {
+  fill_row_x_lo(row, nx, r, b, xmap);
+  fill_row_x_hi(row, nx, r, b, xmap);
 }
 
 /// Source index (in the interior) a ghost layer at distance @p d outside a
@@ -178,31 +186,36 @@ void fill_ghost_face(Grid3D<T>& g, Boundary b, int radius, bool high) {
 /// Fills the radius-@p radius ghost rim of @p g according to @p bc (see the
 /// header comment for semantics and corner handling). kDirichlet axes are
 /// left untouched. The grid's halo must be >= radius (plan-validated).
-template <typename T>
-void fill_ghosts(Grid1D<T>& g, const BoundarySpec& bc, int radius) {
-  detail::fill_row_x(g.x0(), g.nx(), radius, bc.x);
+/// @p xmap is the x index map of the layout the rows are held in.
+template <typename T, typename XMap = IdentityX>
+void fill_ghosts(Grid1D<T>& g, const BoundarySpec& bc, int radius,
+                 const XMap& xmap = {}) {
+  detail::fill_row_x(g.x0(), g.nx(), radius, bc.x, xmap);
 }
 
-template <typename T>
-void fill_ghosts(Grid2D<T>& g, const BoundarySpec& bc, int radius) {
+template <typename T, typename XMap = IdentityX>
+void fill_ghosts(Grid2D<T>& g, const BoundarySpec& bc, int radius,
+                 const XMap& xmap = {}) {
   const index nx = g.nx(), ny = g.ny();
   const int r = radius;
   if (bc.x != Boundary::kDirichlet)
-    for (index y = 0; y < ny; ++y) detail::fill_row_x(g.row(y), nx, r, bc.x);
+    for (index y = 0; y < ny; ++y)
+      detail::fill_row_x(g.row(y), nx, r, bc.x, xmap);
   // Ghost rows copy the whole extended row [-r, nx + r) so corners inherit
   // the x fill of their source row (fill_ghost_face implements the copies).
   fill_ghost_face(g, bc.y, r, /*high=*/false);
   fill_ghost_face(g, bc.y, r, /*high=*/true);
 }
 
-template <typename T>
-void fill_ghosts(Grid3D<T>& g, const BoundarySpec& bc, int radius) {
+template <typename T, typename XMap = IdentityX>
+void fill_ghosts(Grid3D<T>& g, const BoundarySpec& bc, int radius,
+                 const XMap& xmap = {}) {
   const index nx = g.nx(), ny = g.ny(), nz = g.nz();
   const int r = radius;
   if (bc.x != Boundary::kDirichlet)
     for (index z = 0; z < nz; ++z)
       for (index y = 0; y < ny; ++y)
-        detail::fill_row_x(g.row(y, z), nx, r, bc.x);
+        detail::fill_row_x(g.row(y, z), nx, r, bc.x, xmap);
   const index w = nx + 2 * r;
   if (bc.y != Boundary::kDirichlet) {
     for (index z = 0; z < nz; ++z)

@@ -88,7 +88,7 @@ std::string metrics_to_json(const MetricsSnapshot& m) {
        << ",\"retries\":" << s.retries
        << ",\"retry_exhausted\":" << s.retry_exhausted
        << ",\"cancelled\":" << s.cancelled << ",\"timed_out\":" << s.timed_out
-       << ",\"sliced_executes\":" << s.sliced_executes
+       << ",\"polled_executes\":" << s.polled_executes
        << ",\"queued\":" << s.queued << ",\"inflight\":" << s.inflight
        << ",\"peak_tenant_inflight\":" << s.peak_tenant_inflight
        << ",\"latency\":{";
@@ -260,10 +260,10 @@ std::string metrics_to_prometheus(const MetricsSnapshot& m) {
     counter("tsv_scheduler_timed_out_total",
             "Requests failed with TimeoutError (subset of failed).",
             s.timed_out);
-    counter("tsv_scheduler_sliced_executes_total",
-            "Request groups run one step at a time under a cancel token or "
-            "timeout.",
-            s.sliced_executes);
+    counter("tsv_scheduler_polled_executes_total",
+            "Request groups run under a cancel token or timeout, polled "
+            "between time blocks.",
+            s.polled_executes);
     gauge("tsv_scheduler_queued", "Coalesce groups waiting in the queue.",
           s.queued);
     gauge("tsv_scheduler_inflight", "Groups running on a gang.",

@@ -64,8 +64,8 @@ enum class StreamMode {
 ///    refreshed before every time step.
 ///
 /// Periodic and Neumann ghosts depend on the evolving interior, so plans
-/// with such an axis execute step-at-a-time with a ghost refresh between
-/// steps (see TypedPlan::execute); the interior kernels stay branch-free.
+/// with such an axis refresh them between time steps, inside the driver's
+/// layout (see TypedPlan::execute); the interior kernels stay branch-free.
 enum class Boundary {
   kDirichlet,  ///< frozen user-supplied halo values (default)
   kZero,       ///< enforced zero halo (paper's implicit convention)

@@ -161,21 +161,21 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
   // scheme tessellates at pair granularity and needs an even bt. A
   // periodic/Neumann boundary inserts a ghost refresh between every pair of
   // steps, so a temporal block cannot span more than one step: bt resolves
-  // to 1 (2 for the even-bt rows, whose engines then take the single-step
-  // path) and reports what actually executes.
-  r.bt = per_step ? (cap->needs_even_bt ? 2 : 1)
-                  : (o.bt > 0 ? o.bt : kDefaultBt);
+  // to 1 for every row — the even-bt rows then advance single steps, which
+  // is what bt reports.
+  r.bt = per_step ? 1 : (o.bt > 0 ? o.bt : kDefaultBt);
   resolve_streaming(r.bt == 1);
-  if (cap->needs_even_bt && r.bt % 2 != 0)
+  if (cap->needs_even_bt && !per_step && r.bt % 2 != 0)
     fail("2-step unroll&jam tiling needs an even temporal block bt (got " +
          std::to_string(r.bt) + ")");
 
   if (o.tiling == Tiling::kTessellate) {
     // Tile slope and time range as the engines will see them: ordinary
     // methods advance single steps (slope = r, tau = bt); the 2-step scheme
-    // advances pairs (slope = 2r, tau = bt/2) whenever it has >= 1 pair.
+    // advances pairs (slope = 2r, tau = bt/2) whenever it has >= 1 pair
+    // and no per-step boundary.
     index slope = radius, tau = r.bt;
-    if (cap->needs_even_bt) {
+    if (cap->needs_even_bt && !per_step) {
       if (r.steps >= 2) {
         slope = 2 * radius;
         tau = std::max<index>(1, r.bt / 2);

@@ -28,6 +28,7 @@
 #include <limits>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -106,10 +107,10 @@ struct ResolvedOptions {
   bool streaming = false;
   Tune tune = Tune::kOff;  ///< tuning mode the plan was built with
   /// Per-axis boundary conditions, normalized (axes beyond the rank are
-  /// kDirichlet). When any axis is periodic/Neumann the plan executes
-  /// step-at-a-time with a ghost refresh between steps, and bt above
-  /// reports the temporal block that actually executes (1, or 2 for the
-  /// even-bt unroll&jam rows). See core/halo.hpp.
+  /// kDirichlet). When any axis is periodic/Neumann the plan refreshes the
+  /// ghosts between steps inside the driver's layout, and bt above reports
+  /// the temporal block that actually executes: 1, for every row (the
+  /// 2-step unroll&jam schemes advance single steps). See core/halo.hpp.
   BoundarySpec boundary;
 };
 
@@ -174,14 +175,68 @@ struct grid_value<Grid3D<T>> {
 template <typename G>
 using grid_value_t = typename grid_value<G>::type;
 
+/// The between-time-blocks hook of a polled or per-step-boundary execute
+/// (the NoBlockHook protocol, common/grid.hpp). It polls @p ctl without
+/// throwing, so a fired control stops the driver at a block boundary with
+/// the current level delivered to the grid, and refreshes the ghosts of the
+/// buffer holding the current level under @p refresh, through the layout's
+/// x index map. The first call is the block the plan itself prepared (the
+/// dispatch poll and the ghost fill before the driver call cover it), so
+/// it does nothing.
+class BlockHook {
+ public:
+  BlockHook(const ExecControl* ctl, const BoundarySpec* refresh, int radius)
+      : ctl_(ctl), refresh_(refresh), radius_(radius) {}
+
+  bool refreshes() const { return refresh_ != nullptr; }
+
+  template <typename Grid, typename XMap>
+  bool operator()(Grid& cur, const XMap& xmap) {
+    if (std::exchange(first_, false)) return true;
+    if (ctl_ != nullptr && (stop_ = ctl_->poll()) != ExecControl::Stop::kNone)
+      return false;
+    if (refresh_ != nullptr) fill_ghosts(cur, *refresh_, radius_, xmap);
+    return true;
+  }
+
+  /// After the driver returns: the end of the run is a block boundary too,
+  /// so a control that fired during the last block is polled here. Throws
+  /// CancelledError / TimeoutError when the control fired; the grid then
+  /// holds a whole-block prefix of the run, in the original layout.
+  void finish() {
+    if (ctl_ != nullptr && stop_ == ExecControl::Stop::kNone)
+      stop_ = ctl_->poll();
+    ExecControl::raise(stop_);
+  }
+
+ private:
+  const ExecControl* ctl_;
+  const BoundarySpec* refresh_;
+  int radius_;
+  bool first_ = true;
+  ExecControl::Stop stop_ = ExecControl::Stop::kNone;
+};
+
+/// Calls @p run with *@p hook, or with the no-op hook when @p hook is null:
+/// a plain execute runs the driver instantiation whose hook compiles away.
+template <typename Run>
+void with_hook(BlockHook* hook, Run&& run) {
+  if (hook != nullptr)
+    run(*hook);
+  else
+    run(NoBlockHook{});
+}
+
 template <typename G, typename S>
-using ExecFn = void (*)(G&, const S&, const ResolvedOptions&, Workspace&);
+using ExecFn = void (*)(G&, const S&, const ResolvedOptions&, Workspace&,
+                        BlockHook*);
 template <typename G, typename S>
 using PrepFn = void (*)(const G&, const S&, const ResolvedOptions&,
                         Workspace&);
 
-/// One bound kernel: the driver, and the prepare step that creates every
-/// workspace slot the driver fetches for the same grid and options.
+/// One bound kernel: the driver (null hook = plain run), and the prepare
+/// step that creates every workspace slot the driver fetches for the same
+/// grid and options.
 template <typename G, typename S>
 struct Kernel {
   ExecFn<G, S> run = nullptr;
@@ -201,70 +256,97 @@ struct Exec {
 
   // -- untiled --------------------------------------------------------------
   static void scalar(G& g, const S& s, const ResolvedOptions& r,
-                     Workspace& ws) {
-    jacobi_run(g, r.steps, ws, kWsTmpGrid,
-               [&](const G& in, G& out) { reference_step(in, out, s); });
+                     Workspace& ws, BlockHook* h) {
+    with_hook(h, [&](auto&& hook) {
+      jacobi_run(
+          g, r.steps, ws, kWsTmpGrid,
+          [&](const G& in, G& out) { reference_step(in, out, s); }, hook);
+    });
   }
   static void autovec(G& g, const S& s, const ResolvedOptions& r,
-                      Workspace& ws) {
-    autovec_run(g, s, r.steps, ws);
+                      Workspace& ws, BlockHook* h) {
+    with_hook(h, [&](auto&& hook) { autovec_run(g, s, r.steps, ws, hook); });
   }
   static void multiload(G& g, const S& s, const ResolvedOptions& r,
-                        Workspace& ws) {
-    multiload_run<V>(g, s, r.steps, ws);
+                        Workspace& ws, BlockHook* h) {
+    with_hook(h, [&](auto&& hook) {
+      multiload_run<V>(g, s, r.steps, ws, hook);
+    });
   }
   static void reorg(G& g, const S& s, const ResolvedOptions& r,
-                    Workspace& ws) {
-    reorg_run<V>(g, s, r.steps, ws);
+                    Workspace& ws, BlockHook* h) {
+    with_hook(h, [&](auto&& hook) { reorg_run<V>(g, s, r.steps, ws, hook); });
   }
-  static void dlt(G& g, const S& s, const ResolvedOptions& r, Workspace& ws) {
-    dlt_run<V>(g, s, r.steps, ws, r.streaming);
+  static void dlt(G& g, const S& s, const ResolvedOptions& r, Workspace& ws,
+                  BlockHook* h) {
+    with_hook(h, [&](auto&& hook) {
+      dlt_run<V>(g, s, r.steps, ws, r.streaming, hook);
+    });
   }
   static void transpose(G& g, const S& s, const ResolvedOptions& r,
-                        Workspace& ws) {
-    transpose_vs_run<V>(g, s, r.steps, ws, r.streaming);
+                        Workspace& ws, BlockHook* h) {
+    with_hook(h, [&](auto&& hook) {
+      transpose_vs_run<V>(g, s, r.steps, ws, r.streaming, hook);
+    });
   }
   static void transpose_uj(G& g, const S& s, const ResolvedOptions& r,
-                           Workspace& ws) {
-    unroll_jam_run<V>(g, s, r.steps, ws);
+                           Workspace& ws, BlockHook* h) {
+    with_hook(h, [&](auto&& hook) {
+      unroll_jam_run<V>(g, s, r.steps, ws, hook);
+    });
   }
 
   // -- tessellate tiling ----------------------------------------------------
   static void tess_autovec(G& g, const S& s, const ResolvedOptions& r,
-                           Workspace& ws) {
-    tess_autovec_run(g, s, r.steps, blocks(r), r.bt, ws);
+                           Workspace& ws, BlockHook* h) {
+    with_hook(h, [&](auto&& hook) {
+      tess_autovec_run(g, s, r.steps, blocks(r), r.bt, ws, hook);
+    });
   }
   static void tess_multiload(G& g, const S& s, const ResolvedOptions& r,
-                             Workspace& ws) {
-    tess_multiload_run<V>(g, s, r.steps, blocks(r), r.bt, ws);
+                             Workspace& ws, BlockHook* h) {
+    with_hook(h, [&](auto&& hook) {
+      tess_multiload_run<V>(g, s, r.steps, blocks(r), r.bt, ws, hook);
+    });
   }
   static void tess_reorg(G& g, const S& s, const ResolvedOptions& r,
-                         Workspace& ws) {
-    tess_reorg_run<V>(g, s, r.steps, blocks(r), r.bt, ws);
+                         Workspace& ws, BlockHook* h) {
+    with_hook(h, [&](auto&& hook) {
+      tess_reorg_run<V>(g, s, r.steps, blocks(r), r.bt, ws, hook);
+    });
   }
   static void tess_transpose(G& g, const S& s, const ResolvedOptions& r,
-                             Workspace& ws) {
-    tess_transpose_run<V>(g, s, r.steps, blocks(r), r.bt, ws, r.streaming);
+                             Workspace& ws, BlockHook* h) {
+    with_hook(h, [&](auto&& hook) {
+      tess_transpose_run<V>(g, s, r.steps, blocks(r), r.bt, ws, r.streaming,
+                            hook);
+    });
   }
   static void tess_transpose_uj(G& g, const S& s, const ResolvedOptions& r,
-                                Workspace& ws) {
-    tess_transpose_uj2_run<V>(g, s, r.steps, blocks(r), r.bt, ws);
+                                Workspace& ws, BlockHook* h) {
+    with_hook(h, [&](auto&& hook) {
+      tess_transpose_uj2_run<V>(g, s, r.steps, blocks(r), r.bt, ws, hook);
+    });
   }
 
   // -- split tiling (uniform signature: the split axis is resolved) ---------
   static void split_dlt(G& g, const S& s, const ResolvedOptions& r,
-                        Workspace& ws) {
-    sdsl_run<V>(g, s, r.steps, r.split_block, r.bt, ws, r.streaming);
+                        Workspace& ws, BlockHook* h) {
+    with_hook(h, [&](auto&& hook) {
+      sdsl_run<V>(g, s, r.steps, r.split_block, r.bt, ws, r.streaming, hook);
+    });
   }
 
   // -- generic interpreter (any row-based S, compiled or lowered) -----------
   static void generic(G& g, const S& s, const ResolvedOptions& r,
-                      Workspace& ws) {
-    generic_run<V>(g, s, r.steps, ws);
+                      Workspace& ws, BlockHook* h) {
+    with_hook(h, [&](auto&& hook) { generic_run<V>(g, s, r.steps, ws, hook); });
   }
   static void tess_generic(G& g, const S& s, const ResolvedOptions& r,
-                           Workspace& ws) {
-    tess_generic_run<V>(g, s, r.steps, blocks(r), r.bt, ws);
+                           Workspace& ws, BlockHook* h) {
+    with_hook(h, [&](auto&& hook) {
+      tess_generic_run<V>(g, s, r.steps, blocks(r), r.bt, ws, hook);
+    });
   }
 
   // -- the workspace slots each driver fetches (TypedPlan::prepare) ---------
@@ -282,14 +364,18 @@ struct Exec {
     ws_grid_like(ws, kWsDltA, g);
     ws_grid_like(ws, kWsDltB, g);
   }
+  // The 2-step schemes advance single steps under a per-step boundary
+  // (TypedPlan::execute hands them a refreshing hook).
   static void transpose_uj_slots(const G& g, const S&,
                                  const ResolvedOptions& r, Workspace& ws) {
-    unroll_jam_prepare<S::radius>(g, r.steps, ws);
+    unroll_jam_prepare<S::radius>(g, r.steps,
+                                  needs_per_step_fill(r.boundary), ws);
   }
   static void tess_transpose_uj_slots(const G& g, const S& s,
                                       const ResolvedOptions& r,
                                       Workspace& ws) {
-    tess_transpose_uj2_prepare<V>(g, s, blocks(r), ws);
+    tess_transpose_uj2_prepare<V>(g, s, blocks(r),
+                                  needs_per_step_fill(r.boundary), ws);
   }
 };
 
@@ -436,9 +522,10 @@ class TypedPlan {
   /// Boundary handling (core/halo.hpp): kDirichlet axes never touch the
   /// ghost cells; kZero axes are zeroed once up front; a periodic/Neumann
   /// axis makes the ghost values depend on the evolving interior, so the
-  /// plan runs the bound driver one step at a time with a fill_ghosts
-  /// refresh before each step. The interior kernels are identical in every
-  /// case — the boundary work is O(halo) per step, outside the hot loops.
+  /// plan hands the driver a block hook that refreshes them between steps,
+  /// inside the driver's layout. The interior kernels are identical in
+  /// every case — the boundary work is O(halo) per step, outside the hot
+  /// loops.
   void execute(G& g) const { execute(g, *ws_); }
 
   /// As execute(g), but every scratch buffer comes from @p ws instead of the
@@ -448,14 +535,17 @@ class TypedPlan {
   /// own workspace (core/workspace.hpp's WorkspacePool hands out exactly
   /// that). A workspace reused across executes of the same plan stays
   /// allocation-free after its first use, like the owned one.
-  /// @p ctl (optional) is the cooperative cancellation/timeout control: when
-  /// active, the plan runs step-at-a-time (the same slicing the per-step
-  /// boundaries use — bit-identical results, see below) and polls the
-  /// control between steps, so a cancelled or expired request frees its
-  /// thread within one step. Per-step slicing is bit-identical to the
-  /// blocked schedule because every cell's update at step t is the same FP
-  /// expression over the same step-(t-1) values no matter how the steps are
-  /// grouped — blocking reorders traversal, never arithmetic.
+  ///
+  /// Every execute makes exactly one driver call, which transforms into its
+  /// layout once and back once. @p ctl (optional) is the cooperative
+  /// cancellation/timeout control: when active, it is polled at dispatch
+  /// and after every time block (bt steps tiled, one step untiled, one
+  /// pair for the untiled 2-step scheme), the last one included. A fired
+  /// control stops the driver at that block boundary and the plan throws
+  /// CancelledError / TimeoutError with @p g holding that whole-block
+  /// prefix of the run, in the original layout. The result is bit-identical
+  /// to the plain run of the same prefix: the plan keeps its temporal
+  /// blocking, and blocking reorders traversal, never arithmetic.
   void execute(G& g, Workspace& ws, const ExecControl* ctl = nullptr) const {
     check_shape(g);
     // Pre-mutation: an injected sweep fault leaves the grid untouched, so
@@ -463,32 +553,33 @@ class TypedPlan {
     fault_point(FaultSite::kKernelSweep);
     const bool polled = ctl != nullptr && ctl->active();
     if (polled) ctl->check();
-    prepare(g, ws, ctl);
+    prepare(g, ws);
     if (cfg_.steps <= 0) return;
-    if (sliced(ctl))
-      step_loop(g, ws, polled ? ctl : nullptr);
-    else {
-      fill_ghosts(g, cfg_.boundary, S::radius);  // no-op unless a kZero axis
-      kernel_.run(g, stencil_, cfg_, ws);
+    fill_ghosts(g, cfg_.boundary, S::radius);  // no-op if all Dirichlet
+    const bool per_step = needs_per_step_fill(cfg_.boundary);
+    if (polled || per_step) {
+      detail::BlockHook hook(polled ? ctl : nullptr,
+                             per_step ? &cfg_.boundary : nullptr, S::radius);
+      kernel_.run(g, stencil_, cfg_, ws, &hook);
+      hook.finish();
+    } else {
+      kernel_.run(g, stencil_, cfg_, ws, nullptr);
     }
     health_scan(g, cfg_.health);
   }
 
-  /// Creates every workspace slot execute(g, ws, ctl) fetches, for the
-  /// blocked or the step-sliced schedule that @p ctl selects, and pins the
-  /// calling thread's OpenMP team to the plan's (tiled plans; the
+  /// Creates every workspace slot execute(g, ws, ctl) fetches, and pins
+  /// the calling thread's OpenMP team to the plan's (tiled plans; the
   /// per-thread ICV is concrete after resolve, so nothing leaks across
   /// plans). execute runs it before its first write to @p g, so every
   /// allocation failure — a std::bad_alloc or the injected workspace.slot
   /// fault — leaves @p g untouched and a re-run of the same plan is
   /// bit-identical. Calling it ahead of execute moves the allocations out
   /// of the execute.
-  void prepare(const G& g, Workspace& ws,
-               const ExecControl* ctl = nullptr) const {
+  void prepare(const G& g, Workspace& ws) const {
     check_shape(g);
     if (cfg_.tiling != Tiling::kNone) omp_set_num_threads(cfg_.threads);
-    if (cfg_.steps > 0)
-      kernel_.prepare(g, stencil_, sliced(ctl) ? step_options() : cfg_, ws);
+    if (cfg_.steps > 0) kernel_.prepare(g, stencil_, cfg_, ws);
   }
 
   const Shape& shape() const { return shape_; }
@@ -498,33 +589,6 @@ class TypedPlan {
   Workspace& workspace() const { return *ws_; }
 
  private:
-  /// The steps=1 slicing driver shared by the per-step-boundary path (ghost
-  /// refresh between steps) and the cancel/timeout-poll path. One loop for
-  /// both means the two compose by construction: a cancellation delivered
-  /// at step t leaves the grid at an exact t-step prefix whose ghosts were
-  /// refreshed before every completed step. @p ctl may be null (no polling);
-  /// the poll comes BEFORE the step's ghost fill, so an aborted run never
-  /// half-updates anything.
-  void step_loop(G& g, Workspace& ws, const ExecControl* ctl) const {
-    const ResolvedOptions step = step_options();
-    for (index t = 0; t < cfg_.steps; ++t) {
-      if (ctl != nullptr && t > 0) ctl->check();
-      fill_ghosts(g, cfg_.boundary, S::radius);
-      kernel_.run(g, stencil_, step, ws);
-    }
-  }
-
-  /// True when execute runs step_loop: a per-step ghost refresh, or an
-  /// active control to poll between steps.
-  bool sliced(const ExecControl* ctl) const {
-    return needs_per_step_fill(cfg_.boundary) ||
-           (ctl != nullptr && ctl->active());
-  }
-  ResolvedOptions step_options() const {
-    ResolvedOptions step = cfg_;
-    step.steps = 1;
-    return step;
-  }
   void check_shape(const G& g) const {
     if (shape_of(g) != shape_)
       throw ConfigError(cfg_.method, cfg_.tiling, detail::grid_rank<G>,

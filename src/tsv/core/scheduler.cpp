@@ -281,7 +281,7 @@ struct Scheduler::Group {
   std::vector<std::exception_ptr> member_errors;  ///< per-member outcome
   std::uint64_t retries_used = 0;
   bool retry_exhausted = false;
-  bool sliced = false;  ///< executed under an active ExecControl
+  bool polled = false;  ///< executed under an active ExecControl
 
   // Trace timestamps. `dispatched` is written under mu_ (take_locked);
   // `sweep_start` is written by run_group on the gang, like member_errors.
@@ -684,14 +684,13 @@ std::exception_ptr Scheduler::run_group(const std::shared_ptr<Group>& g) {
       // EVERY live member cancelled (one waiter's cancel must not take the
       // shared result from the rest), so it is installed only when every
       // live member holds a token: otherwise it could never fire, and an
-      // installed predicate makes the control active, which slices the
-      // plan one step at a time (TypedPlan::execute) and forfeits temporal
-      // blocking. The deadline is finite only when every live member has
-      // one, and then it is the LATEST: the hard abort exists to reclaim
-      // the gang once NO member's budget can still use the result — a
-      // member whose own budget expires mid-run still receives the
-      // completed result (the work was done; enforcement never destroys
-      // usable output).
+      // installed predicate makes the control active, which has the plan
+      // poll it after every time block (TypedPlan::execute) — cheap, but a
+      // predicate call per block for nothing. The deadline is finite only
+      // when every live member has one, and then it is the LATEST: the hard
+      // abort exists to reclaim the gang once NO member's budget can still
+      // use the result — a member whose own budget expires mid-run still
+      // receives the result of a run that completes in the others' budget.
       ExecControl ctl;
       const bool all_tokens =
           std::all_of(live.begin(), live.end(), [&](std::size_t i) {
@@ -713,7 +712,7 @@ std::exception_ptr Scheduler::run_group(const std::shared_ptr<Group>& g) {
         latest = std::max(latest, g->members[i].exec_deadline);
       }
       if (all_dated) ctl.deadline = latest;
-      g->sliced = ctl.active();
+      g->polled = ctl.active();
 
       GridRef exec_grid = g->members[live.front()].grid;
       std::uint64_t jitter_state = g->seq;
@@ -762,7 +761,7 @@ std::vector<Scheduler::Result> Scheduler::finish_locked(
   g.member_errors.resize(g.members.size());
   stats_.retries += g.retries_used;
   if (g.retry_exhausted) ++stats_.retry_exhausted;
-  if (g.sliced) ++stats_.sliced_executes;
+  if (g.polled) ++stats_.polled_executes;
   const auto rel = [this](Clock::time_point t) {
     return std::chrono::duration<double>(t - epoch_).count();
   };

@@ -273,10 +273,11 @@ struct SchedulerStats {
   std::uint64_t retry_exhausted = 0;
   std::uint64_t cancelled = 0;  ///< failed with CancelledError (subset of failed)
   std::uint64_t timed_out = 0;  ///< failed with TimeoutError (subset of failed)
-  /// Request groups that ran one time step at a time under a live cancel
-  /// token or timeout (TypedPlan::execute polls between steps, so a tiled
-  /// plan gives up temporal blocking). Plain requests never count here.
-  std::uint64_t sliced_executes = 0;
+  /// Request groups that ran under a live cancel token or timeout:
+  /// TypedPlan::execute polls the control after every time block of its
+  /// one driver call, keeping the plan's temporal blocking. Plain requests
+  /// never count here.
+  std::uint64_t polled_executes = 0;
   std::size_t queued = 0;           ///< gauge: coalesce groups waiting
   std::size_t inflight = 0;         ///< gauge: groups running on a gang
   std::size_t peak_tenant_inflight = 0;  ///< max concurrent in-flight of one tenant
@@ -317,11 +318,12 @@ class Scheduler {
     /// Hard wall-clock budget in ms from submission (0 = none). Where
     /// deadline_ms is the soft SLO (tracked in deadline_missed, never
     /// enforced), timeout_ms is ENFORCED: an expired request fails with
-    /// TimeoutError — at dispatch if it never started, between time steps
-    /// if it did. Queueing time counts against the budget.
+    /// TimeoutError — at dispatch if it never started, after a time block
+    /// if it did (the grid then holds a whole-block prefix of the run).
+    /// Queueing time counts against the budget.
     double timeout_ms = 0.0;
     /// Cooperative cancellation handle (default: inert). cancel() fails the
-    /// request with CancelledError at the next dispatch/step poll. A
+    /// request with CancelledError at the next dispatch/block poll. A
     /// coalesced group aborts mid-run only when EVERY member cancelled —
     /// one waiter's cancel must not take the shared result from the rest.
     CancelToken cancel;

@@ -63,17 +63,22 @@ using Blocks = std::array<index, 3>;
 
 /// Advances @p units time units over the domain [0, extent) of each axis; A
 /// holds even-parity units, B odd. The result is guaranteed to end in A.
-/// adv(in, out, box) advances one unit of @p box.
+/// adv(in, out, box) advances one unit of @p box. A time block is @p tau
+/// units: hook(cur, xmap) runs at the top of every block with the buffer
+/// holding the current level (see NoBlockHook); when it returns false the
+/// engine stops at that block boundary, still ending in A, and returns
+/// false.
 ///
 /// Stage `mask` uses the inverted profile on the axes whose bit is set;
 /// stages run in mask order, and a stage with no tile on some axis (an
 /// untiled axis has no inverted seams) is skipped, so a rank-D domain runs
 /// its 2^D tensor-product stages. The extents are explicit so the hybrid
 /// tilings can tile full DLT rows or planes with the same engine.
-template <typename GridT, typename AdvanceFn>
-void tess_engine(GridT& A, GridT& B, const std::array<index, 3>& extent,
+template <typename GridT, typename AdvanceFn, typename Hook = NoBlockHook,
+          typename XMap = IdentityX>
+bool tess_engine(GridT& A, GridT& B, const std::array<index, 3>& extent,
                  Blocks blk, index units, index tau, index slope,
-                 AdvanceFn&& adv) {
+                 AdvanceFn&& adv, Hook&& hook = {}, const XMap& xmap = {}) {
   static const char* const kAxis[3] = {"x", "y", "z"};
   std::array<index, 3> count;
   for (int a = 0; a < 3; ++a) {
@@ -96,7 +101,12 @@ void tess_engine(GridT& A, GridT& B, const std::array<index, 3>& extent,
   };
 
   index done = 0;
+  bool go = true;
   while (done < units) {
+    if (!hook(parity % 2 == 0 ? A : B, xmap)) {
+      go = false;
+      break;
+    }
     const index t = std::min(tau, units - done);
     for (int mask = 0; mask < 8; ++mask) {
       const bool ix = mask & 1, iy = mask & 2, iz = mask & 4;
@@ -133,6 +143,7 @@ void tess_engine(GridT& A, GridT& B, const std::array<index, 3>& extent,
     done += t;
   }
   if (parity % 2 != 0) A.swap_storage(B);
+  return go;
 }
 
 }  // namespace tsv

@@ -23,6 +23,10 @@
 // and takes its blocks as {bx, by, bz} (entries beyond the rank ignored).
 // Every driver is generic over the element type: the V-parameterized ones
 // compute in vec_value_t<V>, the autovec ones in the grid's own T.
+// Every driver takes an optional block hook (NoBlockHook in common/grid.hpp)
+// that the engines call between time blocks, inside the layout: a plan
+// polls its cancel/timeout control and refreshes per-step ghosts there, so
+// the layout transforms run once per execute whatever the boundary.
 //
 // Memory behaviour: every buffer a driver needs beyond the user's grid —
 // the tessellation parity buffer, DLT staging grids, per-thread uj2 scratch
@@ -57,12 +61,15 @@ namespace detail {
 
 /// Tessellates @p steps Jacobi steps of @p g with adv(in, out, box); the
 /// parity buffer comes from @p ws (only its halo is refreshed per execute).
-template <typename G, typename AdvanceFn>
+/// @p hook runs between time blocks of @p bt steps (see NoBlockHook).
+template <typename G, typename AdvanceFn, typename Hook,
+          typename XMap = IdentityX>
 void tess_jacobi(G& g, index steps, const Blocks& b, index bt, index slope,
-                 Workspace& ws, AdvanceFn&& adv) {
+                 Workspace& ws, AdvanceFn&& adv, Hook&& hook,
+                 const XMap& xmap = {}) {
   G& tmp = ws_grid_like(ws, kWsTmpGrid, g);
   tmp.copy_halo_from(g);
-  tess_engine(g, tmp, extents(g), b, steps, bt, slope, adv);
+  tess_engine(g, tmp, extents(g), b, steps, bt, slope, adv, hook, xmap);
 }
 
 /// Per-thread scratch pool in @p ws, one make() per thread, each
@@ -113,58 +120,71 @@ auto& uj2_pool(Workspace& ws, const G& g, const Blocks& b, int nthreads) {
 
 }  // namespace detail
 
-template <typename G, typename S>
+template <typename G, typename S, typename Hook = NoBlockHook>
 TSV_NOINLINE void tess_autovec_run(G& g, const S& s, index steps,
-                                   const Blocks& b, index bt, Workspace& ws) {
-  detail::tess_jacobi(g, steps, b, bt, S::radius, ws,
-                      [&](const G& in, G& out, const Box& r) {
-                        autovec_step_region(in, out, s, r);
-                      });
+                                   const Blocks& b, index bt, Workspace& ws,
+                                   Hook&& hook = {}) {
+  detail::tess_jacobi(
+      g, steps, b, bt, S::radius, ws,
+      [&](const G& in, G& out, const Box& r) {
+        autovec_step_region(in, out, s, r);
+      },
+      hook);
 }
 
-template <typename V, typename G, typename S>
+template <typename V, typename G, typename S, typename Hook = NoBlockHook>
 TSV_NOINLINE void tess_multiload_run(G& g, const S& s, index steps,
-                                     const Blocks& b, index bt,
-                                     Workspace& ws) {
-  detail::tess_jacobi(g, steps, b, bt, S::radius, ws,
-                      [&](const G& in, G& out, const Box& r) {
-                        multiload_step_region<V>(in, out, s, r);
-                      });
+                                     const Blocks& b, index bt, Workspace& ws,
+                                     Hook&& hook = {}) {
+  detail::tess_jacobi(
+      g, steps, b, bt, S::radius, ws,
+      [&](const G& in, G& out, const Box& r) {
+        multiload_step_region<V>(in, out, s, r);
+      },
+      hook);
 }
 
-template <typename V, typename G, typename S>
+template <typename V, typename G, typename S, typename Hook = NoBlockHook>
 TSV_NOINLINE void tess_reorg_run(G& g, const S& s, index steps,
-                                 const Blocks& b, index bt, Workspace& ws) {
-  detail::tess_jacobi(g, steps, b, bt, S::radius, ws,
-                      [&](const G& in, G& out, const Box& r) {
-                        reorg_step_region<V>(in, out, s, r);
-                      });
+                                 const Blocks& b, index bt, Workspace& ws,
+                                 Hook&& hook = {}) {
+  detail::tess_jacobi(
+      g, steps, b, bt, S::radius, ws,
+      [&](const G& in, G& out, const Box& r) {
+        reorg_step_region<V>(in, out, s, r);
+      },
+      hook);
 }
 
-template <typename V, typename G, typename S>
+template <typename V, typename G, typename S, typename Hook = NoBlockHook>
 TSV_NOINLINE void tess_generic_run(G& g, const S& s, index steps,
-                                   const Blocks& b, index bt, Workspace& ws) {
-  detail::tess_jacobi(g, steps, b, bt, S::radius, ws,
-                      [&](const G& in, G& out, const Box& r) {
-                        generic_step_region<V>(in, out, s, r);
-                      });
+                                   const Blocks& b, index bt, Workspace& ws,
+                                   Hook&& hook = {}) {
+  detail::tess_jacobi(
+      g, steps, b, bt, S::radius, ws,
+      [&](const G& in, G& out, const Box& r) {
+        generic_step_region<V>(in, out, s, r);
+      },
+      hook);
 }
 
-template <typename V, typename G, typename S>
+template <typename V, typename G, typename S, typename Hook = NoBlockHook>
 TSV_NOINLINE void tess_transpose_run(G& g, const S& s, index steps,
                                      const Blocks& b, index bt, Workspace& ws,
-                                     bool stream = false) {
+                                     bool stream = false, Hook&& hook = {}) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
   detail::require_transpose_conforming(g, W);
   block_transpose_grid<T, W>(g);
-  detail::tess_jacobi(g, steps, b, bt, S::radius, ws,
-                      [&](const G& in, G& out, const Box& r) {
-                        if (stream)  // fences once per region
-                          transpose_step<V, true>(in, out, s, r);
-                        else
-                          transpose_step<V>(in, out, s, r);
-                      });
+  detail::tess_jacobi(
+      g, steps, b, bt, S::radius, ws,
+      [&](const G& in, G& out, const Box& r) {
+        if (stream)  // fences once per region
+          transpose_step<V, true>(in, out, s, r);
+        else
+          transpose_step<V>(in, out, s, r);
+      },
+      hook, BlockTransposedX<W>{});
   block_transpose_grid<T, W>(g);
 }
 
@@ -172,17 +192,23 @@ TSV_NOINLINE void tess_transpose_run(G& g, const S& s, index steps,
 /// range in *steps* (must be even when tiling is active). A pair advances a
 /// box in two sweeps: level +1 over the box grown by R (clipped to the
 /// domain) into a per-thread scratch, then level +2 from the scratch into
-/// the opposite parity buffer.
-template <typename V, typename G, typename S>
+/// the opposite parity buffer. @p hook runs between time blocks (see
+/// NoBlockHook). A refreshing hook needs a boundary after every step, which
+/// a pair does not have: the run then advances single tiled steps (the odd
+/// tail's sweep), one per block, and takes no scratch pool.
+template <typename V, typename G, typename S, typename Hook = NoBlockHook>
 TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
                                          const Blocks& b, index bt,
-                                         Workspace& ws) {
+                                         Workspace& ws, Hook&& hook = {}) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
   constexpr int R = S::radius;
   using Rows = decltype(tap_rows(s));
   detail::require_transpose_conforming(g, W);
-  require_fmt(bt % 2 == 0, "uj2 tiling: time range bt=", bt, " must be even");
+  const bool single = hook.refreshes();
+  if (!single)
+    require_fmt(bt % 2 == 0, "uj2 tiling: time range bt=", bt,
+                " must be even");
   const Rows rows = tap_rows(s);
   const index nx = g.nx();
   const int nthreads = omp_get_max_threads();
@@ -193,23 +219,29 @@ TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
   auto run = [&](auto&& pair_adv) {
     G& tmp = ws_grid_like(ws, kWsTmpGrid, g);
     tmp.copy_halo_from(g);
-    const index pairs = steps / 2;
-    if (pairs > 0)
-      tess_engine(g, tmp, extents(g), b, pairs, std::max<index>(1, bt / 2),
-                  2 * R, pair_adv);
-    if (steps % 2 != 0)  // odd tail: one ordinary tiled step
-      tess_engine(g, tmp, extents(g), b, 1, 1, R,
-                  [&](const G& in, G& out, const Box& r) {
-                    transpose_step<V>(in, out, s, r);
-                  });
+    const index pairs = single ? 0 : steps / 2;
+    const BlockTransposedX<W> xmap;
+    if (pairs > 0 && !tess_engine(g, tmp, extents(g), b, pairs,
+                                  std::max<index>(1, bt / 2), 2 * R,
+                                  pair_adv, hook, xmap))
+      return;
+    // The odd tail, or every step under a refreshing hook: ordinary tiled
+    // steps.
+    if (steps > 2 * pairs)
+      tess_engine(
+          g, tmp, extents(g), b, steps - 2 * pairs, 1, R,
+          [&](const G& in, G& out, const Box& r) {
+            transpose_step<V>(in, out, s, r);
+          },
+          hook, xmap);
   };
 
-  auto& pool = detail::uj2_pool<W, R>(ws, g, b, nthreads);
+  auto* pool = single ? nullptr : &detail::uj2_pool<W, R>(ws, g, b, nthreads);
   block_transpose_grid<T, W>(g);
   if constexpr (G::kRank == 1) {
     constexpr index B = block_elems<W>;
     run([&](const G& in, G& out, const Box& r) {
-      detail::ScratchRow<T>& scr = pool[omp_get_thread_num()];
+      detail::ScratchRow<T>& scr = (*pool)[omp_get_thread_num()];
       const index c_lo = std::max<index>(0, r.xlo - R);
       const index c_hi = std::min(nx, r.xhi + R);
       const index b0 = c_lo / B * B;
@@ -227,7 +259,7 @@ TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
     // Scratch row (y, z) stores grid row (y + c.ylo, z + c.zlo).
     const Box dom = full_box(g);
     run([&](const G& in, G& out, const Box& r) {
-      G& scr = pool[omp_get_thread_num()];
+      G& scr = (*pool)[omp_get_thread_num()];
       const Box c{std::max(dom.xlo, r.xlo - R), std::min(dom.xhi, r.xhi + R),
                   std::max(dom.ylo, r.ylo - R), std::min(dom.yhi, r.yhi + R),
                   std::max(dom.zlo, r.zlo - R), std::min(dom.zhi, r.zhi + R)};
@@ -259,16 +291,19 @@ TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
 }
 
 /// Creates every workspace slot tess_transpose_uj2_run(g, s, steps, b, bt,
-/// ws) fetches under the calling thread's OpenMP team: the parity buffer
-/// and the per-thread scratch pool.
+/// ws, hook) fetches under the calling thread's OpenMP team: the parity
+/// buffer and, unless the run advances @p single_steps (a refreshing hook),
+/// the per-thread scratch pool.
 template <typename V, typename G, typename S>
 void tess_transpose_uj2_prepare(const G& g, const S&, const Blocks& b,
-                                Workspace& ws) {
+                                bool single_steps, Workspace& ws) {
   ws_grid_like(ws, kWsTmpGrid, g);
-  detail::uj2_pool<V::width, S::radius>(ws, g, b, omp_get_max_threads());
+  if (!single_steps)
+    detail::uj2_pool<V::width, S::radius>(ws, g, b, omp_get_max_threads());
 }
 
-/// Split-tiling engine over DLT columns: like tess_engine on one axis, but
+/// Split-tiling engine over DLT columns: like tess_engine on one axis (the
+/// same block hook protocol and return value included), but
 /// *all* tiles shrink (the domain ends are not physical boundaries —
 /// columns 0 and L-1 are coupled through the lane seam) and the seam set
 /// includes the wrapped seam at column 0/L, processed as two ranges.
@@ -279,9 +314,10 @@ void tess_transpose_uj2_prepare(const G& g, const S&, const Blocks& b,
 /// unlike the tessellate engine (see tess.hpp), where the legality bound
 /// makes all interior tiles identical and static scheduling measured no
 /// worse while saving the dynamic dispatch.
-template <typename GridT, typename AdvanceFn>
-void split1d_wrap_engine(GridT& A, GridT& B, index domain, index units,
-                         index tau, index slope, index blk, AdvanceFn&& adv) {
+template <typename GridT, typename AdvanceFn, typename Hook, typename XMap>
+bool split1d_wrap_engine(GridT& A, GridT& B, index domain, index units,
+                         index tau, index slope, index blk, AdvanceFn&& adv,
+                         Hook&& hook, const XMap& xmap) {
   const index ntiles = tile_count(domain, blk);
   // Every tile, including a ragged last one, must be wide enough that the
   // inverted seams (and the wrapped seam) never overlap. tau == 1 degenerates
@@ -299,7 +335,12 @@ void split1d_wrap_engine(GridT& A, GridT& B, index domain, index units,
     return ((parity + u + 1) % 2 == 0) ? A : B;
   };
   index done = 0;
+  bool go = true;
   while (done < units) {
+    if (!hook(parity % 2 == 0 ? A : B, xmap)) {
+      go = false;
+      break;
+    }
     const index t = std::min(tau, units - done);
 #pragma omp parallel for schedule(dynamic)
     for (index c = 0; c < ntiles; ++c)
@@ -325,16 +366,19 @@ void split1d_wrap_engine(GridT& A, GridT& B, index domain, index units,
     done += t;
   }
   if (parity % 2 != 0) A.swap_storage(B);
+  return go;
 }
 
 /// SDSL baseline (Henretty ICS'13): DLT layout + split tiling. 1D: split
 /// tiling over DLT columns with a wrapped seam at the lane boundary; 2D/3D:
 /// hybrid tiling — tessellation of the outermost axis (rows, planes) over
 /// full DLT rows. @p split is that axis's block: DLT columns in 1D (elements
-/// / W), rows in 2D, planes in 3D.
-template <typename V, typename G, typename S>
+/// / W), rows in 2D, planes in 3D. @p hook runs between time blocks, inside
+/// the DLT layout (see NoBlockHook).
+template <typename V, typename G, typename S, typename Hook = NoBlockHook>
 TSV_NOINLINE void sdsl_run(G& g, const S& s, index steps, index split,
-                           index bt, Workspace& ws, bool stream = false) {
+                           index bt, Workspace& ws, bool stream = false,
+                           Hook&& hook = {}) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
   constexpr int R = S::radius;
@@ -361,15 +405,17 @@ TSV_NOINLINE void sdsl_run(G& g, const S& s, index steps, index split,
     const index last_tile = L - (ntiles - 1) * split;
     const index tau =
         std::max<index>(1, std::min(bt, std::min(split, last_tile) / (2 * R)));
-    split1d_wrap_engine(dltA, dltB, L, steps, tau, R, split,
-                        [&](const G& in, G& out, index ilo, index ihi) {
-                          adv(in, out, Box{ilo, ihi});
-                        });
+    split1d_wrap_engine(
+        dltA, dltB, L, steps, tau, R, split,
+        [&](const G& in, G& out, index ilo, index ihi) {
+          adv(in, out, Box{ilo, ihi});
+        },
+        hook, DltX<W>{});
   } else {
     Blocks blk{};  // x and the inner axis untiled: full DLT rows/planes
     blk[G::kRank - 1] = split;
     tess_engine(dltA, dltB, {cols.xhi, cols.yhi, cols.zhi}, blk, steps, bt, R,
-                adv);
+                adv, hook, DltX<W>{});
   }
   dlt_backward_grid<T, W>(dltA, g);
 }

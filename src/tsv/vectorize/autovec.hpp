@@ -34,11 +34,15 @@ TSV_NOINLINE void autovec_step_region(const G& in, G& out, const S& s,
             });
 }
 
-template <typename G, typename S>
-TSV_NOINLINE void autovec_run(G& g, const S& s, index steps, Workspace& ws) {
-  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const G& in, G& out) {
-    autovec_step_region(in, out, s, full_box(in));
-  });
+template <typename G, typename S, typename Hook = NoBlockHook>
+TSV_NOINLINE void autovec_run(G& g, const S& s, index steps, Workspace& ws,
+                              Hook&& hook = {}) {
+  jacobi_run(
+      g, steps, ws, kWsTmpGrid,
+      [&](const G& in, G& out) {
+        autovec_step_region(in, out, s, full_box(in));
+      },
+      hook);
 }
 
 }  // namespace tsv

@@ -158,13 +158,23 @@ Box dlt_columns(const G& g) {
   return b;
 }
 
+/// Interior x index map of a DLT row (what a block hook fills the x ghosts
+/// through).
+template <int W>
+struct DltX {
+  constexpr index operator()(index x, index nx) const {
+    return dlt_offset<W>(x, nx);
+  }
+};
+
 /// Full run: forward DLT (out-of-place, into a second grid — the extra array
 /// the paper counts against DLT), T steps inside the layout, backward DLT.
 /// The staging grid and the Jacobi parity buffer live in @p ws; @p stream
-/// selects non-temporal write-back (plan-resolved).
-template <typename V, typename Grid, typename S>
+/// selects non-temporal write-back (plan-resolved); @p hook runs between
+/// steps, inside the layout (see NoBlockHook).
+template <typename V, typename Grid, typename S, typename Hook = NoBlockHook>
 TSV_NOINLINE void dlt_run(Grid& g, const S& s, index steps, Workspace& ws,
-                          bool stream = false) {
+                          bool stream = false, Hook&& hook = {}) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
   require_fmt(g.nx() % W == 0, "DLT requires nx (", g.nx(),
@@ -174,13 +184,19 @@ TSV_NOINLINE void dlt_run(Grid& g, const S& s, index steps, Workspace& ws,
   t.copy_halo_from(g);  // seam handling reads original-layout halo scalars
   dlt_forward_grid<T, W>(g, t);
   if (stream)
-    jacobi_run(t, steps, ws, kWsTmpGrid, [&](const Grid& in, Grid& out) {
-      dlt_step<V, true>(in, out, s, dlt_columns<W>(in));
-    });
+    jacobi_run(
+        t, steps, ws, kWsTmpGrid,
+        [&](const Grid& in, Grid& out) {
+          dlt_step<V, true>(in, out, s, dlt_columns<W>(in));
+        },
+        hook, DltX<W>{});
   else
-    jacobi_run(t, steps, ws, kWsTmpGrid, [&](const Grid& in, Grid& out) {
-      dlt_step<V>(in, out, s, dlt_columns<W>(in));
-    });
+    jacobi_run(
+        t, steps, ws, kWsTmpGrid,
+        [&](const Grid& in, Grid& out) {
+          dlt_step<V>(in, out, s, dlt_columns<W>(in));
+        },
+        hook, DltX<W>{});
   dlt_backward_grid<T, W>(t, g);
 }
 

@@ -41,11 +41,15 @@ TSV_NOINLINE void generic_step_region(const G& in, G& out, const S& s,
             });
 }
 
-template <typename V, typename G, typename S>
-TSV_NOINLINE void generic_run(G& g, const S& s, index steps, Workspace& ws) {
-  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const G& in, G& out) {
-    generic_step_region<V>(in, out, s, full_box(in));
-  });
+template <typename V, typename G, typename S, typename Hook = NoBlockHook>
+TSV_NOINLINE void generic_run(G& g, const S& s, index steps, Workspace& ws,
+                              Hook&& hook = {}) {
+  jacobi_run(
+      g, steps, ws, kWsTmpGrid,
+      [&](const G& in, G& out) {
+        generic_step_region<V>(in, out, s, full_box(in));
+      },
+      hook);
 }
 
 }  // namespace tsv

@@ -124,16 +124,23 @@ TSV_ALWAYS_INLINE void walk_rows(const Box& b, const Rows& rows,
 /// steady-state runs are allocation-free. Only the halo is refreshed from
 /// @p g — every step writes the whole interior before reading it, so stale
 /// interior contents are never observed. @p step must leave halo cells
-/// alone.
-template <typename Grid, typename StepFn>
-void jacobi_run(Grid& g, index steps, Workspace& ws, int slot, StepFn&& step) {
-  if (steps <= 0) return;
+/// alone. Each step is one time block: @p hook (see NoBlockHook) sees g,
+/// which holds the current level in the layout @p xmap describes, before
+/// every step. Returns false when the hook stopped the run; g then holds
+/// the last completed level.
+template <typename Grid, typename StepFn, typename Hook = NoBlockHook,
+          typename XMap = IdentityX>
+bool jacobi_run(Grid& g, index steps, Workspace& ws, int slot, StepFn&& step,
+                Hook&& hook = {}, const XMap& xmap = {}) {
+  if (steps <= 0) return true;
   Grid& tmp = ws_grid_like(ws, slot, g);
   tmp.copy_halo_from(g);
   for (index t = 0; t < steps; ++t) {
+    if (!hook(g, xmap)) return false;
     step(std::as_const(g), tmp);
     g.swap_storage(tmp);
   }
+  return true;
 }
 
 }  // namespace tsv

@@ -260,24 +260,41 @@ void require_transpose_conforming(const Grid& g, int width) {
 }
 }  // namespace detail
 
+/// Interior x index map of a block-transposed row (what a block hook fills
+/// the x ghosts through).
+template <int W>
+struct BlockTransposedX {
+  constexpr index operator()(index x, index /*nx*/) const {
+    return block_transposed_offset<W>(x);
+  }
+};
+
 /// Workspace-backed run: the Jacobi parity buffer comes from @p ws (steady
 /// state is allocation-free); @p stream selects non-temporal write-back for
-/// LLC-exceeding working sets (resolved by the plan layer).
-template <typename V, typename Grid, typename S>
+/// LLC-exceeding working sets (resolved by the plan layer). @p hook runs
+/// between steps, inside the layout (see NoBlockHook).
+template <typename V, typename Grid, typename S, typename Hook = NoBlockHook>
 TSV_NOINLINE void transpose_vs_run(Grid& g, const S& s, index steps,
-                                   Workspace& ws, bool stream = false) {
+                                   Workspace& ws, bool stream = false,
+                                   Hook&& hook = {}) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
   detail::require_transpose_conforming(g, W);
   block_transpose_grid<T, W>(g);
   if (stream)
-    jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid& in, Grid& out) {
-      transpose_step<V, true>(in, out, s, full_box(in));
-    });
+    jacobi_run(
+        g, steps, ws, kWsTmpGrid,
+        [&](const Grid& in, Grid& out) {
+          transpose_step<V, true>(in, out, s, full_box(in));
+        },
+        hook, BlockTransposedX<W>{});
   else
-    jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid& in, Grid& out) {
-      transpose_step<V>(in, out, s, full_box(in));
-    });
+    jacobi_run(
+        g, steps, ws, kWsTmpGrid,
+        [&](const Grid& in, Grid& out) {
+          transpose_step<V>(in, out, s, full_box(in));
+        },
+        hook, BlockTransposedX<W>{});
   block_transpose_grid<T, W>(g);
 }
 

@@ -133,24 +133,36 @@ TSV_DECLARE_UJ_SWEEPS_FOR(VecF16)
 
 /// 1D run driver: transform to transpose layout, ⌊T/K⌋ pipelined in-place
 /// sweeps + remainder Jacobi steps, transform back. The remainder parity
-/// buffer lives in @p ws.
-template <typename V, int R, int K = 2>
+/// buffer lives in @p ws. @p hook runs before every K-step sweep and every
+/// remainder step (see NoBlockHook); a refreshing hook needs a boundary
+/// after every step, which a fused sweep does not have, so every step then
+/// runs as a remainder step.
+template <typename V, int R, int K = 2, typename Hook = NoBlockHook>
 TSV_NOINLINE void unroll_jam_run(Grid1D<vec_value_t<V>>& g,
-                    const Stencil1D<R, vec_value_t<V>>& s, index steps,
-                    Workspace& ws) {
+                                 const Stencil1D<R, vec_value_t<V>>& s,
+                                 index steps, Workspace& ws,
+                                 Hook&& hook = {}) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
   detail::require_transpose_conforming(g, W);
   block_transpose_grid<T, W>(g);
-  const index sweeps = steps / K;
-  for (index q = 0; q < sweeps; ++q)
+  const index sweeps = hook.refreshes() ? 0 : steps / K;
+  bool go = true;
+  for (index q = 0; q < sweeps; ++q) {
+    if (!hook(g, BlockTransposedX<W>{})) {
+      go = false;
+      break;
+    }
     unroll_jam_sweep_row<V, R, K>(g.x0(), s.w, g.nx());
+  }
   const index rem = steps - sweeps * K;
-  if (rem > 0)
-    jacobi_run(g, rem, ws, kWsTmpGrid, [&](const Grid1D<T>& in,
-                                           Grid1D<T>& out) {
-      transpose_step<V>(in, out, s, full_box(in));
-    });
+  if (go && rem > 0)
+    jacobi_run(
+        g, rem, ws, kWsTmpGrid,
+        [&](const Grid1D<T>& in, Grid1D<T>& out) {
+          transpose_step<V>(in, out, s, full_box(in));
+        },
+        hook, BlockTransposedX<W>{});
   block_transpose_grid<T, W>(g);
 }
 
@@ -211,21 +223,26 @@ auto& uj_ring(Workspace& ws, const Grid3D<T>& g) {
 
 }  // namespace detail
 
-/// Creates every workspace slot unroll_jam_run(g, s, steps, ws) fetches:
-/// the level-1 ring (2D/3D) and, for an odd step count, the parity buffer
-/// of the remainder step.
+/// Creates every workspace slot unroll_jam_run(g, s, steps, ws, hook)
+/// fetches: the level-1 ring (2D/3D, when pairs run) and the parity buffer
+/// of the remainder steps — the odd last one, or every step when
+/// @p single_steps (the hook refreshes ghosts).
 template <int R, typename G>
-void unroll_jam_prepare(const G& g, index steps, Workspace& ws) {
-  if constexpr (G::kRank > 1) detail::uj_ring<R>(ws, g);
-  if (steps % 2 != 0) ws_grid_like(ws, kWsTmpGrid, g);
+void unroll_jam_prepare(const G& g, index steps, bool single_steps,
+                        Workspace& ws) {
+  if constexpr (G::kRank > 1)
+    if (!single_steps && steps >= 2) detail::uj_ring<R>(ws, g);
+  if (single_steps || steps % 2 != 0) ws_grid_like(ws, kWsTmpGrid, g);
 }
 
 /// 2D K=2 run driver (see header comment). Grid ends in original layout;
 /// the level-1 row ring and the remainder parity buffer live in @p ws.
-template <typename V, int R, int NR>
+/// @p hook runs before every pair and remainder step, as in 1D.
+template <typename V, int R, int NR, typename Hook = NoBlockHook>
 TSV_NOINLINE void unroll_jam_run(Grid2D<vec_value_t<V>>& g,
                                  const Stencil2D<R, NR, vec_value_t<V>>& s,
-                                 index steps, Workspace& ws) {
+                                 index steps, Workspace& ws,
+                                 Hook&& hook = {}) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
   detail::require_transpose_conforming(g, W);
@@ -234,41 +251,49 @@ TSV_NOINLINE void unroll_jam_run(Grid2D<vec_value_t<V>>& g,
 
   block_transpose_grid<T, W>(g);
 
-  // Ring of 2R+1 level-1 rows; level-1 values of halo rows are the halo rows
-  // themselves (Dirichlet), provided by pointer selection in row_l1().
-  constexpr index RB = 2 * R + 1;
-  auto& ring = detail::uj_ring<R>(ws, g);
-  auto ring_slot = [&](index y) { return ((y % RB) + RB) % RB; };
-  auto row_l1 = [&](index y) -> const T* {
-    return (y < 0 || y >= ny) ? g.row(y) : ring[ring_slot(y)].x0();
-  };
-
-  const index pairs = steps / 2;
-  for (index q = 0; q < pairs; ++q) {
-    for (index yy = 0; yy <= ny - 1 + R; ++yy) {
-      if (yy < ny) {
-        // Level 1 of row yy from level-0 rows (still intact in g).
-        detail::ScratchRow<T>& dst = ring[ring_slot(yy)];
-        dst.copy_halo(g.row(yy), nx, R);
-        std::array<const T*, NR> rp;
-        for (int r = 0; r < NR; ++r) rp[r] = g.row(yy + rows.dy[r]);
-        transpose_sweep_row<V, R, NR>(rp, dst.x0(), rows.w, nx);
+  const index pairs = hook.refreshes() ? 0 : steps / 2;
+  bool go = true;
+  if (pairs > 0) {
+    // Ring of 2R+1 level-1 rows; level-1 values of halo rows are the halo
+    // rows themselves (Dirichlet), provided by pointer selection in row_l1().
+    constexpr index RB = 2 * R + 1;
+    auto& ring = detail::uj_ring<R>(ws, g);
+    auto ring_slot = [&](index y) { return ((y % RB) + RB) % RB; };
+    auto row_l1 = [&](index y) -> const T* {
+      return (y < 0 || y >= ny) ? g.row(y) : ring[ring_slot(y)].x0();
+    };
+    for (index q = 0; q < pairs; ++q) {
+      if (!hook(g, BlockTransposedX<W>{})) {
+        go = false;
+        break;
       }
-      const index y2 = yy - R;
-      if (y2 >= 0 && y2 < ny) {
-        // Level 2 of row y2 from the ring, written in place.
-        std::array<const T*, NR> rp;
-        for (int r = 0; r < NR; ++r) rp[r] = row_l1(y2 + rows.dy[r]);
-        transpose_sweep_row<V, R, NR>(rp, g.row(y2), rows.w, nx);
+      for (index yy = 0; yy <= ny - 1 + R; ++yy) {
+        if (yy < ny) {
+          // Level 1 of row yy from level-0 rows (still intact in g).
+          detail::ScratchRow<T>& dst = ring[ring_slot(yy)];
+          dst.copy_halo(g.row(yy), nx, R);
+          std::array<const T*, NR> rp;
+          for (int r = 0; r < NR; ++r) rp[r] = g.row(yy + rows.dy[r]);
+          transpose_sweep_row<V, R, NR>(rp, dst.x0(), rows.w, nx);
+        }
+        const index y2 = yy - R;
+        if (y2 >= 0 && y2 < ny) {
+          // Level 2 of row y2 from the ring, written in place.
+          std::array<const T*, NR> rp;
+          for (int r = 0; r < NR; ++r) rp[r] = row_l1(y2 + rows.dy[r]);
+          transpose_sweep_row<V, R, NR>(rp, g.row(y2), rows.w, nx);
+        }
       }
     }
   }
   const index rem = steps - pairs * 2;
-  if (rem > 0)
-    jacobi_run(g, rem, ws, kWsTmpGrid, [&](const Grid2D<T>& in,
-                                           Grid2D<T>& out) {
-      transpose_step<V>(in, out, s, full_box(in));
-    });
+  if (go && rem > 0)
+    jacobi_run(
+        g, rem, ws, kWsTmpGrid,
+        [&](const Grid2D<T>& in, Grid2D<T>& out) {
+          transpose_step<V>(in, out, s, full_box(in));
+        },
+        hook, BlockTransposedX<W>{});
   block_transpose_grid<T, W>(g);
 }
 
@@ -276,11 +301,13 @@ TSV_NOINLINE void unroll_jam_run(Grid2D<vec_value_t<V>>& g,
 
 /// 3D K=2 run driver: the intermediate level lives in 2R+1 plane buffers
 /// (Grid2D scratch, same row layout as g's planes); ring and remainder
-/// parity buffer live in @p ws.
-template <typename V, int R, int NR>
+/// parity buffer live in @p ws. @p hook runs before every pair and
+/// remainder step, as in 1D.
+template <typename V, int R, int NR, typename Hook = NoBlockHook>
 TSV_NOINLINE void unroll_jam_run(Grid3D<vec_value_t<V>>& g,
                                  const Stencil3D<R, NR, vec_value_t<V>>& s,
-                                 index steps, Workspace& ws) {
+                                 index steps, Workspace& ws,
+                                 Hook&& hook = {}) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
   detail::require_transpose_conforming(g, W);
@@ -289,50 +316,58 @@ TSV_NOINLINE void unroll_jam_run(Grid3D<vec_value_t<V>>& g,
 
   block_transpose_grid<T, W>(g);
 
-  constexpr index RB = 2 * R + 1;
-  auto& ring = detail::uj_ring<R>(ws, g);
-  auto ring_slot = [&](index z) { return ((z % RB) + RB) % RB; };
-  // Row y of the level-1 plane z; halo planes and halo rows resolve to the
-  // main grid (Dirichlet values, valid at every level).
-  auto row_l1 = [&](index y, index z) -> const T* {
-    if (z < 0 || z >= nz || y < 0 || y >= ny) return g.row(y, z);
-    return ring[ring_slot(z)].row(y);
-  };
-
-  const index pairs = steps / 2;
-  for (index q = 0; q < pairs; ++q) {
-    for (index zz = 0; zz <= nz - 1 + R; ++zz) {
-      if (zz < nz) {
-        Grid2D<T>& dst = ring[ring_slot(zz)];
-        for (index y = 0; y < ny; ++y) {
-          // x halo of the scratch rows must carry the Dirichlet values.
-          T* d = dst.row(y);
-          const T* srow = g.row(y, zz);
-          for (index l = 1; l <= R; ++l) d[-l] = srow[-l];
-          for (index l = 0; l < R; ++l) d[nx + l] = srow[nx + l];
-          std::array<const T*, NR> rp;
-          for (int r = 0; r < NR; ++r)
-            rp[r] = g.row(y + rows.dy[r], zz + rows.dz[r]);
-          transpose_sweep_row<V, R, NR>(rp, d, rows.w, nx);
-        }
+  const index pairs = hook.refreshes() ? 0 : steps / 2;
+  bool go = true;
+  if (pairs > 0) {
+    constexpr index RB = 2 * R + 1;
+    auto& ring = detail::uj_ring<R>(ws, g);
+    auto ring_slot = [&](index z) { return ((z % RB) + RB) % RB; };
+    // Row y of the level-1 plane z; halo planes and halo rows resolve to the
+    // main grid (Dirichlet values, valid at every level).
+    auto row_l1 = [&](index y, index z) -> const T* {
+      if (z < 0 || z >= nz || y < 0 || y >= ny) return g.row(y, z);
+      return ring[ring_slot(z)].row(y);
+    };
+    for (index q = 0; q < pairs; ++q) {
+      if (!hook(g, BlockTransposedX<W>{})) {
+        go = false;
+        break;
       }
-      const index z2 = zz - R;
-      if (z2 >= 0 && z2 < nz) {
-        for (index y = 0; y < ny; ++y) {
-          std::array<const T*, NR> rp;
-          for (int r = 0; r < NR; ++r)
-            rp[r] = row_l1(y + rows.dy[r], z2 + rows.dz[r]);
-          transpose_sweep_row<V, R, NR>(rp, g.row(y, z2), rows.w, nx);
+      for (index zz = 0; zz <= nz - 1 + R; ++zz) {
+        if (zz < nz) {
+          Grid2D<T>& dst = ring[ring_slot(zz)];
+          for (index y = 0; y < ny; ++y) {
+            // x halo of the scratch rows must carry the Dirichlet values.
+            T* d = dst.row(y);
+            const T* srow = g.row(y, zz);
+            for (index l = 1; l <= R; ++l) d[-l] = srow[-l];
+            for (index l = 0; l < R; ++l) d[nx + l] = srow[nx + l];
+            std::array<const T*, NR> rp;
+            for (int r = 0; r < NR; ++r)
+              rp[r] = g.row(y + rows.dy[r], zz + rows.dz[r]);
+            transpose_sweep_row<V, R, NR>(rp, d, rows.w, nx);
+          }
+        }
+        const index z2 = zz - R;
+        if (z2 >= 0 && z2 < nz) {
+          for (index y = 0; y < ny; ++y) {
+            std::array<const T*, NR> rp;
+            for (int r = 0; r < NR; ++r)
+              rp[r] = row_l1(y + rows.dy[r], z2 + rows.dz[r]);
+            transpose_sweep_row<V, R, NR>(rp, g.row(y, z2), rows.w, nx);
+          }
         }
       }
     }
   }
   const index rem = steps - pairs * 2;
-  if (rem > 0)
-    jacobi_run(g, rem, ws, kWsTmpGrid, [&](const Grid3D<T>& in,
-                                           Grid3D<T>& out) {
-      transpose_step<V>(in, out, s, full_box(in));
-    });
+  if (go && rem > 0)
+    jacobi_run(
+        g, rem, ws, kWsTmpGrid,
+        [&](const Grid3D<T>& in, Grid3D<T>& out) {
+          transpose_step<V>(in, out, s, full_box(in));
+        },
+        hook, BlockTransposedX<W>{});
   block_transpose_grid<T, W>(g);
 }
 

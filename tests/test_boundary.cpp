@@ -340,10 +340,10 @@ TEST(Boundary, PerStepBoundaryForcesStepGranularBt) {
   EXPECT_EQ(r.bt, 1);
   EXPECT_EQ(r.boundary.x, Boundary::kPeriodic);  // y/z normalized (rank 1)
 
-  // The even-bt unroll&jam rows resolve bt = 2 (their engines then take the
-  // single-step path between ghost refreshes).
+  // The even-bt unroll&jam rows resolve bt = 1 too: they advance single
+  // steps between ghost refreshes, and bt reports that.
   o.method = Method::kTransposeUJ;
-  EXPECT_EQ(resolve_options(shape1d(kNx), 1, o).bt, 2);
+  EXPECT_EQ(resolve_options(shape1d(kNx), 1, o).bt, 1);
 
   // Frozen boundaries keep the user's temporal block.
   o.boundary = BoundarySpec::uniform(Boundary::kZero);

@@ -22,7 +22,9 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "tsv/tsv.hpp"
@@ -330,9 +332,10 @@ TEST(Health, PlanExecuteGuardsOutputWhenOptedIn) {
 }
 
 // ---------------------------------------------------------------------------
-// Cooperative cancellation/timeout inside a plan: the per-step poll slices
-// steps=1, which must be bit-identical to the unsliced run — asserted via
-// the exact k-step prefix a mid-run cancel leaves behind.
+// Cooperative cancellation/timeout inside a plan: the plan polls at dispatch
+// and after every time block (one step for an untiled plan), and a polled
+// run must be bit-identical to the plain one — asserted via the exact
+// k-step prefix a mid-run cancel leaves behind.
 // ---------------------------------------------------------------------------
 
 TEST(ExecControlPlan, CancelBetweenStepsLeavesExactStepPrefix) {
@@ -367,6 +370,110 @@ TEST(ExecControlPlan, CancelBetweenStepsLeavesExactStepPrefix) {
   auto ws2 = pool.checkout();
   EXPECT_THROW(plan.execute(untouched, *ws2, &late), TimeoutError);
   EXPECT_EQ(max_abs_diff(untouched, original), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Held layout under a control: one driver call per execute, polled between
+// time blocks of bt steps inside the layout. Counters and bits only.
+// ---------------------------------------------------------------------------
+
+TEST(HeldLayout, PolledRunPollsOncePerTimeBlock) {
+  Options o = opts(Method::kTranspose, Tiling::kTessellate, 16);
+  o.bx = 128;
+  o.bt = 4;
+  o.threads = 1;
+  Grid1D<double> plain(512, 1);
+  plain.fill([](index x) { return noise<double>(7, x); });
+  Grid1D<double> polled = plain;
+  const Plan plan = make_plan(shape_of(plain), kSpec, o);
+  ASSERT_EQ(plan.config().bt, 4);
+  plan.execute(plain);
+
+  int polls = 0;
+  ExecControl ctl;
+  ctl.cancelled = [&polls] {
+    ++polls;
+    return false;
+  };
+  Workspace ws;
+  plan.execute(polled, ws, &ctl);
+  // One poll at dispatch, then one after each of the 16 / 4 time blocks.
+  EXPECT_EQ(polls, 1 + 4);
+  EXPECT_EQ(max_abs_diff(plain, polled), 0.0);
+}
+
+template <typename G>
+G held_layout_grid(const Shape& sh) {
+  G g = make_grid<G>({sh.nx, sh.ny, sh.nz}, sh.halo);
+  if constexpr (G::kRank == 1)
+    g.fill([](index x) { return noise<double>(8, x); });
+  else if constexpr (G::kRank == 2)
+    g.fill([](index x, index y) { return noise<double>(8, x + 613 * y); });
+  else
+    g.fill([](index x, index y, index z) {
+      return noise<double>(8, x + 613 * y + 71 * z);
+    });
+  return g;
+}
+
+template <typename G>
+void expect_cancel_leaves_block_prefix(const Shape& sh, StencilKind kind,
+                                       const Options& o,
+                                       const std::string& what) {
+  const Plan plan = make_plan(sh, kind, o);
+  const index bt = plan.config().bt;
+  ASSERT_GT(bt, 1) << what;
+  ASSERT_GT(o.steps, 2 * bt) << what;
+  for (int k = 1; k <= 2; ++k) {
+    // The dispatch poll and the polls after blocks 1..k-1 pass; the one
+    // after block k fires.
+    int polls = 0;
+    ExecControl ctl;
+    ctl.cancelled = [&polls, k] { return ++polls > k; };
+    G got = held_layout_grid<G>(sh);
+    Workspace ws;
+    EXPECT_THROW(plan.execute(got, ws, &ctl), CancelledError) << what;
+
+    Options ok = o;
+    ok.steps = k * bt;
+    G want = held_layout_grid<G>(sh);
+    make_plan(sh, kind, ok).execute(want);
+    EXPECT_EQ(max_abs_diff(want, got), 0.0)
+        << what << ": cancel after block " << k;
+  }
+}
+
+TEST(HeldLayout, CancelLeavesAWholeBlockPrefix) {
+  const std::pair<Method, Tiling> cases[] = {{Method::kTranspose, Tiling::kTessellate},
+                                {Method::kTransposeUJ, Tiling::kTessellate},
+                                {Method::kDlt, Tiling::kSplit},
+                                {Method::kGeneric, Tiling::kTessellate}};
+  for (const auto& [method, tiling] : cases)
+    for (int rank = 1; rank <= 3; ++rank) {
+      Options o = opts(method, tiling, 13);  // odd: uj2 ends on a single step
+      o.bt = 4;
+      o.bx = 128;
+      o.by = 8;
+      o.bz = 8;
+      o.threads = 2;
+      const std::string what = std::string(method_name(method)) + "+" +
+                               tiling_name(tiling) + " rank " +
+                               std::to_string(rank);
+      switch (rank) {
+        case 1:
+          expect_cancel_leaves_block_prefix<Grid1D<double>>(
+              shape1d(512), StencilKind::k1d3p, o, what);
+          break;
+        case 2:
+          expect_cancel_leaves_block_prefix<Grid2D<double>>(
+              shape2d(256, 40), StencilKind::k2d9p, o, what);
+          break;
+        default:
+          expect_cancel_leaves_block_prefix<Grid3D<double>>(
+              shape3d(256, 20, 18), StencilKind::k3d7p, o, what);
+          break;
+      }
+    }
 }
 
 // ---------------------------------------------------------------------------

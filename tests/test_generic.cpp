@@ -12,7 +12,7 @@
 //    the Scheduler exactly like a compiled kind (bit-identical
 //    sharding; futures resolve to the oracle result).
 //  * Step-slicing regression: per-step boundary refreshes and cooperative
-//    cancellation share one step loop (TypedPlan::step_loop), so a cancel
+//    cancellation share one block hook (TypedPlan::execute), so a cancel
 //    delivered at step t must leave an exact t-step prefix whose ghosts
 //    were refreshed before every completed step.
 #include <gtest/gtest.h>
@@ -385,8 +385,8 @@ TEST(GenericPassThrough, SchedulerServesGenericRequests) {
 TEST(StepSlicing, CancelMidRunLeavesExactPrefixWithRefreshedGhosts) {
   // Periodic boundaries force the per-step ghost refresh; a cancellation
   // delivered before step k must leave the grid at exactly the k-step
-  // oracle prefix — both features ride TypedPlan::step_loop, so this pins
-  // their composition (the duplication it replaced could drift apart).
+  // oracle prefix — both features ride the plan's one block hook, so this
+  // pins their composition inside the held layout.
   const Shape shape = shape_for(2, 57, 11, 1, 1);
   StencilSpec spec;
   spec.generic = std::make_shared<const GenericStencil>(

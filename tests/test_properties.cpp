@@ -339,13 +339,15 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Blocked == step-sliced. An active ExecControl makes TypedPlan::execute run
-// one step at a time, and its contract is that this slicing is
-// bit-identical to the blocked schedule. Tile rims move cells between a
-// kernel's vector and scalar paths, so any kernel whose two paths sum taps
-// in a different order breaks it. Every tessellated (method, rank, runnable
-// ISA, dtype) the registry claims, with a Dirichlet boundary, bt > 1 and a
-// bx that is no multiple of any vector width.
+// Blocked == step-sliced == polled. Blocking reorders traversal, never
+// arithmetic: a plan with bt > 1 must be bit-identical to its steps run one
+// at a time (a loop of 1-step plans), and a run polled by an active
+// ExecControl (the block hook engaged between time blocks) to the plain
+// run. Tile rims move cells between a kernel's vector and scalar paths, so
+// any kernel whose two paths sum taps in a different order breaks it.
+// Every tessellated (method, rank, runnable ISA, dtype) the registry
+// claims, with a Dirichlet boundary, bt > 1 and a bx that is no multiple of
+// any vector width.
 // ---------------------------------------------------------------------------
 
 template <typename G>
@@ -368,14 +370,19 @@ template <typename T>
 void expect_sliced_equals_blocked(const Shape& sh, StencilKind kind,
                                   const Options& o, const std::string& what) {
   const Plan plan = make_plan(sh, kind, o);
+  Options o1 = o;
+  o1.steps = 1;
+  const Plan step = make_plan(sh, kind, o1);
   auto check = [&](auto blocked) {
-    auto sliced = blocked;
+    auto sliced = blocked, polled = blocked;
     Workspace ws;
     plan.execute(blocked, ws);
+    for (index t = 0; t < o.steps; ++t) step.execute(sliced, ws);
+    EXPECT_EQ(max_abs_diff(blocked, sliced), T(0)) << what << " sliced";
     ExecControl far;  // active, but never fires
     far.deadline = ExecControl::Clock::now() + std::chrono::hours(1);
-    plan.execute(sliced, ws, &far);
-    EXPECT_EQ(max_abs_diff(blocked, sliced), T(0)) << what;
+    plan.execute(polled, ws, &far);
+    EXPECT_EQ(max_abs_diff(blocked, polled), T(0)) << what << " polled";
   };
   switch (sh.rank) {
     case 1: check(sliced_test_grid<Grid1D<T>>(sh)); break;
@@ -422,6 +429,101 @@ TEST(BlockedVsSliced, EveryTessellatedConfigIsBitIdentical) {
             expect_sliced_equals_blocked<double>(sh, kind, o, what);
           ++checked;
         }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Held layout under a per-step boundary. A periodic/Neumann axis refreshes
+// the ghosts between steps inside the driver's layout (the block hook fills
+// the x ghosts through the layout's index map, the y/z ghost rows by
+// whole-row copies) while the run makes one driver call. The oracle is the
+// schedule that re-entered the driver every step: fill_ghosts on the grid
+// in original layout, then a 1-step plan, repeated. Every capability, rank,
+// dtype and runnable ISA, under periodic, Neumann and mixed axes, with
+// diagonal taps (2d9p, 3d27p) so corner ghosts are read, and radius 2 in
+// 1D so the map covers more than one ghost cell.
+// ---------------------------------------------------------------------------
+
+template <typename G>
+void expect_held_layout_matches_step_loop(const Shape& sh, StencilKind kind,
+                                          const Options& o,
+                                          const std::string& what) {
+  const Plan plan = make_plan(sh, kind, o);
+  Options o1 = o;
+  o1.steps = 1;
+  const Plan step = make_plan(sh, kind, o1);
+  G held = sliced_test_grid<G>(sh);
+  G loop = held;
+  plan.execute(held);
+  for (index t = 0; t < o.steps; ++t) {
+    fill_ghosts(loop, o.boundary, stencil_kind_radius(kind));
+    step.execute(loop);
+  }
+  EXPECT_EQ(max_abs_diff(held, loop), 0) << what;
+}
+
+TEST(HeldLayout, PerStepBoundaryMatchesAManualStepLoop) {
+  const BoundarySpec specs[] = {
+      BoundarySpec::uniform(Boundary::kPeriodic),
+      BoundarySpec::uniform(Boundary::kNeumann),
+      {.x = Boundary::kNeumann, .y = Boundary::kPeriodic, .z = Boundary::kZero}};
+  int checked = 0;
+  for (const Capability& cap : capabilities()) {
+    for (StencilKind kind :
+         {StencilKind::k1d5p, StencilKind::k2d9p, StencilKind::k3d27p}) {
+      const int rank = stencil_kind_rank(kind);
+      if (!cap.supports_rank(rank)) continue;
+      const index halo = stencil_kind_radius(kind);
+      const Shape sh = rank == 1   ? shape1d(512, halo)
+                       : rank == 2 ? shape2d(256, 13, halo)
+                                   : shape3d(256, 7, 9, halo);
+      for (Dtype dt : all_dtypes()) {
+        if (!cap.supports_dtype(dt)) continue;
+        for (Isa isa : runnable_isas())
+          for (const BoundarySpec& bc : specs) {
+            Options o;
+            o.method = cap.method;
+            o.tiling = cap.tiling;
+            o.isa = isa;
+            o.dtype = dt;
+            o.steps = 5;
+            o.bx = 128;
+            o.by = 5;
+            o.bz = 4;
+            o.threads = 2;
+            o.boundary = bc;
+            const std::string what =
+                std::string(method_name(cap.method)) + "+" +
+                tiling_name(cap.tiling) + " " + stencil_kind_name(kind) +
+                " " + isa_name(isa) + " " + dtype_name(dt) + " " +
+                boundary_name(bc.x) + "/" + boundary_name(bc.y) + "/" +
+                boundary_name(bc.z);
+            const bool f32 = dt == Dtype::kF32;
+            switch (rank) {
+              case 1:
+                f32 ? expect_held_layout_matches_step_loop<Grid1D<float>>(
+                          sh, kind, o, what)
+                    : expect_held_layout_matches_step_loop<Grid1D<double>>(
+                          sh, kind, o, what);
+                break;
+              case 2:
+                f32 ? expect_held_layout_matches_step_loop<Grid2D<float>>(
+                          sh, kind, o, what)
+                    : expect_held_layout_matches_step_loop<Grid2D<double>>(
+                          sh, kind, o, what);
+                break;
+              default:
+                f32 ? expect_held_layout_matches_step_loop<Grid3D<float>>(
+                          sh, kind, o, what)
+                    : expect_held_layout_matches_step_loop<Grid3D<double>>(
+                          sh, kind, o, what);
+                break;
+            }
+            ++checked;
+          }
       }
     }
   }

@@ -484,12 +484,13 @@ TEST(Scheduler, DeadlineMissAccountsCompletedLateWork) {
 }
 
 // ---------------------------------------------------------------------------
-// A request runs one step at a time only when its group's ExecControl can
-// fire: every live member holds a cancel token, or every live member has a
-// timeout. Plain requests keep the plan's temporal blocking (bt > 1).
+// A request's plan polls between time blocks only when its group's
+// ExecControl can fire: every live member holds a cancel token, or every
+// live member has a timeout. Every request keeps the plan's temporal
+// blocking (bt > 1), polled or not.
 // ---------------------------------------------------------------------------
 
-TEST(Scheduler, OnlyControllableGroupsRunStepSliced) {
+TEST(Scheduler, OnlyControllableGroupsArePolled) {
   Scheduler sched({.executor = {.gangs = 1, .threads_per_gang = 1}});
   const StencilSpec spec{.kind = StencilKind::k1d3p};
   const Options tiled = opts(Method::kAutoVec, Tiling::kTessellate, 8);
@@ -508,11 +509,11 @@ TEST(Scheduler, OnlyControllableGroupsRunStepSliced) {
                            .cancel = tok};
     sched.submit(std::move(req)).get();
     EXPECT_EQ(max_abs_diff(expected, *r.grid), 0.0);
-    return sched.stats().sliced_executes;
+    return sched.stats().polled_executes;
   };
-  EXPECT_EQ(run(0.0, {}), 0u);                   // plain: blocked path
-  EXPECT_EQ(run(60'000.0, {}), 1u);              // timeout: polled per step
-  EXPECT_EQ(run(0.0, CancelToken::make()), 2u);  // token: polled per step
+  EXPECT_EQ(run(0.0, {}), 0u);                   // plain: no hook
+  EXPECT_EQ(run(60'000.0, {}), 1u);              // timeout: polled per block
+  EXPECT_EQ(run(0.0, CancelToken::make()), 2u);  // token: polled per block
 
   // A coalesced group polls only if EVERY live member can cancel: a
   // token-holder riding with a plain request cannot abort the shared run.
@@ -527,7 +528,7 @@ TEST(Scheduler, OnlyControllableGroupsRunStepSliced) {
   sched.resume();
   lead.fut.get();
   EXPECT_TRUE(follow.fut.get().coalesced);
-  EXPECT_EQ(sched.stats().sliced_executes, 2u);
+  EXPECT_EQ(sched.stats().polled_executes, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -364,32 +364,34 @@ TEST(Workspace, StreamingResolutionPolicy) {
 
 // ---- prepare: every allocation before the first write ----------------------
 //
-// TypedPlan::prepare creates every slot an execute fetches, for the blocked
-// schedule and for the step-sliced one an active ExecControl selects (the
-// 2-step unroll&jam needs a parity buffer only when sliced). After it, even
-// the FIRST execute on a fresh workspace allocates nothing — which is what
-// makes every allocation failure pre-mutation (retry without a snapshot).
+// TypedPlan::prepare creates every slot an execute fetches, plain or polled
+// by an active ExecControl, under a frozen or a per-step boundary (the
+// 2-step unroll&jam schemes then advance single steps: every step needs
+// the parity buffer, none the pair scratch). After it, even the FIRST
+// execute on a fresh workspace allocates nothing — which is what makes
+// every allocation failure pre-mutation (retry without a snapshot).
 
 template <typename S, typename G>
 void expect_prepared_execute_alloc_free(const Shape& sh, const S& s,
                                         const G& input, const Options& o,
                                         const std::string& what) {
   const auto plan = make_plan(sh, s, o);
-  for (bool sliced : {false, true}) {
+  for (bool polled : {false, true}) {
     ExecControl ctl;
-    if (sliced)
+    if (polled)
       ctl.deadline = ExecControl::Clock::now() + std::chrono::hours(1);
-    const ExecControl* c = sliced ? &ctl : nullptr;
+    const ExecControl* c = polled ? &ctl : nullptr;
     Workspace ws;
     G g = input;
-    plan.prepare(g, ws, c);
-    const std::string label = what + (sliced ? " sliced" : " blocked");
+    plan.prepare(g, ws);
+    const std::string label = what + (polled ? " polled" : " plain");
     expect_alloc_free([&] { plan.execute(g, ws, c); }, label.c_str());
   }
 }
 
 template <typename T>
-int check_prepared_first_execute(const Capability& cap, index steps) {
+int check_prepared_first_execute(const Capability& cap, index steps,
+                                 Boundary b) {
   const Dtype dt = dtype_of<T>();
   if (!cap.supports_dtype(dt)) return 0;
   int checked = 0;
@@ -399,6 +401,7 @@ int check_prepared_first_execute(const Capability& cap, index steps) {
     o.method = cap.method;
     o.tiling = cap.tiling;
     o.steps = steps;
+    o.boundary = BoundarySpec::uniform(b);
     if (cap.tiling != Tiling::kNone) {
       o.bt = 2;
       o.bx = rank == 1 ? (cap.tiling == Tiling::kSplit ? 64 : 256) : 0;
@@ -408,7 +411,8 @@ int check_prepared_first_execute(const Capability& cap, index steps) {
     const std::string what = std::string(method_name(cap.method)) + "+" +
                              tiling_name(cap.tiling) + " " +
                              std::to_string(rank) + "D " + dtype_name(dt) +
-                             " steps=" + std::to_string(steps);
+                             " steps=" + std::to_string(steps) + " " +
+                             boundary_name(b);
     if (rank == 1) {
       Grid1D<T> g(512, 1);
       g.fill([](index x) { return static_cast<T>(f1(x)); });
@@ -435,12 +439,14 @@ int check_prepared_first_execute(const Capability& cap, index steps) {
 TEST(Workspace, FirstExecuteAfterPrepareIsAllocationFree) {
   int checked = 0;
   for (const Capability& cap : capabilities())
-    // Odd steps run the 2-step schemes' remainder step when blocked; even
-    // steps need the remainder's parity buffer only when sliced.
-    for (index steps : {3, 4}) {
-      checked += check_prepared_first_execute<double>(cap, steps);
-      checked += check_prepared_first_execute<float>(cap, steps);
-    }
+    // Odd steps run the 2-step schemes' remainder step; a periodic boundary
+    // makes them advance single steps, so even steps need the parity buffer
+    // there too.
+    for (index steps : {3, 4})
+      for (Boundary b : {Boundary::kDirichlet, Boundary::kPeriodic}) {
+        checked += check_prepared_first_execute<double>(cap, steps, b);
+        checked += check_prepared_first_execute<float>(cap, steps, b);
+      }
   EXPECT_GT(checked, 0);
 }
 
