@@ -301,7 +301,9 @@ struct IdentityX {
 /// original layout. refreshes() is true when the hook refreshes ghost cells
 /// at every call: drivers that fuse two steps (unroll&jam) then advance
 /// single steps, since a fused pair has no boundary between its steps.
-/// This no-op hook is what a plain run takes; it compiles away.
+/// This no-op hook is the default of a direct driver call (tests, benches);
+/// a plan always passes its own hook (core/plan.hpp's detail::BlockHook),
+/// which is inert on a plain run.
 struct NoBlockHook {
   static constexpr bool refreshes() { return false; }
   template <typename G, typename XMap>

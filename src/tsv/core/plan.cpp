@@ -317,7 +317,9 @@ Plan make_plan(const Shape& shape, const StencilSpec& spec, const Options& o) {
 }
 
 Plan make_plan(const Shape& shape, StencilKind kind, const Options& o) {
-  return make_plan(shape, StencilSpec{.kind = kind}, o);
+  StencilSpec spec;
+  spec.kind = kind;
+  return make_plan(shape, spec, o);
 }
 
 Plan make_plan(const Shape& shape, const GenericStencil& gs,

@@ -132,15 +132,6 @@ namespace detail {
 /// workers so the capture can never come from a gang-sized worker thread.
 int runtime_default_threads();
 
-template <typename G>
-inline constexpr int grid_rank = 0;
-template <typename T>
-inline constexpr int grid_rank<Grid1D<T>> = 1;
-template <typename T>
-inline constexpr int grid_rank<Grid2D<T>> = 2;
-template <typename T>
-inline constexpr int grid_rank<Grid3D<T>> = 3;
-
 template <int Dim, typename T>
 struct grid_for;
 template <typename T>
@@ -158,31 +149,15 @@ struct grid_for<3, T> {
 template <typename S>
 using grid_for_t = typename grid_for<S::dim, typename S::value_type>::type;
 
-template <typename G>
-struct grid_value;
-template <typename T>
-struct grid_value<Grid1D<T>> {
-  using type = T;
-};
-template <typename T>
-struct grid_value<Grid2D<T>> {
-  using type = T;
-};
-template <typename T>
-struct grid_value<Grid3D<T>> {
-  using type = T;
-};
-template <typename G>
-using grid_value_t = typename grid_value<G>::type;
-
-/// The between-time-blocks hook of a polled or per-step-boundary execute
-/// (the NoBlockHook protocol, common/grid.hpp). It polls @p ctl without
+/// The between-time-blocks hook every plan execute hands its driver (the
+/// NoBlockHook protocol, common/grid.hpp). It polls @p ctl without
 /// throwing, so a fired control stops the driver at a block boundary with
 /// the current level delivered to the grid, and refreshes the ghosts of the
 /// buffer holding the current level under @p refresh, through the layout's
-/// x index map. The first call is the block the plan itself prepared (the
-/// dispatch poll and the ghost fill before the driver call cover it), so
-/// it does nothing.
+/// x index map. On a plain run both pointers are null and every call
+/// returns true after two pointer tests. The first call is the block the
+/// plan itself prepared (the dispatch poll and the ghost fill before the
+/// driver call cover it), so it does nothing.
 class BlockHook {
  public:
   BlockHook(const ExecControl* ctl, const BoundarySpec* refresh, int radius)
@@ -217,26 +192,17 @@ class BlockHook {
   ExecControl::Stop stop_ = ExecControl::Stop::kNone;
 };
 
-/// Calls @p run with *@p hook, or with the no-op hook when @p hook is null:
-/// a plain execute runs the driver instantiation whose hook compiles away.
-template <typename Run>
-void with_hook(BlockHook* hook, Run&& run) {
-  if (hook != nullptr)
-    run(*hook);
-  else
-    run(NoBlockHook{});
-}
-
 template <typename G, typename S>
 using ExecFn = void (*)(G&, const S&, const ResolvedOptions&, Workspace&,
-                        BlockHook*);
+                        BlockHook&);
 template <typename G, typename S>
 using PrepFn = void (*)(const G&, const S&, const ResolvedOptions&,
                         Workspace&);
 
-/// One bound kernel: the driver (null hook = plain run), and the prepare
-/// step that creates every workspace slot the driver fetches for the same
-/// grid and options.
+/// One bound kernel: the driver, instantiated once with BlockHook (plain,
+/// polled and per-step-boundary runs all take it), and the prepare step
+/// that creates every workspace slot the driver fetches for the same grid
+/// and options.
 template <typename G, typename S>
 struct Kernel {
   ExecFn<G, S> run = nullptr;
@@ -251,102 +217,76 @@ struct Kernel {
 /// streaming flag.
 template <typename V, typename G, typename S>
 struct Exec {
-  static constexpr int rank = grid_rank<G>;
   static Blocks blocks(const ResolvedOptions& r) { return {r.bx, r.by, r.bz}; }
 
   // -- untiled --------------------------------------------------------------
   static void scalar(G& g, const S& s, const ResolvedOptions& r,
-                     Workspace& ws, BlockHook* h) {
-    with_hook(h, [&](auto&& hook) {
-      jacobi_run(
-          g, r.steps, ws, kWsTmpGrid,
-          [&](const G& in, G& out) { reference_step(in, out, s); }, hook);
-    });
+                     Workspace& ws, BlockHook& h) {
+    jacobi_run(
+        g, r.steps, ws, kWsTmpGrid,
+        [&](const G& in, G& out) { reference_step(in, out, s); }, h);
   }
   static void autovec(G& g, const S& s, const ResolvedOptions& r,
-                      Workspace& ws, BlockHook* h) {
-    with_hook(h, [&](auto&& hook) { autovec_run(g, s, r.steps, ws, hook); });
+                      Workspace& ws, BlockHook& h) {
+    autovec_run(g, s, r.steps, ws, h);
   }
   static void multiload(G& g, const S& s, const ResolvedOptions& r,
-                        Workspace& ws, BlockHook* h) {
-    with_hook(h, [&](auto&& hook) {
-      multiload_run<V>(g, s, r.steps, ws, hook);
-    });
+                        Workspace& ws, BlockHook& h) {
+    multiload_run<V>(g, s, r.steps, ws, h);
   }
   static void reorg(G& g, const S& s, const ResolvedOptions& r,
-                    Workspace& ws, BlockHook* h) {
-    with_hook(h, [&](auto&& hook) { reorg_run<V>(g, s, r.steps, ws, hook); });
+                    Workspace& ws, BlockHook& h) {
+    reorg_run<V>(g, s, r.steps, ws, h);
   }
   static void dlt(G& g, const S& s, const ResolvedOptions& r, Workspace& ws,
-                  BlockHook* h) {
-    with_hook(h, [&](auto&& hook) {
-      dlt_run<V>(g, s, r.steps, ws, r.streaming, hook);
-    });
+                  BlockHook& h) {
+    dlt_run<V>(g, s, r.steps, ws, r.streaming, h);
   }
   static void transpose(G& g, const S& s, const ResolvedOptions& r,
-                        Workspace& ws, BlockHook* h) {
-    with_hook(h, [&](auto&& hook) {
-      transpose_vs_run<V>(g, s, r.steps, ws, r.streaming, hook);
-    });
+                        Workspace& ws, BlockHook& h) {
+    transpose_vs_run<V>(g, s, r.steps, ws, r.streaming, h);
   }
   static void transpose_uj(G& g, const S& s, const ResolvedOptions& r,
-                           Workspace& ws, BlockHook* h) {
-    with_hook(h, [&](auto&& hook) {
-      unroll_jam_run<V>(g, s, r.steps, ws, hook);
-    });
+                           Workspace& ws, BlockHook& h) {
+    unroll_jam_run<V>(g, s, r.steps, ws, h);
   }
 
   // -- tessellate tiling ----------------------------------------------------
   static void tess_autovec(G& g, const S& s, const ResolvedOptions& r,
-                           Workspace& ws, BlockHook* h) {
-    with_hook(h, [&](auto&& hook) {
-      tess_autovec_run(g, s, r.steps, blocks(r), r.bt, ws, hook);
-    });
+                           Workspace& ws, BlockHook& h) {
+    tess_autovec_run(g, s, r.steps, blocks(r), r.bt, ws, h);
   }
   static void tess_multiload(G& g, const S& s, const ResolvedOptions& r,
-                             Workspace& ws, BlockHook* h) {
-    with_hook(h, [&](auto&& hook) {
-      tess_multiload_run<V>(g, s, r.steps, blocks(r), r.bt, ws, hook);
-    });
+                             Workspace& ws, BlockHook& h) {
+    tess_multiload_run<V>(g, s, r.steps, blocks(r), r.bt, ws, h);
   }
   static void tess_reorg(G& g, const S& s, const ResolvedOptions& r,
-                         Workspace& ws, BlockHook* h) {
-    with_hook(h, [&](auto&& hook) {
-      tess_reorg_run<V>(g, s, r.steps, blocks(r), r.bt, ws, hook);
-    });
+                         Workspace& ws, BlockHook& h) {
+    tess_reorg_run<V>(g, s, r.steps, blocks(r), r.bt, ws, h);
   }
   static void tess_transpose(G& g, const S& s, const ResolvedOptions& r,
-                             Workspace& ws, BlockHook* h) {
-    with_hook(h, [&](auto&& hook) {
-      tess_transpose_run<V>(g, s, r.steps, blocks(r), r.bt, ws, r.streaming,
-                            hook);
-    });
+                             Workspace& ws, BlockHook& h) {
+    tess_transpose_run<V>(g, s, r.steps, blocks(r), r.bt, ws, r.streaming, h);
   }
   static void tess_transpose_uj(G& g, const S& s, const ResolvedOptions& r,
-                                Workspace& ws, BlockHook* h) {
-    with_hook(h, [&](auto&& hook) {
-      tess_transpose_uj2_run<V>(g, s, r.steps, blocks(r), r.bt, ws, hook);
-    });
+                                Workspace& ws, BlockHook& h) {
+    tess_transpose_uj2_run<V>(g, s, r.steps, blocks(r), r.bt, ws, h);
   }
 
   // -- split tiling (uniform signature: the split axis is resolved) ---------
   static void split_dlt(G& g, const S& s, const ResolvedOptions& r,
-                        Workspace& ws, BlockHook* h) {
-    with_hook(h, [&](auto&& hook) {
-      sdsl_run<V>(g, s, r.steps, r.split_block, r.bt, ws, r.streaming, hook);
-    });
+                        Workspace& ws, BlockHook& h) {
+    sdsl_run<V>(g, s, r.steps, r.split_block, r.bt, ws, r.streaming, h);
   }
 
   // -- generic interpreter (any row-based S, compiled or lowered) -----------
   static void generic(G& g, const S& s, const ResolvedOptions& r,
-                      Workspace& ws, BlockHook* h) {
-    with_hook(h, [&](auto&& hook) { generic_run<V>(g, s, r.steps, ws, hook); });
+                      Workspace& ws, BlockHook& h) {
+    generic_run<V>(g, s, r.steps, ws, h);
   }
   static void tess_generic(G& g, const S& s, const ResolvedOptions& r,
-                           Workspace& ws, BlockHook* h) {
-    with_hook(h, [&](auto&& hook) {
-      tess_generic_run<V>(g, s, r.steps, blocks(r), r.bt, ws, hook);
-    });
+                           Workspace& ws, BlockHook& h) {
+    tess_generic_run<V>(g, s, r.steps, blocks(r), r.bt, ws, h);
   }
 
   // -- the workspace slots each driver fetches (TypedPlan::prepare) ---------
@@ -418,11 +358,11 @@ Kernel<G, S> exec_for(Method m, Tiling t) {
           // The tiled ablation variants are registered for 1D only; other
           // ranks are never instantiated.
           case Method::kMultiLoad:
-            if constexpr (E::rank == 1)
+            if constexpr (G::kRank == 1)
               return {&E::tess_multiload, &E::parity_slot};
             return {};
           case Method::kReorg:
-            if constexpr (E::rank == 1)
+            if constexpr (G::kRank == 1)
               return {&E::tess_reorg, &E::parity_slot};
             return {};
           case Method::kTranspose:
@@ -451,7 +391,7 @@ struct ExecEntry {
 template <typename V, typename G, typename S>
 void add_entries(std::vector<ExecEntry<G, S>>& table, Isa isa) {
   for (const Capability& cap : capabilities()) {
-    if (!cap.supports_rank(grid_rank<G>)) continue;
+    if (!cap.supports_rank(G::kRank)) continue;
     const Kernel<G, S> k = exec_for<V, G, S>(cap.method, cap.tiling);
     if (k.run != nullptr) table.push_back({cap.method, cap.tiling, isa, k});
   }
@@ -482,7 +422,7 @@ Kernel<G, S> lookup_exec(const ResolvedOptions& r) {
   for (const ExecEntry<G, S>& e : exec_table<G, S>())
     if (e.method == r.method && e.tiling == r.tiling && e.isa == r.isa)
       return e.kernel;
-  throw ConfigError(r.method, r.tiling, grid_rank<G>,
+  throw ConfigError(r.method, r.tiling, G::kRank,
                     "registry/dispatch-table mismatch: no kernel bound for "
                     "this combination (internal error)");
 }
@@ -522,8 +462,8 @@ class TypedPlan {
   /// Boundary handling (core/halo.hpp): kDirichlet axes never touch the
   /// ghost cells; kZero axes are zeroed once up front; a periodic/Neumann
   /// axis makes the ghost values depend on the evolving interior, so the
-  /// plan hands the driver a block hook that refreshes them between steps,
-  /// inside the driver's layout. The interior kernels are identical in
+  /// plan's block hook refreshes them between steps, inside the driver's
+  /// layout. The interior kernels are identical in
   /// every case — the boundary work is O(halo) per step, outside the hot
   /// loops.
   void execute(G& g) const { execute(g, *ws_); }
@@ -556,15 +496,12 @@ class TypedPlan {
     prepare(g, ws);
     if (cfg_.steps <= 0) return;
     fill_ghosts(g, cfg_.boundary, S::radius);  // no-op if all Dirichlet
-    const bool per_step = needs_per_step_fill(cfg_.boundary);
-    if (polled || per_step) {
-      detail::BlockHook hook(polled ? ctl : nullptr,
-                             per_step ? &cfg_.boundary : nullptr, S::radius);
-      kernel_.run(g, stencil_, cfg_, ws, &hook);
-      hook.finish();
-    } else {
-      kernel_.run(g, stencil_, cfg_, ws, nullptr);
-    }
+    detail::BlockHook hook(
+        polled ? ctl : nullptr,
+        needs_per_step_fill(cfg_.boundary) ? &cfg_.boundary : nullptr,
+        S::radius);
+    kernel_.run(g, stencil_, cfg_, ws, hook);
+    hook.finish();
     health_scan(g, cfg_.health);
   }
 
@@ -591,7 +528,7 @@ class TypedPlan {
  private:
   void check_shape(const G& g) const {
     if (shape_of(g) != shape_)
-      throw ConfigError(cfg_.method, cfg_.tiling, detail::grid_rank<G>,
+      throw ConfigError(cfg_.method, cfg_.tiling, G::kRank,
                         "grid does not match the planned shape");
   }
 
@@ -620,28 +557,18 @@ namespace detail {
 /// the user's grid anyway).
 template <typename G>
 G make_trial_grid(const Shape& shape) {
-  using T = grid_value_t<G>;
-  if constexpr (grid_rank<G> == 1) {
-    G g(shape.nx, shape.halo);
-    g.fill([](index x) {
-      return static_cast<T>(0.25 + 1e-4 * static_cast<double>(x % 97));
-    });
-    return g;
-  } else if constexpr (grid_rank<G> == 2) {
-    G g(shape.nx, shape.ny, shape.halo);
-    g.fill([](index x, index y) {
-      return static_cast<T>(0.25 +
-                            1e-4 * static_cast<double>((x + 3 * y) % 97));
-    });
-    return g;
-  } else {
-    G g(shape.nx, shape.ny, shape.nz, shape.halo);
-    g.fill([](index x, index y, index z) {
-      return static_cast<T>(
-          0.25 + 1e-4 * static_cast<double>((x + 3 * y + 7 * z) % 97));
-    });
-    return g;
-  }
+  using T = typename G::value_type;
+  auto v = [](index k) {
+    return static_cast<T>(0.25 + 1e-4 * static_cast<double>(k % 97));
+  };
+  G g = make_grid<G>({shape.nx, shape.ny, shape.nz}, shape.halo);
+  if constexpr (G::kRank == 1)
+    g.fill([&](index x) { return v(x); });
+  else if constexpr (G::kRank == 2)
+    g.fill([&](index x, index y) { return v(x + 3 * y); });
+  else
+    g.fill([&](index x, index y, index z) { return v(x + 3 * y + 7 * z); });
+  return g;
 }
 
 /// Resolves bx/by/bz/bt empirically: candidate blockings (cache-topology
@@ -1057,9 +984,7 @@ class Plan {
       throw ConfigError(
           cfg_.method, cfg_.tiling,
           std::visit(
-              [](auto* p) {
-                return detail::grid_rank<std::remove_pointer_t<decltype(p)>>;
-              },
+              [](auto* p) { return std::remove_pointer_t<decltype(p)>::kRank; },
               g),
           "plan was built for a different grid rank or dtype");
     fn_(g, ws, ctl);

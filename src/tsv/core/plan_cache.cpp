@@ -1,6 +1,5 @@
 #include "tsv/core/plan_cache.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <tuple>
 
@@ -10,9 +9,9 @@ namespace tsv {
 
 namespace {
 
-// THE key identity: ordering, equality and the hash below all derive from
-// this one tuple, so a future field added to PlanKey (and PlanKey::make)
-// only needs one more entry here to participate in all three consistently.
+// THE key identity: ordering and equality both derive from this one tuple,
+// so a future field added to PlanKey (and PlanKey::make) only needs one
+// more entry here to participate in both consistently.
 auto key_tie(const PlanKey& k) {
   return std::tie(k.kind, k.radius, k.coeff_bits, k.generic_bits, k.rank,
                   k.nx, k.ny, k.nz,
@@ -20,21 +19,6 @@ auto key_tie(const PlanKey& k) {
                   k.by, k.bz, k.bt, k.threads, k.max_threads, k.tune,
                   k.stream, k.stream_threshold_bits, k.boundary.x,
                   k.boundary.y, k.boundary.z, k.health);
-}
-
-void hash_mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v;
-  h *= 1099511628211ull;
-}
-
-void hash_field(std::uint64_t& h, const std::vector<std::uint64_t>& v) {
-  hash_mix(h, v.size());
-  for (std::uint64_t bits : v) hash_mix(h, bits);
-}
-
-template <typename T>
-void hash_field(std::uint64_t& h, const T& v) {
-  hash_mix(h, static_cast<std::uint64_t>(v));
 }
 
 }  // namespace
@@ -121,46 +105,35 @@ PlanKey PlanKey::make(const Shape& shape, const StencilSpec& spec,
   return k;
 }
 
-std::uint64_t PlanKey::hash() const {
-  std::uint64_t h = 1469598103934665603ull;
-  std::apply([&h](const auto&... field) { (hash_field(h, field), ...); },
-             key_tie(*this));
-  return h;
-}
-
 std::shared_ptr<PlanCache::Entry> PlanCache::get(const Shape& shape,
                                                  const StencilSpec& spec,
                                                  const Options& o) {
   const PlanKey key = PlanKey::make(shape, spec, o);
-  Shard& shard = shard_for(key);
   std::shared_ptr<Entry> entry;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
       entry = it->second;
     } else {
-      // Size bound: before inserting into a full shard, drop idle entries
+      // Size bound: before inserting into a full cache, drop idle entries
       // — ones no in-flight request still holds (use_count == 1: the map's
       // own reference). An evicted configuration is merely rebuilt on its
       // next use; entries pinned by running requests are never touched, so
-      // a shard can exceed its share only while that many requests are
+      // the cache can exceed max_entries_ only while that many requests are
       // simultaneously in flight. The evicted pools' lifetime totals move
       // into the retired accumulators so workspace_stats() never goes
       // backwards.
       if (max_entries_ > 0) {
-        const std::size_t shard_cap =
-            std::max<std::size_t>(1, max_entries_ / kShards);
-        for (auto it2 = shard.entries.begin();
-             shard.entries.size() >= shard_cap &&
-             it2 != shard.entries.end();) {
+        for (auto it2 = entries_.begin();
+             entries_.size() >= max_entries_ && it2 != entries_.end();) {
           if (it2->second.use_count() == 1) {
             const WorkspacePool::Stats dead = it2->second->pool_.stats();
             retired_ws_created_.fetch_add(dead.created,
                                           std::memory_order_relaxed);
             retired_ws_reused_.fetch_add(dead.reused,
                                          std::memory_order_relaxed);
-            it2 = shard.entries.erase(it2);
+            it2 = entries_.erase(it2);
             evictions_.fetch_add(1, std::memory_order_relaxed);
           } else {
             ++it2;
@@ -168,12 +141,12 @@ std::shared_ptr<PlanCache::Entry> PlanCache::get(const Shape& shape,
         }
       }
       entry = std::make_shared<Entry>();
-      shard.entries.emplace(key, entry);
+      entries_.emplace(key, entry);
     }
   }
-  // Build OUTSIDE the shard lock: plan construction can run autotuning
-  // trials lasting milliseconds-to-seconds, and the other configurations in
-  // this shard must not stall behind them. The entry's own state machine
+  // Build OUTSIDE the cache lock: plan construction can run autotuning
+  // trials lasting milliseconds-to-seconds, and the other configurations
+  // must not stall behind them. The entry's own state machine
   // single-flights the build: one caller claims kBuilding and runs
   // make_plan unlocked, everyone else waits; a build failure releases the
   // claim (the next waiter retries and throws the same deterministic
@@ -223,10 +196,7 @@ PlanCacheStats PlanCache::stats() const {
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    s.entries += shard.entries.size();
-  }
+  s.entries = size();
   return s;
 }
 
@@ -237,42 +207,34 @@ WorkspacePool::Stats PlanCache::workspace_stats() const {
   // eviction, breaking monitors that difference successive reads.
   total.created = retired_ws_created_.load(std::memory_order_relaxed);
   total.reused = retired_ws_reused_.load(std::memory_order_relaxed);
-  for (const Shard& shard : shards_) {
-    std::vector<std::shared_ptr<Entry>> entries;
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      for (const auto& [key, e] : shard.entries) entries.push_back(e);
-    }
-    for (const auto& e : entries) {
-      const WorkspacePool::Stats s = e->pool_.stats();
-      total.created += s.created;
-      total.reused += s.reused;
-      total.free += s.free;
-      total.in_flight += s.in_flight;
-    }
+  std::vector<std::shared_ptr<Entry>> entries;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [key, e] : entries_) entries.push_back(e);
+  }
+  for (const auto& e : entries) {
+    const WorkspacePool::Stats s = e->pool_.stats();
+    total.created += s.created;
+    total.reused += s.reused;
+    total.free += s.free;
+    total.in_flight += s.in_flight;
   }
   return total;
 }
 
 void PlanCache::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, e] : shard.entries) {
-      const WorkspacePool::Stats dead = e->pool_.stats();
-      retired_ws_created_.fetch_add(dead.created, std::memory_order_relaxed);
-      retired_ws_reused_.fetch_add(dead.reused, std::memory_order_relaxed);
-    }
-    shard.entries.clear();
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [key, e] : entries_) {
+    const WorkspacePool::Stats dead = e->pool_.stats();
+    retired_ws_created_.fetch_add(dead.created, std::memory_order_relaxed);
+    retired_ws_reused_.fetch_add(dead.reused, std::memory_order_relaxed);
   }
+  entries_.clear();
 }
 
 std::size_t PlanCache::size() const {
-  std::size_t n = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.entries.size();
-  }
-  return n;
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
 }
 
 }  // namespace tsv

@@ -1,5 +1,5 @@
 #pragma once
-// Sharded, thread-safe cache of rank-erased Plans, keyed by everything a
+// Thread-safe cache of rank-erased Plans, keyed by everything a
 // plan's construction depends on (the PlanKey mirrors the tuner's TuneKey
 // and extends it with the stencil spec and the full option set).
 //
@@ -23,9 +23,9 @@
 //   auto ws = entry->workspaces().checkout();       // exclusive scratch
 //   entry->plan().execute(grid, *ws);               // concurrent-safe
 //
-// The cache is sharded: the key hashes to one of kShards independent
-// (mutex, map) pairs, so concurrent lookups of different configurations do
-// not serialize on one lock.
+// One mutex guards the one map. It is held only for the find-or-insert
+// (and any eviction), never across a build; a Scheduler probes from one
+// thread per gang, so few callers ever contend for it.
 
 #include <atomic>
 #include <condition_variable>
@@ -90,12 +90,9 @@ struct PlanKey {
   static PlanKey make(const Shape& shape, const StencilSpec& spec,
                       const Options& o);
 
-  /// Shard-selection / map hash (FNV-1a over every field).
-  std::uint64_t hash() const;
-
-  // Equality, ordering and hash all derive from ONE field list (key_tie in
+  // Equality and ordering both derive from ONE field list (key_tie in
   // plan_cache.cpp); a new field needs exactly one entry there to
-  // participate in all three consistently.
+  // participate in both consistently.
   friend bool operator==(const PlanKey& a, const PlanKey& b);
   friend bool operator<(const PlanKey& a, const PlanKey& b);
 };
@@ -145,9 +142,9 @@ class PlanCache {
   /// @p max_entries bounds the cache (0 = unbounded). A long-running
   /// service sees unboundedly many distinct keys whenever requests vary in
   /// steps or runtime coefficients, and every entry retains a workspace
-  /// pool of grid-sized scratch — so the default is bounded: when a shard
-  /// exceeds its share, idle entries (no in-flight requests holding them)
-  /// are evicted and simply rebuilt on their next use.
+  /// pool of grid-sized scratch — so the default is bounded: when the cache
+  /// is full, idle entries (no in-flight requests holding them) are evicted
+  /// and simply rebuilt on their next use.
   explicit PlanCache(std::size_t max_entries = kDefaultMaxEntries)
       : max_entries_(max_entries) {}
   PlanCache(const PlanCache&) = delete;
@@ -181,20 +178,8 @@ class PlanCache {
   std::size_t size() const;
 
  private:
-  // 8 shards comfortably cover the worker counts this library targets
-  // (tens), and a power of two keeps shard selection a mask.
-  static constexpr std::size_t kShards = 8;
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<PlanKey, std::shared_ptr<Entry>> entries;
-  };
-
-  Shard& shard_for(const PlanKey& key) {
-    return shards_[key.hash() & (kShards - 1)];
-  }
-
-  Shard shards_[kShards];
+  mutable std::mutex mu_;
+  std::map<PlanKey, std::shared_ptr<Entry>> entries_;
   std::size_t max_entries_ = kDefaultMaxEntries;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

@@ -332,7 +332,7 @@ std::future<Scheduler::Result> Scheduler::submit(Request req) {
   std::visit(
       [&o](auto* g) {
         using G = std::remove_pointer_t<decltype(g)>;
-        o.dtype = dtype_of<typename detail::grid_value_t<G>>();
+        o.dtype = dtype_of<typename G::value_type>();
       },
       req.grid);
   if (o.max_threads == 0)

@@ -89,8 +89,9 @@ inline Vec<double, 8> concat_shift(Vec<double, 8> a, Vec<double, 8> b) {
     return b;
   } else {
     // Single cross-lane instruction: (b:a) >> S qwords.
-    return Vec<double, 8>(_mm512_castsi512_pd(_mm512_alignr_epi64(
-        _mm512_castpd_si512(b.v), _mm512_castpd_si512(a.v), S)));
+    return Vec<double, 8>(_mm512_castsi512_pd(_mm512_maskz_alignr_epi64(
+        detail::kAll8, _mm512_castpd_si512(b.v), _mm512_castpd_si512(a.v),
+        S)));
   }
 }
 
@@ -103,8 +104,9 @@ inline Vec<float, 16> concat_shift(Vec<float, 16> a, Vec<float, 16> b) {
     return b;
   } else {
     // Single cross-lane instruction: (b:a) >> S dwords.
-    return Vec<float, 16>(_mm512_castsi512_ps(_mm512_alignr_epi32(
-        _mm512_castps_si512(b.v), _mm512_castps_si512(a.v), S)));
+    return Vec<float, 16>(_mm512_castsi512_ps(_mm512_maskz_alignr_epi32(
+        detail::kAll16, _mm512_castps_si512(b.v), _mm512_castps_si512(a.v),
+        S)));
   }
 }
 #endif

@@ -128,33 +128,36 @@ inline void transpose_baseline(Vec<float, 8> (&v)[8]) {
 /// in-lane unpacks are issued first; the two vshuff64x2 (lane-crossing)
 /// stages follow, each of whose latency overlaps the other's throughput.
 inline void transpose(Vec<double, 8> (&v)[8]) {
+  constexpr __mmask8 k = detail::kAll8;  // unmasked (see kAll8)
   // Stage 1: pair rows within 128-bit lanes.
-  const __m512d t0 = _mm512_unpacklo_pd(v[0].v, v[1].v);
-  const __m512d t1 = _mm512_unpackhi_pd(v[0].v, v[1].v);
-  const __m512d t2 = _mm512_unpacklo_pd(v[2].v, v[3].v);
-  const __m512d t3 = _mm512_unpackhi_pd(v[2].v, v[3].v);
-  const __m512d t4 = _mm512_unpacklo_pd(v[4].v, v[5].v);
-  const __m512d t5 = _mm512_unpackhi_pd(v[4].v, v[5].v);
-  const __m512d t6 = _mm512_unpacklo_pd(v[6].v, v[7].v);
-  const __m512d t7 = _mm512_unpackhi_pd(v[6].v, v[7].v);
-  // Stage 2: gather column pairs {c, c+4} for row quads.
-  const __m512d m0 = _mm512_shuffle_f64x2(t0, t2, 0x88);  // cols {0,4} rows 0-3
-  const __m512d m1 = _mm512_shuffle_f64x2(t4, t6, 0x88);  // cols {0,4} rows 4-7
-  const __m512d m2 = _mm512_shuffle_f64x2(t1, t3, 0x88);  // cols {1,5} rows 0-3
-  const __m512d m3 = _mm512_shuffle_f64x2(t5, t7, 0x88);  // cols {1,5} rows 4-7
-  const __m512d m4 = _mm512_shuffle_f64x2(t0, t2, 0xDD);  // cols {2,6} rows 0-3
-  const __m512d m5 = _mm512_shuffle_f64x2(t4, t6, 0xDD);  // cols {2,6} rows 4-7
-  const __m512d m6 = _mm512_shuffle_f64x2(t1, t3, 0xDD);  // cols {3,7} rows 0-3
-  const __m512d m7 = _mm512_shuffle_f64x2(t5, t7, 0xDD);  // cols {3,7} rows 4-7
+  const __m512d t0 = _mm512_maskz_unpacklo_pd(k, v[0].v, v[1].v);
+  const __m512d t1 = _mm512_maskz_unpackhi_pd(k, v[0].v, v[1].v);
+  const __m512d t2 = _mm512_maskz_unpacklo_pd(k, v[2].v, v[3].v);
+  const __m512d t3 = _mm512_maskz_unpackhi_pd(k, v[2].v, v[3].v);
+  const __m512d t4 = _mm512_maskz_unpacklo_pd(k, v[4].v, v[5].v);
+  const __m512d t5 = _mm512_maskz_unpackhi_pd(k, v[4].v, v[5].v);
+  const __m512d t6 = _mm512_maskz_unpacklo_pd(k, v[6].v, v[7].v);
+  const __m512d t7 = _mm512_maskz_unpackhi_pd(k, v[6].v, v[7].v);
+  // Stage 2: gather column pairs {c, c+4} for row quads: m0/m1 hold
+  // columns {0,4}, m2/m3 {1,5}, m4/m5 {2,6}, m6/m7 {3,7}; m0, m2, m4, m6
+  // rows 0-3 and m1, m3, m5, m7 rows 4-7.
+  const __m512d m0 = _mm512_maskz_shuffle_f64x2(k, t0, t2, 0x88);
+  const __m512d m1 = _mm512_maskz_shuffle_f64x2(k, t4, t6, 0x88);
+  const __m512d m2 = _mm512_maskz_shuffle_f64x2(k, t1, t3, 0x88);
+  const __m512d m3 = _mm512_maskz_shuffle_f64x2(k, t5, t7, 0x88);
+  const __m512d m4 = _mm512_maskz_shuffle_f64x2(k, t0, t2, 0xDD);
+  const __m512d m5 = _mm512_maskz_shuffle_f64x2(k, t4, t6, 0xDD);
+  const __m512d m6 = _mm512_maskz_shuffle_f64x2(k, t1, t3, 0xDD);
+  const __m512d m7 = _mm512_maskz_shuffle_f64x2(k, t5, t7, 0xDD);
   // Stage 3: splice row quads into full columns.
-  v[0].v = _mm512_shuffle_f64x2(m0, m1, 0x88);
-  v[4].v = _mm512_shuffle_f64x2(m0, m1, 0xDD);
-  v[1].v = _mm512_shuffle_f64x2(m2, m3, 0x88);
-  v[5].v = _mm512_shuffle_f64x2(m2, m3, 0xDD);
-  v[2].v = _mm512_shuffle_f64x2(m4, m5, 0x88);
-  v[6].v = _mm512_shuffle_f64x2(m4, m5, 0xDD);
-  v[3].v = _mm512_shuffle_f64x2(m6, m7, 0x88);
-  v[7].v = _mm512_shuffle_f64x2(m6, m7, 0xDD);
+  v[0].v = _mm512_maskz_shuffle_f64x2(k, m0, m1, 0x88);
+  v[4].v = _mm512_maskz_shuffle_f64x2(k, m0, m1, 0xDD);
+  v[1].v = _mm512_maskz_shuffle_f64x2(k, m2, m3, 0x88);
+  v[5].v = _mm512_maskz_shuffle_f64x2(k, m2, m3, 0xDD);
+  v[2].v = _mm512_maskz_shuffle_f64x2(k, m4, m5, 0x88);
+  v[6].v = _mm512_maskz_shuffle_f64x2(k, m4, m5, 0xDD);
+  v[3].v = _mm512_maskz_shuffle_f64x2(k, m6, m7, 0x88);
+  v[7].v = _mm512_maskz_shuffle_f64x2(k, m6, m7, 0xDD);
 }
 
 /// Alternative AVX-512 schedule built from four 4x4 sub-transposes via
@@ -185,12 +188,17 @@ inline void transpose_baseline(Vec<double, 8> (&v)[8]) {
 /// vshuff32x4 lane-crossing stages that transpose the 4x4 grid of lanes.
 /// 64 shuffles total = 16·log2(16).
 inline void transpose(Vec<float, 16> (&v)[16]) {
+  constexpr __mmask16 k = detail::kAll16;  // unmasked (see kAll8)
   __m512 u[16];
   for (int g = 0; g < 4; ++g) {  // rows 4g..4g+3
-    const __m512 t0 = _mm512_unpacklo_ps(v[4 * g + 0].v, v[4 * g + 1].v);
-    const __m512 t1 = _mm512_unpackhi_ps(v[4 * g + 0].v, v[4 * g + 1].v);
-    const __m512 t2 = _mm512_unpacklo_ps(v[4 * g + 2].v, v[4 * g + 3].v);
-    const __m512 t3 = _mm512_unpackhi_ps(v[4 * g + 2].v, v[4 * g + 3].v);
+    const __m512 t0 =
+        _mm512_maskz_unpacklo_ps(k, v[4 * g + 0].v, v[4 * g + 1].v);
+    const __m512 t1 =
+        _mm512_maskz_unpackhi_ps(k, v[4 * g + 0].v, v[4 * g + 1].v);
+    const __m512 t2 =
+        _mm512_maskz_unpacklo_ps(k, v[4 * g + 2].v, v[4 * g + 3].v);
+    const __m512 t3 =
+        _mm512_maskz_unpackhi_ps(k, v[4 * g + 2].v, v[4 * g + 3].v);
     // u[4g + c], 128-bit lane J = column 4J + c of rows 4g..4g+3.
     u[4 * g + 0] = _mm512_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
     u[4 * g + 1] = _mm512_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
@@ -199,14 +207,14 @@ inline void transpose(Vec<float, 16> (&v)[16]) {
   }
   for (int c = 0; c < 4; ++c) {
     // Lane-level 4x4 transpose: out[4J + c].lane I = u[4I + c].lane J.
-    const __m512 m0 = _mm512_shuffle_f32x4(u[c], u[4 + c], 0x88);
-    const __m512 m1 = _mm512_shuffle_f32x4(u[8 + c], u[12 + c], 0x88);
-    const __m512 m2 = _mm512_shuffle_f32x4(u[c], u[4 + c], 0xDD);
-    const __m512 m3 = _mm512_shuffle_f32x4(u[8 + c], u[12 + c], 0xDD);
-    v[c].v = _mm512_shuffle_f32x4(m0, m1, 0x88);
-    v[8 + c].v = _mm512_shuffle_f32x4(m0, m1, 0xDD);
-    v[4 + c].v = _mm512_shuffle_f32x4(m2, m3, 0x88);
-    v[12 + c].v = _mm512_shuffle_f32x4(m2, m3, 0xDD);
+    const __m512 m0 = _mm512_maskz_shuffle_f32x4(k, u[c], u[4 + c], 0x88);
+    const __m512 m1 = _mm512_maskz_shuffle_f32x4(k, u[8 + c], u[12 + c], 0x88);
+    const __m512 m2 = _mm512_maskz_shuffle_f32x4(k, u[c], u[4 + c], 0xDD);
+    const __m512 m3 = _mm512_maskz_shuffle_f32x4(k, u[8 + c], u[12 + c], 0xDD);
+    v[c].v = _mm512_maskz_shuffle_f32x4(k, m0, m1, 0x88);
+    v[8 + c].v = _mm512_maskz_shuffle_f32x4(k, m0, m1, 0xDD);
+    v[4 + c].v = _mm512_maskz_shuffle_f32x4(k, m2, m3, 0x88);
+    v[12 + c].v = _mm512_maskz_shuffle_f32x4(k, m2, m3, 0xDD);
   }
 }
 

@@ -6,6 +6,16 @@
 
 namespace tsv {
 
+namespace detail {
+/// Full lane masks for the maskz_ spellings of shuffles whose unmasked GCC
+/// intrinsics pass _mm512_undefined_*() through (unpack, shuffle_f64x2/
+/// f32x4, alignr): every inlined call site then draws -Wmaybe-uninitialized.
+/// With every lane selected the maskz forms emit the same unmasked
+/// instruction.
+inline constexpr __mmask8 kAll8 = static_cast<__mmask8>(-1);
+inline constexpr __mmask16 kAll16 = static_cast<__mmask16>(-1);
+}  // namespace detail
+
 template <typename T, int W>
 struct Vec;
 

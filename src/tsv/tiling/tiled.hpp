@@ -23,10 +23,10 @@
 // and takes its blocks as {bx, by, bz} (entries beyond the rank ignored).
 // Every driver is generic over the element type: the V-parameterized ones
 // compute in vec_value_t<V>, the autovec ones in the grid's own T.
-// Every driver takes an optional block hook (NoBlockHook in common/grid.hpp)
-// that the engines call between time blocks, inside the layout: a plan
-// polls its cancel/timeout control and refreshes per-step ghosts there, so
-// the layout transforms run once per execute whatever the boundary.
+// Every driver takes a block hook (NoBlockHook in common/grid.hpp by
+// default) that the engines call between time blocks, inside the layout: a
+// plan polls its cancel/timeout control and refreshes per-step ghosts there,
+// so the layout transforms run once per execute whatever the boundary.
 //
 // Memory behaviour: every buffer a driver needs beyond the user's grid —
 // the tessellation parity buffer, DLT staging grids, per-thread uj2 scratch
