@@ -147,7 +147,7 @@ struct GenericStencil1D {
 
   T apply(const T* p) const {
     T acc = 0;
-    for (int dx = -R; dx <= R; ++dx) acc += w[dx + R] * p[dx];
+    for (int dx = -R; dx <= R; ++dx) acc = madd(w[dx + R], p[dx], acc);
     return acc;
   }
 };
@@ -182,7 +182,7 @@ struct GenericStencil2D {
     for (const auto& r : rows) {
       const T* p = row_at(r.dy);
       for (int dx = r.xlo; dx <= r.xhi; ++dx)
-        acc += r.w[dx - r.xlo] * p[x + dx];
+        acc = madd(r.w[dx - r.xlo], p[x + dx], acc);
     }
     return acc;
   }
@@ -218,7 +218,7 @@ struct GenericStencil3D {
     for (const auto& r : rows) {
       const T* p = row_at(r.dy, r.dz);
       for (int dx = r.xlo; dx <= r.xhi; ++dx)
-        acc += r.w[dx - r.xlo] * p[x + dx];
+        acc = madd(r.w[dx - r.xlo], p[x + dx], acc);
     }
     return acc;
   }

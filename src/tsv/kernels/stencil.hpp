@@ -17,6 +17,7 @@
 #include <cmath>
 
 #include "tsv/common/aligned.hpp"
+#include "tsv/simd/vec.hpp"
 
 namespace tsv {
 
@@ -30,9 +31,13 @@ struct Stencil1D {
 
   std::array<T, ntaps> w{};
 
+  /// Taps in ascending dx, each rounded like the vector kernels' fma
+  /// (madd), so the reference does not depend on the compiler's choice to
+  /// contract a*b + c. The 2D/3D applies add rows in table order the same
+  /// way.
   T apply(const T* p) const {
     T acc = 0;
-    for (int dx = -R; dx <= R; ++dx) acc += w[dx + R] * p[dx];
+    for (int dx = -R; dx <= R; ++dx) acc = madd(w[dx + R], p[dx], acc);
     return acc;
   }
 
@@ -68,7 +73,7 @@ struct Stencil2D {
     for (const auto& r : rows) {
       const T* p = row_at(r.dy);
       for (int dx = r.xlo; dx <= r.xhi; ++dx)
-        acc += r.w[dx - r.xlo] * p[x + dx];
+        acc = madd(r.w[dx - r.xlo], p[x + dx], acc);
     }
     return acc;
   }
@@ -102,7 +107,7 @@ struct Stencil3D {
     for (const auto& r : rows) {
       const T* p = row_at(r.dy, r.dz);
       for (int dx = r.xlo; dx <= r.xhi; ++dx)
-        acc += r.w[dx - r.xlo] * p[x + dx];
+        acc = madd(r.w[dx - r.xlo], p[x + dx], acc);
     }
     return acc;
   }

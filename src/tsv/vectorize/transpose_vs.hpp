@@ -54,6 +54,40 @@ TSV_ALWAYS_INLINE T right_dep_scalar(const T* row, index base, index nx,
   return (x < nx) ? row[base + W * W + (l - 1) * W] : row[x];
 }
 
+/// The tap-accumulate body shared by the transpose sweep and uj's set_step:
+/// adds one tap row to the W accumulators of a vector set. @p lt is the
+/// left tail (lane W-1 of lt[R-l] = element B-l), @p v the set's W vectors
+/// and @p rn the R vectors whose lane 0 holds elements B+W², ..., B+W²+R-1.
+///
+/// The tap loop is outer, so each live tap pays one zero test and one
+/// broadcast for W FMAs. Each accumulator still receives its taps in
+/// ascending dx, the order of the scalar reference, so outputs are bit
+/// identical to `scalar`.
+template <typename V, int R>
+TSV_ALWAYS_INLINE void set_acc(const V (&lt)[R], const V (&v)[V::width],
+                               const V* rn,
+                               const std::array<vec_value_t<V>, 2 * R + 1>& w,
+                               V (&acc)[V::width]) {
+  constexpr int W = V::width;
+  // All indices below are compile-time so ext/v/acc stay in registers even
+  // when the surrounding function is compiled without IPA cloning.
+  V ext[W + 2 * R];
+  static_for<1, R + 1>(
+      [&]<int L>() { ext[R - L] = assemble_left(lt[R - L], v[W - L]); });
+  static_for<0, V::width>([&]<int J>() { ext[R + J] = v[J]; });
+  static_for<1, R + 1>([&]<int L>() {
+    ext[R + W - 1 + L] = assemble_right(v[L - 1], rn[L - 1]);
+  });
+  static_for<0, 2 * R + 1>([&]<int DXI>() TSV_ALWAYS_INLINE_LAMBDA {
+    if (w[DXI] != 0) {
+      const V wv = V::broadcast(w[DXI]);
+      static_for<0, V::width>([&]<int J>() TSV_ALWAYS_INLINE_LAMBDA {
+        acc[J] = fma(wv, ext[J + DXI], acc[J]);
+      });
+    }
+  });
+}
+
 /// Accumulates one tap row into acc[W] for the vector set at @p base.
 /// @p v holds the row's W input vectors; @p tail its left-tail state.
 template <typename V, int R>
@@ -62,23 +96,11 @@ TSV_ALWAYS_INLINE void transpose_set_acc(
     const std::array<vec_value_t<V>, 2 * R + 1>& w, const LeftTail<V, R>& tail,
     V (&acc)[V::width]) {
   constexpr int W = V::width;
-  // All indices below are compile-time so ext/v/acc stay in registers even
-  // when the surrounding function is compiled without IPA cloning.
-  V ext[W + 2 * R];
-  static_for<0, V::width>([&]<int J>() { ext[R + J] = v[J]; });
+  V rn[R];
   static_for<1, R + 1>([&]<int L>() {
-    ext[R - L] = assemble_left(tail.v[R - L], v[W - L]);
+    rn[L - 1] = V::broadcast(right_dep_scalar<W>(row, base, nx, L));
   });
-  static_for<1, R + 1>([&]<int L>() {
-    ext[R + W - 1 + L] = assemble_right(
-        v[L - 1], V::broadcast(right_dep_scalar<W>(row, base, nx, L)));
-  });
-  static_for<0, V::width>([&]<int J>() {
-    static_for<0, 2 * R + 1>([&]<int DXI>() {
-      if (w[DXI] != 0)
-        acc[J] = fma(V::broadcast(w[DXI]), ext[J + DXI], acc[J]);
-    });
-  });
+  set_acc<V, R>(tail.v, v, rn, w, acc);
 }
 
 /// Centre-tap-only accumulation (star-stencil off-axis rows): plain FMAs.

@@ -31,22 +31,9 @@ namespace detail {
 template <typename V, int R>
 TSV_ALWAYS_INLINE void set_step(const V (&lt)[R], V (&v)[V::width], const V* rn,
                      const std::array<vec_value_t<V>, 2 * R + 1>& w) {
-  constexpr int W = V::width;
-  V ext[W + 2 * R];
-  static_for<1, R + 1>(
-      [&]<int L>() { ext[R - L] = assemble_left(lt[R - L], v[W - L]); });
-  static_for<0, V::width>([&]<int J>() { ext[R + J] = v[J]; });
-  static_for<1, R + 1>([&]<int L>() {
-    ext[R + W - 1 + L] = assemble_right(v[L - 1], rn[L - 1]);
-  });
-  V out[W];
-  static_for<0, V::width>([&]<int J>() {
-    out[J] = V::zero();
-    static_for<0, 2 * R + 1>([&]<int DXI>() {
-      if (w[DXI] != 0)
-        out[J] = fma(V::broadcast(w[DXI]), ext[J + DXI], out[J]);
-    });
-  });
+  V out[V::width];
+  static_for<0, V::width>([&]<int J>() { out[J] = V::zero(); });
+  set_acc<V, R>(lt, v, rn, w, out);
   static_for<0, V::width>([&]<int J>() { v[J] = out[J]; });
 }
 

@@ -650,6 +650,74 @@ TEST(DefaultBlocks, ShortZGivesYTheFreedBudget) {
 }
 
 // ---------------------------------------------------------------------------
+// The FMA-order contract. Every kernel adds a cell's taps with fused
+// multiply-adds in the scalar reference's order (tap rows in table order,
+// ascending dx within a row), so any method, tiling and ISA gives the
+// `scalar` plan's output bit for bit. A kernel that reorders its taps, for
+// example to share a broadcast across outputs, must keep that order per
+// accumulator. Every registry row, the six Table-1 kinds, both dtypes and
+// every runnable ISA, 8 steps with the default blocks.
+// ---------------------------------------------------------------------------
+
+template <typename G>
+int expect_every_row_matches_scalar(const Shape& sh, StencilKind kind,
+                                    Dtype dt) {
+  Options so;
+  so.method = Method::kScalar;
+  so.dtype = dt;
+  so.steps = 8;
+  G want = sliced_test_grid<G>(sh);
+  make_plan(sh, kind, so).execute(want);
+  int checked = 0;
+  for (const Capability& cap : capabilities()) {
+    if (!cap.supports_rank(sh.rank) || !cap.supports_dtype(dt)) continue;
+    for (Isa isa : runnable_isas()) {
+      Options o = so;
+      o.method = cap.method;
+      o.tiling = cap.tiling;
+      o.isa = isa;
+      G got = sliced_test_grid<G>(sh);
+      make_plan(sh, kind, o).execute(got);
+      EXPECT_EQ(max_abs_diff(got, want), 0)
+          << method_name(cap.method) << " " << tiling_name(cap.tiling) << " "
+          << stencil_kind_name(kind) << " " << isa_name(isa) << " "
+          << dtype_name(dt);
+      ++checked;
+    }
+  }
+  return checked;
+}
+
+TEST(MethodOrder, EveryRowIsBitIdenticalToScalar) {
+  const StencilKind kinds[] = {StencilKind::k1d3p, StencilKind::k1d5p,
+                               StencilKind::k2d5p, StencilKind::k2d9p,
+                               StencilKind::k3d7p, StencilKind::k3d27p};
+  int checked = 0;
+  for (StencilKind kind : kinds) {
+    const int rank = stencil_kind_rank(kind);
+    const int radius = stencil_kind_radius(kind);
+    const Shape sh = rank == 1   ? shape1d(1024, radius)
+                     : rank == 2 ? shape2d(512, 37, radius)
+                                 : shape3d(256, 13, 19, radius);
+    for (Dtype dt : all_dtypes()) {
+      auto run = [&]<typename T>() {
+        if (rank == 1)
+          checked += expect_every_row_matches_scalar<Grid1D<T>>(sh, kind, dt);
+        else if (rank == 2)
+          checked += expect_every_row_matches_scalar<Grid2D<T>>(sh, kind, dt);
+        else
+          checked += expect_every_row_matches_scalar<Grid3D<T>>(sh, kind, dt);
+      };
+      if (dt == Dtype::kF32)
+        run.template operator()<float>();
+      else
+        run.template operator()<double>();
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+// ---------------------------------------------------------------------------
 // Seeded randomized differential fuzzer.
 //
 // Every iteration draws one registry capability and randomizes everything a
