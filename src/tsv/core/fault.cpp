@@ -25,7 +25,7 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 }
 
 constexpr const char* kSiteNames[kFaultSiteCount] = {
-    "workspace.alloc", "plan.build", "executor.dispatch", "shard.exchange",
+    "workspace.alloc", "plan.build",     "executor.dispatch",
     "kernel.sweep",    "workspace.slot",
 };
 

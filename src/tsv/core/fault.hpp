@@ -25,12 +25,11 @@
 //
 // Fault injection
 // ---------------
-// Six named fault points thread through the execution stack:
+// Five named fault points thread through the execution stack:
 //
 //   workspace.alloc     WorkspacePool::checkout, before any allocation
 //   plan.build          PlanCache::get, before make_plan
 //   executor.dispatch   Scheduler gang, before a group's execution starts
-//   shard.exchange      ShardedPlan halo-exchange wave
 //   kernel.sweep        TypedPlan::execute, before the kernel dispatch
 //   workspace.slot      Workspace::slot, before a scratch buffer is created
 //
@@ -40,9 +39,8 @@
 // is the one site inside a plan's execution; it is pre-mutation because
 // TypedPlan::execute creates every slot a run uses (prepare) before its
 // first write to the grid, so a real bad_alloc there is too. That re-run is
-// the only recovery path — the Scheduler's retry_budget for requests, one
-// in-place retry per wave for sharded plans — so a recovered request always
-// runs the configuration it was planned for.
+// the only recovery path — the Scheduler's retry_budget — so a recovered
+// request always runs the configuration it was planned for.
 //
 // The injector is off unless the environment sets TSV_FAULT_INJECTION=1
 // (checked once at first use); when off, `fault_point()` is a single
@@ -194,12 +192,11 @@ struct ExecControl {
 enum class FaultSite : int {
   kWorkspaceAlloc = 0,  // "workspace.alloc"
   kPlanBuild = 1,       // "plan.build"
-  kGangDispatch = 2,   // "executor.dispatch"
-  kShardExchange = 3,   // "shard.exchange"
-  kKernelSweep = 4,     // "kernel.sweep"
-  kWorkspaceSlot = 5,   // "workspace.slot"
+  kGangDispatch = 2,    // "executor.dispatch"
+  kKernelSweep = 3,     // "kernel.sweep"
+  kWorkspaceSlot = 4,   // "workspace.slot"
 };
-inline constexpr int kFaultSiteCount = 6;
+inline constexpr int kFaultSiteCount = 5;
 
 const char* fault_site_name(FaultSite site) noexcept;
 

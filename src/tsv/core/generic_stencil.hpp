@@ -136,8 +136,7 @@ struct GenericStencil1D {
   }
 
   /// nullptr when this descriptor may run on a grid of the given interior
-  /// extents; else the reason (the scale field is bound to exact extents,
-  /// so e.g. a ShardedPlan shard cannot reuse a whole-domain field).
+  /// extents; else the reason (the scale field is bound to exact extents).
   const char* check_shape(int rank, index nx, index ny, index nz) const {
     (void)rank; (void)ny; (void)nz;
     if (scale && nx != snx)

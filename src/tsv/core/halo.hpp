@@ -69,52 +69,28 @@ void zero_row_segment(T* dst, index n) {
   std::memset(dst, 0, static_cast<std::size_t>(n) * sizeof(T));
 }
 
-/// x-axis fill for one unit-stride row, one side at a time: lo fills the
-/// ghost cells at [-r, 0), hi the ones at [nx, nx + r), around the interior
-/// [0, nx), whose element x sits at row[xmap(x, nx)] (the layout's index
-/// map; the ghost cells themselves are always in original order). Element
-/// loops, O(r). Split per face so the sharded execution path can fill
-/// exactly the physical face of a split axis.
-template <typename T, typename XMap = IdentityX>
-void fill_row_x_lo(T* row, index nx, int r, Boundary b,
-                   const XMap& xmap = {}) {
+/// x-axis fill for one unit-stride row: the ghost cells at [-r, 0) and
+/// [nx, nx + r) around the interior [0, nx), whose element x sits at
+/// row[xmap(x, nx)] (the layout's index map; the ghost cells themselves are
+/// always in original order). Element loops, O(r).
+template <typename T, typename XMap>
+void fill_row_x(T* row, index nx, int r, Boundary b, const XMap& xmap) {
   switch (b) {
     case Boundary::kDirichlet:
       break;
     case Boundary::kZero:
       for (int d = 1; d <= r; ++d) row[-d] = T(0);
-      break;
-    case Boundary::kPeriodic:
-      for (int d = 1; d <= r; ++d) row[-d] = row[xmap(nx - d, nx)];
-      break;
-    case Boundary::kNeumann:
-      for (int d = 1; d <= r; ++d) row[-d] = row[xmap(d - 1, nx)];
-      break;
-  }
-}
-
-template <typename T, typename XMap = IdentityX>
-void fill_row_x_hi(T* row, index nx, int r, Boundary b,
-                   const XMap& xmap = {}) {
-  switch (b) {
-    case Boundary::kDirichlet:
-      break;
-    case Boundary::kZero:
       for (int d = 0; d < r; ++d) row[nx + d] = T(0);
       break;
     case Boundary::kPeriodic:
+      for (int d = 1; d <= r; ++d) row[-d] = row[xmap(nx - d, nx)];
       for (int d = 0; d < r; ++d) row[nx + d] = row[xmap(d, nx)];
       break;
     case Boundary::kNeumann:
+      for (int d = 1; d <= r; ++d) row[-d] = row[xmap(d - 1, nx)];
       for (int d = 0; d < r; ++d) row[nx + d] = row[xmap(nx - 1 - d, nx)];
       break;
   }
-}
-
-template <typename T, typename XMap>
-void fill_row_x(T* row, index nx, int r, Boundary b, const XMap& xmap) {
-  fill_row_x_lo(row, nx, r, b, xmap);
-  fill_row_x_hi(row, nx, r, b, xmap);
 }
 
 /// Source index (in the interior) a ghost layer at distance @p d outside a
@@ -127,25 +103,10 @@ inline index ghost_src_hi(index n, int d, Boundary b) {
   return b == Boundary::kPeriodic ? d - 1 : n - d;  // wrap : mirror
 }
 
-}  // namespace detail
-
-/// Fills ONE face of the grid's outermost axis (x for 1D, y for 2D, z for
-/// 3D): the radius-deep ghost strip outside the low (high=false) or high
-/// (high=true) face, per boundary @p b. kDirichlet is a no-op. The copied
-/// strips are whole extended rows/planes, so inner-axis ghosts must already
-/// be filled — the face then inherits the same sequential-exchange corner
-/// semantics as fill_ghosts. The sharded execution path (core/shard.hpp)
-/// uses this for the PHYSICAL faces of its split axis; internal shard faces
-/// are neighbor-interior copies instead (periodic wraps ride the same ring
-/// exchange, so they never come through here).
-template <typename T>
-void fill_ghost_face(Grid1D<T>& g, Boundary b, int radius, bool high) {
-  if (high)
-    detail::fill_row_x_hi(g.x0(), g.nx(), radius, b);
-  else
-    detail::fill_row_x_lo(g.x0(), g.nx(), radius, b);
-}
-
+/// Fills ONE face of the grid's outermost axis (y for 2D, z for 3D): the
+/// radius-deep ghost strip outside the low (high=false) or high (high=true)
+/// face, per boundary @p b. kDirichlet is a no-op. The copied strips are
+/// whole extended rows/planes, so inner-axis ghosts must already be filled.
 template <typename T>
 void fill_ghost_face(Grid2D<T>& g, Boundary b, int radius, bool high) {
   if (b == Boundary::kDirichlet) return;
@@ -155,12 +116,11 @@ void fill_ghost_face(Grid2D<T>& g, Boundary b, int radius, bool high) {
   for (int d = 1; d <= r; ++d) {
     T* dst = (high ? g.row(ny - 1 + d) : g.row(-d)) - r;
     if (b == Boundary::kZero) {
-      detail::zero_row_segment(dst, w);
+      zero_row_segment(dst, w);
       continue;
     }
-    const index src = high ? detail::ghost_src_hi(ny, d, b)
-                           : detail::ghost_src_lo(ny, d, b);
-    detail::copy_row_segment(dst, g.row(src) - r, w);
+    const index src = high ? ghost_src_hi(ny, d, b) : ghost_src_lo(ny, d, b);
+    copy_row_segment(dst, g.row(src) - r, w);
   }
 }
 
@@ -174,14 +134,16 @@ void fill_ghost_face(Grid3D<T>& g, Boundary b, int radius, bool high) {
     for (index y = -r; y < ny + r; ++y) {
       T* dst = (high ? g.row(y, nz - 1 + d) : g.row(y, -d)) - r;
       if (b == Boundary::kZero) {
-        detail::zero_row_segment(dst, w);
+        zero_row_segment(dst, w);
         continue;
       }
-      const index src = high ? detail::ghost_src_hi(nz, d, b)
-                             : detail::ghost_src_lo(nz, d, b);
-      detail::copy_row_segment(dst, g.row(y, src) - r, w);
+      const index src =
+          high ? ghost_src_hi(nz, d, b) : ghost_src_lo(nz, d, b);
+      copy_row_segment(dst, g.row(y, src) - r, w);
     }
 }
+
+}  // namespace detail
 
 /// Fills the radius-@p radius ghost rim of @p g according to @p bc (see the
 /// header comment for semantics and corner handling). kDirichlet axes are
@@ -203,8 +165,8 @@ void fill_ghosts(Grid2D<T>& g, const BoundarySpec& bc, int radius,
       detail::fill_row_x(g.row(y), nx, r, bc.x, xmap);
   // Ghost rows copy the whole extended row [-r, nx + r) so corners inherit
   // the x fill of their source row (fill_ghost_face implements the copies).
-  fill_ghost_face(g, bc.y, r, /*high=*/false);
-  fill_ghost_face(g, bc.y, r, /*high=*/true);
+  detail::fill_ghost_face(g, bc.y, r, /*high=*/false);
+  detail::fill_ghost_face(g, bc.y, r, /*high=*/true);
 }
 
 template <typename T, typename XMap = IdentityX>
@@ -236,8 +198,8 @@ void fill_ghosts(Grid3D<T>& g, const BoundarySpec& bc, int radius,
   // Ghost planes copy whole extended planes (rows [-r, ny + r), each row
   // extended by the x rim) so edges and corners inherit the x and y fills
   // (fill_ghost_face implements the copies).
-  fill_ghost_face(g, bc.z, r, /*high=*/false);
-  fill_ghost_face(g, bc.z, r, /*high=*/true);
+  detail::fill_ghost_face(g, bc.z, r, /*high=*/false);
+  detail::fill_ghost_face(g, bc.z, r, /*high=*/true);
 }
 
 }  // namespace tsv

@@ -191,10 +191,10 @@ void prom_executor(std::ostringstream& os, const ExecutorStats& e) {
        "Wall time since scheduler construction.", e.uptime_seconds);
   emit("tsv_executor_utilization", "gauge",
        "Whole-pool busy fraction in [0,1].", utilization(e));
-  per_gang("tsv_executor_gang_tasks_total", "Groups and tasks run, per gang.",
+  per_gang("tsv_executor_gang_tasks_total", "Groups run, per gang.",
            [](const GangStats& g) { return g.tasks; });
   per_gang("tsv_executor_gang_busy_seconds_total",
-           "Wall time spent inside groups and tasks, per gang.",
+           "Wall time spent inside groups, per gang.",
            [](const GangStats& g) { return g.busy_seconds; });
   emit("tsv_plan_cache_hits_total", "counter", "Plan cache lookups served.",
        e.plan_cache.hits);

@@ -151,7 +151,8 @@ struct Options {
   index steps = 1;          ///< time steps T
   index bx = 0, by = 0, bz = 0;  ///< spatial block sizes (0 = plan default)
   index bt = 0;             ///< temporal block (0 = plan default)
-  int threads = 0;          ///< OpenMP threads; 0 = runtime default
+  int threads = 0;          ///< tiled plans' OpenMP team; 0 = runtime default
+                            ///< (an untiled plan always resolves 1)
   /// Upper bound on the resolved OpenMP team (0 = no cap). This is the
   /// Scheduler's gang hint (core/scheduler.hpp): a batched service partitions
   /// the machine into gangs and caps every request's team at its gang size,

@@ -65,15 +65,16 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
   r.steps = o.steps;
   r.tune = o.tune;
   r.health = o.health_check;
-  // Threads resolve to a concrete team size: untiled sweeps are
-  // single-threaded by design; tiled runs default to the runtime team
-  // captured at first use (see detail::runtime_default_threads above).
-  // max_threads caps the resolved team (never errors): the Scheduler's gang
-  // hint, so a request scheduled onto a gang cannot fork a machine-wide team.
+  // Threads resolve to a concrete team size: an untiled sweep has no
+  // parallel region, so it resolves 1 whatever was asked; tiled runs take
+  // the explicit count or default to the runtime team captured at first
+  // use (see detail::runtime_default_threads above). max_threads caps the
+  // resolved team (never errors): the Scheduler's gang hint, so a request
+  // scheduled onto a gang cannot fork a machine-wide team.
   if (o.max_threads < 0) fail("max_threads must be >= 0");
-  r.threads = o.threads > 0 ? o.threads
-              : o.tiling == Tiling::kNone ? 1
-                                          : detail::runtime_default_threads();
+  r.threads = o.tiling == Tiling::kNone ? 1
+              : o.threads > 0           ? o.threads
+                                        : detail::runtime_default_threads();
   if (o.max_threads > 0) r.threads = std::min(r.threads, o.max_threads);
 
   // ISA: kAuto resolves to the widest compiled+supported ISA. The dtype is

@@ -38,7 +38,6 @@
 #include "tsv/core/health.hpp"
 #include "tsv/core/problems.hpp"
 #include "tsv/core/registry.hpp"
-#include "tsv/core/shard.hpp"
 #include "tsv/core/tuner.hpp"
 #include "tsv/core/workspace.hpp"
 #include "tsv/kernels/reference.hpp"
@@ -710,9 +709,7 @@ TypedPlan<detail::grid_for_t<S>, S> make_plan(const Shape& shape,
     throw ConfigError(o.method, o.tiling, shape.rank,
                       "shape rank does not match the stencil's rank");
   // Descriptors bound to concrete grid extents (a lowered GenericStencil
-  // carrying a per-cell scale field) veto mismatched shapes here — this is
-  // what rejects sharding a whole-domain coefficient field across shards
-  // whose extents differ from the field's.
+  // carrying a per-cell scale field) veto mismatched shapes here.
   if constexpr (requires {
                   stencil.check_shape(shape.rank, shape.nx, shape.ny,
                                       shape.nz);
@@ -727,188 +724,6 @@ TypedPlan<detail::grid_for_t<S>, S> make_plan(const Shape& shape,
     oo = detail::tuned_options<detail::grid_for_t<S>, S>(shape, stencil, oo);
   return TypedPlan<detail::grid_for_t<S>, S>(
       shape, stencil, resolve_options(shape, S::radius, oo));
-}
-
-// ---------------------------------------------------------------------------
-// Sharded plans: one TypedPlan per shard, driven as exchange/compute waves.
-// ---------------------------------------------------------------------------
-
-class Scheduler;  // core/scheduler.hpp
-
-namespace detail {
-
-/// Runs every task in @p tasks to completion: concurrently over @p sched's
-/// gangs when a scheduler is given (one barrier — the wave ends when the
-/// last task finishes; the first raised exception is rethrown after all
-/// tasks drained), serially in order otherwise. Defined in scheduler.cpp.
-void run_wave(Scheduler* sched, std::vector<std::function<void()>>& tasks);
-
-}  // namespace detail
-
-/// A plan over a ShardedGrid<G>: the monolithic domain split along its
-/// outermost axis (core/shard.hpp), one TypedPlan — and therefore one
-/// private Workspace — per shard, and a step loop that drives the shards as
-/// three kinds of parallel waves:
-///
-///   fill  F   per shard: non-split-axis ghosts (fill_ghosts) + physical
-///             split faces (fill_ghost_face) — own-grid writes only
-///   exch  E   per shard: split-axis ghost strips copied from the
-///             neighbors' interior edges (+ the periodic ring wrap)
-///   sweep S   per shard: one time step via its TypedPlan, then the next
-///             step's F fill fused behind the sweep
-///
-/// as F, then per step E -> S. Within a wave every task touches a disjoint
-/// data set (E reads neighbor interiors written in the PREVIOUS wave and
-/// writes only its own ghosts), so waves need no locks — just the barrier
-/// between them. With a Scheduler, one shard's exchange memcpys overlap
-/// other shards' sweeps across gangs, and each shard's fill is fused behind
-/// its own sweep inside one task — the O(halo) boundary work hides behind
-/// the O(interior) compute.
-///
-/// Every shard plan is built with an all-Dirichlet boundary and steps = 1:
-/// the SHARDED plan owns every ghost write and the step loop, the shard
-/// plans only sweep interiors. Results are bit-identical to the monolithic
-/// TypedPlan under the same options (see core/shard.hpp on why the
-/// exchange reproduces fill_ghosts' corner semantics exactly).
-template <typename G, typename S>
-class ShardedPlan {
- public:
-  /// Validates the decomposition (outermost axis only, shard extents >=
-  /// radius) and the full configuration: each shard plan goes through
-  /// resolve_options, and the split-axis boundary — which the shard plans
-  /// never see — is checked against the registry here. Throws ConfigError.
-  ShardedPlan(const Shape& shape, const S& stencil, const ShardSpec& spec,
-              const Options& o)
-      : shape_(shape), steps_(o.steps) {
-    const int rank = shape.rank;
-    auto fail = [&](const std::string& reason) -> void {
-      throw ConfigError(o.method, o.tiling, rank, reason);
-    };
-    if (rank != S::dim) fail("shape rank does not match the stencil's rank");
-    const index outer = rank == 1 ? shape.nx : rank == 2 ? shape.ny : shape.nz;
-    try {
-      layout_ = shard_layout(rank, outer, spec);
-    } catch (const std::invalid_argument& e) {
-      fail(e.what());
-    }
-    if (const char* why = shard_violation(layout_, S::radius)) fail(why);
-
-    // Normalize the user boundary to the rank (mirrors resolve_options) and
-    // validate the split axis against the registry: the shard plans run
-    // all-Dirichlet, so without this check an unsupported periodic split
-    // axis would silently pass validation.
-    bc_ = o.boundary;
-    if (rank < 2) bc_.y = Boundary::kDirichlet;
-    if (rank < 3) bc_.z = Boundary::kDirichlet;
-    const Boundary split_b = rank == 1 ? bc_.x : rank == 2 ? bc_.y : bc_.z;
-    if (const Capability* cap = find_capability(o.method, o.tiling);
-        cap != nullptr && !cap->supports_boundary(split_b))
-      fail(std::string("not implemented for boundary ") +
-           boundary_name(split_b));
-
-    Options oi = o;
-    oi.steps = 1;  // the sharded plan owns the step loop
-    oi.boundary = bc_;
-    (rank == 1 ? oi.boundary.x : rank == 2 ? oi.boundary.y : oi.boundary.z) =
-        Boundary::kDirichlet;
-    if (spec.threads_per_shard > 0)
-      oi.max_threads = o.max_threads > 0
-                           ? std::min(o.max_threads, spec.threads_per_shard)
-                           : spec.threads_per_shard;
-    plans_.reserve(static_cast<std::size_t>(layout_.count));
-    for (int i = 0; i < layout_.count; ++i) {
-      const index e = layout_.extent[static_cast<std::size_t>(i)];
-      Shape si = shape;
-      (rank == 1 ? si.nx : rank == 2 ? si.ny : si.nz) = e;
-      plans_.push_back(make_plan(si, stencil, oi));
-    }
-  }
-
-  /// Advances @p sg by steps() time steps, running every wave serially on
-  /// the calling thread (no scheduler — tests and single-core use).
-  void execute(ShardedGrid<G>& sg) const { execute_impl(sg, nullptr); }
-
-  /// As execute(sg), but each wave fans out over @p sched's gangs (one
-  /// Scheduler::submit_task per shard). The scheduler may serve other
-  /// requests concurrently; this call blocks until the last wave drains.
-  void execute(ShardedGrid<G>& sg, Scheduler& sched) const {
-    execute_impl(sg, &sched);
-  }
-
-  const Shape& shape() const { return shape_; }
-  const ShardLayout& layout() const { return layout_; }
-  int shards() const { return layout_.count; }
-  index steps() const { return steps_; }
-  /// The per-shard plan (introspection: resolved blocks, threads, ...).
-  const TypedPlan<G, S>& shard_plan(int i) const {
-    return plans_[static_cast<std::size_t>(i)];
-  }
-  /// The normalized boundary conditions the sharded step loop applies.
-  const BoundarySpec& boundary() const { return bc_; }
-
- private:
-  void execute_impl(ShardedGrid<G>& sg, Scheduler* sched) const {
-    if (sg.shards() != layout_.count ||
-        shape_of(sg.shard(0)) != plans_.front().shape())
-      throw ConfigError(plans_.front().config().method,
-                        plans_.front().config().tiling, shape_.rank,
-                        "sharded grid does not match the planned "
-                        "decomposition");
-    if (steps_ <= 0) return;
-    const int n = layout_.count;
-    std::vector<std::function<void()>> wave(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-      wave[static_cast<std::size_t>(i)] = [this, &sg, i] {
-        sg.fill_shard_ghosts(i, bc_, S::radius);
-      };
-    detail::run_wave(sched, wave);
-    for (index t = 0; t < steps_; ++t) {
-      for (int i = 0; i < n; ++i)
-        wave[static_cast<std::size_t>(i)] = [this, &sg, i] {
-          // The exchange only copies neighbor interior edges frozen by the
-          // previous wave into this shard's ghosts — idempotent, so one
-          // in-place retry contains a transient fault inside the wave.
-          try {
-            fault_point(FaultSite::kShardExchange);
-            sg.exchange_shard_ghosts(i, bc_, S::radius);
-          } catch (const TransientError&) {
-            sg.exchange_shard_ghosts(i, bc_, S::radius);
-          }
-        };
-      detail::run_wave(sched, wave);
-      const bool last = t + 1 == steps_;
-      for (int i = 0; i < n; ++i)
-        wave[static_cast<std::size_t>(i)] = [this, &sg, i, last] {
-          // Per-wave containment: a sweep fault fires pre-mutation, so
-          // this shard's sub-grid is still at step t — one in-place retry
-          // of the same shard plan keeps one faulting shard from poisoning
-          // an otherwise-complete wave.
-          const TypedPlan<G, S>& plan = plans_[static_cast<std::size_t>(i)];
-          try {
-            plan.execute(sg.shard(i));
-          } catch (const TransientError&) {
-            plan.execute(sg.shard(i));
-          }
-          if (!last) sg.fill_shard_ghosts(i, bc_, S::radius);
-        };
-      detail::run_wave(sched, wave);
-    }
-  }
-
-  Shape shape_;
-  index steps_ = 0;
-  ShardLayout layout_;
-  BoundarySpec bc_;
-  std::vector<TypedPlan<G, S>> plans_;
-};
-
-/// Builds a sharded plan for an explicit stencil descriptor (the typed
-/// analogue of make_plan; the grid type follows from the stencil).
-template <typename S>
-ShardedPlan<detail::grid_for_t<S>, S> make_sharded_plan(
-    const Shape& shape, const S& stencil, const ShardSpec& spec,
-    const Options& o = {}) {
-  return ShardedPlan<detail::grid_for_t<S>, S>(shape, stencil, spec, o);
 }
 
 /// Non-owning reference to a caller grid of any rank and dtype: what the

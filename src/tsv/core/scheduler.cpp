@@ -162,31 +162,6 @@ void execute_request(PlanCache& cache, const Shape& shape,
   entry->plan().execute(grid, *ws, ctl);
 }
 
-void run_wave(Scheduler* sched, std::vector<std::function<void()>>& tasks) {
-  // One task (or no scheduler) gains nothing from the submit/future round
-  // trip — run inline. Order within a wave is free by construction: every
-  // wave's tasks touch disjoint data (see ShardedPlan).
-  if (sched == nullptr || tasks.size() <= 1) {
-    for (auto& task : tasks) task();
-    return;
-  }
-  std::vector<std::future<Scheduler::Result>> done;
-  done.reserve(tasks.size());
-  for (auto& task : tasks) done.push_back(sched->submit_task(task));
-  // The wave is a barrier: drain EVERY future before rethrowing, so no
-  // task is still running (and touching the caller's sharded grid) when
-  // the exception unwinds the stack the tasks reference.
-  std::exception_ptr first;
-  for (auto& f : done) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
-}
-
 }  // namespace detail
 
 const char* service_class_name(ServiceClass c) {
@@ -256,9 +231,8 @@ struct Scheduler::Member {
 /// coalesced onto it. The group's class/deadline are the most urgent of its
 /// members, so a follower can PROMOTE a queued batch request into the
 /// interactive lane — the result serves both, so it inherits the stricter
-/// SLO. A submit_task entry is a group of one whose `task` is set.
+/// SLO.
 struct Scheduler::Group {
-  std::function<void()> task;  ///< submit_task closure; empty for requests
   StencilSpec spec;
   Options options;  ///< normalized: dtype from the grid, gang-capped team
   Shape shape;
@@ -361,20 +335,11 @@ std::future<Scheduler::Result> Scheduler::submit(Request req) {
   m.cls = req.cls;
   m.grid = req.grid;
   m.cancel = req.cancel;
-  return admit(std::move(g), std::move(m), cfg_.coalesce);
-}
-
-std::future<Scheduler::Result> Scheduler::submit_task(
-    std::function<void()> fn) {
-  auto g = std::make_shared<Group>();
-  g->task = std::move(fn);
-  Member m;
-  m.admitted = Clock::now();
-  return admit(std::move(g), std::move(m), /*coalesce=*/false);
+  return admit(std::move(g), std::move(m));
 }
 
 std::future<Scheduler::Result> Scheduler::admit(std::shared_ptr<Group> g,
-                                                Member m, bool coalesce) {
+                                                Member m) {
   const Clock::time_point now = m.admitted;
   std::future<Result> fut = m.promise.get_future();
   std::shared_ptr<Group> victim;       // shed group: promises failed post-unlock
@@ -382,7 +347,7 @@ std::future<Scheduler::Result> Scheduler::admit(std::shared_ptr<Group> g,
   {
     std::unique_lock<std::mutex> lock(mu_);
     std::shared_ptr<Group> match;
-    if (coalesce && !stopping_) match = match_locked(lock, *g, m.grid);
+    if (cfg_.coalesce && !stopping_) match = match_locked(lock, *g, m.grid);
     // Counted together with the admit/reject below, never before a hash
     // drops the lock, so a concurrent stats() always reads
     // admitted + rejected == submitted and digests <= submitted.
@@ -403,9 +368,7 @@ std::future<Scheduler::Result> Scheduler::admit(std::shared_ptr<Group> g,
         return fut;  // no queue slot consumed: the work already exists
       }
 
-      // Task groups neither take nor need a queue slot: a wave task refused
-      // mid-wave would leave a sharded grid partly advanced.
-      if (!g->task && queue_.size() - queued_tasks_ >= cfg_.queue_capacity) {
+      if (queue_.size() >= cfg_.queue_capacity) {
         // Full: shed queued work that is already past its deadline.
         // Nothing sheddable means the NEWCOMER is rejected: admitted work
         // with a live deadline is never dropped for later arrivals.
@@ -427,7 +390,6 @@ std::future<Scheduler::Result> Scheduler::admit(std::shared_ptr<Group> g,
         if (best < queue_.size()) {
           victim = queue_[best];
           queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
-          // A victim is never a task group: tasks have no deadline.
           close_locked(*victim);
           stats_.shed += victim->members.size();
         } else {
@@ -441,8 +403,7 @@ std::future<Scheduler::Result> Scheduler::admit(std::shared_ptr<Group> g,
         g->deadline = m.deadline;
         g->seq = seq_++;
         g->members.push_back(std::move(m));
-        if (coalesce) open_.emplace(g->key, g);
-        if (g->task) ++queued_tasks_;
+        if (cfg_.coalesce) open_.emplace(g->key, g);
         queue_.push_back(std::move(g));
         ++stats_.admitted;
       }
@@ -537,14 +498,6 @@ std::shared_ptr<Scheduler::Group> Scheduler::take_locked() {
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     const Group& g = *queue_[i];
     if (g.pinned) continue;  // its grid is being hashed (match_locked)
-    // Task groups go first, oldest first (the queue is in admission
-    // order), and ignore tenant quotas: a wave is a barrier, so a shard
-    // task left behind a stream of requests would stall the whole
-    // sharded plan while its sibling shards sit finished.
-    if (g.task) {
-      best = i;
-      break;
-    }
     if (cfg_.max_inflight_per_tenant > 0) {
       auto it = tenant_inflight_.find(g.tenant);
       if (it != tenant_inflight_.end() &&
@@ -573,10 +526,6 @@ std::shared_ptr<Scheduler::Group> Scheduler::take_locked() {
   g->dispatch_seq = dispatch_seq_++;
   g->dispatched = Clock::now();
   ++inflight_;
-  if (g->task) {
-    --queued_tasks_;
-    return g;
-  }
   close_locked(*g);  // closed: input in use
   const int t = ++tenant_inflight_[g->tenant];
   stats_.peak_tenant_inflight =
@@ -628,11 +577,9 @@ void Scheduler::worker_loop(int gang) {
     // The group leaves the in-flight set only now, so wait_idle() returns
     // with every future ready and every counter final.
     --inflight_;
-    if (!g->task) {
-      auto it = tenant_inflight_.find(g->tenant);
-      if (it != tenant_inflight_.end() && --it->second <= 0)
-        tenant_inflight_.erase(it);
-    }
+    auto it = tenant_inflight_.find(g->tenant);
+    if (it != tenant_inflight_.end() && --it->second <= 0)
+      tenant_inflight_.erase(it);
     if (queue_.empty() && inflight_ == 0) idle_cv_.notify_all();
   }
   lock.unlock();
@@ -640,25 +587,20 @@ void Scheduler::worker_loop(int gang) {
   work_cv_.notify_all();
 }
 
-/// Runs one group on the calling gang. A submit_task group runs its
-/// closure. A request group's first live member computes through the
-/// shared plan cache (one cache probe, one execution per GROUP) under the
-/// group's ExecControl; the other live members receive a byte copy of that
-/// result — coalesced waiters are bit-identical by construction. Transient
-/// failures re-execute the same plan on the same grid under the retry
-/// budget: every transient is raised before the plan's first write (see
-/// TypedPlan::prepare), so the grid still holds the input. Members already
-/// cancelled or timed out at dispatch are pruned up front and fail
-/// individually without costing an execution. Returns the group's shared
-/// error (null on success).
+/// Runs one group on the calling gang. The first live member computes
+/// through the shared plan cache (one cache probe, one execution per GROUP)
+/// under the group's ExecControl; the other live members receive a byte
+/// copy of that result — coalesced waiters are bit-identical by
+/// construction. Transient failures re-execute the same plan on the same
+/// grid under the retry budget: every transient is raised before the plan's
+/// first write (see TypedPlan::prepare), so the grid still holds the input.
+/// Members already cancelled or timed out at dispatch are pruned up front
+/// and fail individually without costing an execution. Returns the group's
+/// shared error (null on success).
 std::exception_ptr Scheduler::run_group(const std::shared_ptr<Group>& g) {
   g->sweep_start = Clock::now();
   try {
     g->member_errors.assign(g->members.size(), nullptr);
-    if (g->task) {
-      g->task();
-      return nullptr;
-    }
     const Clock::time_point now = g->sweep_start;
 
     // Prune members that are dead on arrival: a cancelled member fails with

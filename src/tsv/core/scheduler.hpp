@@ -39,8 +39,6 @@
 //   * per-tenant quotas — at most max_inflight_per_tenant requests of one
 //     tenant run concurrently; a tenant with a deep backlog keeps its
 //     excess queued while other tenants' work overtakes it.
-//   * submit_task groups (sharded-plan waves) go ahead of every request and
-//     are exempt from the capacity and quota checks above.
 //   * single-flight coalescing — concurrent submissions with identical
 //     (stencil, shape, options, grid contents) become ONE execution: the
 //     leader computes, followers' grids receive a byte copy of the leader's
@@ -185,8 +183,8 @@ struct ExecutorConfig {
   int threads_per_gang = 1;
 };
 
-/// Per-gang busy-time accounting: how many groups and tasks this gang ran
-/// and how much wall time it spent inside them. busy / uptime is the gang's
+/// Per-gang busy-time accounting: how many groups this gang ran and how
+/// much wall time it spent inside them. busy / uptime is the gang's
 /// utilization; a skewed tasks distribution across gangs exposes imbalance.
 struct GangStats {
   std::uint64_t tasks = 0;
@@ -217,9 +215,7 @@ enum class SchedPolicy { kDeadline, kFifo };
 
 struct SchedulerConfig {
   ExecutorConfig executor;       ///< the gang pool
-  /// Queued request groups before shedding (submit_task groups take no
-  /// slot).
-  std::size_t queue_capacity = 1024;
+  std::size_t queue_capacity = 1024;  ///< queued groups before shedding
   int max_inflight_per_tenant = 0;    ///< 0 = unlimited
   SchedPolicy policy = SchedPolicy::kDeadline;
   bool coalesce = true;          ///< single-flight identical submissions
@@ -247,8 +243,7 @@ struct SchedulerConfig {
 
 /// Cumulative serving counters plus the per-class latency distributions.
 /// submitted = admitted + rejected; admitted requests end up in exactly one
-/// of completed / failed / shed. Scheduler::submit_task closures count
-/// here too, as batch-class requests. deadline_missed counts COMPLETED requests
+/// of completed / failed / shed. deadline_missed counts COMPLETED requests
 /// that finished after their deadline (shed work is counted as shed, not
 /// missed). coalesced counts followers fanned out from a leader's result.
 struct SchedulerStats {
@@ -361,17 +356,6 @@ class Scheduler {
                           std::move(tenant)});
   }
 
-  /// Admits an arbitrary closure as a batch-class, deadline-free, never
-  /// coalesced request — the sharded plan's wave driver (core/plan.hpp)
-  /// fans its per-shard fill/exchange/sweep tasks out through this. The
-  /// task runs under the gang's OpenMP pin like any request, bypasses the
-  /// plan cache (the closure brings its own plan) and is counted in the
-  /// same ledger; a throw raises into the future. Tasks are never rejected
-  /// for a full queue, ignore tenant quotas and are taken before any
-  /// queued request: a wave is a barrier, and a refused or starved shard
-  /// task would stall (or half-advance) the whole sharded grid.
-  std::future<Result> submit_task(std::function<void()> fn);
-
   /// Stops the gangs from taking queued work (admission stays open).
   /// Queued requests dispatch again on resume(). An operator's drain valve,
   /// and the test suite's determinism lever: pause, build a queue state,
@@ -399,8 +383,7 @@ class Scheduler {
 
   friend struct SchedulerTestAccess;  // tests: pinned_hook_
 
-  std::future<Result> admit(std::shared_ptr<Group> g, Member m,
-                            bool coalesce);
+  std::future<Result> admit(std::shared_ptr<Group> g, Member m);
   std::shared_ptr<Group> match_locked(std::unique_lock<std::mutex>& lock,
                                       Group& g, GridRef grid);
   void close_locked(const Group& g);
@@ -424,8 +407,7 @@ class Scheduler {
   /// Runs on a submitting thread while it holds pins, before it hashes
   /// (tests use it to observe a pinned group); empty otherwise.
   std::function<void()> pinned_hook_;
-  std::map<std::string, int> tenant_inflight_;  // request groups only
-  std::size_t queued_tasks_ = 0;  // submit_task groups in queue_
+  std::map<std::string, int> tenant_inflight_;
   std::size_t inflight_ = 0;
   bool paused_ = false;
   bool stopping_ = false;

@@ -42,7 +42,6 @@
 #include "tsv/core/registry.hpp"     // IWYU pragma: export
 #include "tsv/core/run.hpp"          // IWYU pragma: export
 #include "tsv/core/scheduler.hpp"    // IWYU pragma: export
-#include "tsv/core/shard.hpp"        // IWYU pragma: export
 #include "tsv/core/tunedb.hpp"       // IWYU pragma: export
 #include "tsv/core/tuner.hpp"        // IWYU pragma: export
 #include "tsv/core/workspace.hpp"    // IWYU pragma: export

@@ -1,6 +1,6 @@
 // Chaos suite for the resilience layer (core/fault.hpp, core/health.hpp,
 // and the retry/timeout/cancel paths threaded through
-// Scheduler -> PlanCache -> Plan -> ShardedPlan).
+// Scheduler -> PlanCache -> Plan).
 //
 // Every test is DETERMINISTIC: the injector's per-point splitmix64 streams
 // replay exactly under a fixed seed, trigger counts (`once`, `count`) are
@@ -230,18 +230,22 @@ TEST_F(FaultTest, TriggerModesOnceCountProbabilityAndRegistry) {
   EXPECT_NO_THROW(fault_point(FaultSite::kWorkspaceAlloc));
 
   // probability 0 never fires; probability 1 always fires.
-  fi.arm("shard.exchange", {.probability = 0.0});
-  EXPECT_NO_THROW(fault_point(FaultSite::kShardExchange));
-  fi.arm("shard.exchange", {.probability = 1.0});
-  EXPECT_THROW(fault_point(FaultSite::kShardExchange), TransientError);
+  fi.arm("executor.dispatch", {.probability = 0.0});
+  EXPECT_NO_THROW(fault_point(FaultSite::kGangDispatch));
+  fi.arm("executor.dispatch", {.probability = 1.0});
+  EXPECT_THROW(fault_point(FaultSite::kGangDispatch), TransientError);
 
   EXPECT_THROW(fi.arm("no.such.point", {}), std::out_of_range);
+  // The retired sharded-plan exchange site is no longer a point.
+  EXPECT_THROW(fi.arm(std::string("shard") + ".exchange", {}),
+               std::out_of_range);
   EXPECT_THROW(fi.disarm("no.such.point"), std::out_of_range);
   EXPECT_THROW(fi.stats("no.such.point"), std::out_of_range);
 
   // Name table round-trips through the enum.
   EXPECT_STREQ(fault_site_name(FaultSite::kWorkspaceAlloc), "workspace.alloc");
   EXPECT_STREQ(fault_site_name(FaultSite::kKernelSweep), "kernel.sweep");
+  EXPECT_STREQ(fault_site_name(FaultSite::kWorkspaceSlot), "workspace.slot");
 
   // Disabled injector: armed points are inert (the production fast path).
   fi.arm("plan.build", {.once = true});
@@ -707,59 +711,6 @@ TEST_F(FaultTest, RetryTakesNoCopyOfTheGrid) {
   sched.wait_idle();
   EXPECT_EQ(sched.stats().retries, 1u);
   EXPECT_EQ(max_abs_diff(serial_expected(8, kRun, 1), *r.grid), 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Injection through ShardedPlan: an exchange fault and a sweep fault each
-// retry in place, contained to their shard's wave task.
-// ---------------------------------------------------------------------------
-
-TEST_F(FaultTest, ShardExchangeFaultRetriesIdempotently) {
-  const Options o = opts(Method::kTranspose, Tiling::kNone, 5);
-  const auto s = make_2d5p<double>();
-  const Shape shape = shape2d(256, 13);
-
-  Grid2D<double> mono(256, 13, 1), init(256, 13, 1);
-  mono.fill([](index x, index y) { return noise<double>(x, y); });
-  init.fill([](index x, index y) { return noise<double>(x, y); });
-  make_plan(shape, s, o).execute(mono);
-
-  FaultInjector::instance().arm("shard.exchange", {.once = true});
-  ShardedGrid<Grid2D<double>> sg(init, ShardSpec{.count = 2});
-  sg.scatter(init);
-  const auto plan = make_sharded_plan(shape, s, ShardSpec{.count = 2}, o);
-  EXPECT_NO_THROW(plan.execute(sg));
-  EXPECT_EQ(FaultInjector::instance().stats("shard.exchange").fires, 1u);
-
-  // The exchange is idempotent: the in-place retry reproduces the
-  // monolithic result bit-for-bit.
-  Grid2D<double> out = init;
-  sg.gather(out);
-  EXPECT_EQ(max_abs_diff(mono, out), 0.0);
-}
-
-TEST_F(FaultTest, ShardSweepFaultIsContainedToItsShard) {
-  const Options o = opts(Method::kTranspose, Tiling::kNone, 5);
-  const auto s = make_2d5p<double>();
-  const Shape shape = shape2d(256, 13);
-
-  Grid2D<double> mono(256, 13, 1), init(256, 13, 1);
-  mono.fill([](index x, index y) { return noise<double>(x, y); });
-  init.fill([](index x, index y) { return noise<double>(x, y); });
-  make_plan(shape, s, o).execute(mono);
-
-  FaultInjector::instance().arm("kernel.sweep", {.count = 1});
-  ShardedGrid<Grid2D<double>> sg(init, ShardSpec{.count = 2});
-  sg.scatter(init);
-  const auto plan = make_sharded_plan(shape, s, ShardSpec{.count = 2}, o);
-
-  // One shard's sweep faulted pre-mutation; it re-ran the same shard plan
-  // in place, before the wave barrier — the other shard never saw it.
-  EXPECT_NO_THROW(plan.execute(sg));
-  Grid2D<double> out = init;
-  sg.gather(out);
-  EXPECT_EQ(max_abs_diff(mono, out), 0.0) << "shard-retry recovery diverged";
-  EXPECT_EQ(FaultInjector::instance().stats("kernel.sweep").fires, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@
 //  * Validation: malformed shapes (offsets beyond the declared radius, empty
 //    tap sets, rank mismatches, wrong method, inconsistent scale extents)
 //    surface as structured ConfigErrors at plan time, never as crashes.
-//  * Pass-through: a lowered generic descriptor flows through ShardedPlan,
-//    the Scheduler exactly like a compiled kind (bit-identical
-//    sharding; futures resolve to the oracle result).
+//  * Pass-through: a generic descriptor flows through the gang pool and
+//    the Scheduler exactly like a compiled kind (futures resolve to the
+//    oracle result).
 //  * Step-slicing regression: per-step boundary refreshes and cooperative
 //    cancellation share one block hook (TypedPlan::execute), so a cancel
 //    delivered at step t must leave an exact t-step prefix whose ghosts
@@ -292,37 +292,10 @@ TEST(GenericValidation, ScaleExtentMismatchRejected) {
                ConfigError);
 }
 
-// ---------------------------------------------------------------------------
-// Pass-through: ShardedPlan, the FIFO gang pool, the Scheduler.
-// ---------------------------------------------------------------------------
-
-TEST(GenericPassThrough, ShardedBitIdenticalToMonolithic) {
-  const Shape shape = shape_for(2, 64, 13, 1, 1);
-  const auto lowered = detail::lower_generic_2d<1, double>(
-      generic_from_kind(StencilKind::k2d9p));
-  Options o;
-  o.method = Method::kGeneric;
-  o.steps = 5;
-  o.boundary = BoundarySpec::uniform(Boundary::kPeriodic);
-
-  Grid2D<double> mono = make_filled<Grid2D<double>>(shape);
-  Grid2D<double> init = mono;
-  make_plan(shape, lowered, o).execute(mono);
-
-  ShardedGrid<Grid2D<double>> sg(init, ShardSpec{.count = 3});
-  sg.scatter(init);
-  const auto plan = make_sharded_plan(shape, lowered, ShardSpec{.count = 3}, o);
-  plan.execute(sg);
-  Grid2D<double> out = init;
-  sg.gather(out);
-  EXPECT_EQ(max_abs_diff(mono, out), 0.0);  // bit-identical
-}
-
-TEST(GenericPassThrough, ScaleFieldRejectsSharding) {
-  // A per-cell field is bound to exact interior extents; a shard's slab has
-  // different extents, so the per-shard plan build must throw rather than
-  // silently index the whole-domain field.
-  const Shape shape = shape_for(2, 64, 12, 1, 1);
+TEST(GenericValidation, LoweredScaleFieldRejectsOtherExtents) {
+  // A per-cell field is bound to exact interior extents: the typed plan
+  // build on a lowered descriptor vetoes a shape of other extents rather
+  // than silently index the field out of range.
   GenericStencil gs = generic_from_kind(StencilKind::k2d5p);
   gs.scale.assign(static_cast<std::size_t>(64 * 12), 0.9);
   gs.scale_nx = 64;
@@ -331,11 +304,15 @@ TEST(GenericPassThrough, ScaleFieldRejectsSharding) {
   Options o;
   o.method = Method::kGeneric;
   o.steps = 2;
-  EXPECT_THROW(make_sharded_plan(shape, lowered, ShardSpec{.count = 3}, o),
+  EXPECT_THROW(make_plan(shape_for(2, 32, 12, 1, 1), lowered, o),
                ConfigError);
-  // The monolithic plan on the matching extents stays fine.
-  EXPECT_NO_THROW(make_plan(shape, lowered, o));
+  // The plan on the matching extents stays fine.
+  EXPECT_NO_THROW(make_plan(shape_for(2, 64, 12, 1, 1), lowered, o));
 }
+
+// ---------------------------------------------------------------------------
+// Pass-through: the FIFO gang pool, the Scheduler.
+// ---------------------------------------------------------------------------
 
 TEST(GenericPassThrough, FifoGangPoolServesGenericRequests) {
   StencilSpec spec;

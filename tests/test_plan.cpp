@@ -58,6 +58,9 @@ TEST(Plan, TiledThreadsResolveToConcreteTeam) {
   EXPECT_GT(make_plan(shape1d(256), make_1d3p(), o).config().threads, 0);
   o.threads = 3;
   EXPECT_EQ(make_plan(shape1d(256), make_1d3p(), o).config().threads, 3);
+  // An untiled sweep has no parallel region: any explicit team resolves 1.
+  o.tiling = Tiling::kNone;
+  EXPECT_EQ(make_plan(shape1d(256), make_1d3p(), o).config().threads, 1);
 }
 
 // The seed defaulted Options::isa to kAvx512, which threw on any

@@ -21,7 +21,7 @@ cd "$root"
 cmake -B "$build" -S . -DTSV_MARCH=x86-64-v3 -DCMAKE_BUILD_TYPE=Release \
   -DTSV_BUILD_TESTS=OFF
 cmake --build "$build" -j "$(nproc)" --target fig7_blockfree table4_speedup \
-  fig9_scaling fig10_throughput fig11_sharded fig12_latency fig13_robustness \
+  fig9_scaling fig10_throughput fig12_latency fig13_robustness \
   fig14_generic fig15_warmstart
 
 out="$build/bench-smoke"
@@ -32,7 +32,6 @@ b="$build"
 "$b/table4_speedup" --smoke --dtype both --json "$out/table4-smoke.json"
 "$b/fig9_scaling" --smoke --json "$out/fig9-smoke.json"
 "$b/fig10_throughput" --smoke --json "$out/fig10-smoke.json" --min-speedup 1.5
-"$b/fig11_sharded" --smoke --shards 2 --min-speedup 1.0 --json "$out/fig11-smoke.json"
 "$b/fig12_latency" --smoke --json "$out/fig12-smoke.json"
 "$b/fig13_robustness" --smoke --json "$out/fig13-smoke.json" --max-overhead 0.03
 "$b/fig14_generic" --smoke --dtype both --json "$out/fig14-smoke.json"
@@ -41,7 +40,7 @@ b="$build"
 # The "Merge bench-smoke.json" step (jq -s 'add'), without needing jq.
 python3 - "$out/bench-smoke.json" "$out"/fig7-smoke.json \
   "$out"/table4-smoke.json "$out"/fig9-smoke.json "$out"/fig10-smoke.json \
-  "$out"/fig11-smoke.json "$out"/fig12-smoke.json "$out"/fig13-smoke.json \
+  "$out"/fig12-smoke.json "$out"/fig13-smoke.json \
   "$out"/fig14-smoke.json "$out"/fig15-smoke.json <<'EOF'
 import json, sys
 merged = []
