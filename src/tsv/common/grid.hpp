@@ -29,6 +29,19 @@ constexpr index align_elems() {
 }
 }  // namespace detail
 
+/// Runs body(i) for every i in [0, n): a static `omp for` over a team of
+/// @p team threads, or — for a team of 1 or a single row — the plain loop
+/// on the calling thread with no parallel region. @p body must not throw.
+template <typename F>
+void team_for(index n, int team, F&& body) {
+  if (team <= 1 || n <= 1) {
+    for (index i = 0; i < n; ++i) body(i);
+    return;
+  }
+#pragma omp parallel for num_threads(team) schedule(static)
+  for (index i = 0; i < n; ++i) body(i);
+}
+
 /// One-dimensional grid: interior x in [0, nx), halo x in [-halo, 0) and
 /// [nx, nx+halo).
 template <typename T>
@@ -60,8 +73,9 @@ class Grid1D {
     for (index x = -halo_; x < nx_ + halo_; ++x) at(x) = f(x);
   }
 
-  /// Copies halo cells (both sides) from @p other.
-  void copy_halo_from(const Grid1D& other) {
+  /// Copies halo cells (both sides) from @p other. One row: @p team is
+  /// taken for rank-generic callers and ignored.
+  void copy_halo_from(const Grid1D& other, int /*team*/ = 1) {
     for (index x = -halo_; x < 0; ++x) at(x) = other.at(x);
     for (index x = nx_; x < nx_ + halo_; ++x) at(x) = other.at(x);
   }
@@ -123,19 +137,21 @@ class Grid2D {
   /// Copies every halo cell from @p other. Halo-only rows are copied with
   /// one memcpy per row; interior rows copy just their two x-halo segments —
   /// this runs once per Plan::execute to refresh reusable workspace buffers,
-  /// so it must cost O(halo), not O(interior).
-  void copy_halo_from(const Grid2D& other) {
+  /// so it must cost O(halo), not O(interior). The rows split over a team of
+  /// @p team threads (team_for).
+  void copy_halo_from(const Grid2D& other, int team = 1) {
     const std::size_t row_bytes =
         static_cast<std::size_t>(nx_ + 2 * halo_) * sizeof(T);
     const std::size_t side_bytes = static_cast<std::size_t>(halo_) * sizeof(T);
-    for (index y = -halo_; y < ny_ + halo_; ++y) {
+    team_for(ny_ + 2 * halo_, team, [&](index i) {
+      const index y = i - halo_;
       if (y < 0 || y >= ny_) {
         std::memcpy(row(y) - halo_, other.row(y) - halo_, row_bytes);
       } else if (halo_ > 0) {
         std::memcpy(row(y) - halo_, other.row(y) - halo_, side_bytes);
         std::memcpy(row(y) + nx_, other.row(y) + nx_, side_bytes);
       }
-    }
+    });
   }
 
   /// Zeroes every cell (interior and halo) on the calling thread.
@@ -200,20 +216,21 @@ class Grid3D {
   }
 
   /// Copies every halo cell from @p other (see the Grid2D overload: O(halo)
-  /// memcpy segments, not an O(interior) sweep).
-  void copy_halo_from(const Grid3D& other) {
+  /// memcpy segments, not an O(interior) sweep; rows split over @p team).
+  void copy_halo_from(const Grid3D& other, int team = 1) {
     const std::size_t row_bytes =
         static_cast<std::size_t>(nx_ + 2 * halo_) * sizeof(T);
     const std::size_t side_bytes = static_cast<std::size_t>(halo_) * sizeof(T);
-    for (index z = -halo_; z < nz_ + halo_; ++z)
-      for (index y = -halo_; y < ny_ + halo_; ++y) {
-        if (z < 0 || z >= nz_ || y < 0 || y >= ny_) {
-          std::memcpy(row(y, z) - halo_, other.row(y, z) - halo_, row_bytes);
-        } else if (halo_ > 0) {
-          std::memcpy(row(y, z) - halo_, other.row(y, z) - halo_, side_bytes);
-          std::memcpy(row(y, z) + nx_, other.row(y, z) + nx_, side_bytes);
-        }
+    const index rows_y = ny_ + 2 * halo_;
+    team_for(rows_y * (nz_ + 2 * halo_), team, [&](index i) {
+      const index y = i % rows_y - halo_, z = i / rows_y - halo_;
+      if (z < 0 || z >= nz_ || y < 0 || y >= ny_) {
+        std::memcpy(row(y, z) - halo_, other.row(y, z) - halo_, row_bytes);
+      } else if (halo_ > 0) {
+        std::memcpy(row(y, z) - halo_, other.row(y, z) - halo_, side_bytes);
+        std::memcpy(row(y, z) + nx_, other.row(y, z) + nx_, side_bytes);
       }
+    });
   }
 
   /// Zeroes every cell (interior and halo) on the calling thread.
@@ -270,6 +287,19 @@ auto* row_at(G& g, index y, index z) {
     return g.row(y);
   else
     return g.row(y, z);
+}
+
+/// Runs f(y, z) for every unit-stride row of @p g, the y/z halo rows
+/// included (the one row of a Grid1D is (0, 0)), split over a team of
+/// @p team threads (team_for). @p f must not throw.
+template <typename G, typename F>
+void for_each_row(const G& g, int team, F&& f) {
+  index ny = 1, nz = 1;
+  if constexpr (G::kRank >= 2) ny = g.ny() + 2 * g.halo();
+  if constexpr (G::kRank >= 3) nz = g.nz() + 2 * g.halo();
+  const index ylo = G::kRank >= 2 ? g.halo() : 0;
+  const index zlo = G::kRank >= 3 ? g.halo() : 0;
+  team_for(ny * nz, team, [&](index i) { f(i % ny - ylo, i / ny - zlo); });
 }
 
 /// A grid of G's rank with interior extents @p e (entries beyond the rank

@@ -81,6 +81,17 @@ class Workspace {
     return *static_cast<T*>(it->second.obj.get());
   }
 
+  /// The slot's object if slot @p id holds a T, else nullptr
+  /// (introspection / tests).
+  template <typename T>
+  T* find(int id) const {
+    auto it = entries_.find(id);
+    if (it == entries_.end() ||
+        it->second.type != std::type_index(typeid(T)))
+      return nullptr;
+    return static_cast<T*>(it->second.obj.get());
+  }
+
   /// Drops every cached buffer (storage is released immediately).
   void clear() { entries_.clear(); }
 

@@ -11,6 +11,8 @@
 // As the paper notes (§2.2), DLT is impractical to apply in place, so the
 // transforms are out-of-place into a caller-provided scratch row.
 
+#include <type_traits>
+
 #include "tsv/common/check.hpp"
 #include "tsv/common/grid.hpp"
 
@@ -25,64 +27,65 @@ constexpr index dlt_offset(index x, index n) {
   return i * W + j;
 }
 
-/// dst[i*W + j] = src[j*L + i]. n must be a multiple of W.
-template <typename T, int W>
-void dlt_forward_row(const T* src, T* dst, index n) {
-  require_fmt(n % W == 0, "dlt_forward_row: n=", n, " not a multiple of W=",
+namespace detail {
+template <int W>
+void require_dlt_row(index n, const char* what) {
+  require_fmt(n % W == 0, what, ": n=", n, " not a multiple of W=",
               static_cast<index>(W));
+}
+
+template <typename T, int W>
+void dlt_forward(const T* src, T* dst, index n) {
   const index L = n / W;
   for (index i = 0; i < L; ++i)
     for (index j = 0; j < W; ++j) dst[i * W + j] = src[j * L + i];
 }
 
-/// Inverse of dlt_forward_row.
 template <typename T, int W>
-void dlt_backward_row(const T* src, T* dst, index n) {
-  require_fmt(n % W == 0, "dlt_backward_row: n=", n, " not a multiple of W=",
-              static_cast<index>(W));
+void dlt_backward(const T* src, T* dst, index n) {
   const index L = n / W;
   for (index i = 0; i < L; ++i)
     for (index j = 0; j < W; ++j) dst[j * L + i] = src[i * W + j];
 }
+}  // namespace detail
 
-/// Whole-grid DLT; @p dst must have the same shape as @p src. For rank >= 2
-/// the y/z halo rows are transformed too (neighbour-row loads must share the
-/// layout); the x halo of each row keeps original order and is read by the
-/// seam-handling code.
+/// dst[i*W + j] = src[j*L + i]. n must be a multiple of W.
 template <typename T, int W>
-void dlt_forward_grid(const Grid1D<T>& src, Grid1D<T>& dst) {
-  dlt_forward_row<T, W>(src.x0(), dst.x0(), src.nx());
+void dlt_forward_row(const T* src, T* dst, index n) {
+  detail::require_dlt_row<W>(n, "dlt_forward_row");
+  detail::dlt_forward<T, W>(src, dst, n);
 }
 
+/// Inverse of dlt_forward_row.
 template <typename T, int W>
-void dlt_backward_grid(const Grid1D<T>& src, Grid1D<T>& dst) {
-  dlt_backward_row<T, W>(src.x0(), dst.x0(), src.nx());
+void dlt_backward_row(const T* src, T* dst, index n) {
+  detail::require_dlt_row<W>(n, "dlt_backward_row");
+  detail::dlt_backward<T, W>(src, dst, n);
 }
 
-template <typename T, int W>
-void dlt_forward_grid(const Grid2D<T>& src, Grid2D<T>& dst) {
-  for (index y = -src.halo(); y < src.ny() + src.halo(); ++y)
-    dlt_forward_row<T, W>(src.row(y), dst.row(y), src.nx());
+/// Whole-grid DLT of a Grid1D/2D/3D of T; @p dst must have the same shape as
+/// @p src. The rows split over a team of @p team threads (team_for: a team
+/// of 1 runs on the calling thread); the nx check runs once, before any row
+/// moves. For rank >= 2 the y/z halo rows are transformed too (neighbour-row
+/// loads must share the layout); the x halo of each row keeps original order
+/// and is read by the seam-handling code.
+template <typename T, int W, typename G>
+void dlt_forward_grid(const G& src, G& dst, int team = 1) {
+  static_assert(std::is_same_v<typename G::value_type, T>);
+  detail::require_dlt_row<W>(src.nx(), "dlt_forward_grid");
+  for_each_row(src, team, [&](index y, index z) {
+    detail::dlt_forward<T, W>(row_at(src, y, z), row_at(dst, y, z), src.nx());
+  });
 }
 
-template <typename T, int W>
-void dlt_backward_grid(const Grid2D<T>& src, Grid2D<T>& dst) {
-  for (index y = -src.halo(); y < src.ny() + src.halo(); ++y)
-    dlt_backward_row<T, W>(src.row(y), dst.row(y), src.nx());
-}
-
-template <typename T, int W>
-void dlt_forward_grid(const Grid3D<T>& src, Grid3D<T>& dst) {
-  for (index z = -src.halo(); z < src.nz() + src.halo(); ++z)
-    for (index y = -src.halo(); y < src.ny() + src.halo(); ++y)
-      dlt_forward_row<T, W>(src.row(y, z), dst.row(y, z), src.nx());
-}
-
-template <typename T, int W>
-void dlt_backward_grid(const Grid3D<T>& src, Grid3D<T>& dst) {
-  for (index z = -src.halo(); z < src.nz() + src.halo(); ++z)
-    for (index y = -src.halo(); y < src.ny() + src.halo(); ++y)
-      dlt_backward_row<T, W>(src.row(y, z), dst.row(y, z), src.nx());
+template <typename T, int W, typename G>
+void dlt_backward_grid(const G& src, G& dst, int team = 1) {
+  static_assert(std::is_same_v<typename G::value_type, T>);
+  detail::require_dlt_row<W>(src.nx(), "dlt_backward_grid");
+  for_each_row(src, team, [&](index y, index z) {
+    detail::dlt_backward<T, W>(row_at(src, y, z), row_at(dst, y, z),
+                               src.nx());
+  });
 }
 
 }  // namespace tsv

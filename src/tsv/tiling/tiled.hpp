@@ -37,6 +37,10 @@
 // staging buffers only need their *halo* refreshed per execute (every time
 // unit rewrites the whole interior before reading it); per-thread pools are
 // first-touched by their owning threads.
+// Whole-grid passes — the layout transforms in and out and those halo
+// refreshes — split their rows over the same team as the tile loops
+// (omp_get_max_threads(), which a tiled plan's prepare pins); the untiled
+// drivers run them on the calling thread.
 // The @p stream flag (plan-resolved; see ResolvedOptions::streaming) selects
 // non-temporal write-back in the vector sweeps — only ever enabled when the
 // working set exceeds the LLC threshold and the temporal block is 1, i.e.
@@ -60,15 +64,16 @@ namespace tsv {
 namespace detail {
 
 /// Tessellates @p steps Jacobi steps of @p g with adv(in, out, box); the
-/// parity buffer comes from @p ws (only its halo is refreshed per execute).
-/// @p hook runs between time blocks of @p bt steps (see NoBlockHook).
+/// parity buffer comes from @p ws (only its halo is refreshed per execute,
+/// on the team). @p hook runs between time blocks of @p bt steps (see
+/// NoBlockHook).
 template <typename G, typename AdvanceFn, typename Hook,
           typename XMap = IdentityX>
 void tess_jacobi(G& g, index steps, const Blocks& b, index bt, index slope,
                  Workspace& ws, AdvanceFn&& adv, Hook&& hook,
                  const XMap& xmap = {}) {
   G& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-  tmp.copy_halo_from(g);
+  tmp.copy_halo_from(g, omp_get_max_threads());
   tess_engine(g, tmp, extents(g), b, steps, bt, slope, adv, hook, xmap);
 }
 
@@ -94,8 +99,10 @@ std::vector<Scratch>& thread_pool(Workspace& ws, std::uint64_t key,
 /// a block-aligned virtual row origin, and the lead halo must cover the
 /// deepest left-tail vector load of the second sweep — R*W elements before
 /// the first touched block when that origin sits below x = 0 of the
-/// scratch. 2D/3D: a grid of full rows whose outermost axis holds one tile
-/// grown by R.
+/// scratch. 2D/3D: a grid of full rows that holds one tile grown by R on
+/// every tiled axis above x. A tile never spans more than its block on an
+/// axis: triangles, boundary trapezoids and ragged last tiles are at most
+/// the block, and inverted seams at most 2·slope·(tau−1) < block.
 template <int W, int R, typename G>
 auto& uj2_pool(Workspace& ws, const G& g, const Blocks& b, int nthreads) {
   using T = typename G::value_type;
@@ -108,9 +115,9 @@ auto& uj2_pool(Workspace& ws, const G& g, const Blocks& b, int nthreads) {
           return ScratchRow<T>(scr_len, scr_halo, FirstTouch::kNone);
         });
   } else {
-    constexpr int k = G::kRank - 1;
     std::array<index, 3> se = extents(g);
-    se[k] = (b[k] > 0 ? std::min(se[k], b[k]) : se[k]) + 2 * R + 4;
+    for (int k = 1; k < G::kRank; ++k)
+      se[k] = (b[k] > 0 ? std::min(se[k], b[k]) : se[k]) + 2 * R + 4;
     return thread_pool<G>(
         ws, ws_key(se[0], se[1], se[2], R, nthreads), nthreads, [&] {
           return make_grid<G>(se, std::max<index>(R, 1), FirstTouch::kNone);
@@ -175,7 +182,8 @@ TSV_NOINLINE void tess_transpose_run(G& g, const S& s, index steps,
   using T = vec_value_t<V>;
   constexpr int W = V::width;
   detail::require_transpose_conforming(g, W);
-  block_transpose_grid<T, W>(g);
+  const int team = omp_get_max_threads();
+  block_transpose_grid<T, W>(g, team);
   detail::tess_jacobi(
       g, steps, b, bt, S::radius, ws,
       [&](const G& in, G& out, const Box& r) {
@@ -185,7 +193,7 @@ TSV_NOINLINE void tess_transpose_run(G& g, const S& s, index steps,
           transpose_step<V>(in, out, s, r);
       },
       hook, BlockTransposedX<W>{});
-  block_transpose_grid<T, W>(g);
+  block_transpose_grid<T, W>(g, team);
 }
 
 /// "Our (2 steps)" with tiling: pair-granular tessellation. @p bt is the time
@@ -218,7 +226,7 @@ TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
   };
   auto run = [&](auto&& pair_adv) {
     G& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-    tmp.copy_halo_from(g);
+    tmp.copy_halo_from(g, nthreads);
     const index pairs = single ? 0 : steps / 2;
     const BlockTransposedX<W> xmap;
     if (pairs > 0 && !tess_engine(g, tmp, extents(g), b, pairs,
@@ -237,7 +245,7 @@ TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
   };
 
   auto* pool = single ? nullptr : &detail::uj2_pool<W, R>(ws, g, b, nthreads);
-  block_transpose_grid<T, W>(g);
+  block_transpose_grid<T, W>(g, nthreads);
   if constexpr (G::kRank == 1) {
     constexpr index B = block_elems<W>;
     run([&](const G& in, G& out, const Box& r) {
@@ -287,7 +295,7 @@ TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
                 });
     });
   }
-  block_transpose_grid<T, W>(g);
+  block_transpose_grid<T, W>(g, nthreads);
 }
 
 /// Creates every workspace slot tess_transpose_uj2_run(g, s, steps, b, bt,
@@ -383,12 +391,13 @@ TSV_NOINLINE void sdsl_run(G& g, const S& s, index steps, index split,
   constexpr int W = V::width;
   constexpr int R = S::radius;
   require_fmt(g.nx() % W == 0, "SDSL/DLT requires nx % W == 0");
+  const int team = omp_get_max_threads();
   const Box cols = dlt_columns<W>(g);
   G& dltA = ws_grid_like(ws, kWsDltA, g);
-  dltA.copy_halo_from(g);
-  dlt_forward_grid<T, W>(g, dltA);
+  dltA.copy_halo_from(g, team);
+  dlt_forward_grid<T, W>(g, dltA, team);
   G& dltB = ws_grid_like(ws, kWsDltB, g);
-  dltB.copy_halo_from(dltA);
+  dltB.copy_halo_from(dltA, team);
   // The plan only resolves stream=true at bt == 1 — every sweep is then a
   // full pass with no cross-unit cache reuse.
   auto adv = [&](const G& in, G& out, const Box& r) {
@@ -417,7 +426,7 @@ TSV_NOINLINE void sdsl_run(G& g, const S& s, index steps, index split,
     tess_engine(dltA, dltB, {cols.xhi, cols.yhi, cols.zhi}, blk, steps, bt, R,
                 adv, hook, DltX<W>{});
   }
-  dlt_backward_grid<T, W>(dltA, g);
+  dlt_backward_grid<T, W>(dltA, g, team);
 }
 
 }  // namespace tsv

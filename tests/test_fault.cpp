@@ -459,7 +459,12 @@ TEST(HeldLayout, CancelLeavesAWholeBlockPrefix) {
       o.bx = 128;
       o.by = 8;
       o.bz = 8;
-      o.threads = 2;
+      // threads = 0: the runtime default team — the machine's in an
+      // ordinary run, one thread under the TSan job's OMP_NUM_THREADS=1.
+      // TSan cannot see libgomp's fork/join handoff, so with a team of 2
+      // every main-thread stack or heap word a worker reads reports as a
+      // race, and symbolizing each before the suppressions drop it keeps
+      // this test busy for minutes.
       const std::string what = std::string(method_name(method)) + "+" +
                                tiling_name(tiling) + " rank " +
                                std::to_string(rank);

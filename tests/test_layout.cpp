@@ -1,6 +1,7 @@
 // Tests for the two data layouts: register-block transpose and DLT.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 #include <random>
 
@@ -177,6 +178,83 @@ TEST(Dlt, Grid3DRoundtrip) {
     for (index y = 0; y < 2; ++y)
       for (index x = 0; x < 16; ++x)
         EXPECT_EQ(out.at(x, y, z), src.at(x, y, z));
+}
+
+// ---- team transforms ---------------------------------------------------------
+//
+// A team splits the (y, z) rows of a whole-grid transform with a static
+// schedule; rows are independent, so every team gives the serial result,
+// halo cells included. 7 rows in 2D and 7 x 5 = 35 in 3D are multiples of
+// neither 2 nor 3.
+
+template <typename G>
+G numbered_grid(index nx) {
+  G g = make_grid<G>({nx, 5, 3}, 1);
+  index n = 0;
+  for_each_row(g, 1, [&](index y, index z) {
+    for (index x = -1; x <= nx; ++x)
+      row_at(g, y, z)[x] = static_cast<double>(n++);
+  });
+  return g;
+}
+
+template <typename G>
+bool same_cells(const G& a, const G& b) {
+  bool same = true;
+  for_each_row(a, 1, [&](index y, index z) {
+    same = same && std::memcmp(row_at(a, y, z) - 1, row_at(b, y, z) - 1,
+                               (a.nx() + 2) * sizeof(double)) == 0;
+  });
+  return same;
+}
+
+template <typename G>
+void expect_team_transforms_match_serial() {
+  const index nx = 32;
+  for (int team = 1; team <= 3; ++team) {
+    G serial = numbered_grid<G>(nx), par = numbered_grid<G>(nx);
+    block_transpose_grid<double, 4>(serial);
+    block_transpose_grid<double, 4>(par, team);
+    EXPECT_TRUE(same_cells(serial, par)) << "block transpose, team " << team;
+
+    const G src = numbered_grid<G>(nx);
+    G fs = numbered_grid<G>(nx), fp = numbered_grid<G>(nx);
+    dlt_forward_grid<double, 4>(src, fs);
+    dlt_forward_grid<double, 4>(src, fp, team);
+    EXPECT_TRUE(same_cells(fs, fp)) << "DLT forward, team " << team;
+    G bs = numbered_grid<G>(nx), bp = numbered_grid<G>(nx);
+    dlt_backward_grid<double, 4>(fs, bs);
+    dlt_backward_grid<double, 4>(fs, bp, team);
+    EXPECT_TRUE(same_cells(bs, bp)) << "DLT backward, team " << team;
+    EXPECT_TRUE(same_cells(bs, src)) << "DLT round trip, team " << team;
+  }
+}
+
+TEST(TeamTransform, Grid2DBitIdenticalToSerial) {
+  expect_team_transforms_match_serial<Grid2D<double>>();
+}
+
+TEST(TeamTransform, Grid3DBitIdenticalToSerial) {
+  expect_team_transforms_match_serial<Grid3D<double>>();
+}
+
+// The nx check runs once, before the team forks: a non-conforming grid
+// throws a catchable error and no row moves.
+TEST(TeamTransform, BadLengthThrowsBeforeTheTeam) {
+  const index nx = 20;  // a multiple of W = 4, not of W^2 = 16
+  Grid3D<double> g = numbered_grid<Grid3D<double>>(nx);
+  const Grid3D<double> before = numbered_grid<Grid3D<double>>(nx);
+  EXPECT_THROW((block_transpose_grid<double, 4>(g, 3)), std::invalid_argument);
+  EXPECT_TRUE(same_cells(g, before));
+
+  const index bad = 18;  // not a multiple of W = 4
+  const Grid2D<double> src = numbered_grid<Grid2D<double>>(bad);
+  Grid2D<double> dst = numbered_grid<Grid2D<double>>(bad);
+  EXPECT_THROW((dlt_forward_grid<double, 4>(src, dst, 3)),
+               std::invalid_argument);
+  EXPECT_THROW((dlt_backward_grid<double, 4>(src, dst, 3)),
+               std::invalid_argument);
+  EXPECT_TRUE(same_cells(dst, numbered_grid<Grid2D<double>>(bad)));
 }
 
 }  // namespace

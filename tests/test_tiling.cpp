@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "tsv/core/plan.hpp"
 #include "tsv/kernels/reference.hpp"
 #include "tsv/tiling/tiled.hpp"
 
@@ -431,6 +432,50 @@ TEST(Tess3D, TransposeAvx2) { tess3d_transpose_sweep<Vec<double, 4>>(); }
 #if defined(__AVX512F__)
 TEST(Tess3D, TransposeAvx512) { tess3d_transpose_sweep<Vec<double, 8>>(); }
 #endif
+
+// The uj2 scratch pool holds one tile grown by R on every tiled axis above
+// x — a pair only touches its grown box — and the ragged last tiles of both
+// axes still fit it: the plan stays bit-identical to one tile.
+TEST(Tess3D, Uj2PoolHoldsOneTilePerThread) {
+  constexpr index R = 1;
+  const index nx = 128, ny = 37, nz = 29;  // ragged last tiles on y and z
+  Options o;
+  o.method = Method::kTransposeUJ;
+  o.tiling = Tiling::kTessellate;
+  o.steps = 9;  // odd: the tail step runs without the pool
+  o.bt = 4;
+  o.by = 8;
+  o.bz = 10;
+  o.threads = 2;
+  const auto s = make_3d7p<double>(0.41, 0.09, 0.1, 0.12);
+  auto fill = [](Grid3D<double>& g) {
+    g.fill([](index x, index y, index z) {
+      return std::sin(0.05 * x + 0.3 * y) + 0.01 * z;
+    });
+  };
+  const auto plan = make_plan(shape3d(nx, ny, nz), s, o);
+  Grid3D<double> got(nx, ny, nz, 1);
+  fill(got);
+  Workspace ws;
+  plan.prepare(got, ws);
+  const auto* pool = ws.find<std::vector<Grid3D<double>>>(kWsScratchPool);
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->size(), 2u);
+  for (const Grid3D<double>& scr : *pool) {
+    EXPECT_EQ(scr.nx(), nx);
+    EXPECT_LE(scr.ny(), o.by + 2 * R + 4);
+    EXPECT_LE(scr.nz(), o.bz + 2 * R + 4);
+  }
+  plan.execute(got, ws);
+
+  Options one = o;
+  one.by = ny;
+  one.bz = nz;
+  Grid3D<double> want(nx, ny, nz, 1);
+  fill(want);
+  make_plan(shape3d(nx, ny, nz), s, one).execute(want);
+  EXPECT_EQ(max_abs_diff(want, got), 0.0);
+}
 
 }  // namespace
 }  // namespace tsv
