@@ -35,11 +35,7 @@ int main(int argc, char** argv) {
   o.method = tsv::Method::kTransposeUJ;
   o.tiling = tsv::Tiling::kTessellate;
   o.isa = tsv::best_isa();
-  o.steps = steps;
-  o.bx = 64;
-  o.by = 24;
-  o.bz = 24;
-  o.bt = 8;
+  o.steps = steps;  // blocks left at 0: the plan sizes them from the L2
   o.threads = static_cast<int>(tsv::cpu_info().logical_cores);
 
   tsv::Timer timer;

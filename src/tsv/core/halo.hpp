@@ -74,7 +74,8 @@ void zero_row_segment(T* dst, index n) {
 /// row[xmap(x, nx)] (the layout's index map; the ghost cells themselves are
 /// always in original order). Element loops, O(r).
 template <typename T, typename XMap>
-void fill_row_x(T* row, index nx, int r, Boundary b, const XMap& xmap) {
+TSV_ALWAYS_INLINE void fill_row_x(T* row, index nx, int r, Boundary b,
+                                  const XMap& xmap) {
   switch (b) {
     case Boundary::kDirichlet:
       break;
@@ -107,6 +108,8 @@ inline index ghost_src_hi(index n, int d, Boundary b) {
 /// radius-deep ghost strip outside the low (high=false) or high (high=true)
 /// face, per boundary @p b. kDirichlet is a no-op. The copied strips are
 /// whole extended rows/planes, so inner-axis ghosts must already be filled.
+/// The 3D face splits its rows over @p team threads (team_for); a 2D face
+/// is radius rows and stays on the calling thread.
 template <typename T>
 void fill_ghost_face(Grid2D<T>& g, Boundary b, int radius, bool high) {
   if (b == Boundary::kDirichlet) return;
@@ -125,22 +128,23 @@ void fill_ghost_face(Grid2D<T>& g, Boundary b, int radius, bool high) {
 }
 
 template <typename T>
-void fill_ghost_face(Grid3D<T>& g, Boundary b, int radius, bool high) {
+void fill_ghost_face(Grid3D<T>& g, Boundary b, int radius, bool high,
+                     int team = 1) {
   if (b == Boundary::kDirichlet) return;
   const index ny = g.ny(), nz = g.nz();
   const int r = radius;
-  const index w = g.nx() + 2 * r;
-  for (int d = 1; d <= r; ++d)
-    for (index y = -r; y < ny + r; ++y) {
-      T* dst = (high ? g.row(y, nz - 1 + d) : g.row(y, -d)) - r;
-      if (b == Boundary::kZero) {
-        zero_row_segment(dst, w);
-        continue;
-      }
-      const index src =
-          high ? ghost_src_hi(nz, d, b) : ghost_src_lo(nz, d, b);
-      copy_row_segment(dst, g.row(y, src) - r, w);
+  const index w = g.nx() + 2 * r, rows_y = ny + 2 * r;
+  team_for(r * rows_y, team, [&](index i) {
+    const int d = static_cast<int>(i / rows_y) + 1;
+    const index y = i % rows_y - r;
+    T* dst = (high ? g.row(y, nz - 1 + d) : g.row(y, -d)) - r;
+    if (b == Boundary::kZero) {
+      zero_row_segment(dst, w);
+      return;
     }
+    const index src = high ? ghost_src_hi(nz, d, b) : ghost_src_lo(nz, d, b);
+    copy_row_segment(dst, g.row(y, src) - r, w);
+  });
 }
 
 }  // namespace detail
@@ -148,21 +152,25 @@ void fill_ghost_face(Grid3D<T>& g, Boundary b, int radius, bool high) {
 /// Fills the radius-@p radius ghost rim of @p g according to @p bc (see the
 /// header comment for semantics and corner handling). kDirichlet axes are
 /// left untouched. The grid's halo must be >= radius (plan-validated).
-/// @p xmap is the x index map of the layout the rows are held in.
+/// @p xmap is the x index map of the layout the rows are held in. Each
+/// axis phase splits its rows over @p team threads (team_for; a team of 1
+/// runs the plain loops). A phase writes only ghost cells and reads only
+/// cells earlier phases finished, so any team gives the same bytes.
 template <typename T, typename XMap = IdentityX>
 void fill_ghosts(Grid1D<T>& g, const BoundarySpec& bc, int radius,
-                 const XMap& xmap = {}) {
+                 const XMap& xmap = {}, int /*team*/ = 1) {
   detail::fill_row_x(g.x0(), g.nx(), radius, bc.x, xmap);
 }
 
 template <typename T, typename XMap = IdentityX>
 void fill_ghosts(Grid2D<T>& g, const BoundarySpec& bc, int radius,
-                 const XMap& xmap = {}) {
+                 const XMap& xmap = {}, int team = 1) {
   const index nx = g.nx(), ny = g.ny();
   const int r = radius;
   if (bc.x != Boundary::kDirichlet)
-    for (index y = 0; y < ny; ++y)
+    team_for(ny, team, [&](index y) {
       detail::fill_row_x(g.row(y), nx, r, bc.x, xmap);
+    });
   // Ghost rows copy the whole extended row [-r, nx + r) so corners inherit
   // the x fill of their source row (fill_ghost_face implements the copies).
   detail::fill_ghost_face(g, bc.y, r, /*high=*/false);
@@ -171,35 +179,35 @@ void fill_ghosts(Grid2D<T>& g, const BoundarySpec& bc, int radius,
 
 template <typename T, typename XMap = IdentityX>
 void fill_ghosts(Grid3D<T>& g, const BoundarySpec& bc, int radius,
-                 const XMap& xmap = {}) {
+                 const XMap& xmap = {}, int team = 1) {
   const index nx = g.nx(), ny = g.ny(), nz = g.nz();
   const int r = radius;
   if (bc.x != Boundary::kDirichlet)
-    for (index z = 0; z < nz; ++z)
-      for (index y = 0; y < ny; ++y)
-        detail::fill_row_x(g.row(y, z), nx, r, bc.x, xmap);
+    team_for(ny * nz, team, [&](index i) {
+      detail::fill_row_x(g.row(i % ny, i / ny), nx, r, bc.x, xmap);
+    });
   const index w = nx + 2 * r;
-  if (bc.y != Boundary::kDirichlet) {
-    for (index z = 0; z < nz; ++z)
-      for (int d = 1; d <= r; ++d) {
-        if (bc.y == Boundary::kZero) {
-          detail::zero_row_segment(g.row(-d, z) - r, w);
-          detail::zero_row_segment(g.row(ny - 1 + d, z) - r, w);
-          continue;
-        }
-        detail::copy_row_segment(
-            g.row(-d, z) - r, g.row(detail::ghost_src_lo(ny, d, bc.y), z) - r,
-            w);
-        detail::copy_row_segment(
-            g.row(ny - 1 + d, z) - r,
-            g.row(detail::ghost_src_hi(ny, d, bc.y), z) - r, w);
+  if (bc.y != Boundary::kDirichlet)
+    team_for(nz * r, team, [&](index i) {
+      const index z = i / r;
+      const int d = static_cast<int>(i % r) + 1;
+      if (bc.y == Boundary::kZero) {
+        detail::zero_row_segment(g.row(-d, z) - r, w);
+        detail::zero_row_segment(g.row(ny - 1 + d, z) - r, w);
+        return;
       }
-  }
+      detail::copy_row_segment(
+          g.row(-d, z) - r, g.row(detail::ghost_src_lo(ny, d, bc.y), z) - r,
+          w);
+      detail::copy_row_segment(g.row(ny - 1 + d, z) - r,
+                               g.row(detail::ghost_src_hi(ny, d, bc.y), z) - r,
+                               w);
+    });
   // Ghost planes copy whole extended planes (rows [-r, ny + r), each row
   // extended by the x rim) so edges and corners inherit the x and y fills
   // (fill_ghost_face implements the copies).
-  detail::fill_ghost_face(g, bc.z, r, /*high=*/false);
-  detail::fill_ghost_face(g, bc.z, r, /*high=*/true);
+  detail::fill_ghost_face(g, bc.z, r, /*high=*/false, team);
+  detail::fill_ghost_face(g, bc.z, r, /*high=*/true, team);
 }
 
 }  // namespace tsv

@@ -142,6 +142,26 @@ inline index cache_fit_elems(index cache_bytes, index elem_size,
   return raw < 256 ? index{256} : raw / 256 * 256;
 }
 
+/// Smallest legal block on a multi-tile tessellated axis: 2 * slope * tau,
+/// so shrinking triangles never invert. Ordinary methods advance single
+/// steps (slope = r, tau = bt); the 2-step scheme (@p two_step) advances
+/// pairs (slope = 2r, tau = bt/2) whenever it has at least one pair, and
+/// tiles an odd tail alone as one ordinary step. Shared by the resolver and
+/// the autotuner's candidate legalization.
+inline index tess_min_block(int radius, index bt, index steps,
+                            bool two_step) {
+  index slope = radius, tau = bt < 1 ? index{1} : bt;
+  if (two_step) {
+    if (steps >= 2) {
+      slope = 2 * radius;
+      tau = bt / 2 < 1 ? index{1} : bt / 2;
+    } else {
+      tau = 1;
+    }
+  }
+  return 2 * slope * tau;
+}
+
 struct Options {
   Method method = Method::kTranspose;
   Tiling tiling = Tiling::kNone;
@@ -150,7 +170,11 @@ struct Options {
                               ///< the stencil instead
   index steps = 1;          ///< time steps T
   index bx = 0, by = 0, bz = 0;  ///< spatial block sizes (0 = plan default)
-  index bt = 0;             ///< temporal block (0 = plan default)
+  /// Temporal block (0 = plan default: 4, or on a 2D/3D tessellated grid
+  /// tiled from the L2 budget the deepest block up to steps whose legal
+  /// tile's two buffers still fit the per-thread L2; 1 under a per-step
+  /// boundary). An explicit value is kept.
+  index bt = 0;
   int threads = 0;          ///< tiled plans' OpenMP team; 0 = runtime default
                             ///< (an untiled plan always resolves 1)
   /// Upper bound on the resolved OpenMP team (0 = no cap). This is the

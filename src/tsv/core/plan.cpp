@@ -1,6 +1,7 @@
 #include "tsv/core/plan.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <string>
 
@@ -10,8 +11,10 @@ namespace tsv {
 
 namespace {
 
-// Default temporal block for tiled runs when Options::bt is 0. Small enough
-// that the matching default spatial blocks stay legal on modest grids.
+// Default temporal block for tiled runs when Options::bt is 0, and the floor
+// of the deeper L2-fit default of budget-tiled grids (resolve_options).
+// Small enough that the matching default spatial blocks stay legal on
+// modest grids.
 // (The matching x-block default, kDefaultBxTarget, lives in options.hpp —
 // the autotuner's candidate seeding shares it.)
 constexpr index kDefaultBt = 4;
@@ -158,12 +161,13 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
   }
 
   // ---- resolved-blocking rule (tiled runs) --------------------------------
-  // bt: temporal block, defaulting to kDefaultBt; the 2-step unroll&jam
-  // scheme tessellates at pair granularity and needs an even bt. A
-  // periodic/Neumann boundary inserts a ghost refresh between every pair of
-  // steps, so a temporal block cannot span more than one step: bt resolves
-  // to 1 for every row — the even-bt rows then advance single steps, which
-  // is what bt reports.
+  // bt: the user's temporal block, else kDefaultBt — which the tessellate
+  // branch below deepens for grids tiled from the L2 budget. The 2-step
+  // unroll&jam scheme tessellates at pair granularity and needs an even bt.
+  // A periodic/Neumann boundary inserts a ghost refresh between every pair
+  // of steps, so a temporal block cannot span more than one step: bt
+  // resolves to 1 for every row — the even-bt rows then advance single
+  // steps, which is what bt reports.
   r.bt = per_step ? 1 : (o.bt > 0 ? o.bt : kDefaultBt);
   resolve_streaming(r.bt == 1);
   if (cap->needs_even_bt && !per_step && r.bt % 2 != 0)
@@ -171,66 +175,89 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
          std::to_string(r.bt) + ")");
 
   if (o.tiling == Tiling::kTessellate) {
-    // Tile slope and time range as the engines will see them: ordinary
-    // methods advance single steps (slope = r, tau = bt); the 2-step scheme
-    // advances pairs (slope = 2r, tau = bt/2) whenever it has >= 1 pair
-    // and no per-step boundary.
-    index slope = radius, tau = r.bt;
-    if (cap->needs_even_bt && !per_step) {
-      if (r.steps >= 2) {
-        slope = 2 * radius;
-        tau = std::max<index>(1, r.bt / 2);
-      } else {
-        tau = 1;  // odd tail only: one ordinary tiled step
-      }
-    }
-    const index min_block = 2 * slope * tau;
+    // The engines' tile slope and time range (tess_min_block): the 2-step
+    // scheme advances pairs unless a per-step boundary splits them.
+    const bool two_step = cap->needs_even_bt && !per_step;
+    auto floor_of = [&](index bt) {
+      return tess_min_block(radius, bt, r.steps, two_step);
+    };
+    const index extent[3] = {shape.nx, shape.ny, shape.nz};
+    const char* const axis_name[3] = {"x", "y", "z"};
 
-    // Per-axis blocks: x defaults to a cache-friendly target. Unset y/z
-    // blocks keep a grid whose two buffers fit half the per-thread L2 one
-    // tile; a larger grid gets the largest y (2D) or square y/z (3D) block
-    // whose tile fits that budget. When the square's z side caps at nz, y
-    // takes the budget z cannot use. A multi-tile axis must keep shrinking
-    // triangles from inverting: block >= 2 * slope * tau.
-    r.bx = o.bx > 0 ? o.bx
-                    : std::min(shape.nx, std::max(min_block, kDefaultBxTarget));
-    r.by = rank >= 2 ? o.by : 0;
-    r.bz = rank >= 3 ? o.bz : 0;
-    const int unset = (rank >= 2 && r.by <= 0) + (rank >= 3 && r.bz <= 0);
+    // Per-axis blocks for temporal block bt: x defaults to a cache-friendly
+    // target. Unset y/z blocks keep a grid whose two buffers fit half the
+    // per-thread L2 one tile; a larger grid gets the largest y (2D) or
+    // square y/z (3D) block whose tile fits that budget. When the square's
+    // z side caps at nz, y takes the budget z cannot use. A multi-tile axis
+    // must keep shrinking triangles from inverting: block >= floor_of(bt).
+    const int unset = (rank >= 2 && o.by <= 0) + (rank >= 3 && o.bz <= 0);
     const index budget =
         cache_fit_elems(cpu_info().l2_bytes, dtype_size(r.dtype), 0.5);
     const index points = shape.nx * shape.ny * (rank >= 3 ? shape.nz : 1);
     const bool fit = unset > 0 && points > budget;
-    index blk = std::max(shape.ny, shape.nz);  // one tile
-    if (fit) {
-      const double room =
-          static_cast<double>(budget) /
-          static_cast<double>(r.bx * std::max<index>(1, r.by) *
-                              std::max<index>(1, r.bz));
-      blk = std::max(min_block, static_cast<index>(
-                                    unset == 1 ? room : std::sqrt(room)));
-    }
-    if (rank >= 3 && r.bz <= 0) {
-      r.bz = std::min(blk, shape.nz);
-      if (fit && unset == 2 && r.bz < blk)
-        blk = std::max(min_block, budget / (r.bx * r.bz));
-    }
-    if (rank >= 2 && r.by <= 0) r.by = std::min(blk, shape.ny);
+    auto blocks_for = [&](index bt) {
+      const index min_block = floor_of(bt);
+      std::array<index, 3> b{
+          o.bx > 0 ? o.bx
+                   : std::min(shape.nx, std::max(min_block, kDefaultBxTarget)),
+          rank >= 2 ? o.by : 0, rank >= 3 ? o.bz : 0};
+      index blk = std::max(shape.ny, shape.nz);  // one tile
+      if (fit) {
+        const double room =
+            static_cast<double>(budget) /
+            static_cast<double>(b[0] * std::max<index>(1, b[1]) *
+                                std::max<index>(1, b[2]));
+        blk = std::max(min_block, static_cast<index>(
+                                      unset == 1 ? room : std::sqrt(room)));
+      }
+      if (rank >= 3 && b[2] <= 0) {
+        b[2] = std::min(blk, shape.nz);
+        if (fit && unset == 2 && b[2] < blk)
+          blk = std::max(min_block, budget / (b[0] * b[2]));
+      }
+      if (rank >= 2 && b[1] <= 0) b[1] = std::min(blk, shape.ny);
+      return b;
+    };
+    // The first axis whose block is illegal at bt, or -1.
+    auto bad_axis = [&](const std::array<index, 3>& b, index bt) {
+      for (int a = 0; a < rank; ++a)
+        if (b[a] <= 0 || (tile_count(extent[a], b[a]) > 1 &&
+                          b[a] < floor_of(bt)))
+          return a;
+      return -1;
+    };
 
-    const struct {
-      const char* name;
-      index n, blk;
-    } axes[] = {{"x", shape.nx, r.bx}, {"y", shape.ny, r.by},
-                {"z", shape.nz, r.bz}};
-    for (int a = 0; a < rank; ++a) {
-      if (axes[a].blk <= 0)
+    // Default bt of a budget-tiled grid: the deepest temporal block, at
+    // most steps and at least kDefaultBt, whose legal tile's two parity
+    // regions still fit the whole per-thread L2. A deeper block streams
+    // the grid through fewer time blocks; its floor grows the tile past
+    // the half-L2 fit side until the tile no longer fits.
+    if (o.bt <= 0 && !per_step && fit) {
+      const index step = cap->needs_even_bt ? 2 : 1;
+      const index l2_elems = cpu_info().l2_bytes / (2 * dtype_size(r.dtype));
+      for (index bt = r.steps / step * step; bt > kDefaultBt; bt -= step) {
+        const std::array<index, 3> b = blocks_for(bt);
+        const index tile =
+            b[0] * std::max<index>(1, b[1]) * std::max<index>(1, b[2]);
+        if (bad_axis(b, bt) < 0 && tile <= l2_elems) {
+          r.bt = bt;
+          break;
+        }
+      }
+    }
+
+    const std::array<index, 3> b = blocks_for(r.bt);
+    r.bx = b[0];
+    r.by = b[1];
+    r.bz = b[2];
+    if (const int a = bad_axis(b, r.bt); a >= 0) {
+      if (b[a] <= 0)
         fail(std::string("tessellate tiling needs a positive block in ") +
-             axes[a].name);
-      if (tile_count(axes[a].n, axes[a].blk) > 1 && axes[a].blk < min_block)
-        fail(std::string("block ") + std::to_string(axes[a].blk) + " in " +
-             axes[a].name + " must be >= 2*slope*tau = " +
-             std::to_string(min_block) +
-             " (shrinking triangles must not invert)");
+             axis_name[a]);
+      fail(std::string("block ") + std::to_string(b[a]) + " in " +
+           axis_name[a] + " must be >= 2*slope*tau = " +
+           std::to_string(floor_of(r.bt)) +
+           " (shrinking triangles must not invert)");
     }
     return r;
   }

@@ -494,7 +494,9 @@ class TypedPlan {
     if (polled) ctl->check();
     prepare(g, ws);
     if (cfg_.steps <= 0) return;
-    fill_ghosts(g, cfg_.boundary, S::radius);  // no-op if all Dirichlet
+    // No-op if all Dirichlet; a tiled plan fills on its team (an untiled
+    // one resolved threads = 1: the plain loops, no parallel region).
+    fill_ghosts(g, cfg_.boundary, S::radius, IdentityX{}, cfg_.threads);
     detail::BlockHook hook(
         polled ? ctl : nullptr,
         needs_per_step_fill(cfg_.boundary) ? &cfg_.boundary : nullptr,

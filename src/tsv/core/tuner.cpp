@@ -507,20 +507,8 @@ std::vector<TunedBlocks> tune_candidates(int rank, index nx, index ny,
     return out;
   }
 
-  // Tessellate. Legality: every multi-tile axis needs block >= 2*slope*tau,
-  // with the 2-step scheme tessellating pairs (slope 2r, tau bt/2).
-  auto min_block = [&](index bt) {
-    index slope = radius, tau = std::max<index>(1, bt);
-    if (needs_even_bt) {
-      if (steps >= 2) {
-        slope = 2 * radius;
-        tau = std::max<index>(1, bt / 2);
-      } else {
-        tau = 1;
-      }
-    }
-    return 2 * slope * tau;
-  };
+  // Tessellate. Legality: every multi-tile axis needs block >= 2*slope*tau
+  // (tess_min_block).
 
   std::vector<index> bxs;
   if (user.bx > 0) {
@@ -540,7 +528,7 @@ std::vector<TunedBlocks> tune_candidates(int rank, index nx, index ny,
   if (rank >= 3 && user.bz <= 0) bzs.push_back(nz);
 
   for (index bt : bts) {
-    const index mb = min_block(bt);
+    const index mb = tess_min_block(radius, bt, steps, needs_even_bt);
     for (index bx : bxs)
       for (index by : bys)
         for (index bz : bzs) {

@@ -8,7 +8,10 @@
 // compiler auto-vectorization), and it stands in for "what ICC does".
 //
 // The region sweep takes a half-open Box so the tiling frameworks can drive
-// it tile-by-tile; autovec_run sweeps the whole interior.
+// it tile-by-tile; autovec_run sweeps the whole interior. Each tap is an
+// explicit madd (simd/vec.hpp), the scalar reference's rounding, so the
+// result does not hang on the compiler contracting `acc += w * p` — which
+// it does not at -O0.
 
 #include "tsv/vectorize/method_common.hpp"
 
@@ -28,7 +31,7 @@ TSV_NOINLINE void autovec_step_region(const G& in, G& out, const S& s,
                 T acc = 0;
                 for (int r = 0; r < rows.count(); ++r)
                   for (int dx = -R; dx <= R; ++dx)
-                    acc += rows.w[r][dx + R] * rp[r][x + dx];
+                    acc = madd(rows.w[r][dx + R], rp[r][x + dx], acc);
                 op[x] = acc;
               }
             });

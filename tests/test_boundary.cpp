@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "tsv/kernels/reference.hpp"
 #include "tsv/tsv.hpp"
@@ -122,6 +123,49 @@ TEST(GhostFill, Periodic3DCornerWrapsAllAxes) {
   EXPECT_EQ(g.at(4, 3, 3), g.at(0, 0, 0));
   EXPECT_EQ(g.at(2, -1, 1), g.at(2, 2, 1));
   EXPECT_EQ(g.at(2, 1, -1), g.at(2, 1, 2));
+}
+
+// A team splits each axis phase's rows; the phases stay x -> y -> z, so
+// every team writes the serial bytes, corners included. 7 rows in 2D and
+// 7 x 5 = 35 in 3D are multiples of neither 2 nor 3.
+template <typename G>
+void expect_team_fill_matches_serial(const BoundarySpec& bc, int r) {
+  G serial = make_grid<G>({13, 7, 5}, r);
+  index n = 0;
+  for_each_row(serial, 1, [&](index y, index z) {
+    for (index x = -r; x < 13 + r; ++x)
+      row_at(serial, y, z)[x] = static_cast<double>(++n);
+  });
+  const G start = serial;
+  fill_ghosts(serial, bc, r);
+  for (int team = 1; team <= 3; ++team) {
+    G par = start;
+    fill_ghosts(par, bc, r, IdentityX{}, team);
+    bool same = true;
+    for_each_row(par, 1, [&](index y, index z) {
+      same = same && std::memcmp(row_at(par, y, z) - r,
+                                 row_at(serial, y, z) - r,
+                                 (13 + 2 * r) * sizeof(double)) == 0;
+    });
+    EXPECT_TRUE(same) << "rank " << G::kRank << " x "
+                      << boundary_name(bc.x) << " radius " << r << " team "
+                      << team;
+  }
+}
+
+TEST(GhostFill, TeamFillIsBytewiseSerial) {
+  for (Boundary b :
+       {Boundary::kZero, Boundary::kPeriodic, Boundary::kNeumann})
+    for (int r : {1, 2}) {
+      const BoundarySpec bc = BoundarySpec::uniform(b);
+      expect_team_fill_matches_serial<Grid2D<double>>(bc, r);
+      expect_team_fill_matches_serial<Grid3D<double>>(bc, r);
+    }
+  // Mixed axes: each phase reads what the phase before it wrote.
+  expect_team_fill_matches_serial<Grid3D<double>>(
+      {.x = Boundary::kPeriodic, .y = Boundary::kNeumann,
+       .z = Boundary::kZero},
+      2);
 }
 
 // ---- boundary-aware oracle sanity -------------------------------------------

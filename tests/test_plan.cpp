@@ -309,20 +309,31 @@ TEST(Plan, CacheFitDefaultTilesLargeGrids) {
   o.threads = 3;
   const Shape sh = shape3d(320, 288, 288);
   const ResolvedOptions r = resolve_options(sh, 1, o);
-  // uj2 tessellates step pairs: slope 2r = 2, tau = bt/2 = 2.
-  ASSERT_EQ(r.bt, 4);
-  const index min_block = 2 * 2 * 2;
+  // The default bt is the deepest even one in (4, steps] whose square
+  // tile — the half-L2 fit side, floored at 2*slope*tau = 2*2*(bt/2) for
+  // uj2's step pairs — keeps its two f64 parity regions in the whole L2;
+  // else 4. A 2 MiB L2 gives bt 8 and a 16 x 16 y/z block.
+  const index l2 = cpu_info().l2_bytes;
   const index budget = l2_budget_elems(Dtype::kF64);
+  const index fit_side = static_cast<index>(
+      std::sqrt(static_cast<double>(budget) / static_cast<double>(sh.nx)));
+  auto side_at = [&](index bt) {
+    return std::min(sh.ny, std::max(fit_side, 2 * bt));
+  };
+  index want_bt = 4;
+  for (index bt = 8; bt > 4; bt -= 2)
+    if (sh.nx * side_at(bt) * side_at(bt) * 2 * 8 <= l2) {
+      want_bt = bt;
+      break;
+    }
+  EXPECT_EQ(r.bt, want_bt);
   EXPECT_EQ(r.bx, 320);
+  EXPECT_EQ(r.by, side_at(want_bt));
+  EXPECT_EQ(r.bz, r.by) << "3D default is a square y/z block";
   EXPECT_LT(r.by, sh.ny);
-  EXPECT_LT(r.bz, sh.nz);
-  EXPECT_EQ(r.by, r.bz) << "3D default is a square y/z block";
-  EXPECT_GE(r.by, min_block);
-  if (r.by > min_block) {
-    EXPECT_LE(r.bx * r.by * r.bz, budget) << "tile must fit the L2 budget";
-    EXPECT_GT(r.bx * (r.by + 1) * (r.bz + 1), budget)
-        << "the largest square block that fits";
-  }
+  EXPECT_LE(sh.nx * fit_side * fit_side, budget);
+  EXPECT_GT(sh.nx * (fit_side + 1) * (fit_side + 1), budget)
+      << "the fit side is the largest square block that fits the budget";
 
   // 2D: the largest y block whose tile fits the budget.
   o.method = Method::kTranspose;
@@ -331,6 +342,15 @@ TEST(Plan, CacheFitDefaultTilesLargeGrids) {
   EXPECT_EQ(r2.bx, 1024);
   EXPECT_LT(r2.by, sh2.ny);
   EXPECT_EQ(r2.by, std::max<index>(budget / 1024, 2 * r2.bt));
+  // Single steps: the floor is 2*r*bt, so any bt up to steps fits while
+  // 1024 * max(budget/1024, 2*bt) rows' two buffers stay in L2.
+  index want_bt2 = 4;
+  for (index bt = 8; bt > 4; --bt)
+    if (1024 * std::max<index>(budget / 1024, 2 * bt) * 2 * 8 <= l2) {
+      want_bt2 = bt;
+      break;
+    }
+  EXPECT_EQ(r2.bt, want_bt2);
 }
 
 TEST(Plan, CacheFitDefaultKeepsSmallGridsOneTile) {

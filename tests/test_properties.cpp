@@ -650,6 +650,162 @@ TEST(DefaultBlocks, ShortZGivesYTheFreedBudget) {
 }
 
 // ---------------------------------------------------------------------------
+// Default temporal block. An unset bt on a 2D/3D tessellated plan whose
+// y/z blocks come from the L2 budget resolves to the deepest block — at
+// most steps, at least 4, even for the 2-step scheme — whose legal tile
+// keeps its two parity regions in the whole per-thread L2. Asserted on
+// resolved fields only, never on timing.
+// ---------------------------------------------------------------------------
+
+/// Bytes of the two parity regions of @p r's tile.
+index tile_bytes(const ResolvedOptions& r, int rank) {
+  return r.bx * (rank >= 2 ? r.by : 1) * (rank >= 3 ? r.bz : 1) * 2 *
+         dtype_size(r.dtype);
+}
+
+/// True when every block of @p r is positive and every multi-tile axis
+/// meets the 2*slope*tau floor (shrinking triangles must not invert).
+bool tile_legal(const Shape& sh, int radius, const ResolvedOptions& r) {
+  const bool two_step =
+      r.method == Method::kTransposeUJ && !needs_per_step_fill(r.boundary);
+  const index floor = tess_min_block(radius, r.bt, r.steps, two_step);
+  const index n[3] = {sh.nx, sh.ny, sh.nz}, b[3] = {r.bx, r.by, r.bz};
+  for (int a = 0; a < sh.rank; ++a)
+    if (b[a] <= 0 || (b[a] < n[a] && b[a] < floor)) return false;
+  return true;
+}
+
+TEST(DefaultBlocks, DefaultTimeBlockIsDeepestThatFits) {
+  const index l2 = cpu_info().l2_bytes;
+  struct Case {
+    const char* what;
+    Shape sh;
+    Method method;
+    index steps;
+  };
+  const Case cases[] = {
+      {"solve_dram 3d7p uj2", shape3d(320, 288, 288), Method::kTransposeUJ, 8},
+      {"serve_tiled 2d uj2", shape2d(1024, 512), Method::kTransposeUJ, 32},
+      {"3d single-step", shape3d(512, 96, 96), Method::kTranspose, 40},
+      {"2d single-step", shape2d(2048, 512), Method::kTranspose, 40},
+      {"2d uj2, odd steps", shape2d(1024, 384), Method::kTransposeUJ, 13},
+  };
+  for (const Case& c : cases) {
+    Options o;
+    o.method = c.method;
+    o.tiling = Tiling::kTessellate;
+    o.steps = c.steps;
+    o.threads = 1;
+    const bool two_step = c.method == Method::kTransposeUJ;
+    const ResolvedOptions r = resolve_options(c.sh, 1, o);
+    EXPECT_TRUE(tile_legal(c.sh, 1, r)) << c.what;
+    EXPECT_LE(tile_bytes(r, c.sh.rank), l2) << c.what;
+    EXPECT_GE(r.bt, 4) << c.what;
+    EXPECT_LE(r.bt, c.steps) << c.what;
+    if (two_step) EXPECT_EQ(r.bt % 2, 0) << c.what;
+    // The next deeper block is past steps or its tile does not fit.
+    Options deeper = o;
+    deeper.bt = r.bt + (two_step ? 2 : 1);
+    if (deeper.bt <= c.steps)
+      EXPECT_GT(tile_bytes(resolve_options(c.sh, 1, deeper), c.sh.rank), l2)
+          << c.what << ": bt " << deeper.bt << " also fits";
+    // An explicit bt is kept; a per-step boundary resolves 1.
+    Options pinned = o;
+    pinned.bt = 6;
+    EXPECT_EQ(resolve_options(c.sh, 1, pinned).bt, 6) << c.what;
+    Options periodic = o;
+    periodic.boundary = BoundarySpec::uniform(Boundary::kPeriodic);
+    EXPECT_EQ(resolve_options(c.sh, 1, periodic).bt, 1) << c.what;
+  }
+
+  // A grid whose two buffers fit half the L2 stays one tile and keeps 4.
+  Options o;
+  o.method = Method::kTranspose;
+  o.tiling = Tiling::kTessellate;
+  o.steps = 40;
+  const index budget = cache_fit_elems(l2, 8, 0.5);
+  const Shape small = shape2d(256, budget / 256);
+  const ResolvedOptions rs = resolve_options(small, 1, o);
+  EXPECT_EQ(rs.by, small.ny);
+  EXPECT_EQ(rs.bt, 4);
+
+  // The benchmark plans on a 2 MiB L2: solve_dram one 8-step block of
+  // 16 x 16 y/z tiles; serve_tiled's zero-boundary plans one 32-step block
+  // of 64-row tiles, its periodic ones single steps.
+  if (l2 == index{2} << 20) {
+    Options solve;
+    solve.method = Method::kTransposeUJ;
+    solve.tiling = Tiling::kTessellate;
+    solve.steps = 8;
+    solve.threads = 3;
+    solve.boundary = BoundarySpec::uniform(Boundary::kZero);
+    const ResolvedOptions rd = resolve_options(shape3d(320, 288, 288), 1, solve);
+    EXPECT_EQ(rd.bt, 8);
+    EXPECT_EQ(rd.by, 16);
+    EXPECT_EQ(rd.bz, 16);
+    Options serve = solve;
+    serve.steps = 32;
+    serve.threads = 0;
+    serve.max_threads = 1;
+    const ResolvedOptions rt = resolve_options(shape2d(1024, 512), 1, serve);
+    EXPECT_EQ(rt.bt, 32);
+    EXPECT_EQ(rt.by, 64);
+    serve.boundary = BoundarySpec::uniform(Boundary::kPeriodic);
+    EXPECT_EQ(resolve_options(shape2d(1024, 512), 1, serve).bt, 1);
+  }
+}
+
+// No default tessellated plan throws: ranks 2 and 3, both dtypes, the
+// single-step and 2-step schemes, 1 to 40 steps, on shapes on both sides
+// of the fit threshold (including a short z). Every resolved tile is legal.
+TEST(DefaultBlocks, NoDefaultTessellatedPlanThrows) {
+  int checked = 0;
+  for (Dtype dt : all_dtypes()) {
+    const index budget =
+        cache_fit_elems(cpu_info().l2_bytes, dtype_size(dt), 0.5);
+    index side = 1;
+    while (256 * (side + 1) * (side + 1) <= budget) ++side;
+    const index rows = budget / 256;
+    const Shape shapes[] = {
+        shape2d(256, rows),          shape2d(256, rows + 1),
+        shape2d(256, 3 * rows + 7),  shape2d(512, 9 * rows + 5),
+        shape3d(256, side, side),    shape3d(256, side + 1, side + 1),
+        shape3d(256, 3 * side + 5, 3 * side + 3),
+        shape3d(256, 4 * side + 1, 5)};
+    for (const Shape& sh : shapes)
+      for (StencilKind kind :
+           {StencilKind::k2d5p, StencilKind::k2d9p, StencilKind::k3d7p,
+            StencilKind::k3d27p}) {
+        if (stencil_kind_rank(kind) != sh.rank) continue;
+        for (Method m : {Method::kTranspose, Method::kTransposeUJ})
+          for (index steps = 1; steps <= 40; ++steps) {
+            Options o;
+            o.method = m;
+            o.tiling = Tiling::kTessellate;
+            o.dtype = dt;
+            o.steps = steps;
+            o.threads = 1;
+            const std::string what =
+                std::string(method_name(m)) + " " + stencil_kind_name(kind) +
+                " " + dtype_name(dt) + " " + std::to_string(sh.nx) + "x" +
+                std::to_string(sh.ny) + "x" + std::to_string(sh.nz) +
+                " steps " + std::to_string(steps);
+            try {
+              const Plan p = make_plan(sh, kind, o);
+              EXPECT_TRUE(
+                  tile_legal(sh, stencil_kind_radius(kind), p.config()))
+                  << what;
+            } catch (const ConfigError& e) {
+              ADD_FAILURE() << what << ": " << e.what();
+            }
+            ++checked;
+          }
+      }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+// ---------------------------------------------------------------------------
 // The FMA-order contract. Every kernel adds a cell's taps with fused
 // multiply-adds in the scalar reference's order (tap rows in table order,
 // ascending dx within a row), so any method, tiling and ISA gives the
