@@ -12,9 +12,11 @@
 // directly from Row2D, not a Table-1 factory — which every vector kernel
 // handles: x-taps become shifted vectors, the y-offset row a strided load.
 //
-// Periodic boundaries come from Options::boundary; the plan refreshes the
-// ghost cells from the wrapped interior before every step (core/halo.hpp),
-// so the interior kernels never see the boundary. Upwind advection on a
+// Periodic boundaries come from Options::boundary. The tessellated plan
+// keeps a deep temporal block: each tile writes the wrapped ghost images
+// of the cells it advances, and both axes are tiled as rings so every
+// image is written before a tile reads it (core/halo.hpp, tiling/tess.hpp).
+// The interior kernels never see the boundary. Upwind advection on a
 // torus conserves total mass EXACTLY (every cell's outflow is another
 // cell's inflow) — the example checks that, and checks the result against
 // the boundary-aware scalar oracle.
@@ -82,8 +84,8 @@ int main(int argc, char** argv) {
   o.boundary = tsv::BoundarySpec::uniform(tsv::Boundary::kPeriodic);
   o.threads = static_cast<int>(tsv::cpu_info().logical_cores);
   auto plan = tsv::make_plan(tsv::shape_of(u), wind, o);
-  std::printf("plan: %s + %s, boundary=%s, threads=%d (bt=%td: one step per "
-              "ghost refresh)\n\n",
+  std::printf("plan: %s + %s, boundary=%s, threads=%d (bt=%td steps per "
+              "time block, ghost images written through)\n\n",
               tsv::method_name(plan.config().method),
               tsv::tiling_name(plan.config().tiling),
               tsv::boundary_name(plan.config().boundary.x),

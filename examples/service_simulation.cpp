@@ -25,9 +25,10 @@
 //
 // A held-layout round then serves tessellated 2-step unroll&jam requests
 // that carry a timeout or a periodic boundary — the requests whose plan
-// polls its control or refreshes ghosts between time blocks inside the
-// layout — and checks them bit for bit against the serial plan, with the
-// scheduler counting exactly one polled execute per timeout request.
+// polls its control between time blocks or writes ghost images through,
+// inside the layout — and checks them bit for bit against the serial
+// plan, with the scheduler counting exactly one polled execute per timeout
+// request.
 //
 // The run ends with one observability scrape (core/metrics.hpp): the final
 // Prometheus exposition is printed, three conservation invariants are
@@ -207,7 +208,8 @@ bool chaos_round() {
 // Tessellated transpose-uj2 requests, every one its own coalesce group
 // (distinct contents): kTimed carry a generous timeout, so their plans poll
 // the control after every time block without it ever firing; kPeriodic run
-// a periodic boundary, refreshing ghosts between steps inside the layout.
+// a periodic boundary, writing each tile's ghost images through inside the
+// layout at the plan's temporal block.
 // Both kinds make one driver call per request; the served grids must be
 // bit-identical to the serial plan, and polled_executes must count exactly
 // the timeout groups.

@@ -318,8 +318,11 @@ G make_grid(const std::array<index, 3>& e, index halo,
 /// Interior x index map of a row held in original layout: x -> x. The
 /// layout drivers hold their levels under another map (the transpose
 /// layout's block_transposed_offset, DLT's dlt_offset) and hand it to the
-/// block hook below, so ghost fills can find interior cells.
+/// block hook below, so ghost fills can find interior cells. A map that
+/// sends every aligned run of kGranule cells onto itself declares it, so
+/// ghost-image copies can move whole runs (core/halo.hpp).
 struct IdentityX {
+  static constexpr index kGranule = 1;
   constexpr index operator()(index x, index /*nx*/) const { return x; }
 };
 
@@ -328,18 +331,26 @@ struct IdentityX {
 /// where @p cur is the buffer holding the current level and @p xmap its x
 /// index map. A false return stops the run at that block boundary; the
 /// driver still delivers the current level to the caller's grid, in the
-/// original layout. refreshes() is true when the hook refreshes ghost cells
-/// at every call: drivers that fuse two steps (unroll&jam) then advance
-/// single steps, since a fused pair has no boundary between its steps.
-/// This no-op hook is the default of a direct driver call (tests, benches);
-/// a plan always passes its own hook (core/plan.hpp's detail::BlockHook),
-/// which is inert on a plain run.
+/// original layout. per_step() is true when the ghost cells track every
+/// time level (a hook that refreshes them at every call, or one that
+/// writes them through with images()): drivers that fuse two steps
+/// (unroll&jam) then advance single steps, since a fused pair has no
+/// boundary between its steps. The tessellation engine (tiling/tess.hpp)
+/// also calls images(out, box, xmap) after every box it advances, with
+/// @p out the buffer the box was written to, and tiles every axis whose
+/// bit is set in wraps() as a ring (a periodic axis whose images the hook
+/// writes). This no-op hook is the default of a direct driver call (tests,
+/// benches); a plan always passes its own hook (core/plan.hpp's
+/// detail::BlockHook), which is inert on a plain run.
 struct NoBlockHook {
-  static constexpr bool refreshes() { return false; }
+  static constexpr bool per_step() { return false; }
+  static constexpr unsigned wraps() { return 0; }
   template <typename G, typename XMap>
   constexpr bool operator()(G&, const XMap&) const {
     return true;
   }
+  template <typename G, typename XMap>
+  constexpr void images(G&, const Box&, const XMap&) const {}
 };
 
 /// Largest |a-b| over the interior of two grids (used by the test suite).

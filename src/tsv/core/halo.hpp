@@ -21,16 +21,26 @@
 // Execution model (see TypedPlan::execute in core/plan.hpp): kDirichlet
 // axes are never touched; kZero axes are filled once per execute; a
 // kPeriodic or kNeumann axis makes the ghosts depend on the evolving
-// interior, so the plan refreshes them between time steps. The run still
-// makes one driver call: the driver transforms into its layout once and
-// calls the plan's block hook between steps, which fills the ghosts of the
-// buffer holding the current level in place. Layout rows keep their x halo
-// in original order, so the x fill reads the interior through the layout's
-// index map (the xmap argument below); the y/z ghost rows are whole-row
-// copies and carry the layout with them. Methods that fuse several steps
-// per block (the 2-step unroll&jam schemes, temporal tiling with bt > 1)
-// advance single steps instead — resolve_options reports bt = 1.
+// interior. The plan fills every ghost once per execute (level 0), and the
+// run still makes one driver call: the driver transforms into its layout
+// once, and the ghosts track every later level in one of two ways.
+//
+//  * Tessellated plans write them through: after the engine advances a box,
+//    write_ghost_images() (below) writes the images of the cells that box
+//    wrote into the same output buffer. A deep temporal block is then
+//    exact: periodic axes tile as rings (tiling/tess.hpp) so each image is
+//    written before any tile reads it, and Neumann images sit within the
+//    radius of their face, inside the edge tile.
+//  * Untiled and split-tiled plans refresh them: the block hook fills the
+//    ghosts of the buffer holding the current level between steps, in
+//    place; those plans resolve bt = 1, and the untiled 2-step unroll&jam
+//    schemes advance single steps.
+//
+// Layout rows keep their x halo in original order, so the x fill reads the
+// interior through the layout's index map (the xmap argument below); the
+// y/z ghost rows are whole-row copies and carry the layout with them.
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <string_view>
@@ -145,6 +155,82 @@ void fill_ghost_face(Grid3D<T>& g, Boundary b, int radius, bool high,
     const index src = high ? ghost_src_hi(nz, d, b) : ghost_src_lo(nz, d, b);
     copy_row_segment(dst, g.row(y, src) - r, w);
   });
+}
+
+/// Calls f(ghost, src) for every ghost index on an axis of extent @p n
+/// whose source (wrap or mirror, as in the fills above) lies in [lo, hi).
+/// Frozen conditions have no images.
+template <typename F>
+void for_each_image(index n, int r, Boundary b, index lo, index hi, F&& f) {
+  if (!boundary_per_step(b)) return;
+  for (int d = 1; d <= r; ++d) {
+    const index src_lo = ghost_src_lo(n, d, b);
+    if (src_lo >= lo && src_lo < hi) f(-d, src_lo);
+    const index src_hi = ghost_src_hi(n, d, b);
+    if (src_hi >= lo && src_hi < hi) f(n - 1 + d, src_hi);
+  }
+}
+
+/// Copies, from row @p src to row @p dst (same layout), the interior cells
+/// [xlo, xhi) and the x ghosts whose sources lie there. An XMap with a
+/// kGranule maps each aligned run of that many cells onto itself, so the
+/// whole runs inside [xlo, xhi) move with one memcpy; the partial runs at
+/// either end, and every cell under any other map, go through the map.
+template <typename T, typename XMap>
+void copy_row_images(T* dst, const T* src, index nx, int r, Boundary bx,
+                     index xlo, index xhi, const XMap& xmap) {
+  index a = xhi, b = xhi;  // [a, b): whole runs
+  if constexpr (requires { XMap::kGranule; }) {
+    constexpr index g = XMap::kGranule;
+    a = std::min(xhi, (xlo + g - 1) / g * g);
+    b = std::max(a, xhi / g * g);
+    if (b > a) copy_row_segment(dst + a, src + a, b - a);
+  }
+  for (index x = xlo; x < a; ++x) dst[xmap(x, nx)] = src[xmap(x, nx)];
+  for (index x = b; x < xhi; ++x) dst[xmap(x, nx)] = src[xmap(x, nx)];
+  for_each_image(nx, r, bx, xlo, xhi, [&](index gx, index) {
+    dst[gx] = src[gx];
+  });
+}
+
+/// Write-through ghost images: after a kernel wrote box @p b of @p g, this
+/// writes every periodic/Neumann ghost image of those cells, and only those,
+/// so a ghost another box owns is never touched. The phases follow
+/// fill_ghosts: the box's rows get their x ghosts first; then the y ghost
+/// rows of the box's planes, and the z ghost planes (the box's rows and
+/// their y images), get the row segments of the box's cells together with
+/// those x ghosts. Every image therefore holds the value fill_ghosts would
+/// give it, corners and edges included, once every box of a time level has
+/// run. Frozen axes write nothing (their ghosts, and the corners they reach,
+/// stay as the once-per-execute fill left them).
+template <typename G, typename XMap>
+void write_ghost_images(G& g, const BoundarySpec& bc, int r, const Box& b,
+                        const XMap& xmap) {
+  const index nx = g.nx();
+  if (boundary_per_step(bc.x))
+    for (index z = b.zlo; z < b.zhi; ++z)
+      for (index y = b.ylo; y < b.yhi; ++y) {
+        auto* row = row_at(g, y, z);
+        for_each_image(nx, r, bc.x, b.xlo, b.xhi, [&](index gx, index sx) {
+          row[gx] = row[xmap(sx, nx)];
+        });
+      }
+  if constexpr (G::kRank >= 2) {
+    const index ny = g.ny();
+    auto copy_row = [&](index yd, index zd, index ys, index zs) {
+      copy_row_images(row_at(g, yd, zd), row_at(g, ys, zs), nx, r, bc.x,
+                      b.xlo, b.xhi, xmap);
+    };
+    for (index z = b.zlo; z < b.zhi; ++z)
+      for_each_image(ny, r, bc.y, b.ylo, b.yhi,
+                     [&](index gy, index sy) { copy_row(gy, z, sy, z); });
+    if constexpr (G::kRank == 3)
+      for_each_image(g.nz(), r, bc.z, b.zlo, b.zhi, [&](index gz, index sz) {
+        for (index y = b.ylo; y < b.yhi; ++y) copy_row(y, gz, y, sz);
+        for_each_image(ny, r, bc.y, b.ylo, b.yhi,
+                       [&](index gy, index) { copy_row(gy, gz, gy, sz); });
+      });
+  }
 }
 
 }  // namespace detail

@@ -57,20 +57,22 @@ enum class StreamMode {
 ///    halo yourself; it stays frozen in time). This is the default.
 ///  * kZero     — Dirichlet with value 0, enforced: the library zeroes the
 ///    ghost cells once per execute (the paper's implicit zero halo).
-///  * kPeriodic — the axis wraps; ghost cells are refreshed from the
-///    opposite interior edge before every time step.
+///  * kPeriodic — the axis wraps; ghost cells hold the opposite interior
+///    edge at every time step.
 ///  * kNeumann  — zero-gradient (reflecting): the ghost cell at distance d
 ///    outside a face mirrors the interior cell at distance d-1 inside it,
-///    refreshed before every time step.
+///    at every time step.
 ///
 /// Periodic and Neumann ghosts depend on the evolving interior, so plans
-/// with such an axis refresh them between time steps, inside the driver's
-/// layout (see TypedPlan::execute); the interior kernels stay branch-free.
+/// with such an axis keep them current inside the driver's layout (see
+/// TypedPlan::execute): tessellated plans write each tile's ghost images
+/// through, the others refresh the ghosts between time steps. The interior
+/// kernels stay branch-free.
 enum class Boundary {
   kDirichlet,  ///< frozen user-supplied halo values (default)
   kZero,       ///< enforced zero halo (paper's implicit convention)
-  kPeriodic,   ///< wrap-around, refreshed every step
-  kNeumann,    ///< zero-gradient mirror, refreshed every step
+  kPeriodic,   ///< wrap-around, current at every step
+  kNeumann,    ///< zero-gradient mirror, current at every step
 };
 
 /// Per-axis boundary conditions. Axes beyond the grid rank are ignored (and
@@ -86,13 +88,13 @@ struct BoundarySpec {
   friend bool operator==(const BoundarySpec&, const BoundarySpec&) = default;
 };
 
-/// True when @p b requires a ghost refresh before every time step (the
-/// ghost values depend on the evolving interior).
+/// True when @p b needs its ghosts rewritten at every time step (the ghost
+/// values depend on the evolving interior).
 inline bool boundary_per_step(Boundary b) {
   return b == Boundary::kPeriodic || b == Boundary::kNeumann;
 }
 
-/// True when any axis of @p bc needs per-step ghost refreshes.
+/// True when any axis of @p bc needs per-step ghost writes.
 inline bool needs_per_step_fill(const BoundarySpec& bc) {
   return boundary_per_step(bc.x) || boundary_per_step(bc.y) ||
          boundary_per_step(bc.z);
@@ -172,8 +174,9 @@ struct Options {
   index bx = 0, by = 0, bz = 0;  ///< spatial block sizes (0 = plan default)
   /// Temporal block (0 = plan default: 4, or on a 2D/3D tessellated grid
   /// tiled from the L2 budget the deepest block up to steps whose legal
-  /// tile's two buffers still fit the per-thread L2; 1 under a per-step
-  /// boundary). An explicit value is kept.
+  /// tile's two buffers still fit the per-thread L2). An explicit value is
+  /// kept. Under a periodic/Neumann boundary split tiling resolves 1, and
+  /// tessellate lowers the value to the deepest legal block (down to 1).
   index bt = 0;
   int threads = 0;          ///< tiled plans' OpenMP team; 0 = runtime default
                             ///< (an untiled plan always resolves 1)

@@ -164,12 +164,13 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
   // bt: the user's temporal block, else kDefaultBt — which the tessellate
   // branch below deepens for grids tiled from the L2 budget. The 2-step
   // unroll&jam scheme tessellates at pair granularity and needs an even bt.
-  // A periodic/Neumann boundary inserts a ghost refresh between every pair
-  // of steps, so a temporal block cannot span more than one step: bt
-  // resolves to 1 for every row — the even-bt rows then advance single
-  // steps, which is what bt reports.
-  r.bt = per_step ? 1 : (o.bt > 0 ? o.bt : kDefaultBt);
-  resolve_streaming(r.bt == 1);
+  // A periodic/Neumann boundary needs every level's ghosts. Split tiling
+  // refreshes them between steps, so its temporal block cannot span more
+  // than one step: bt resolves to 1. A tessellated plan writes them through
+  // (core/halo.hpp) and keeps a deep bt; its even-bt row then advances
+  // single steps, so bt need not be even.
+  const bool split_per_step = per_step && o.tiling == Tiling::kSplit;
+  r.bt = split_per_step ? 1 : (o.bt > 0 ? o.bt : kDefaultBt);
   if (cap->needs_even_bt && !per_step && r.bt % 2 != 0)
     fail("2-step unroll&jam tiling needs an even temporal block bt (got " +
          std::to_string(r.bt) + ")");
@@ -232,8 +233,8 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
     // regions still fit the whole per-thread L2. A deeper block streams
     // the grid through fewer time blocks; its floor grows the tile past
     // the half-L2 fit side until the tile no longer fits.
-    if (o.bt <= 0 && !per_step && fit) {
-      const index step = cap->needs_even_bt ? 2 : 1;
+    if (o.bt <= 0 && fit) {
+      const index step = two_step ? 2 : 1;
       const index l2_elems = cpu_info().l2_bytes / (2 * dtype_size(r.dtype));
       for (index bt = r.steps / step * step; bt > kDefaultBt; bt -= step) {
         const std::array<index, 3> b = blocks_for(bt);
@@ -245,6 +246,13 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
         }
       }
     }
+
+    // Under a per-step boundary the requested (or default) bt is a ceiling:
+    // the plan takes the deepest legal block up to it, down to 1, so any
+    // blocks legal for single steps plan.
+    if (per_step)
+      while (r.bt > 1 && bad_axis(blocks_for(r.bt), r.bt) >= 0) --r.bt;
+    resolve_streaming(r.bt == 1);
 
     const std::array<index, 3> b = blocks_for(r.bt);
     r.bx = b[0];
@@ -261,6 +269,8 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
     }
     return r;
   }
+
+  resolve_streaming(r.bt == 1);
 
   // Split tiling blocks exactly one axis — the outermost one: DLT columns in
   // 1D, rows in 2D, planes in 3D. One rule across ranks: the block comes

@@ -106,10 +106,10 @@ struct ResolvedOptions {
   bool streaming = false;
   Tune tune = Tune::kOff;  ///< tuning mode the plan was built with
   /// Per-axis boundary conditions, normalized (axes beyond the rank are
-  /// kDirichlet). When any axis is periodic/Neumann the plan refreshes the
-  /// ghosts between steps inside the driver's layout, and bt above reports
-  /// the temporal block that actually executes: 1, for every row (the
-  /// 2-step unroll&jam schemes advance single steps). See core/halo.hpp.
+  /// kDirichlet). When any axis is periodic/Neumann a tessellated plan
+  /// writes the ghost images through and keeps a deep bt (its 2-step
+  /// unroll&jam row advances single steps at that bt); the other plans
+  /// refresh the ghosts between steps and bt reports 1. See core/halo.hpp.
   BoundarySpec boundary;
 };
 
@@ -151,26 +151,48 @@ using grid_for_t = typename grid_for<S::dim, typename S::value_type>::type;
 /// The between-time-blocks hook every plan execute hands its driver (the
 /// NoBlockHook protocol, common/grid.hpp). It polls @p ctl without
 /// throwing, so a fired control stops the driver at a block boundary with
-/// the current level delivered to the grid, and refreshes the ghosts of the
-/// buffer holding the current level under @p refresh, through the layout's
-/// x index map. On a plain run both pointers are null and every call
-/// returns true after two pointer tests. The first call is the block the
-/// plan itself prepared (the dispatch poll and the ghost fill before the
-/// driver call cover it), so it does nothing.
+/// the current level delivered to the grid. Under a periodic/Neumann
+/// boundary @p bc (null otherwise) it keeps the ghosts current: with
+/// @p write_through (tessellated plans) images() writes the ghost images of
+/// every box the engine advances and wraps() names the periodic axes, else
+/// each call refreshes the ghosts of the buffer holding the current level
+/// on a team of @p team threads, through the layout's x index map. On a
+/// plain run both pointers are null and every call returns true after two
+/// pointer tests. The first call is the block the plan itself prepared (the
+/// dispatch poll and the ghost fill before the driver call cover it), so it
+/// does nothing.
 class BlockHook {
  public:
-  BlockHook(const ExecControl* ctl, const BoundarySpec* refresh, int radius)
-      : ctl_(ctl), refresh_(refresh), radius_(radius) {}
+  BlockHook(const ExecControl* ctl, const BoundarySpec* bc, int radius,
+            bool write_through, int team)
+      : ctl_(ctl),
+        refresh_(write_through ? nullptr : bc),
+        images_(write_through ? bc : nullptr),
+        radius_(radius),
+        team_(team) {}
 
-  bool refreshes() const { return refresh_ != nullptr; }
+  bool per_step() const { return refresh_ != nullptr || images_ != nullptr; }
+
+  unsigned wraps() const {
+    if (images_ == nullptr) return 0;
+    auto wrap = [](Boundary b) { return b == Boundary::kPeriodic ? 1u : 0u; };
+    return wrap(images_->x) | wrap(images_->y) << 1 | wrap(images_->z) << 2;
+  }
 
   template <typename Grid, typename XMap>
   bool operator()(Grid& cur, const XMap& xmap) {
     if (std::exchange(first_, false)) return true;
     if (ctl_ != nullptr && (stop_ = ctl_->poll()) != ExecControl::Stop::kNone)
       return false;
-    if (refresh_ != nullptr) fill_ghosts(cur, *refresh_, radius_, xmap);
+    if (refresh_ != nullptr)
+      fill_ghosts(cur, *refresh_, radius_, xmap, team_);
     return true;
+  }
+
+  template <typename Grid, typename XMap>
+  void images(Grid& out, const Box& box, const XMap& xmap) const {
+    if (images_ != nullptr)
+      detail::write_ghost_images(out, *images_, radius_, box, xmap);
   }
 
   /// After the driver returns: the end of the run is a block boundary too,
@@ -186,7 +208,9 @@ class BlockHook {
  private:
   const ExecControl* ctl_;
   const BoundarySpec* refresh_;
+  const BoundarySpec* images_;
   int radius_;
+  int team_;
   bool first_ = true;
   ExecControl::Stop stop_ = ExecControl::Stop::kNone;
 };
@@ -304,7 +328,7 @@ struct Exec {
     ws_grid_like(ws, kWsDltB, g);
   }
   // The 2-step schemes advance single steps under a per-step boundary
-  // (TypedPlan::execute hands them a refreshing hook).
+  // (TypedPlan::execute hands them a per-step hook).
   static void transpose_uj_slots(const G& g, const S&,
                                  const ResolvedOptions& r, Workspace& ws) {
     unroll_jam_prepare<S::radius>(g, r.steps,
@@ -461,10 +485,11 @@ class TypedPlan {
   /// Boundary handling (core/halo.hpp): kDirichlet axes never touch the
   /// ghost cells; kZero axes are zeroed once up front; a periodic/Neumann
   /// axis makes the ghost values depend on the evolving interior, so the
-  /// plan's block hook refreshes them between steps, inside the driver's
-  /// layout. The interior kernels are identical in
-  /// every case — the boundary work is O(halo) per step, outside the hot
-  /// loops.
+  /// plan's block hook keeps them current inside the driver's layout: a
+  /// tessellated plan writes each box's ghost images through, at its full
+  /// temporal block; the others refresh them between steps. The interior
+  /// kernels are identical in every case — the boundary work is O(halo)
+  /// per step, outside the hot loops.
   void execute(G& g) const { execute(g, *ws_); }
 
   /// As execute(g), but every scratch buffer comes from @p ws instead of the
@@ -500,7 +525,7 @@ class TypedPlan {
     detail::BlockHook hook(
         polled ? ctl : nullptr,
         needs_per_step_fill(cfg_.boundary) ? &cfg_.boundary : nullptr,
-        S::radius);
+        S::radius, cfg_.tiling == Tiling::kTessellate, cfg_.threads);
     kernel_.run(g, stencil_, cfg_, ws, hook);
     hook.finish();
     health_scan(g, cfg_.health);
@@ -637,8 +662,8 @@ Options tuned_options(const Shape& shape, const S& stencil, const Options& o) {
     try {
       const ResolvedOptions rc = resolve_options(shape, S::radius, oc);
       // Race each RESOLVED blocking once: distinct candidates can collapse
-      // to the same concrete blocks (e.g. every bt variant resolves to the
-      // forced step-granular bt under a periodic/Neumann boundary), and a
+      // to the same concrete blocks (e.g. every bt variant resolves to 1
+      // under split tiling with a periodic/Neumann boundary), and a
       // duplicate trial costs two timed executions for zero information.
       // The first candidate wins ties — tune_candidates puts the
       // fixed-heuristic default first.

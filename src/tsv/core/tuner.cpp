@@ -527,8 +527,11 @@ std::vector<TunedBlocks> tune_candidates(int rank, index nx, index ny,
   if (rank >= 2 && user.by <= 0) bys.push_back(ny);
   if (rank >= 3 && user.bz <= 0) bzs.push_back(nz);
 
+  // The 2-step scheme advances pairs unless a per-step boundary splits them
+  // (as in resolve_options).
+  const bool two_step = needs_even_bt && !needs_per_step_fill(user.boundary);
   for (index bt : bts) {
-    const index mb = tess_min_block(radius, bt, steps, needs_even_bt);
+    const index mb = tess_min_block(radius, bt, steps, two_step);
     for (index bx : bxs)
       for (index by : bys)
         for (index bz : bzs) {

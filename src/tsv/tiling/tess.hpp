@@ -14,8 +14,14 @@
 // engine is agnostic.
 //
 // Boundary tiles do not shrink at physical domain edges (Dirichlet halo
-// values are valid at every time level), making boundary triangles
-// trapezoids; the seams between tiles are filled by inverted triangles.
+// values are valid at every time level, and a Neumann mirror reads cells
+// within the stencil radius of its face), making boundary triangles
+// trapezoids; the seams between tiles are filled by inverted triangles. A
+// periodic axis whose ghost images the block hook writes through (see
+// NoBlockHook) has no edge: its tiles form a ring, every triangle shrinks
+// at both domain ends, and one more inverted seam sits on the wrap at
+// extent == 0, advanced as two boxes (one at each end, same level) like
+// split1d_wrap_engine's wrapped seam.
 
 #include <omp.h>
 
@@ -63,17 +69,23 @@ using Blocks = std::array<index, 3>;
 
 /// Advances @p units time units over the domain [0, extent) of each axis; A
 /// holds even-parity units, B odd. The result is guaranteed to end in A.
-/// adv(in, out, box) advances one unit of @p box. A time block is @p tau
-/// units: hook(cur, xmap) runs at the top of every block with the buffer
-/// holding the current level (see NoBlockHook); when it returns false the
-/// engine stops at that block boundary, still ending in A, and returns
-/// false.
+/// adv(in, out, box) advances one unit of @p box; hook.images(out, box,
+/// xmap) then writes the ghost images of the cells it wrote. A time block
+/// is @p tau units: hook(cur, xmap) runs at the top of every block with the
+/// buffer holding the current level (see NoBlockHook); when it returns
+/// false the engine stops at that block boundary, still ending in A, and
+/// returns false.
 ///
 /// Stage `mask` uses the inverted profile on the axes whose bit is set;
 /// stages run in mask order, and a stage with no tile on some axis (an
 /// untiled axis has no inverted seams) is skipped, so a rank-D domain runs
 /// its 2^D tensor-product stages. The extents are explicit so the hybrid
 /// tilings can tile full DLT rows or planes with the same engine.
+///
+/// An axis in hook.wraps() with two or more tiles is a ring: every tile
+/// shrinks at both ends and the seam after the last tile wraps to x = 0. A
+/// ragged last tile narrower than the legality floor (2*slope*tau) folds
+/// into the tile before it, so every ring tile is legal.
 template <typename GridT, typename AdvanceFn, typename Hook = NoBlockHook,
           typename XMap = IdentityX>
 bool tess_engine(GridT& A, GridT& B, const std::array<index, 3>& extent,
@@ -81,10 +93,14 @@ bool tess_engine(GridT& A, GridT& B, const std::array<index, 3>& extent,
                  AdvanceFn&& adv, Hook&& hook = {}, const XMap& xmap = {}) {
   static const char* const kAxis[3] = {"x", "y", "z"};
   std::array<index, 3> count;
+  std::array<bool, 3> ring;
   for (int a = 0; a < 3; ++a) {
     if (blk[a] <= 0) blk[a] = extent[a];
     check_tile_dim(extent[a], blk[a], slope, tau, kAxis[a]);
     count[a] = tile_count(extent[a], blk[a]);
+    ring[a] = (hook.wraps() >> a & 1u) && count[a] > 1;
+    if (ring[a] && extent[a] - (count[a] - 1) * blk[a] < 2 * slope * tau)
+      ring[a] = --count[a] > 1;  // fold the ragged last tile
   }
   index parity = 0;
   auto in_buf = [&](index u) -> const GridT& {
@@ -93,12 +109,26 @@ bool tess_engine(GridT& A, GridT& B, const std::array<index, 3>& extent,
   auto out_buf = [&](index u) -> GridT& {
     return ((parity + u + 1) % 2 == 0) ? A : B;
   };
-  // Axis a's range for tile c at unit u: triangle, or the inverted seam
-  // after tile c.
-  auto range = [&](int a, bool inverted, index c, index u) {
-    return inverted ? inv_range((c + 1) * blk[a], extent[a], slope, u)
-                    : tri_range(c, count[a], extent[a], blk[a], slope, u);
+  // Axis a's extent at unit u of tile c (a triangle, or the inverted seam
+  // after tile c): one half-open span, or two for the seam on a ring's wrap.
+  struct Spans {
+    index lo[2], hi[2];
+    int n;
   };
+  auto range = [&](int a, bool inverted, index c, index u) -> Spans {
+    const index n = extent[a], s = slope * u;
+    if (ring[a] && !inverted) {
+      const index lo = c * blk[a];
+      const index hi = c == count[a] - 1 ? n : lo + blk[a];
+      return {{lo + s, 0}, {hi - s, 0}, 1};
+    }
+    if (ring[a] && c == count[a] - 1) return {{n - s, 0}, {n, s}, 2};
+    const auto r = inverted ? inv_range((c + 1) * blk[a], n, slope, u)
+                            : tri_range(c, count[a], n, blk[a], slope, u);
+    return {{r.first, 0}, {r.second, 0}, 1};
+  };
+  // Inverted tiles on axis a: the seams between tiles, and a ring's wrap.
+  auto seams = [&](int a) { return count[a] - (ring[a] ? 0 : 1); };
 
   index done = 0;
   bool go = true;
@@ -110,16 +140,17 @@ bool tess_engine(GridT& A, GridT& B, const std::array<index, 3>& extent,
     const index t = std::min(tau, units - done);
     for (int mask = 0; mask < 8; ++mask) {
       const bool ix = mask & 1, iy = mask & 2, iz = mask & 4;
-      const index n_x = ix ? count[0] - 1 : count[0];
-      const index n_y = iy ? count[1] - 1 : count[1];
-      const index n_z = iz ? count[2] - 1 : count[2];
+      const index n_x = ix ? seams(0) : count[0];
+      const index n_y = iy ? seams(1) : count[1];
+      const index n_z = iz ? seams(2) : count[2];
       if (n_x <= 0 || n_y <= 0 || n_z <= 0) continue;
       const index u0 = (mask == 0) ? 0 : 1;
       // Static schedule on purpose: the legality bound (blk >= 2*slope*tau)
       // makes every interior tile's work identical at each unit, and the
-      // boundary trapezoids differ by at most slope*tau cells — so there is
-      // nothing for a dynamic scheduler to balance. Static dispatch drops
-      // the per-tile queue traffic and keeps the tile->thread mapping
+      // boundary trapezoids differ by at most slope*tau cells (a ring's
+      // folded tile by under 2*slope*tau, its wrap seam by none) — so there
+      // is nothing for a dynamic scheduler to balance. Static dispatch
+      // drops the per-tile queue traffic and keeps the tile->thread mapping
       // stable across time blocks, which is what the workspace first-touch
       // relies on for NUMA locality. (fig8/fig9 smoke showed
       // parity-or-better on this box; the ragged-tile split engine in
@@ -129,14 +160,20 @@ bool tess_engine(GridT& A, GridT& B, const std::array<index, 3>& extent,
         for (index ty = 0; ty < n_y; ++ty)
           for (index tz = 0; tz < n_z; ++tz)
             for (index u = u0; u < t; ++u) {
-              const auto xr = range(0, ix, tx, u);
-              const auto yr = range(1, iy, ty, u);
-              const auto zr = range(2, iz, tz, u);
-              if (xr.first < xr.second && yr.first < yr.second &&
-                  zr.first < zr.second)
-                adv(in_buf(u), out_buf(u),
-                    Box{xr.first, xr.second, yr.first, yr.second, zr.first,
-                        zr.second});
+              const Spans xs = range(0, ix, tx, u);
+              const Spans ys = range(1, iy, ty, u);
+              const Spans zs = range(2, iz, tz, u);
+              for (int i = 0; i < xs.n; ++i)
+                for (int j = 0; j < ys.n; ++j)
+                  for (int k = 0; k < zs.n; ++k) {
+                    const Box box{xs.lo[i], xs.hi[i], ys.lo[j],
+                                  ys.hi[j], zs.lo[k], zs.hi[k]};
+                    if (box.xlo < box.xhi && box.ylo < box.yhi &&
+                        box.zlo < box.zhi) {
+                      adv(in_buf(u), out_buf(u), box);
+                      hook.images(out_buf(u), box, xmap);
+                    }
+                  }
             }
     }
     parity += t;

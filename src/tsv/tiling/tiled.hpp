@@ -25,8 +25,11 @@
 // compute in vec_value_t<V>, the autovec ones in the grid's own T.
 // Every driver takes a block hook (NoBlockHook in common/grid.hpp by
 // default) that the engines call between time blocks, inside the layout: a
-// plan polls its cancel/timeout control and refreshes per-step ghosts there,
-// so the layout transforms run once per execute whatever the boundary.
+// plan polls its cancel/timeout control there. Per-step (periodic/Neumann)
+// ghosts ride the same hook — the tessellation engine has it write each
+// box's ghost images, the split engines have it refresh the ghosts between
+// steps — so the layout transforms run once per execute whatever the
+// boundary.
 //
 // Memory behaviour: every buffer a driver needs beyond the user's grid —
 // the tessellation parity buffer, DLT staging grids, per-thread uj2 scratch
@@ -102,7 +105,9 @@ std::vector<Scratch>& thread_pool(Workspace& ws, std::uint64_t key,
 /// scratch. 2D/3D: a grid of full rows that holds one tile grown by R on
 /// every tiled axis above x. A tile never spans more than its block on an
 /// axis: triangles, boundary trapezoids and ragged last tiles are at most
-/// the block, and inverted seams at most 2·slope·(tau−1) < block.
+/// the block, and inverted seams at most 2·slope·(tau−1) < block. (Only a
+/// ring's folded tile is wider, and rings need a per-step hook, under
+/// which the run takes no pool.)
 template <int W, int R, typename G>
 auto& uj2_pool(Workspace& ws, const G& g, const Blocks& b, int nthreads) {
   using T = typename G::value_type;
@@ -201,9 +206,10 @@ TSV_NOINLINE void tess_transpose_run(G& g, const S& s, index steps,
 /// box in two sweeps: level +1 over the box grown by R (clipped to the
 /// domain) into a per-thread scratch, then level +2 from the scratch into
 /// the opposite parity buffer. @p hook runs between time blocks (see
-/// NoBlockHook). A refreshing hook needs a boundary after every step, which
-/// a pair does not have: the run then advances single tiled steps (the odd
-/// tail's sweep), one per block, and takes no scratch pool.
+/// NoBlockHook). A per-step hook needs every level's ghosts, which a pair
+/// does not have: the run then advances single tiled steps (the odd tail's
+/// sweep, slope R) in time blocks of @p bt steps, and takes no scratch
+/// pool.
 template <typename V, typename G, typename S, typename Hook = NoBlockHook>
 TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
                                          const Blocks& b, index bt,
@@ -213,7 +219,7 @@ TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
   constexpr int R = S::radius;
   using Rows = decltype(tap_rows(s));
   detail::require_transpose_conforming(g, W);
-  const bool single = hook.refreshes();
+  const bool single = hook.per_step();
   if (!single)
     require_fmt(bt % 2 == 0, "uj2 tiling: time range bt=", bt,
                 " must be even");
@@ -233,11 +239,11 @@ TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
                                   std::max<index>(1, bt / 2), 2 * R,
                                   pair_adv, hook, xmap))
       return;
-    // The odd tail, or every step under a refreshing hook: ordinary tiled
+    // The odd tail, or every step under a per-step hook: ordinary tiled
     // steps.
     if (steps > 2 * pairs)
       tess_engine(
-          g, tmp, extents(g), b, steps - 2 * pairs, 1, R,
+          g, tmp, extents(g), b, steps - 2 * pairs, single ? bt : 1, R,
           [&](const G& in, G& out, const Box& r) {
             transpose_step<V>(in, out, s, r);
           },
@@ -300,7 +306,7 @@ TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
 
 /// Creates every workspace slot tess_transpose_uj2_run(g, s, steps, b, bt,
 /// ws, hook) fetches under the calling thread's OpenMP team: the parity
-/// buffer and, unless the run advances @p single_steps (a refreshing hook),
+/// buffer and, unless the run advances @p single_steps (a per-step hook),
 /// the per-thread scratch pool.
 template <typename V, typename G, typename S>
 void tess_transpose_uj2_prepare(const G& g, const S&, const Blocks& b,

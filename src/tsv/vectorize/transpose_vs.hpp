@@ -283,9 +283,10 @@ void require_transpose_conforming(const Grid& g, int width) {
 }  // namespace detail
 
 /// Interior x index map of a block-transposed row (what a block hook fills
-/// the x ghosts through).
+/// the x ghosts through). Each W^2 block maps onto itself.
 template <int W>
 struct BlockTransposedX {
+  static constexpr index kGranule = block_elems<W>;
   constexpr index operator()(index x, index /*nx*/) const {
     return block_transposed_offset<W>(x);
   }

@@ -121,7 +121,7 @@ TSV_DECLARE_UJ_SWEEPS_FOR(VecF16)
 /// 1D run driver: transform to transpose layout, ⌊T/K⌋ pipelined in-place
 /// sweeps + remainder Jacobi steps, transform back. The remainder parity
 /// buffer lives in @p ws. @p hook runs before every K-step sweep and every
-/// remainder step (see NoBlockHook); a refreshing hook needs a boundary
+/// remainder step (see NoBlockHook); a per-step hook needs a boundary
 /// after every step, which a fused sweep does not have, so every step then
 /// runs as a remainder step.
 template <typename V, int R, int K = 2, typename Hook = NoBlockHook>
@@ -133,7 +133,7 @@ TSV_NOINLINE void unroll_jam_run(Grid1D<vec_value_t<V>>& g,
   constexpr int W = V::width;
   detail::require_transpose_conforming(g, W);
   block_transpose_grid<T, W>(g);
-  const index sweeps = hook.refreshes() ? 0 : steps / K;
+  const index sweeps = hook.per_step() ? 0 : steps / K;
   bool go = true;
   for (index q = 0; q < sweeps; ++q) {
     if (!hook(g, BlockTransposedX<W>{})) {
@@ -213,7 +213,7 @@ auto& uj_ring(Workspace& ws, const Grid3D<T>& g) {
 /// Creates every workspace slot unroll_jam_run(g, s, steps, ws, hook)
 /// fetches: the level-1 ring (2D/3D, when pairs run) and the parity buffer
 /// of the remainder steps — the odd last one, or every step when
-/// @p single_steps (the hook refreshes ghosts).
+/// @p single_steps (a per-step hook).
 template <int R, typename G>
 void unroll_jam_prepare(const G& g, index steps, bool single_steps,
                         Workspace& ws) {
@@ -238,7 +238,7 @@ TSV_NOINLINE void unroll_jam_run(Grid2D<vec_value_t<V>>& g,
 
   block_transpose_grid<T, W>(g);
 
-  const index pairs = hook.refreshes() ? 0 : steps / 2;
+  const index pairs = hook.per_step() ? 0 : steps / 2;
   bool go = true;
   if (pairs > 0) {
     // Ring of 2R+1 level-1 rows; level-1 values of halo rows are the halo
@@ -303,7 +303,7 @@ TSV_NOINLINE void unroll_jam_run(Grid3D<vec_value_t<V>>& g,
 
   block_transpose_grid<T, W>(g);
 
-  const index pairs = hook.refreshes() ? 0 : steps / 2;
+  const index pairs = hook.per_step() ? 0 : steps / 2;
   bool go = true;
   if (pairs > 0) {
     constexpr index RB = 2 * R + 1;

@@ -373,7 +373,11 @@ TEST(Boundary, DirichletDefaultIsBitIdenticalToLegacyReference) {
 
 // ---- resolution and validation ----------------------------------------------
 
-TEST(Boundary, PerStepBoundaryForcesStepGranularBt) {
+// A tessellated plan writes per-step ghosts through and keeps its temporal
+// block; split tiling refreshes them between steps and resolves 1. Under a
+// per-step boundary a requested bt is a ceiling: blocks too small for it
+// still plan, at the deepest legal bt.
+TEST(Boundary, PerStepBoundaryKeepsTheTessellatedTimeBlock) {
   Options o;
   o.method = Method::kTranspose;
   o.tiling = Tiling::kTessellate;
@@ -381,17 +385,177 @@ TEST(Boundary, PerStepBoundaryForcesStepGranularBt) {
   o.bt = 8;
   o.boundary = BoundarySpec::uniform(Boundary::kPeriodic);
   const auto r = resolve_options(shape1d(kNx), 1, o);
-  EXPECT_EQ(r.bt, 1);
+  EXPECT_EQ(r.bt, 8);
   EXPECT_EQ(r.boundary.x, Boundary::kPeriodic);  // y/z normalized (rank 1)
 
-  // The even-bt unroll&jam rows resolve bt = 1 too: they advance single
-  // steps between ghost refreshes, and bt reports that.
+  // The even-bt unroll&jam row keeps it too (it advances single steps),
+  // and an odd bt is no error there.
   o.method = Method::kTransposeUJ;
+  EXPECT_EQ(resolve_options(shape1d(kNx), 1, o).bt, 8);
+  o.bt = 5;
+  EXPECT_EQ(resolve_options(shape1d(kNx), 1, o).bt, 5);
+
+  // An unset bt resolves like a frozen boundary's (kDefaultBt on 1D).
+  o.bt = 0;
+  EXPECT_EQ(resolve_options(shape1d(kNx), 1, o).bt, 4);
+
+  // An explicit small block still plans: the deepest legal bt below 8.
+  o.bt = 8;
+  o.bx = 4;  // 2*r*bt <= 4: bt 2
+  EXPECT_EQ(resolve_options(shape1d(kNx), 1, o).bt, 2);
+  o.bx = 2;
   EXPECT_EQ(resolve_options(shape1d(kNx), 1, o).bt, 1);
+  o.bx = 0;
+
+  // Split tiling refreshes between steps: bt 1.
+  Options split = o;
+  split.method = Method::kDlt;
+  split.tiling = Tiling::kSplit;
+  EXPECT_EQ(resolve_options(shape1d(kNx), 1, split).bt, 1);
 
   // Frozen boundaries keep the user's temporal block.
   o.boundary = BoundarySpec::uniform(Boundary::kZero);
   EXPECT_EQ(resolve_options(shape1d(kNx), 1, o).bt, 8);
+}
+
+// ---- deep temporal blocks under per-step boundaries -------------------------
+//
+// A tessellated plan under a periodic/Neumann axis writes each box's ghost
+// images through and tiles its periodic axes as rings, so it runs a deep
+// temporal block. The oracle is the step-by-step schedule: fill_ghosts,
+// then one untiled step of the same method, repeated. Blocking reorders
+// traversal, never arithmetic, so the interiors must match bytewise. The
+// cases cover radius 2 (1d5p), corner taps (2d9p, 3d27p), exactly two tiles
+// on a wrapped axis, and ragged last tiles that keep their own tile or fold
+// into their neighbour; teams of 1 to 3 (f32 on a team of 2).
+
+struct DeepCase {
+  const char* what;
+  StencilKind kind;
+  Shape sh;
+  index bx, by, bz, bt;
+};
+
+template <typename G>
+G deep_test_grid(const Shape& sh) {
+  using T = typename G::value_type;
+  G g = make_grid<G>({sh.nx, sh.ny, sh.nz}, sh.halo);
+  index n = 0;
+  // Halo garbage too: the plan's fill must overwrite every ghost it reads.
+  for_each_row(g, 1, [&](index y, index z) {
+    for (index x = -sh.halo; x < sh.nx + sh.halo; ++x)
+      row_at(g, y, z)[x] = static_cast<T>(0.4 + 0.3 * std::sin(0.013 * ++n));
+  });
+  return g;
+}
+
+template <typename G>
+bool same_interior_bits(G& a, G& b) {
+  bool same = true;
+  const Box box = full_box(a);
+  for (index z = box.zlo; z < box.zhi; ++z)
+    for (index y = box.ylo; y < box.yhi; ++y)
+      same = same && std::memcmp(row_at(a, y, z), row_at(b, y, z),
+                                 a.nx() * sizeof(typename G::value_type)) == 0;
+  return same;
+}
+
+template <typename G>
+void expect_deep_block_matches_step_loop(const DeepCase& c, Method m,
+                                         const BoundarySpec& bc, int team) {
+  Options o;
+  o.method = m;
+  o.tiling = Tiling::kTessellate;
+  o.dtype = dtype_of<typename G::value_type>();
+  o.steps = 2 * c.bt + 1;  // two whole time blocks and a partial one
+  o.bx = c.bx;
+  o.by = c.by;
+  o.bz = c.bz;
+  o.bt = c.bt;
+  o.threads = team;
+  o.boundary = bc;
+  const std::string what = std::string(c.what) + " " + method_name(m) + " " +
+                           dtype_name(o.dtype) + " " + boundary_name(bc.x) +
+                           "/" + boundary_name(bc.y) + "/" +
+                           boundary_name(bc.z) + " team " +
+                           std::to_string(team);
+  const Plan plan = make_plan(c.sh, c.kind, o);
+  ASSERT_EQ(plan.config().bt, c.bt) << what << ": the block must stay deep";
+  Options o1;
+  o1.method = m;
+  o1.dtype = o.dtype;
+  o1.steps = 1;
+  o1.boundary = bc;
+  const Plan step = make_plan(c.sh, c.kind, o1);
+  G deep = deep_test_grid<G>(c.sh);
+  G loop = deep;
+  plan.execute(deep);
+  for (index t = 0; t < o.steps; ++t) {
+    fill_ghosts(loop, bc, stencil_kind_radius(c.kind));
+    step.execute(loop);
+  }
+  EXPECT_TRUE(same_interior_bits(deep, loop)) << what;
+}
+
+TEST(Boundary, DeepTimeBlockMatchesTheStepLoopBytewise) {
+  const DeepCase cases[] = {
+      {"1d5p two tiles", StencilKind::k1d5p, shape1d(512, 2), 256, 0, 0, 8},
+      {"1d5p ragged folds", StencilKind::k1d5p, shape1d(512, 2), 240, 0, 0,
+       16},
+      {"1d5p ragged ring", StencilKind::k1d5p, shape1d(512, 2), 200, 0, 0,
+       12},
+      {"2d9p two y tiles", StencilKind::k2d9p, shape2d(256, 37), 100, 19, 0,
+       9},
+      {"2d9p ragged y folds", StencilKind::k2d9p, shape2d(256, 37), 256, 8,
+       0, 3},
+      {"3d27p ragged folds", StencilKind::k3d27p, shape3d(256, 13, 14), 128,
+       6, 6, 3},
+      {"3d27p two z tiles", StencilKind::k3d27p, shape3d(256, 13, 14), 256,
+       13, 7, 3},
+  };
+  const BoundarySpec specs[] = {
+      BoundarySpec::uniform(Boundary::kPeriodic),
+      BoundarySpec::uniform(Boundary::kNeumann),
+      {.x = Boundary::kPeriodic, .y = Boundary::kNeumann,
+       .z = Boundary::kZero}};
+  int checked = 0;
+  for (const DeepCase& c : cases) {
+    const int rank = c.sh.rank;
+    for (const Capability& cap : capabilities()) {
+      if (cap.tiling != Tiling::kTessellate || !cap.supports_rank(rank))
+        continue;
+      for (Dtype dt : all_dtypes()) {
+        if (!cap.supports_dtype(dt)) continue;
+        for (const BoundarySpec& bc : specs)
+          for (int team = 1; team <= 3; ++team) {
+            const bool f32 = dt == Dtype::kF32;
+            if (f32 && team != 2) continue;
+            switch (rank) {
+              case 1:
+                f32 ? expect_deep_block_matches_step_loop<Grid1D<float>>(
+                          c, cap.method, bc, team)
+                    : expect_deep_block_matches_step_loop<Grid1D<double>>(
+                          c, cap.method, bc, team);
+                break;
+              case 2:
+                f32 ? expect_deep_block_matches_step_loop<Grid2D<float>>(
+                          c, cap.method, bc, team)
+                    : expect_deep_block_matches_step_loop<Grid2D<double>>(
+                          c, cap.method, bc, team);
+                break;
+              default:
+                f32 ? expect_deep_block_matches_step_loop<Grid3D<float>>(
+                          c, cap.method, bc, team)
+                    : expect_deep_block_matches_step_loop<Grid3D<double>>(
+                          c, cap.method, bc, team);
+                break;
+            }
+            ++checked;
+          }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 TEST(Boundary, AxesBeyondRankAreNormalized) {

@@ -225,31 +225,39 @@ TEST(Plan, EvenBtCheckedAtPlanTime) {
   EXPECT_NO_THROW(make_plan(shape1d(256), make_1d3p(), o));
 }
 
-// Under a per-step boundary the 2-step scheme advances single steps, so the
-// resolved config must say bt = 1 and tile at the single-step slope R: a
-// block of 2R (a pair would need 4R) is legal, and an odd user bt is no
-// error. A frozen boundary keeps the pair rules.
+// Under a per-step boundary the 2-step scheme advances single steps at the
+// plan's temporal block, so the resolved config tiles at the single-step
+// slope R (a multi-tile block needs 2R*bt), an odd user bt is no error, and
+// a requested bt too deep for the blocks lowers to the deepest legal one:
+// an explicit small block still plans. A frozen boundary keeps the pair
+// rules.
 TEST(Plan, PerStepBoundaryResolvesTheBlockThatRuns) {
   Options o;
   o.method = Method::kTransposeUJ;
   o.tiling = Tiling::kTessellate;
   o.steps = 6;
   o.bx = 256;
-  o.by = 2;  // 2R for 2d5p: legal for single steps only
+  o.by = 2;  // 2R for 2d5p: legal for single steps at bt = 1 only
   o.bt = 8;
   o.boundary = BoundarySpec::uniform(Boundary::kPeriodic);
   const Shape sh = shape2d(256, 16);
-  const auto plan = make_plan(sh, make_2d5p(), o);
-  EXPECT_EQ(plan.config().bt, 1);
-  o.bt = 3;
   EXPECT_EQ(make_plan(sh, make_2d5p(), o).config().bt, 1);
+  o.by = 4;
+  EXPECT_EQ(make_plan(sh, make_2d5p(), o).config().bt, 2);
+  o.by = 16;  // one tile: any bt is legal
+  EXPECT_EQ(make_plan(sh, make_2d5p(), o).config().bt, 8);
+  o.by = 6;
+  o.bt = 3;
+  const auto plan = make_plan(sh, make_2d5p(), o);
+  EXPECT_EQ(plan.config().bt, 3);
   o.boundary = BoundarySpec{.x = Boundary::kDirichlet,
                             .y = Boundary::kNeumann,
                             .z = Boundary::kDirichlet};
-  EXPECT_EQ(make_plan(sh, make_2d5p(), o).config().bt, 1);
+  EXPECT_EQ(make_plan(sh, make_2d5p(), o).config().bt, 3);
 
-  // The single steps that bt reports run: the plan matches the scalar
-  // oracle under the same boundary.
+  // The single steps that bt reports run: the plan (y a ring of two tiles,
+  // the ragged third folded in) matches the scalar oracle under the same
+  // boundary.
   Grid2D<double> g(256, 16, 1), ref(256, 16, 1);
   g.fill(f2);
   ref.fill(f2);
@@ -258,6 +266,7 @@ TEST(Plan, PerStepBoundaryResolvesTheBlockThatRuns) {
                 BoundarySpec::uniform(Boundary::kPeriodic));
   EXPECT_LE(max_abs_diff(ref, g), kTol);
 
+  o.by = 2;
   o.boundary = BoundarySpec::uniform(Boundary::kZero);
   EXPECT_THROW(make_plan(sh, make_2d5p(), o), ConfigError);  // odd bt
   o.bt = 2;

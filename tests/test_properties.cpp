@@ -442,10 +442,11 @@ TEST(BlockedVsSliced, EveryConfigIsBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Held layout under a per-step boundary. A periodic/Neumann axis refreshes
-// the ghosts between steps inside the driver's layout (the block hook fills
-// the x ghosts through the layout's index map, the y/z ghost rows by
-// whole-row copies) while the run makes one driver call. The oracle is the
+// Held layout under a per-step boundary. A periodic/Neumann axis keeps the
+// ghosts current inside the driver's layout (x ghosts through the layout's
+// index map, y/z ghost rows by whole-row copies) while the run makes one
+// driver call: untiled and split plans refresh them between steps,
+// tessellated plans write each box's images through. The oracle is the
 // schedule that re-entered the driver every step: fill_ghosts on the grid
 // in original layout, then a 1-step plan, repeated. Every capability, rank,
 // dtype and runnable ISA, under periodic, Neumann and mixed axes, with
@@ -709,13 +710,20 @@ TEST(DefaultBlocks, DefaultTimeBlockIsDeepestThatFits) {
     if (deeper.bt <= c.steps)
       EXPECT_GT(tile_bytes(resolve_options(c.sh, 1, deeper), c.sh.rank), l2)
           << c.what << ": bt " << deeper.bt << " also fits";
-    // An explicit bt is kept; a per-step boundary resolves 1.
+    // An explicit bt is kept. A periodic plan writes its ghosts through
+    // and advances single steps: its block is as deep as this one or
+    // deeper (an odd bt may fit where the 2-step scheme needs an even one),
+    // legal, and its tile fits.
     Options pinned = o;
     pinned.bt = 6;
     EXPECT_EQ(resolve_options(c.sh, 1, pinned).bt, 6) << c.what;
     Options periodic = o;
     periodic.boundary = BoundarySpec::uniform(Boundary::kPeriodic);
-    EXPECT_EQ(resolve_options(c.sh, 1, periodic).bt, 1) << c.what;
+    const ResolvedOptions rp = resolve_options(c.sh, 1, periodic);
+    EXPECT_GE(rp.bt, r.bt) << c.what;
+    EXPECT_LE(rp.bt, c.steps) << c.what;
+    EXPECT_TRUE(tile_legal(c.sh, 1, rp)) << c.what;
+    EXPECT_LE(tile_bytes(rp, c.sh.rank), l2) << c.what;
   }
 
   // A grid whose two buffers fit half the L2 stays one tile and keeps 4.
@@ -730,8 +738,8 @@ TEST(DefaultBlocks, DefaultTimeBlockIsDeepestThatFits) {
   EXPECT_EQ(rs.bt, 4);
 
   // The benchmark plans on a 2 MiB L2: solve_dram one 8-step block of
-  // 16 x 16 y/z tiles; serve_tiled's zero-boundary plans one 32-step block
-  // of 64-row tiles, its periodic ones single steps.
+  // 16 x 16 y/z tiles; serve_tiled's plans one 32-step block of 64-row
+  // tiles, periodic ones included.
   if (l2 == index{2} << 20) {
     Options solve;
     solve.method = Method::kTransposeUJ;
@@ -751,7 +759,38 @@ TEST(DefaultBlocks, DefaultTimeBlockIsDeepestThatFits) {
     EXPECT_EQ(rt.bt, 32);
     EXPECT_EQ(rt.by, 64);
     serve.boundary = BoundarySpec::uniform(Boundary::kPeriodic);
-    EXPECT_EQ(resolve_options(shape2d(1024, 512), 1, serve).bt, 1);
+    EXPECT_EQ(resolve_options(shape2d(1024, 512), 1, serve).bt, 32);
+  }
+}
+
+// serve_tiled's periodic plans (2d5p and 2d9p, 1024 x 512, transpose-uj2,
+// 32 steps, one thread) resolve the temporal block and tiles of their
+// zero-boundary siblings on a 2 MiB L2; on any L2 their block is at least
+// as deep, legal, and fits. Resolved fields only.
+TEST(DefaultBlocks, PeriodicServePlansMatchZeroSiblings) {
+  const Shape sh = shape2d(1024, 512);
+  for (StencilKind kind : {StencilKind::k2d5p, StencilKind::k2d9p}) {
+    Options o;
+    o.method = Method::kTransposeUJ;
+    o.tiling = Tiling::kTessellate;
+    o.steps = 32;
+    o.max_threads = 1;
+    o.boundary = BoundarySpec::uniform(Boundary::kZero);
+    const ResolvedOptions zero = make_plan(sh, kind, o).config();
+    o.boundary = BoundarySpec::uniform(Boundary::kPeriodic);
+    const ResolvedOptions periodic = make_plan(sh, kind, o).config();
+    const char* what = stencil_kind_name(kind);
+    EXPECT_EQ(periodic.threads, 1) << what;
+    EXPECT_GE(periodic.bt, zero.bt) << what;
+    EXPECT_TRUE(tile_legal(sh, stencil_kind_radius(kind), periodic)) << what;
+    EXPECT_LE(tile_bytes(periodic, 2), cpu_info().l2_bytes) << what;
+    if (cpu_info().l2_bytes == index{2} << 20) {
+      EXPECT_EQ(periodic.bt, 32) << what;
+      EXPECT_EQ(periodic.bt, zero.bt) << what;
+      EXPECT_EQ(periodic.bx, zero.bx) << what;
+      EXPECT_EQ(periodic.by, zero.by) << what;
+      EXPECT_EQ(periodic.by, 64) << what;
+    }
   }
 }
 

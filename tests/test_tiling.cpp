@@ -225,13 +225,33 @@ TEST(Tess1D, RejectsBadBlocking) {
 // Drives the one engine directly on one thread with an advance callback that
 // records the unit each cell has reached. Every cell must advance exactly
 // once per unit, each box must be one time level, the parity buffers must
-// alternate with that level, and every in-domain input within `slope` of a
-// cell must be at the level being read — or one above, whose write went to
-// the other buffer — when the cell advances.
+// alternate with that level, and every input within `slope` of a cell must
+// be at the level being read — or one above, whose write went to the other
+// buffer — when the cell advances. On a ring axis (a periodic axis whose
+// ghost images the hook writes) the inputs wrap around the domain; on any
+// other axis they stop at its edges.
 
-void check_engine_schedule(int rank, index slope, index tau) {
+/// A hook that tiles the axes in @p mask as rings (see NoBlockHook).
+struct RingHook {
+  unsigned mask = 0;
+  static constexpr bool per_step() { return true; }
+  unsigned wraps() const { return mask; }
+  template <typename G, typename XMap>
+  bool operator()(G&, const XMap&) const {
+    return true;
+  }
+  template <typename G, typename XMap>
+  void images(G&, const Box&, const XMap&) const {}
+};
+
+void check_engine_schedule(int rank, index slope, index tau,
+                           unsigned ring = 0) {
   const index blk = 2 * slope * tau + 3;  // legal; no extent is a multiple
-  const index n[3] = {2 * blk + 5, blk + 4, blk + 2};
+  // Rings: x's ragged last tile (one cell) folds into its neighbour, y has
+  // exactly two tiles, z a ragged third tile wide enough to stay a tile.
+  const index n[3] = {ring ? 2 * blk + 1 : 2 * blk + 5,
+                      ring ? 2 * blk : blk + 4,
+                      ring ? 3 * blk - 1 : blk + 2};
   std::array<index, 3> ext{1, 1, 1};
   Blocks b{};  // axes beyond the rank stay untiled
   for (int a = 0; a < rank; ++a) {
@@ -243,36 +263,47 @@ void check_engine_schedule(int rank, index slope, index tau) {
   auto at = [&](index x, index y, index z) -> index& {
     return level[static_cast<std::size_t>((z * ext[1] + y) * ext[0] + x)];
   };
-  // The inputs of cell v along axis a: [lo(v), hi(v, a)).
-  auto lo = [&](index v) { return std::max<index>(0, v - slope); };
-  auto hi = [&](index v, int a) { return std::min(ext[a], v + slope + 1); };
+  // Input coordinate v + d along axis a, or -1 when it leaves the domain.
+  auto input = [&](index v, index d, int a) -> index {
+    const index w = v + d;
+    if (ring >> a & 1u) return (w + ext[a]) % ext[a];
+    return w < 0 || w >= ext[a] ? -1 : w;
+  };
+  const index sy = rank >= 2 ? slope : 0, sz = rank >= 3 ? slope : 0;
   Grid1D<float> A(1, 0), B(1, 0);  // the engine only routes and swaps them
-  index bad_box = 0, bad_buffer = 0, bad_input = 0;
-  tess_engine(A, B, ext, b, units, tau, slope,
-              [&](const Grid1D<float>& in, Grid1D<float>& out, const Box& r) {
-                const index l = at(r.xlo, r.ylo, r.zlo);
-                if (&in != (l % 2 == 0 ? &A : &B) ||
-                    &out != (l % 2 == 0 ? &B : &A))
-                  ++bad_buffer;
-                for (index z = r.zlo; z < r.zhi; ++z)
-                  for (index y = r.ylo; y < r.yhi; ++y)
-                    for (index x = r.xlo; x < r.xhi; ++x) {
-                      if (at(x, y, z) != l) ++bad_box;
-                      for (index zz = lo(z); zz < hi(z, 2); ++zz)
-                        for (index yy = lo(y); yy < hi(y, 1); ++yy)
-                          for (index xx = lo(x); xx < hi(x, 0); ++xx) {
-                            const index m = at(xx, yy, zz);
-                            if (m != l && m != l + 1) ++bad_input;
-                          }
-                      at(x, y, z) = l + 1;
-                    }
-              });
+  index bad_box = 0, bad_buffer = 0, bad_input = 0, advanced = 0;
+  tess_engine(
+      A, B, ext, b, units, tau, slope,
+      [&](const Grid1D<float>& in, Grid1D<float>& out, const Box& r) {
+        const index l = at(r.xlo, r.ylo, r.zlo);
+        if (&in != (l % 2 == 0 ? &A : &B) || &out != (l % 2 == 0 ? &B : &A))
+          ++bad_buffer;
+        for (index z = r.zlo; z < r.zhi; ++z)
+          for (index y = r.ylo; y < r.yhi; ++y)
+            for (index x = r.xlo; x < r.xhi; ++x) {
+              if (at(x, y, z) != l) ++bad_box;
+              for (index dz = -sz; dz <= sz; ++dz)
+                for (index dy = -sy; dy <= sy; ++dy)
+                  for (index dx = -slope; dx <= slope; ++dx) {
+                    const index xx = input(x, dx, 0), yy = input(y, dy, 1),
+                                zz = input(z, dz, 2);
+                    if (xx < 0 || yy < 0 || zz < 0) continue;
+                    const index m = at(xx, yy, zz);
+                    if (m != l && m != l + 1) ++bad_input;
+                  }
+              at(x, y, z) = l + 1;
+              ++advanced;
+            }
+      },
+      RingHook{ring});
   index wrong_count = 0;
   for (index v : level) wrong_count += v != units;
   const std::string what = "rank " + std::to_string(rank) + " slope " +
                            std::to_string(slope) + " tau " +
-                           std::to_string(tau);
+                           std::to_string(tau) + " ring " +
+                           std::to_string(ring);
   EXPECT_EQ(wrong_count, 0) << what;
+  EXPECT_EQ(advanced, units * static_cast<index>(level.size())) << what;
   EXPECT_EQ(bad_box, 0) << what;
   EXPECT_EQ(bad_buffer, 0) << what;
   EXPECT_EQ(bad_input, 0) << what;
@@ -286,6 +317,20 @@ TEST(TessEngine, EveryCellAdvancesOncePerUnitAfterItsInputs) {
       for (index tau = 1; tau <= 4; ++tau)
         check_engine_schedule(rank, slope, tau);
   for (index tau = 1; tau <= 4; ++tau) check_engine_schedule(1, 4, tau);
+  omp_set_num_threads(saved);
+}
+
+// Ring axes: every tile shrinks at both ends and a wrapped seam covers the
+// domain ends; each (cell, unit) still advances exactly once, after its
+// wrapped inputs. Every axis a ring, and the outermost one alone.
+TEST(TessEngine, RingAxesAdvanceEveryCellOncePerUnit) {
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  for (int rank = 1; rank <= 3; ++rank)
+    for (unsigned ring : {(1u << rank) - 1, 1u << (rank - 1)})
+      for (index slope : {1, 2})
+        for (index tau = 1; tau <= 4; ++tau)
+          check_engine_schedule(rank, slope, tau, ring);
   omp_set_num_threads(saved);
 }
 

@@ -73,6 +73,38 @@ TEST(Tuner, CandidatesSeedYzFromResolveDefaultAndOneTile) {
   }
 }
 
+// Under a per-step boundary the 2-step scheme advances single steps
+// (slope R, time range bt), so its candidates are legalized at that floor,
+// as resolve_options does: every candidate then resolves its own bt. At the
+// pair floor (slope 2R, bt/2 pairs) an odd bt's y block comes out too small
+// and the resolver lowers the candidate's bt.
+TEST(Tuner, PerStepUj2CandidatesUseTheSingleStepFloor) {
+  Options user;
+  user.method = Method::kTransposeUJ;
+  user.tiling = Tiling::kTessellate;
+  user.steps = 12;
+  user.bt = 3;  // odd: legal for single steps
+  user.by = 2;  // below the floor: every candidate raises it
+  user.boundary = BoundarySpec::uniform(Boundary::kPeriodic);
+  const Shape sh = shape2d(256, 64);
+  const auto cands = tune_candidates(2, sh.nx, sh.ny, 1, 1,
+                                     Tiling::kTessellate, true, 12, user);
+  ASSERT_GT(cands.size(), 1u);
+  const index floor = tess_min_block(1, 3, 12, /*two_step=*/false);
+  EXPECT_EQ(floor, 6);
+  // Candidate 0 is the user's own fields; the rest are legalized.
+  for (std::size_t i = 1; i < cands.size(); ++i) {
+    const TunedBlocks& b = cands[i];
+    EXPECT_EQ(b.bt, 3);
+    if (b.by < sh.ny) EXPECT_GE(b.by, floor) << "candidate " << i;
+    Options oc = user;
+    oc.bx = b.bx;
+    oc.by = b.by;
+    oc.bt = b.bt;
+    EXPECT_EQ(resolve_options(sh, 1, oc).bt, 3) << "candidate " << i;
+  }
+}
+
 TEST(Tuner, TrialStepsAreBudgetCapped) {
   // Small grid: trials run two full time blocks.
   EXPECT_EQ(tune_trial_steps(4096, 32, 1000), 64);
