@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
 
   std::printf("1D heat, nx=%td, T=%td, bx=%td, %d threads\n", nx, steps, bx,
               cfg.threads);
-  std::printf("%6s | %12s %12s %14s\n", "bt", "our", "our(2stp)",
-              "tess-autovec");
+  std::printf("%6s | %12s %14s\n", "bt", "our", "tess-autovec");
   for (tsv::index bt : {1, 2, 8, 32, 128, 512}) {
     if (bx < 2 * bt) continue;
     tsv::Problem p{.name = "1d3p", .kind = tsv::StencilKind::k1d3p,
@@ -34,18 +33,11 @@ int main(int argc, char** argv) {
     const double our = run_problem_best(p, tsv::Method::kTranspose,
                                    tsv::Tiling::kTessellate, tsv::best_isa(),
                                    cfg.threads);
-    const double our2 =
-        (bt % 2 == 0)
-            ? run_problem_best(p, tsv::Method::kTransposeUJ,
-                          tsv::Tiling::kTessellate, tsv::best_isa(),
-                          cfg.threads)
-            : 0.0;
     const double base = run_problem_best(p, tsv::Method::kAutoVec,
                                     tsv::Tiling::kTessellate, tsv::best_isa(),
                                     cfg.threads);
-    std::printf("%6td | %12.1f %12.1f %14.1f\n", bt, our, our2, base);
+    std::printf("%6td | %12.1f %14.1f\n", bt, our, base);
     csv.row("boundary,%td,our,%.3f", bt, our);
-    if (bt % 2 == 0) csv.row("boundary,%td,our2,%.3f", bt, our2);
     csv.row("boundary,%td,tess-autovec,%.3f", bt, base);
   }
   std::printf("\n(deeper bt = more rim work per tile, but more in-cache "

@@ -1,8 +1,9 @@
 // Figure 8 — multicore cache-blocking experiments (paper §4.3).
 //
-// 1D 3-point heat with temporal tiling on all cores. Four contenders:
+// 1D 3-point heat with temporal tiling on all cores. Three contenders:
 // SDSL (DLT + split tiling), Tessellation (+compiler vectorization),
-// Our (transpose layout + tessellation), Our (2 steps). Blocking rows:
+// Our (transpose layout + tessellation); the paper's Our (2 steps) has no
+// tiled kernel of its own here (see contenders()). Blocking rows:
 // the plan's fixed-default heuristics, an L1-sized block (paper's 2000,
 // here 2048), an L2-sized block (16384) — and, when --tune is passed, a
 // "tuned" row where the autotuner picks the blocks (plan-time trials;
@@ -10,7 +11,7 @@
 // main memory, each requested dtype, for T and 10T (--long for only the
 // 10x variant).
 //
-// Expected shape (paper): Our(2stp) > Our > Tessellation > SDSL everywhere;
+// Expected shape (paper): Our > Tessellation > SDSL everywhere;
 // L1 blocking beats L2 blocking; the gap grows when the problem spills L3.
 // The tuned row must match or beat the default row for every contender —
 // the CI-facing acceptance check for the autotuner.

@@ -1,9 +1,10 @@
 // Figure 9 — scalability of all six stencils with AVX2 and AVX-512
-// instructions (paper §4.4): GFLOP/s vs core count for SDSL, Tessellation,
-// Our and Our (2 steps), on the Table-1 problems.
+// instructions (paper §4.4): GFLOP/s vs core count for SDSL, Tessellation
+// and Our, on the Table-1 problems (no tiled Our (2 steps): see
+// contenders()).
 //
 // Expected shape (paper): near-linear scaling in 1D for every method; the
-// ordering Our(2stp) > Our > Tessellation > SDSL at every core count;
+// ordering Our > Tessellation > SDSL at every core count;
 // scalability flattens with growing dimensionality/order; AVX-512 curves sit
 // above AVX-2 for the same method.
 //

@@ -3,8 +3,9 @@
 // element type (--dtype f64|f32|both).
 //
 // Rows (paper): speedup over SDSL (AVX-2 columns) / over Tessellation
-// (AVX-512 columns, where SDSL has no implementation) for Tessellation, Our,
-// Our*; and per-method speedup of the full machine over one core.
+// (AVX-512 columns, where SDSL has no implementation) for Tessellation and
+// Our (the paper's Our* — two time steps — has no tiled kernel here: see
+// contenders()); and per-method speedup of the full machine over one core.
 //
 // Expected shape (paper): Our* 3.52x (1D3P/AVX2) tapering to 1.76x
 // (3D27P/AVX2); AVX-512 gains 1.24x-1.98x over Tessellation; near-ideal
@@ -40,10 +41,10 @@ int main(int argc, char** argv) {
 
       for (tsv::Problem p : tsv::table1_problems(cfg.paper_scale)) {
         if (cfg.smoke) p = smoke_problem(p);
-        double gf_max[4], gf_one[4];
-        tsv::ResolvedOptions rcfg[4];
-        bool cok[4];  // per-contender: a failure must not zero its siblings
-        for (int k = 0; k < 4; ++k) {
+        double gf_max[kContenders], gf_one[kContenders];
+        tsv::ResolvedOptions rcfg[kContenders];
+        bool cok[kContenders];  // per-contender: a failure must not zero its siblings
+        for (int k = 0; k < kContenders; ++k) {
           const auto& c = contenders()[k];
           cok[k] = true;
           try {
@@ -71,7 +72,7 @@ int main(int argc, char** argv) {
         // baseline measured; errors are marked as such in the CSV instead
         // of masquerading as a 0.000 measurement.
         std::printf("  %-8s", p.name.c_str());
-        for (int k = 0; k < 4; ++k) {
+        for (int k = 0; k < kContenders; ++k) {
           const bool valid = cok[k] && cok[base_idx] && gf_max[base_idx] > 0;
           const double speedup = valid ? gf_max[k] / gf_max[base_idx] : 0;
           if (valid)
@@ -101,7 +102,7 @@ int main(int argc, char** argv) {
                 json_cfg_fields(rcfg[k]).c_str());
         }
         std::printf("   |         ");
-        for (int k = 0; k < 4; ++k) {
+        for (int k = 0; k < kContenders; ++k) {
           const bool valid = cok[k] && gf_one[k] > 0;
           const double scaling = valid ? gf_max[k] / gf_one[k] : 0;
           if (valid)

@@ -53,9 +53,8 @@ int main(int argc, char** argv) {
     const char* rule = c.x_rule == tsv::XRule::kWidth2   ? "nx % W^2 == 0"
                        : c.x_rule == tsv::XRule::kWidth ? "nx % W == 0"
                                                         : "none";
-    const char* blocking = c.tiling == tsv::Tiling::kNone ? "untiled"
-                           : c.needs_even_bt            ? "bt even, bx >= 2rbt"
-                                                        : "bx >= 2rbt";
+    const char* blocking =
+        c.tiling == tsv::Tiling::kNone ? "untiled" : "bx >= 2rbt";
     std::printf("| `%s` | `%s` | %s | %s | %s | %s | %s |",
                 tsv::method_name(c.method), tsv::tiling_name(c.tiling),
                 ranks.c_str(), dtypes.c_str(), boundaries.c_str(), rule,

@@ -5,7 +5,7 @@
 //   u' = u + alpha * laplacian(u)
 // discretized as the 5-point stencil  u_new = (1-4c)*u + c*(N+S+E+W).
 // The simulation runs multicore with tessellate tiling + the paper's
-// transpose-layout 2-step scheme, and prints the temperature profile along
+// transpose-layout scheme, and prints the temperature profile along
 // the plate's horizontal midline as it evolves.
 //
 //   ./examples/heat_diffusion_2d [n] [steps]
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   const auto stencil = tsv::make_2d5p(1.0 - 4.0 * c, c, c);
 
   tsv::Options o;
-  o.method = tsv::Method::kTransposeUJ;
+  o.method = tsv::Method::kTranspose;
   o.tiling = tsv::Tiling::kTessellate;
   o.isa = tsv::best_isa();
   o.bx = std::min<tsv::index>(n, 256);
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
                         static_cast<double>(stencil.flops_per_point) / sec;
   std::printf(
       "\n%td cell-updates in %.3f s -> %.1f GFLOP/s "
-      "(transpose-uj2 + tessellate, %d threads)\n",
+      "(transpose + tessellate, %d threads)\n",
       n * n * 4 * chunk, sec, gflops, o.threads);
 
   // Sanity: total heat only leaves through the cold edges, so the center

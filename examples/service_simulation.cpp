@@ -23,7 +23,7 @@
 // and the plan cache must show exactly one construction per distinct
 // configuration (the coalesced duplicate triggers none).
 //
-// A held-layout round then serves tessellated 2-step unroll&jam requests
+// A held-layout round then serves tessellated transpose requests
 // that carry a timeout or a periodic boundary — the requests whose plan
 // polls its control between time blocks or writes ghost images through,
 // inside the layout — and checks them bit for bit against the serial
@@ -205,7 +205,7 @@ bool chaos_round() {
 }
 
 // ---- held-layout round -----------------------------------------------------
-// Tessellated transpose-uj2 requests, every one its own coalesce group
+// Tessellated transpose requests, every one its own coalesce group
 // (distinct contents): kTimed carry a generous timeout, so their plans poll
 // the control after every time block without it ever firing; kPeriodic run
 // a periodic boundary, writing each tile's ghost images through inside the
@@ -221,9 +221,9 @@ bool held_layout_round() {
 
   const tsv::StencilSpec spec{.kind = tsv::StencilKind::k2d5p};
   tsv::Options o;
-  o.method = tsv::Method::kTransposeUJ;
+  o.method = tsv::Method::kTranspose;
   o.tiling = tsv::Tiling::kTessellate;
-  o.steps = 13;  // odd: the pair schedule ends on a single step
+  o.steps = 13;  // odd: the last time block is partial
   o.bx = 128;
   o.by = 16;
   o.bt = 4;

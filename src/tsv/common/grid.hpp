@@ -305,14 +305,13 @@ void for_each_row(const G& g, int team, F&& f) {
 /// A grid of G's rank with interior extents @p e (entries beyond the rank
 /// are ignored).
 template <typename G>
-G make_grid(const std::array<index, 3>& e, index halo,
-            FirstTouch ft = FirstTouch::kSerial) {
+G make_grid(const std::array<index, 3>& e, index halo) {
   if constexpr (G::kRank == 1)
-    return G(e[0], halo, ft);
+    return G(e[0], halo);
   else if constexpr (G::kRank == 2)
-    return G(e[0], e[1], halo, ft);
+    return G(e[0], e[1], halo);
   else
-    return G(e[0], e[1], e[2], halo, ft);
+    return G(e[0], e[1], e[2], halo);
 }
 
 /// Interior x index map of a row held in original layout: x -> x. The
@@ -333,8 +332,8 @@ struct IdentityX {
 /// driver still delivers the current level to the caller's grid, in the
 /// original layout. per_step() is true when the ghost cells track every
 /// time level (a hook that refreshes them at every call, or one that
-/// writes them through with images()): drivers that fuse two steps
-/// (unroll&jam) then advance single steps, since a fused pair has no
+/// writes them through with images()). Only the untiled unroll&jam driver
+/// keys on it: it then advances single steps, since a fused pair has no
 /// boundary between its steps. The tessellation engine (tiling/tess.hpp)
 /// also calls images(out, box, xmap) after every box it advances, with
 /// @p out the buffer the box was written to, and tiles every axis whose

@@ -51,7 +51,6 @@ struct Capability {
   /// explicit so a future row can opt out and supports() stays honest.
   unsigned boundary_mask;
   XRule x_rule;         ///< layout divisibility constraint on nx
-  bool needs_even_bt;   ///< temporal block must be even (2-step unroll&jam)
   /// True when this combination's write-back path has a non-temporal
   /// (streaming-store) variant; ResolvedOptions::streaming can only resolve
   /// true for rows that set this, so the flag reports what executes.

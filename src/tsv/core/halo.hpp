@@ -34,7 +34,7 @@
 //  * Untiled and split-tiled plans refresh them: the block hook fills the
 //    ghosts of the buffer holding the current level between steps, in
 //    place; those plans resolve bt = 1, and the untiled 2-step unroll&jam
-//    schemes advance single steps.
+//    scheme advances single steps.
 //
 // Layout rows keep their x halo in original order, so the x fill reads the
 // interior through the layout's index map (the xmap argument below); the

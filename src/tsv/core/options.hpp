@@ -145,23 +145,11 @@ inline index cache_fit_elems(index cache_bytes, index elem_size,
 }
 
 /// Smallest legal block on a multi-tile tessellated axis: 2 * slope * tau,
-/// so shrinking triangles never invert. Ordinary methods advance single
-/// steps (slope = r, tau = bt); the 2-step scheme (@p two_step) advances
-/// pairs (slope = 2r, tau = bt/2) whenever it has at least one pair, and
-/// tiles an odd tail alone as one ordinary step. Shared by the resolver and
-/// the autotuner's candidate legalization.
-inline index tess_min_block(int radius, index bt, index steps,
-                            bool two_step) {
-  index slope = radius, tau = bt < 1 ? index{1} : bt;
-  if (two_step) {
-    if (steps >= 2) {
-      slope = 2 * radius;
-      tau = bt / 2 < 1 ? index{1} : bt / 2;
-    } else {
-      tau = 1;
-    }
-  }
-  return 2 * slope * tau;
+/// so shrinking triangles never invert. Every tessellated driver advances
+/// single steps (slope = r, tau = bt). Shared by the resolver and the
+/// autotuner's candidate legalization.
+inline index tess_min_block(int radius, index bt) {
+  return 2 * index{radius} * (bt < 1 ? index{1} : bt);
 }
 
 struct Options {

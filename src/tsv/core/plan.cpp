@@ -142,7 +142,7 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
   // sweeps and bt == 1 tiled runs (a time block degenerates to a full
   // sweep) are the no-reuse schedules. Combinations without a streaming
   // write-back variant (Capability::streams unset: scalar, autovec,
-  // multiload, reorg, the uj2 schemes) never resolve streaming=true — the
+  // multiload, reorg, the uj2 rows) never resolve streaming=true — the
   // flag must report what actually executes.
   const bool ws_big =
       working_set_bytes(rank, shape.nx, shape.ny, shape.nz,
@@ -162,26 +162,16 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
 
   // ---- resolved-blocking rule (tiled runs) --------------------------------
   // bt: the user's temporal block, else kDefaultBt — which the tessellate
-  // branch below deepens for grids tiled from the L2 budget. The 2-step
-  // unroll&jam scheme tessellates at pair granularity and needs an even bt.
-  // A periodic/Neumann boundary needs every level's ghosts. Split tiling
+  // branch below deepens for grids tiled from the L2 budget. A
+  // periodic/Neumann boundary needs every level's ghosts. Split tiling
   // refreshes them between steps, so its temporal block cannot span more
   // than one step: bt resolves to 1. A tessellated plan writes them through
-  // (core/halo.hpp) and keeps a deep bt; its even-bt row then advances
-  // single steps, so bt need not be even.
+  // (core/halo.hpp) and keeps a deep bt.
   const bool split_per_step = per_step && o.tiling == Tiling::kSplit;
   r.bt = split_per_step ? 1 : (o.bt > 0 ? o.bt : kDefaultBt);
-  if (cap->needs_even_bt && !per_step && r.bt % 2 != 0)
-    fail("2-step unroll&jam tiling needs an even temporal block bt (got " +
-         std::to_string(r.bt) + ")");
 
   if (o.tiling == Tiling::kTessellate) {
-    // The engines' tile slope and time range (tess_min_block): the 2-step
-    // scheme advances pairs unless a per-step boundary splits them.
-    const bool two_step = cap->needs_even_bt && !per_step;
-    auto floor_of = [&](index bt) {
-      return tess_min_block(radius, bt, r.steps, two_step);
-    };
+    auto floor_of = [&](index bt) { return tess_min_block(radius, bt); };
     const index extent[3] = {shape.nx, shape.ny, shape.nz};
     const char* const axis_name[3] = {"x", "y", "z"};
 
@@ -234,9 +224,8 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
     // the grid through fewer time blocks; its floor grows the tile past
     // the half-L2 fit side until the tile no longer fits.
     if (o.bt <= 0 && fit) {
-      const index step = two_step ? 2 : 1;
       const index l2_elems = cpu_info().l2_bytes / (2 * dtype_size(r.dtype));
-      for (index bt = r.steps / step * step; bt > kDefaultBt; bt -= step) {
+      for (index bt = r.steps; bt > kDefaultBt; --bt) {
         const std::array<index, 3> b = blocks_for(bt);
         const index tile =
             b[0] * std::max<index>(1, b[1]) * std::max<index>(1, b[2]);

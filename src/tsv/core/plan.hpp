@@ -43,6 +43,7 @@
 #include "tsv/kernels/reference.hpp"
 #include "tsv/tiling/tiled.hpp"
 #include "tsv/vectorize/generic.hpp"
+#include "tsv/vectorize/unroll_jam.hpp"
 
 namespace tsv {
 
@@ -107,8 +108,7 @@ struct ResolvedOptions {
   Tune tune = Tune::kOff;  ///< tuning mode the plan was built with
   /// Per-axis boundary conditions, normalized (axes beyond the rank are
   /// kDirichlet). When any axis is periodic/Neumann a tessellated plan
-  /// writes the ghost images through and keeps a deep bt (its 2-step
-  /// unroll&jam row advances single steps at that bt); the other plans
+  /// writes the ghost images through and keeps a deep bt; the other plans
   /// refresh the ghosts between steps and bt reports 1. See core/halo.hpp.
   BoundarySpec boundary;
 };
@@ -291,10 +291,6 @@ struct Exec {
                              Workspace& ws, BlockHook& h) {
     tess_transpose_run<V>(g, s, r.steps, blocks(r), r.bt, ws, r.streaming, h);
   }
-  static void tess_transpose_uj(G& g, const S& s, const ResolvedOptions& r,
-                                Workspace& ws, BlockHook& h) {
-    tess_transpose_uj2_run<V>(g, s, r.steps, blocks(r), r.bt, ws, h);
-  }
 
   // -- split tiling (uniform signature: the split axis is resolved) ---------
   static void split_dlt(G& g, const S& s, const ResolvedOptions& r,
@@ -327,17 +323,11 @@ struct Exec {
     ws_grid_like(ws, kWsDltA, g);
     ws_grid_like(ws, kWsDltB, g);
   }
-  // The 2-step schemes advance single steps under a per-step boundary
-  // (TypedPlan::execute hands them a per-step hook).
+  // The 2-step scheme advances single steps under a per-step boundary
+  // (TypedPlan::execute hands it a per-step hook).
   static void transpose_uj_slots(const G& g, const S&,
                                  const ResolvedOptions& r, Workspace& ws) {
     unroll_jam_prepare<S::radius>(g, r.steps,
-                                  needs_per_step_fill(r.boundary), ws);
-  }
-  static void tess_transpose_uj_slots(const G& g, const S& s,
-                                      const ResolvedOptions& r,
-                                      Workspace& ws) {
-    tess_transpose_uj2_prepare<V>(g, s, blocks(r),
                                   needs_per_step_fill(r.boundary), ws);
   }
 };
@@ -388,10 +378,11 @@ Kernel<G, S> exec_for(Method m, Tiling t) {
             if constexpr (G::kRank == 1)
               return {&E::tess_reorg, &E::parity_slot};
             return {};
+          // The tiled 2-step row runs transpose's tessellated steps: a
+          // register-level tiled unroll&jam does not exist yet.
           case Method::kTranspose:
-            return {&E::tess_transpose, &E::parity_slot};
           case Method::kTransposeUJ:
-            return {&E::tess_transpose_uj, &E::tess_transpose_uj_slots};
+            return {&E::tess_transpose, &E::parity_slot};
           case Method::kGeneric: return {&E::tess_generic, &E::parity_slot};
           default: return {};
         }
@@ -634,11 +625,9 @@ Options tuned_options(const Shape& shape, const S& stencil, const Options& o) {
   if (o.tune == Tune::kCached)
     if (auto hit = tune_cache_lookup(key)) return apply(*hit);
 
-  const Capability* cap = find_capability(o.method, o.tiling);
-  const bool even_bt = cap != nullptr && cap->needs_even_bt;
   const auto candidates =
       tune_candidates(shape.rank, shape.nx, shape.ny, shape.nz, S::radius,
-                      o.tiling, even_bt, o.steps, o);
+                      o.tiling, o.steps, o);
   const index points = shape.nx * (shape.rank >= 2 ? shape.ny : 1) *
                        (shape.rank >= 3 ? shape.nz : 1);
 

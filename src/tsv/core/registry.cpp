@@ -16,52 +16,52 @@ const std::vector<Capability>& table() {
   static const std::vector<Capability> rows = {
       // -- untiled sweeps (paper §4.2; single-threaded by design) ----------
       {Method::kScalar, Tiling::kNone, kAllRanks, kAllDtypes, kAllBoundaries, XRule::kNone,
-       false, false,
+       false,
        "plain scalar reference"},
       {Method::kAutoVec, Tiling::kNone, kAllRanks, kAllDtypes, kAllBoundaries, XRule::kNone,
-       false, false,
+       false,
        "compiler auto-vectorization"},
       {Method::kMultiLoad, Tiling::kNone, kAllRanks, kAllDtypes, kAllBoundaries, XRule::kNone,
-       false, false,
+       false,
        "unaligned load per shifted vector (paper §2.1)"},
       {Method::kReorg, Tiling::kNone, kAllRanks, kAllDtypes, kAllBoundaries, XRule::kNone,
-       false, false,
+       false,
        "aligned loads + register shuffles (paper §2.1)"},
       {Method::kDlt, Tiling::kNone, kAllRanks, kAllDtypes, kAllBoundaries, XRule::kWidth,
-       false, true,
+       true,
        "dimension-lifting transpose (Henretty; paper §2.2)"},
       {Method::kTranspose, Tiling::kNone, kAllRanks, kAllDtypes, kAllBoundaries,
-       XRule::kWidth2, false, true,
+       XRule::kWidth2, true,
        "register-block transpose layout (paper §3.2, \"Our\")"},
       {Method::kTransposeUJ, Tiling::kNone, kAllRanks, kAllDtypes, kAllBoundaries,
-       XRule::kWidth2, false, false,
+       XRule::kWidth2, false,
        "transpose layout + 2-step unroll&jam (paper §3.3, \"Our (2 steps)\")"},
       // -- tessellate tiling (paper §3.4; Yuan SC'17), multicore -----------
       {Method::kAutoVec, Tiling::kTessellate, kAllRanks, kAllDtypes, kAllBoundaries,
-       XRule::kNone, false, false,
+       XRule::kNone, false,
        "tessellation baseline: tiled compiler-vectorized sweeps"},
       {Method::kMultiLoad, Tiling::kTessellate, kRank1, kAllDtypes, kAllBoundaries,
-       XRule::kNone, false, false,
+       XRule::kNone, false,
        "ablation: tessellate tiling over multiload sweeps (1D)"},
       {Method::kReorg, Tiling::kTessellate, kRank1, kAllDtypes, kAllBoundaries, XRule::kNone,
-       false, false,
+       false,
        "ablation: tessellate tiling over reorg sweeps (1D)"},
       {Method::kTranspose, Tiling::kTessellate, kAllRanks, kAllDtypes, kAllBoundaries,
-       XRule::kWidth2, false, true,
+       XRule::kWidth2, true,
        "the paper's scheme: tessellate tiling + transpose layout"},
       {Method::kTransposeUJ, Tiling::kTessellate, kAllRanks, kAllDtypes, kAllBoundaries,
-       XRule::kWidth2, true, false,
-       "pair-granular tessellation of the 2-step unroll&jam scheme"},
+       XRule::kWidth2, false,
+       "runs transpose x tessellate (no tiled unroll&jam yet; METHODS.md)"},
       // -- generic interpreter (runtime tap lists; core/generic_stencil.hpp)
       {Method::kGeneric, Tiling::kNone, kAllRanks, kAllDtypes, kAllBoundaries,
-       XRule::kNone, false, false,
+       XRule::kNone, false,
        "register-blocked interpreter over runtime tap lists"},
       {Method::kGeneric, Tiling::kTessellate, kAllRanks, kAllDtypes,
-       kAllBoundaries, XRule::kNone, false, false,
+       kAllBoundaries, XRule::kNone, false,
        "tessellate tiling over the generic interpreter"},
       // -- split tiling over the DLT layout (SDSL baseline) ----------------
       {Method::kDlt, Tiling::kSplit, kAllRanks, kAllDtypes, kAllBoundaries, XRule::kWidth,
-       false, true,
+       true,
        "SDSL baseline: DLT layout + split/hybrid tiling"},
   };
   return rows;

@@ -450,8 +450,7 @@ index tune_trial_steps(index points, index bt, index steps) {
 
 std::vector<TunedBlocks> tune_candidates(int rank, index nx, index ny,
                                          index nz, int radius, Tiling tiling,
-                                         bool needs_even_bt, index steps,
-                                         const Options& user) {
+                                         index steps, const Options& user) {
   std::vector<TunedBlocks> out;
   // Candidate 0: the fixed-heuristic default (exactly what the user set;
   // unset fields resolve to plan.cpp's defaults). Tuning can only improve
@@ -464,19 +463,18 @@ std::vector<TunedBlocks> tune_candidates(int rank, index nx, index ny,
   const index l1e = cache_fit_elems(cpu.l1_bytes, elem_size, 0.5);
   const index l2e = cache_fit_elems(cpu.l2_bytes, elem_size, 0.5);
 
-  // Temporal block candidates. The 2-step scheme needs even bt; a bt beyond
-  // 2x the run length cannot help (tau clamps to the remaining units).
+  // Temporal block candidates: a bt beyond 2x the run length cannot help
+  // (tau clamps to the remaining units).
   std::vector<index> bts;
   if (user.bt > 0) {
     bts.push_back(user.bt);
   } else {
     for (index bt : {index{2}, index{4}, index{8}, index{32}, index{128}}) {
-      if (needs_even_bt && bt % 2 != 0) continue;
       if (steps > 0 && bt > 2 * steps) continue;
       push_unique(bts, bt);
     }
     if (tiling == Tiling::kSplit) push_unique(bts, 1);
-    if (bts.empty()) bts.push_back(needs_even_bt ? 2 : 1);
+    if (bts.empty()) bts.push_back(1);
   }
 
   if (tiling == Tiling::kSplit) {
@@ -527,11 +525,8 @@ std::vector<TunedBlocks> tune_candidates(int rank, index nx, index ny,
   if (rank >= 2 && user.by <= 0) bys.push_back(ny);
   if (rank >= 3 && user.bz <= 0) bzs.push_back(nz);
 
-  // The 2-step scheme advances pairs unless a per-step boundary splits them
-  // (as in resolve_options).
-  const bool two_step = needs_even_bt && !needs_per_step_fill(user.boundary);
   for (index bt : bts) {
-    const index mb = tess_min_block(radius, bt, steps, two_step);
+    const index mb = tess_min_block(radius, bt);
     for (index bx : bxs)
       for (index by : bys)
         for (index bz : bzs) {

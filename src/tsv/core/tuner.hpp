@@ -62,9 +62,9 @@ struct TuneKey {
   /// pin set must not be served to a plan with different pins.
   index pin_bx = 0, pin_by = 0, pin_bz = 0, pin_bt = 0;
   /// Resolved per-axis boundary conditions. Part of the key because a
-  /// periodic/Neumann axis changes what runs (the 2-step scheme advances
-  /// single steps, ring tiling on periodic axes, split tiling at bt = 1) —
-  /// blocks tuned under one boundary regime must not be served to another.
+  /// periodic/Neumann axis changes what runs (ring tiling on periodic
+  /// axes, split tiling at bt = 1) — blocks tuned under one boundary regime
+  /// must not be served to another.
   BoundarySpec boundary;
 
   friend bool operator==(const TuneKey&, const TuneKey&) = default;
@@ -162,20 +162,16 @@ std::size_t tune_cache_import_json(const std::string& path);
 // ---- candidate generation (pure; used by the plan layer) -------------------
 
 /// Topology-seeded candidate blockings for a tiled plan (block sizes are
-/// seeded from the detected L1/L2 capacities and the shape). @p
-/// needs_even_bt mirrors the registry's constraint for the 2-step
-/// unroll&jam scheme; under a per-step boundary (user.boundary) that
-/// scheme advances single steps, so its blocks are legalized at the
-/// single-step slope. Fields the user pinned (non-zero in @p user) are kept
-/// at the pinned value in every candidate. Every candidate satisfies the
+/// seeded from the detected L1/L2 capacities and the shape). Fields the
+/// user pinned (non-zero in @p user) are kept at the pinned value in every
+/// candidate. Every candidate satisfies the
 /// tessellate legality bound (multi-tile axes >= 2 * slope * tau) for the
 /// shape it was generated for. The first candidate is always the
 /// fixed-heuristic default (the user's own fields), so tuning can never
 /// pick something worse than "don't tune" by more than trial noise.
 std::vector<TunedBlocks> tune_candidates(int rank, index nx, index ny,
                                          index nz, int radius, Tiling tiling,
-                                         bool needs_even_bt, index steps,
-                                         const Options& user);
+                                         index steps, const Options& user);
 
 /// Trial step count for one candidate: enough steps to exercise the
 /// temporal blocking (>= one full time block) but budget-capped so trials

@@ -1,8 +1,8 @@
 #pragma once
 // Plan-owned execution workspace: reusable, 64-byte-aligned scratch storage
 // for everything a kernel driver would otherwise allocate per execute —
-// Jacobi/tessellation parity buffers, DLT staging grids, per-thread
-// unroll&jam scratch pools.
+// Jacobi/tessellation parity buffers, DLT staging grids, the untiled
+// unroll&jam ring.
 //
 // Why it exists: the hot path of a service that executes the same plan many
 // times must not touch the allocator (or fault in fresh pages) after the
@@ -38,12 +38,11 @@
 
 namespace tsv {
 
-/// Well-known workspace slot ids. A slot holds one logical buffer (or pool);
+/// Well-known workspace slot ids. A slot holds one logical buffer (or ring);
 /// ids only need to be unique within one driver invocation, but keeping them
 /// globally distinct makes workspace dumps readable.
 enum WsSlot : int {
   kWsTmpGrid = 0,      ///< Jacobi / tessellation parity buffer
-  kWsScratchPool = 1,  ///< per-thread transient-level scratch (uj2 tiling)
   kWsDltA = 2,         ///< DLT staging grid A
   kWsDltB = 3,         ///< DLT staging grid B
   kWsRing = 4,         ///< untiled uj2 intermediate-level ring

@@ -9,9 +9,8 @@
 //
 // One engine serves every rank. It is generic over the *advance* callback,
 // which moves a Box of cells forward one time unit between the two Jacobi
-// parity buffers. A unit is one time step for ordinary methods (slope = r)
-// or one two-step pair for the unroll-and-jam scheme (slope = 2r) — the
-// engine is agnostic.
+// parity buffers. Every driver advances one time step per unit
+// (slope = r), but the engine is agnostic to what a unit is.
 //
 // Boundary tiles do not shrink at physical domain edges (Dirichlet halo
 // values are valid at every time level, and a Neumann mirror reads cells

@@ -8,11 +8,6 @@
 //  * tess_transpose_run    — the paper's scheme ("Our"): tessellate tiling +
 //                            transpose-layout vector sets; partial sets at
 //                            moving tile edges via the layout index map.
-//  * tess_transpose_uj2_run— "Our (2 steps)": tessellation at two-step *pair*
-//                            granularity (triangle slope 2r per pair, paper
-//                            Fig. 5); the intermediate odd time level lives
-//                            only in a per-thread L1/L2 scratch, so main
-//                            memory sees one read + one write per two steps.
 //  * sdsl_run              — SDSL baseline (Henretty ICS'13): DLT layout +
 //                            split tiling (1D: triangles over DLT columns
 //                            with a wrapped seam at the lane boundary;
@@ -32,14 +27,12 @@
 // boundary.
 //
 // Memory behaviour: every buffer a driver needs beyond the user's grid —
-// the tessellation parity buffer, DLT staging grids, per-thread uj2 scratch
-// pools — comes from the plan-owned Workspace (core/workspace.hpp), so the
-// second and subsequent executes of a plan are allocation-free; the plan's
-// prepare step creates them all before a driver writes the grid
-// (tess_transpose_uj2_prepare covers the uj2 pool). Parity /
-// staging buffers only need their *halo* refreshed per execute (every time
-// unit rewrites the whole interior before reading it); per-thread pools are
-// first-touched by their owning threads.
+// the tessellation parity buffer, DLT staging grids — comes from the
+// plan-owned Workspace (core/workspace.hpp), so the second and subsequent
+// executes of a plan are allocation-free; the plan's prepare step creates
+// them all before a driver writes the grid. Parity / staging buffers only
+// need their *halo* refreshed per execute (every time unit rewrites the
+// whole interior before reading it).
 // Whole-grid passes — the layout transforms in and out and those halo
 // refreshes — split their rows over the same team as the tile loops
 // (omp_get_max_threads(), which a tiled plan's prepare pins); the untiled
@@ -51,8 +44,6 @@
 
 #include <omp.h>
 
-#include <vector>
-
 #include "tsv/core/workspace.hpp"
 #include "tsv/tiling/tess.hpp"
 #include "tsv/vectorize/autovec.hpp"
@@ -60,7 +51,7 @@
 #include "tsv/vectorize/generic.hpp"
 #include "tsv/vectorize/multiload.hpp"
 #include "tsv/vectorize/reorg.hpp"
-#include "tsv/vectorize/unroll_jam.hpp"
+#include "tsv/vectorize/transpose_vs.hpp"
 
 namespace tsv {
 
@@ -78,56 +69,6 @@ void tess_jacobi(G& g, index steps, const Blocks& b, index bt, index slope,
   G& tmp = ws_grid_like(ws, kWsTmpGrid, g);
   tmp.copy_halo_from(g, omp_get_max_threads());
   tess_engine(g, tmp, extents(g), b, steps, bt, slope, adv, hook, xmap);
-}
-
-/// Per-thread scratch pool in @p ws, one make() per thread, each
-/// first-touched by its owning thread (static schedule = thread i zeroes
-/// pool[i] when the team matches, which is how the tile loops index it).
-template <typename Scratch, typename Make>
-std::vector<Scratch>& thread_pool(Workspace& ws, std::uint64_t key,
-                                  int nthreads, Make&& make) {
-  using Pool = std::vector<Scratch>;
-  return ws.slot<Pool>(kWsScratchPool, key, [&] {
-    Pool p;
-    p.reserve(static_cast<std::size_t>(nthreads));
-    for (int i = 0; i < nthreads; ++i) p.push_back(make());
-#pragma omp parallel for schedule(static)
-    for (int i = 0; i < nthreads; ++i) p[i].zero();
-    return p;
-  });
-}
-
-/// The per-thread level +1 scratch pool of tess_transpose_uj2_run.
-/// 1D: a row segment just wider than one tile; the level +1 range lands at
-/// a block-aligned virtual row origin, and the lead halo must cover the
-/// deepest left-tail vector load of the second sweep — R*W elements before
-/// the first touched block when that origin sits below x = 0 of the
-/// scratch. 2D/3D: a grid of full rows that holds one tile grown by R on
-/// every tiled axis above x. A tile never spans more than its block on an
-/// axis: triangles, boundary trapezoids and ragged last tiles are at most
-/// the block, and inverted seams at most 2·slope·(tau−1) < block. (Only a
-/// ring's folded tile is wider, and rings need a per-step hook, under
-/// which the run takes no pool.)
-template <int W, int R, typename G>
-auto& uj2_pool(Workspace& ws, const G& g, const Blocks& b, int nthreads) {
-  using T = typename G::value_type;
-  if constexpr (G::kRank == 1) {
-    constexpr index B = block_elems<W>;
-    const index scr_len = (b[0] > 0 ? b[0] : g.nx()) + 2 * B + 2 * R + 16;
-    const index scr_halo = std::max<index>(static_cast<index>(R) * W, 8);
-    return thread_pool<ScratchRow<T>>(
-        ws, ws_key(scr_len, scr_halo, nthreads), nthreads, [&] {
-          return ScratchRow<T>(scr_len, scr_halo, FirstTouch::kNone);
-        });
-  } else {
-    std::array<index, 3> se = extents(g);
-    for (int k = 1; k < G::kRank; ++k)
-      se[k] = (b[k] > 0 ? std::min(se[k], b[k]) : se[k]) + 2 * R + 4;
-    return thread_pool<G>(
-        ws, ws_key(se[0], se[1], se[2], R, nthreads), nthreads, [&] {
-          return make_grid<G>(se, std::max<index>(R, 1), FirstTouch::kNone);
-        });
-  }
 }
 
 }  // namespace detail
@@ -199,121 +140,6 @@ TSV_NOINLINE void tess_transpose_run(G& g, const S& s, index steps,
       },
       hook, BlockTransposedX<W>{});
   block_transpose_grid<T, W>(g, team);
-}
-
-/// "Our (2 steps)" with tiling: pair-granular tessellation. @p bt is the time
-/// range in *steps* (must be even when tiling is active). A pair advances a
-/// box in two sweeps: level +1 over the box grown by R (clipped to the
-/// domain) into a per-thread scratch, then level +2 from the scratch into
-/// the opposite parity buffer. @p hook runs between time blocks (see
-/// NoBlockHook). A per-step hook needs every level's ghosts, which a pair
-/// does not have: the run then advances single tiled steps (the odd tail's
-/// sweep, slope R) in time blocks of @p bt steps, and takes no scratch
-/// pool.
-template <typename V, typename G, typename S, typename Hook = NoBlockHook>
-TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
-                                         const Blocks& b, index bt,
-                                         Workspace& ws, Hook&& hook = {}) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  constexpr int R = S::radius;
-  using Rows = decltype(tap_rows(s));
-  detail::require_transpose_conforming(g, W);
-  const bool single = hook.per_step();
-  if (!single)
-    require_fmt(bt % 2 == 0, "uj2 tiling: time range bt=", bt,
-                " must be even");
-  const Rows rows = tap_rows(s);
-  const index nx = g.nx();
-  const int nthreads = omp_get_max_threads();
-  auto sweep = [&](const auto& rp, T* op, index xlo, index xhi) {
-    transpose_sweep_row_region<V, R, Rows::kCap>(rp, op, rows.w, nx, xlo,
-                                                 xhi);
-  };
-  auto run = [&](auto&& pair_adv) {
-    G& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-    tmp.copy_halo_from(g, nthreads);
-    const index pairs = single ? 0 : steps / 2;
-    const BlockTransposedX<W> xmap;
-    if (pairs > 0 && !tess_engine(g, tmp, extents(g), b, pairs,
-                                  std::max<index>(1, bt / 2), 2 * R,
-                                  pair_adv, hook, xmap))
-      return;
-    // The odd tail, or every step under a per-step hook: ordinary tiled
-    // steps.
-    if (steps > 2 * pairs)
-      tess_engine(
-          g, tmp, extents(g), b, steps - 2 * pairs, single ? bt : 1, R,
-          [&](const G& in, G& out, const Box& r) {
-            transpose_step<V>(in, out, s, r);
-          },
-          hook, xmap);
-  };
-
-  auto* pool = single ? nullptr : &detail::uj2_pool<W, R>(ws, g, b, nthreads);
-  block_transpose_grid<T, W>(g, nthreads);
-  if constexpr (G::kRank == 1) {
-    constexpr index B = block_elems<W>;
-    run([&](const G& in, G& out, const Box& r) {
-      detail::ScratchRow<T>& scr = (*pool)[omp_get_thread_num()];
-      const index c_lo = std::max<index>(0, r.xlo - R);
-      const index c_hi = std::min(nx, r.xhi + R);
-      const index b0 = c_lo / B * B;
-      T* view = scr.x0() - b0;  // virtual row origin, block-aligned
-      if (c_lo == 0)
-        for (index l = 1; l <= R; ++l) view[-l] = in.x0()[-l];
-      if (c_hi == nx)
-        for (index l = 0; l < R; ++l) view[nx + l] = in.x0()[nx + l];
-      // Level +1 (odd, transient) over the extended range into scratch.
-      sweep(std::array<const T*, 1>{in.x0()}, view, c_lo, c_hi);
-      // Level +2 over the store range into the opposite parity buffer.
-      sweep(std::array<const T*, 1>{view}, out.x0(), r.xlo, r.xhi);
-    });
-  } else {
-    // Scratch row (y, z) stores grid row (y + c.ylo, z + c.zlo).
-    const Box dom = full_box(g);
-    run([&](const G& in, G& out, const Box& r) {
-      G& scr = (*pool)[omp_get_thread_num()];
-      const Box c{std::max(dom.xlo, r.xlo - R), std::min(dom.xhi, r.xhi + R),
-                  std::max(dom.ylo, r.ylo - R), std::min(dom.yhi, r.yhi + R),
-                  std::max(dom.zlo, r.zlo - R), std::min(dom.zhi, r.zhi + R)};
-      auto scr_row = [&](index y, index z) {
-        return row_at(scr, y - c.ylo, z - c.zlo);
-      };
-      // Level +1 into the scratch rows, whose x halo carries the grid's.
-      walk_rows(c, rows, rows_of(in), scr_row,
-                [&](const auto& rp, T* d, index y, index z) {
-                  const T* src = row_at(in, y, z);
-                  for (index l = 1; l <= R; ++l) d[-l] = src[-l];
-                  for (index l = 0; l < R; ++l) d[nx + l] = src[nx + l];
-                  sweep(rp, d, c.xlo, c.xhi);
-                });
-      // Level +2 into the opposite parity buffer; rows outside the grown box
-      // are grid halo rows.
-      auto l1_row = [&](index y, index z) -> const T* {
-        const bool inside =
-            y >= c.ylo && y < c.yhi && z >= c.zlo && z < c.zhi;
-        return inside ? scr_row(y, z) : row_at(in, y, z);
-      };
-      walk_rows(r, rows, l1_row, rows_of(out),
-                [&](const auto& rp, T* op, index, index) {
-                  sweep(rp, op, r.xlo, r.xhi);
-                });
-    });
-  }
-  block_transpose_grid<T, W>(g, nthreads);
-}
-
-/// Creates every workspace slot tess_transpose_uj2_run(g, s, steps, b, bt,
-/// ws, hook) fetches under the calling thread's OpenMP team: the parity
-/// buffer and, unless the run advances @p single_steps (a per-step hook),
-/// the per-thread scratch pool.
-template <typename V, typename G, typename S>
-void tess_transpose_uj2_prepare(const G& g, const S&, const Blocks& b,
-                                bool single_steps, Workspace& ws) {
-  ws_grid_like(ws, kWsTmpGrid, g);
-  if (!single_steps)
-    detail::uj2_pool<V::width, S::radius>(ws, g, b, omp_get_max_threads());
 }
 
 /// Split-tiling engine over DLT columns: like tess_engine on one axis (the

@@ -162,14 +162,10 @@ template <typename T>
 class ScratchRow {
  public:
   ScratchRow() = default;
-  ScratchRow(index nx, index halo, FirstTouch ft = FirstTouch::kSerial)
+  ScratchRow(index nx, index halo)
       : lead_(round_up(std::max<index>(halo, 1),
                        static_cast<index>(kAlignment / sizeof(T)))),
-        buf_(lead_ + nx + lead_, ft) {}
-
-  /// Zeroes the whole row (first touch for FirstTouch::kNone buffers —
-  /// per-thread pools call this from the owning thread).
-  void zero() { buf_.zero(); }
+        buf_(lead_ + nx + lead_) {}
 
   T* x0() { return buf_.data() + lead_; }
   const T* x0() const { return buf_.data() + lead_; }

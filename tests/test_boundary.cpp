@@ -388,8 +388,8 @@ TEST(Boundary, PerStepBoundaryKeepsTheTessellatedTimeBlock) {
   EXPECT_EQ(r.bt, 8);
   EXPECT_EQ(r.boundary.x, Boundary::kPeriodic);  // y/z normalized (rank 1)
 
-  // The even-bt unroll&jam row keeps it too (it advances single steps),
-  // and an odd bt is no error there.
+  // The tiled unroll&jam row keeps it too (it runs transpose's steps),
+  // odd bt included.
   o.method = Method::kTransposeUJ;
   EXPECT_EQ(resolve_options(shape1d(kNx), 1, o).bt, 8);
   o.bt = 5;

@@ -338,10 +338,11 @@ TEST(GangPool, FutureExceptionPropagatesConfigError) {
                       opts(Method::kDlt, Tiling::kNone, 2));
   EXPECT_THROW(f1.get(), ConfigError);
 
-  // Odd temporal block for the 2-step unroll&jam tiling.
+  // A multi-tile x block below the tessellation floor 2*r*bt = 6.
   Grid1D<double> bad2(512, 1);
   fill_noise(bad2, 2);
   Options o = opts(Method::kTransposeUJ, Tiling::kTessellate, 4);
+  o.bx = 4;
   o.bt = 3;
   auto f2 = ex.submit(bad2, kSpec1d3p, o);
   EXPECT_THROW(f2.get(), ConfigError);

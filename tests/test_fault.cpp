@@ -454,7 +454,7 @@ TEST(HeldLayout, CancelLeavesAWholeBlockPrefix) {
                                 {Method::kGeneric, Tiling::kTessellate}};
   for (const auto& [method, tiling] : cases)
     for (int rank = 1; rank <= 3; ++rank) {
-      Options o = opts(method, tiling, 13);  // odd: uj2 ends on a single step
+      Options o = opts(method, tiling, 13);  // a partial last time block
       o.bt = 4;
       o.bx = 128;
       o.by = 8;
@@ -614,7 +614,7 @@ TEST_F(FaultTest, SchedulerRetriesKernelSweepFaultOnThePlannedKernel) {
 // caller's grid bit-identical to its input, and a retry needs no snapshot.
 // The configurations below would each write the grid before creating a
 // slot without that ordering: the transpose layout pass, the uj ring and
-// remainder parity buffer, the uj2 scratch pool, a periodic ghost fill.
+// remainder parity buffer, a periodic ghost fill.
 // ---------------------------------------------------------------------------
 
 /// Every cell of @p a and @p b, ghosts included, has the same bits.

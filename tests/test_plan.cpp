@@ -213,24 +213,30 @@ TEST(Plan, LayoutViolationsFailAtPlanTime) {
   EXPECT_NO_THROW(make_plan(shape1d(101), make_1d3p(), o));
 }
 
-TEST(Plan, EvenBtCheckedAtPlanTime) {
+// The tiled 2-step row advances single tessellated steps, so an odd bt
+// plans like any other and its output matches the scalar oracle.
+TEST(Plan, OddBtPlansForTheTiledUj2Row) {
   Options o;
   o.method = Method::kTransposeUJ;
   o.tiling = Tiling::kTessellate;
   o.steps = 8;
   o.bx = 128;
-  o.bt = 3;  // must be even
-  EXPECT_THROW(make_plan(shape1d(256), make_1d3p(), o), ConfigError);
-  o.bt = 4;
-  EXPECT_NO_THROW(make_plan(shape1d(256), make_1d3p(), o));
+  o.bt = 3;
+  const auto plan = make_plan(shape1d(256), make_1d3p(), o);
+  EXPECT_EQ(plan.config().bt, 3);
+  Grid1D<double> g(256, 1), ref(256, 1);
+  g.fill(f1);
+  ref.fill(f1);
+  plan.execute(g);
+  reference_run(ref, make_1d3p(), o.steps);
+  EXPECT_LE(max_abs_diff(ref, g), kTol);
 }
 
-// Under a per-step boundary the 2-step scheme advances single steps at the
-// plan's temporal block, so the resolved config tiles at the single-step
-// slope R (a multi-tile block needs 2R*bt), an odd user bt is no error, and
-// a requested bt too deep for the blocks lowers to the deepest legal one:
-// an explicit small block still plans. A frozen boundary keeps the pair
-// rules.
+// The tiled 2-step row tiles at the single-step slope R (a multi-tile block
+// needs 2R*bt). Under a per-step boundary a requested bt too deep for the
+// blocks lowers to the deepest legal one, so an explicit small block still
+// plans; a frozen boundary keeps the requested bt and rejects a block below
+// its floor.
 TEST(Plan, PerStepBoundaryResolvesTheBlockThatRuns) {
   Options o;
   o.method = Method::kTransposeUJ;
@@ -266,9 +272,20 @@ TEST(Plan, PerStepBoundaryResolvesTheBlockThatRuns) {
                 BoundarySpec::uniform(Boundary::kPeriodic));
   EXPECT_LE(max_abs_diff(ref, g), kTol);
 
-  o.by = 2;
+  // Under a frozen boundary the odd bt plans too, and matches the oracle.
   o.boundary = BoundarySpec::uniform(Boundary::kZero);
-  EXPECT_THROW(make_plan(sh, make_2d5p(), o), ConfigError);  // odd bt
+  const auto frozen = make_plan(sh, make_2d5p(), o);
+  EXPECT_EQ(frozen.config().bt, 3);
+  Grid2D<double> gz(256, 16, 1), refz(256, 16, 1);
+  gz.fill(f2);
+  refz.fill(f2);
+  frozen.execute(gz);
+  reference_run(refz, make_2d5p(), o.steps,
+                BoundarySpec::uniform(Boundary::kZero));
+  EXPECT_LE(max_abs_diff(refz, gz), kTol);
+
+  o.by = 2;
+  EXPECT_THROW(make_plan(sh, make_2d5p(), o), ConfigError);  // by < 6R
   o.bt = 2;
   EXPECT_THROW(make_plan(sh, make_2d5p(), o), ConfigError);  // by < 4R
   o.by = 4;
@@ -318,10 +335,10 @@ TEST(Plan, CacheFitDefaultTilesLargeGrids) {
   o.threads = 3;
   const Shape sh = shape3d(320, 288, 288);
   const ResolvedOptions r = resolve_options(sh, 1, o);
-  // The default bt is the deepest even one in (4, steps] whose square
-  // tile — the half-L2 fit side, floored at 2*slope*tau = 2*2*(bt/2) for
-  // uj2's step pairs — keeps its two f64 parity regions in the whole L2;
-  // else 4. A 2 MiB L2 gives bt 8 and a 16 x 16 y/z block.
+  // The default bt is the deepest one in (4, steps] whose square tile —
+  // the half-L2 fit side, floored at 2*slope*tau = 2*bt — keeps its two
+  // f64 parity regions in the whole L2; else 4. A 2 MiB L2 gives bt 8 and
+  // a 16 x 16 y/z block.
   const index l2 = cpu_info().l2_bytes;
   const index budget = l2_budget_elems(Dtype::kF64);
   const index fit_side = static_cast<index>(
@@ -330,7 +347,7 @@ TEST(Plan, CacheFitDefaultTilesLargeGrids) {
     return std::min(sh.ny, std::max(fit_side, 2 * bt));
   };
   index want_bt = 4;
-  for (index bt = 8; bt > 4; bt -= 2)
+  for (index bt = 8; bt > 4; --bt)
     if (sh.nx * side_at(bt) * side_at(bt) * 2 * 8 <= l2) {
       want_bt = bt;
       break;
@@ -351,7 +368,7 @@ TEST(Plan, CacheFitDefaultTilesLargeGrids) {
   EXPECT_EQ(r2.bx, 1024);
   EXPECT_LT(r2.by, sh2.ny);
   EXPECT_EQ(r2.by, std::max<index>(budget / 1024, 2 * r2.bt));
-  // Single steps: the floor is 2*r*bt, so any bt up to steps fits while
+  // The floor is 2*r*bt, so any bt up to steps fits while
   // 1024 * max(budget/1024, 2*bt) rows' two buffers stay in L2.
   index want_bt2 = 4;
   for (index bt = 8; bt > 4; --bt)

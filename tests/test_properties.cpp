@@ -312,7 +312,6 @@ TEST_P(TilingInvariance, ResultIndependentOfBlocking) {
   reference_run(ref, s, 12);
 
   for (Method m : {Method::kTranspose, Method::kTransposeUJ}) {
-    if (m == Method::kTransposeUJ && bt % 2 != 0) continue;
     Grid1D<double> g(nx, 1);
     g.fill(noise1);
     Options o;
@@ -653,7 +652,7 @@ TEST(DefaultBlocks, ShortZGivesYTheFreedBudget) {
 // ---------------------------------------------------------------------------
 // Default temporal block. An unset bt on a 2D/3D tessellated plan whose
 // y/z blocks come from the L2 budget resolves to the deepest block — at
-// most steps, at least 4, even for the 2-step scheme — whose legal tile
+// most steps, at least 4 — whose legal tile
 // keeps its two parity regions in the whole per-thread L2. Asserted on
 // resolved fields only, never on timing.
 // ---------------------------------------------------------------------------
@@ -667,9 +666,7 @@ index tile_bytes(const ResolvedOptions& r, int rank) {
 /// True when every block of @p r is positive and every multi-tile axis
 /// meets the 2*slope*tau floor (shrinking triangles must not invert).
 bool tile_legal(const Shape& sh, int radius, const ResolvedOptions& r) {
-  const bool two_step =
-      r.method == Method::kTransposeUJ && !needs_per_step_fill(r.boundary);
-  const index floor = tess_min_block(radius, r.bt, r.steps, two_step);
+  const index floor = tess_min_block(radius, r.bt);
   const index n[3] = {sh.nx, sh.ny, sh.nz}, b[3] = {r.bx, r.by, r.bz};
   for (int a = 0; a < sh.rank; ++a)
     if (b[a] <= 0 || (b[a] < n[a] && b[a] < floor)) return false;
@@ -697,23 +694,19 @@ TEST(DefaultBlocks, DefaultTimeBlockIsDeepestThatFits) {
     o.tiling = Tiling::kTessellate;
     o.steps = c.steps;
     o.threads = 1;
-    const bool two_step = c.method == Method::kTransposeUJ;
     const ResolvedOptions r = resolve_options(c.sh, 1, o);
     EXPECT_TRUE(tile_legal(c.sh, 1, r)) << c.what;
     EXPECT_LE(tile_bytes(r, c.sh.rank), l2) << c.what;
     EXPECT_GE(r.bt, 4) << c.what;
     EXPECT_LE(r.bt, c.steps) << c.what;
-    if (two_step) EXPECT_EQ(r.bt % 2, 0) << c.what;
     // The next deeper block is past steps or its tile does not fit.
     Options deeper = o;
-    deeper.bt = r.bt + (two_step ? 2 : 1);
+    deeper.bt = r.bt + 1;
     if (deeper.bt <= c.steps)
       EXPECT_GT(tile_bytes(resolve_options(c.sh, 1, deeper), c.sh.rank), l2)
           << c.what << ": bt " << deeper.bt << " also fits";
-    // An explicit bt is kept. A periodic plan writes its ghosts through
-    // and advances single steps: its block is as deep as this one or
-    // deeper (an odd bt may fit where the 2-step scheme needs an even one),
-    // legal, and its tile fits.
+    // An explicit bt is kept. A periodic plan writes its ghosts through:
+    // its block is as deep as this one or deeper, legal, and its tile fits.
     Options pinned = o;
     pinned.bt = 6;
     EXPECT_EQ(resolve_options(c.sh, 1, pinned).bt, 6) << c.what;
@@ -1094,7 +1087,7 @@ TEST(RandomizedDifferential, SampledTuplesMatchOracle) {
                   rank >= 2 ? fuzz::draw_boundary(rng) : Boundary::kDirichlet,
                   rank >= 3 ? fuzz::draw_boundary(rng) : Boundary::kDirichlet};
     if (o.tiling != Tiling::kNone && rng() % 3 == 0)
-      o.bt = cap.needs_even_bt ? fuzz::pick(rng, {2, 4}) : fuzz::pick(rng, {1, 2, 4});
+      o.bt = fuzz::pick(rng, {1, 2, 4});
 
     Shape shape;
     shape.rank = rank;

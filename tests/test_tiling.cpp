@@ -102,18 +102,45 @@ TEST(Tess1D, TransposeAvx2) { transpose_tiled_1d_sweep<Vec<double, 4>>(); }
 TEST(Tess1D, TransposeAvx512) { transpose_tiled_1d_sweep<Vec<double, 8>>(); }
 #endif
 
+/// The ISA whose f64 kernels are V wide (the scalar ISA runs the 128-bit
+/// generic kernels).
+template <typename V>
+constexpr Isa isa_of() {
+  return V::width == 2   ? Isa::kScalar
+         : V::width == 4 ? Isa::kAvx2
+                         : Isa::kAvx512;
+}
+
+/// Runs @p steps of a transpose-uj2 x tessellate plan at V's width, pinned
+/// to blocks @p b and temporal block @p bt, on @p g. The tiled 2-step row has
+/// no driver of its own: the plan runs transpose's tessellated steps.
+template <typename V, typename G, typename S>
+void run_uj2_plan(G& g, const S& s, index steps, const Blocks& b, index bt,
+                  Workspace& ws) {
+  Options o;
+  o.method = Method::kTransposeUJ;
+  o.tiling = Tiling::kTessellate;
+  o.isa = isa_of<V>();
+  o.steps = steps;
+  o.bx = b[0];
+  o.by = b[1];
+  o.bz = b[2];
+  o.bt = bt;
+  make_plan(shape_of(g), s, o).execute(g, ws);
+}
+
 template <typename V>
 void uj2_tiled_1d_sweep() {
   constexpr int W = V::width;
   const auto s = make_1d3p(0.27);
   const index nx = 8 * W * W;
   for (index bx : {2 * W * W, 4 * W * W})
-    for (index bt : {2, 4})
-      for (index steps : {0, 2, 4, 6, 7, 9}) {  // odd tails included
+    for (index bt : {2, 3, 4})
+      for (index steps : {0, 2, 4, 6, 7, 9}) {
         if (bx < 2 * bt) continue;
         check_1d(nx, steps, s,
                  [&](auto& g, auto& st, index t, Workspace& ws) {
-                   tess_transpose_uj2_run<V>(g, st, t, {bx}, bt, ws);
+                   run_uj2_plan<V>(g, st, t, {bx}, bt, ws);
                  },
                  "tess-uj2");
       }
@@ -121,7 +148,7 @@ void uj2_tiled_1d_sweep() {
   for (index steps : {4, 5})
     check_1d(nx, steps, s5,
              [&](auto& g, auto& st, index t, Workspace& ws) {
-               tess_transpose_uj2_run<V>(g, st, t, {4 * W * W}, 2, ws);
+               run_uj2_plan<V>(g, st, t, {4 * W * W}, 2, ws);
              },
              "tess-uj2-r2");
 }
@@ -216,9 +243,6 @@ TEST(Tess1D, RejectsBadBlocking) {
   // Multiple tiles with bx < 2*r*bt must be rejected.
   Workspace ws;
   EXPECT_THROW(tess_autovec_run(g, s, 4, {8}, 8, ws), std::invalid_argument);
-  // Odd bt for the pair scheme must be rejected.
-  EXPECT_THROW((tess_transpose_uj2_run<Vec<double, 2>>(g, s, 4, {16}, 3, ws)),
-               std::invalid_argument);
 }
 
 // ---- the tessellation engine's schedule ---------------------------------------
@@ -313,7 +337,7 @@ TEST(TessEngine, EveryCellAdvancesOncePerUnitAfterItsInputs) {
   const int saved = omp_get_max_threads();
   omp_set_num_threads(1);
   for (int rank = 1; rank <= 3; ++rank)
-    for (index slope : {1, 2})  // slope R and 2R (unroll-and-jam pairs)
+    for (index slope : {1, 2})  // radius-1 and radius-2 stencils
       for (index tau = 1; tau <= 4; ++tau)
         check_engine_schedule(rank, slope, tau);
   for (index tau = 1; tau <= 4; ++tau) check_engine_schedule(1, 4, tau);
@@ -392,16 +416,6 @@ void tess2d_transpose_sweep() {
              "tess2d-transpose-box");
     check_2d(nx, 24, steps, s5,
              [&](auto& g, auto& st, index t, Workspace& ws) {
-               tess_transpose_uj2_run<V>(g, st, t, {2 * W * W, 12}, 2, ws);
-             },
-             "tess2d-uj2");
-    check_2d(nx, 24, steps, s9,
-             [&](auto& g, auto& st, index t, Workspace& ws) {
-               tess_transpose_uj2_run<V>(g, st, t, {2 * W * W, 12}, 2, ws);
-             },
-             "tess2d-uj2-box");
-    check_2d(nx, 24, steps, s5,
-             [&](auto& g, auto& st, index t, Workspace& ws) {
                sdsl_run<V>(g, st, t, 12, 3, ws);
              },
              "sdsl2d");
@@ -452,14 +466,9 @@ void tess3d_transpose_sweep() {
                tess_transpose_run<V>(g, st, t, {W * W, 8, 8}, 2, ws);
              },
              "tess3d-transpose");
-    check_3d(nx, 16, 16, steps, s7,
-             [&](auto& g, auto& st, index t, Workspace& ws) {
-               tess_transpose_uj2_run<V>(g, st, t, {W * W, 8, 8}, 2, ws);
-             },
-             "tess3d-uj2");
     check_3d(nx, 16, 16, steps, s27,
              [&](auto& g, auto& st, index t, Workspace& ws) {
-               tess_transpose_uj2_run<V>(g, st, t, {W * W, 8, 8}, 2, ws);
+               run_uj2_plan<V>(g, st, t, {W * W, 8, 8}, 2, ws);
              },
              "tess3d-uj2-box");
     check_3d(nx, 16, 16, steps, s7,
@@ -478,48 +487,74 @@ TEST(Tess3D, TransposeAvx2) { tess3d_transpose_sweep<Vec<double, 4>>(); }
 TEST(Tess3D, TransposeAvx512) { tess3d_transpose_sweep<Vec<double, 8>>(); }
 #endif
 
-// The uj2 scratch pool holds one tile grown by R on every tiled axis above
-// x — a pair only touches its grown box — and the ragged last tiles of both
-// axes still fit it: the plan stays bit-identical to one tile.
-TEST(Tess3D, Uj2PoolHoldsOneTilePerThread) {
-  constexpr index R = 1;
-  const index nx = 128, ny = 37, nz = 29;  // ragged last tiles on y and z
+// The tiled 2-step row is an alias of transpose x tessellate: per rank,
+// under a zero and a periodic boundary, on teams of 1 and 3, at an odd bt,
+// a transpose-uj2 plan resolves a transpose plan's blocks, prepares the
+// same workspace slots, is bytewise equal to the transpose plan pinned to
+// those blocks, and matches the scalar oracle.
+template <typename G, typename S>
+void check_uj2_alias(const G& init, const S& s, const Blocks& b, int team,
+                     Boundary bc) {
   Options o;
   o.method = Method::kTransposeUJ;
   o.tiling = Tiling::kTessellate;
-  o.steps = 9;  // odd: the tail step runs without the pool
-  o.bt = 4;
-  o.by = 8;
-  o.bz = 10;
-  o.threads = 2;
-  const auto s = make_3d7p<double>(0.41, 0.09, 0.1, 0.12);
-  auto fill = [](Grid3D<double>& g) {
-    g.fill([](index x, index y, index z) {
-      return std::sin(0.05 * x + 0.3 * y) + 0.01 * z;
-    });
-  };
-  const auto plan = make_plan(shape3d(nx, ny, nz), s, o);
-  Grid3D<double> got(nx, ny, nz, 1);
-  fill(got);
-  Workspace ws;
-  plan.prepare(got, ws);
-  const auto* pool = ws.find<std::vector<Grid3D<double>>>(kWsScratchPool);
-  ASSERT_NE(pool, nullptr);
-  EXPECT_EQ(pool->size(), 2u);
-  for (const Grid3D<double>& scr : *pool) {
-    EXPECT_EQ(scr.nx(), nx);
-    EXPECT_LE(scr.ny(), o.by + 2 * R + 4);
-    EXPECT_LE(scr.nz(), o.bz + 2 * R + 4);
-  }
-  plan.execute(got, ws);
+  o.steps = 7;
+  o.bx = b[0];
+  o.by = b[1];
+  o.bz = b[2];
+  o.bt = 3;
+  o.threads = team;
+  o.boundary = BoundarySpec::uniform(bc);
+  const Shape sh = shape_of(init);
+  const std::string what = std::to_string(sh.rank) + "D " +
+                           boundary_name(bc) + " team " +
+                           std::to_string(team);
+  const auto uj = make_plan(sh, s, o);
+  const ResolvedOptions& r = uj.config();
+  Options t = o;
+  t.method = Method::kTranspose;
+  const ResolvedOptions rt = make_plan(sh, s, t).config();
+  EXPECT_EQ(r.bt, 3) << what;
+  EXPECT_EQ(r.bx, rt.bx) << what;
+  EXPECT_EQ(r.by, rt.by) << what;
+  EXPECT_EQ(r.bz, rt.bz) << what;
+  EXPECT_EQ(r.bt, rt.bt) << what;
+  t.bx = r.bx;
+  t.by = r.by;
+  t.bz = r.bz;
+  t.bt = r.bt;
+  const auto tr = make_plan(sh, s, t);
 
-  Options one = o;
-  one.by = ny;
-  one.bz = nz;
-  Grid3D<double> want(nx, ny, nz, 1);
-  fill(want);
-  make_plan(shape3d(nx, ny, nz), s, one).execute(want);
-  EXPECT_EQ(max_abs_diff(want, got), 0.0);
+  G got = init, want = init, ref = init;
+  Workspace wu, wt;
+  uj.prepare(got, wu);
+  tr.prepare(want, wt);
+  EXPECT_EQ(wu.size(), wt.size()) << what;
+  EXPECT_EQ(wu.size(), 1u) << what;
+  EXPECT_NE(wu.find<G>(kWsTmpGrid), nullptr) << what;
+  EXPECT_NE(wt.find<G>(kWsTmpGrid), nullptr) << what;
+  uj.execute(got, wu);
+  tr.execute(want, wt);
+  EXPECT_EQ(max_abs_diff(want, got), 0.0) << what;
+  reference_run(ref, s, o.steps, o.boundary);
+  EXPECT_LE(max_abs_diff(ref, got), kTol) << what;
+}
+
+TEST(TessUj2, RowIsTransposeTessellateAlias) {
+  const index W = kernel_width(best_isa(), Dtype::kF64);
+  for (Boundary bc : {Boundary::kZero, Boundary::kPeriodic})
+    for (int team : {1, 3}) {
+      Grid1D<double> g1(8 * W * W, 2);
+      g1.fill(f1);
+      check_uj2_alias(g1, make_1d5p(0.05, 0.22, 0.4), {2 * W * W}, team, bc);
+      Grid2D<double> g2(4 * W * W, 24, 1);
+      g2.fill(f2);
+      check_uj2_alias(g2, make_2d9p(0.19, 0.11, 0.06), {0, 8}, team, bc);
+      Grid3D<double> g3(2 * W * W, 16, 12, 1);
+      g3.fill(f3);
+      check_uj2_alias(g3, make_3d7p(0.41, 0.09, 0.1, 0.12), {0, 8, 6}, team,
+                      bc);
+    }
 }
 
 }  // namespace

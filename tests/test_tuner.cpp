@@ -39,8 +39,8 @@ TEST(Tuner, NamesRoundTrip) {
 TEST(Tuner, CandidatesIncludeDefaultAndRespectPins) {
   Options user;
   user.bx = 512;  // pinned by the user: every candidate must keep it
-  const auto cands = tune_candidates(1, 4096, 1, 1, 1, Tiling::kTessellate,
-                                     false, 100, user);
+  const auto cands =
+      tune_candidates(1, 4096, 1, 1, 1, Tiling::kTessellate, 100, user);
   ASSERT_FALSE(cands.empty());
   EXPECT_EQ(cands.front().bx, 512);  // candidate 0 is the user's own config
   EXPECT_EQ(cands.front().bt, 0);
@@ -59,7 +59,7 @@ TEST(Tuner, CandidatesSeedYzFromResolveDefaultAndOneTile) {
   for (const auto& sh : shapes) {
     const auto cands =
         tune_candidates(sh.rank, sh.nx, sh.ny, sh.nz, 1, Tiling::kTessellate,
-                        false, 16, user);
+                        16, user);
     ASSERT_FALSE(cands.empty());
     EXPECT_EQ(cands.front(), (TunedBlocks{0, 0, 0, 0}));
     bool one_tile = false;
@@ -73,11 +73,9 @@ TEST(Tuner, CandidatesSeedYzFromResolveDefaultAndOneTile) {
   }
 }
 
-// Under a per-step boundary the 2-step scheme advances single steps
-// (slope R, time range bt), so its candidates are legalized at that floor,
-// as resolve_options does: every candidate then resolves its own bt. At the
-// pair floor (slope 2R, bt/2 pairs) an odd bt's y block comes out too small
-// and the resolver lowers the candidate's bt.
+// Under a per-step boundary the tiled 2-step row's candidates are legalized
+// at the single-step floor (slope R, time range bt), as resolve_options
+// does: every candidate then resolves its own bt.
 TEST(Tuner, PerStepUj2CandidatesUseTheSingleStepFloor) {
   Options user;
   user.method = Method::kTransposeUJ;
@@ -88,9 +86,9 @@ TEST(Tuner, PerStepUj2CandidatesUseTheSingleStepFloor) {
   user.boundary = BoundarySpec::uniform(Boundary::kPeriodic);
   const Shape sh = shape2d(256, 64);
   const auto cands = tune_candidates(2, sh.nx, sh.ny, 1, 1,
-                                     Tiling::kTessellate, true, 12, user);
+                                     Tiling::kTessellate, 12, user);
   ASSERT_GT(cands.size(), 1u);
-  const index floor = tess_min_block(1, 3, 12, /*two_step=*/false);
+  const index floor = tess_min_block(1, 3);
   EXPECT_EQ(floor, 6);
   // Candidate 0 is the user's own fields; the rest are legalized.
   for (std::size_t i = 1; i < cands.size(); ++i) {

@@ -1,6 +1,6 @@
 // Workspace tests: the plan-owned scratch subsystem. The headline contract:
 // the SECOND (and every later) Plan::execute performs zero heap allocations
-// in every driver — grids and scratch pools are hoisted into the plan's
+// in every driver — grids and scratch rings are hoisted into the plan's
 // Workspace on the first execute and reused.
 //
 // Two counters observe the allocator:
@@ -298,7 +298,7 @@ TEST(Workspace, ReusedBuffersStayCorrect) {
   o.bt = 2;
   const auto plan = make_plan(shape2d(nx, ny), s, o);
   plan.execute(g);
-  plan.execute(g);  // second run reuses tmp + scratch pool
+  plan.execute(g);  // second run reuses the parity buffer
   EXPECT_LE(max_abs_diff(ref, g), kTol);
 }
 
@@ -366,8 +366,8 @@ TEST(Workspace, StreamingResolutionPolicy) {
 //
 // TypedPlan::prepare creates every slot an execute fetches, plain or polled
 // by an active ExecControl, under a frozen or a per-step boundary (the
-// 2-step unroll&jam schemes then advance single steps: every step needs
-// the parity buffer, none the pair scratch). After it, even the FIRST
+// untiled 2-step unroll&jam scheme then advances single steps: every step
+// needs the parity buffer, none the ring). After it, even the FIRST
 // execute on a fresh workspace allocates nothing — which is what makes
 // every allocation failure pre-mutation (retry without a snapshot).
 
@@ -439,9 +439,9 @@ int check_prepared_first_execute(const Capability& cap, index steps,
 TEST(Workspace, FirstExecuteAfterPrepareIsAllocationFree) {
   int checked = 0;
   for (const Capability& cap : capabilities())
-    // Odd steps run the 2-step schemes' remainder step; a periodic boundary
-    // makes them advance single steps, so even steps need the parity buffer
-    // there too.
+    // Odd steps run the untiled 2-step scheme's remainder step; a periodic
+    // boundary makes it advance single steps, so even steps need the parity
+    // buffer there too.
     for (index steps : {3, 4})
       for (Boundary b : {Boundary::kDirichlet, Boundary::kPeriodic}) {
         checked += check_prepared_first_execute<double>(cap, steps, b);
