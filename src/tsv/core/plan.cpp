@@ -177,36 +177,52 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
 
     // Per-axis blocks for temporal block bt: x defaults to a cache-friendly
     // target. Unset y/z blocks keep a grid whose two buffers fit half the
-    // per-thread L2 one tile; a larger grid gets the largest y (2D) or
-    // square y/z (3D) block whose tile fits that budget. When the square's
-    // z side caps at nz, y takes the budget z cannot use. A multi-tile axis
-    // must keep shrinking triangles from inverting: block >= floor_of(bt).
+    // per-thread L2 one tile. A larger 2D grid gets the largest y block
+    // whose tile fits that budget. A larger 3D grid sweeps z as a
+    // wavefront inside each tile (tiling/tess.hpp), so z stays one tile,
+    // or two ring tiles when z is periodic, and y takes the largest block
+    // whose wavefront window (bt + 2R planes of by + 2R rows of both
+    // buffers) fits the whole per-thread L2 and whose tile count is a
+    // multiple of `threads`, so every stage splits evenly over the team.
+    // A multi-tile axis must keep shrinking triangles from inverting:
+    // block >= floor_of(bt).
     const int unset = (rank >= 2 && o.by <= 0) + (rank >= 3 && o.bz <= 0);
     const index budget =
         cache_fit_elems(cpu_info().l2_bytes, dtype_size(r.dtype), 0.5);
     const index points = shape.nx * shape.ny * (rank >= 3 ? shape.nz : 1);
     const bool fit = unset > 0 && points > budget;
+    const index l2_elems = cpu_info().l2_bytes / (2 * dtype_size(r.dtype));
+    // Elements of one buffer that a tile keeps in cache at bt: the tile,
+    // or in 3D the wavefront window.
+    auto window = [&](const std::array<index, 3>& b, index bt) {
+      if (rank < 3) return b[0] * std::max<index>(1, b[1]);
+      return b[0] * (b[1] + 2 * index{radius}) * (bt + 2 * index{radius});
+    };
     auto blocks_for = [&](index bt) {
       const index min_block = floor_of(bt);
       std::array<index, 3> b{
           o.bx > 0 ? o.bx
                    : std::min(shape.nx, std::max(min_block, kDefaultBxTarget)),
           rank >= 2 ? o.by : 0, rank >= 3 ? o.bz : 0};
-      index blk = std::max(shape.ny, shape.nz);  // one tile
-      if (fit) {
-        const double room =
-            static_cast<double>(budget) /
-            static_cast<double>(b[0] * std::max<index>(1, b[1]) *
-                                std::max<index>(1, b[2]));
-        blk = std::max(min_block, static_cast<index>(
-                                      unset == 1 ? room : std::sqrt(room)));
+      if (rank >= 3 && b[2] <= 0)
+        b[2] = fit && r.boundary.z == Boundary::kPeriodic
+                   ? std::min(shape.nz,
+                              std::max(min_block, (shape.nz + 1) / 2))
+                   : shape.nz;
+      if (rank >= 2 && b[1] <= 0) {
+        index by = shape.ny;
+        if (fit && rank == 2) {
+          by = std::max(min_block, budget / b[0]);
+        } else if (fit) {
+          // The fewest tiles, a multiple of threads, whose window fits.
+          const index rows = l2_elems / (b[0] * (bt + 2 * index{radius}));
+          const index cap = std::max(min_block, rows - 2 * index{radius});
+          const index need = (shape.ny + cap - 1) / cap;
+          const index tiles = (need + r.threads - 1) / r.threads * r.threads;
+          by = std::max(min_block, (shape.ny + tiles - 1) / tiles);
+        }
+        b[1] = std::min(by, shape.ny);
       }
-      if (rank >= 3 && b[2] <= 0) {
-        b[2] = std::min(blk, shape.nz);
-        if (fit && unset == 2 && b[2] < blk)
-          blk = std::max(min_block, budget / (b[0] * b[2]));
-      }
-      if (rank >= 2 && b[1] <= 0) b[1] = std::min(blk, shape.ny);
       return b;
     };
     // The first axis whose block is illegal at bt, or -1.
@@ -219,17 +235,15 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
     };
 
     // Default bt of a budget-tiled grid: the deepest temporal block, at
-    // most steps and at least kDefaultBt, whose legal tile's two parity
-    // regions still fit the whole per-thread L2. A deeper block streams
-    // the grid through fewer time blocks; its floor grows the tile past
-    // the half-L2 fit side until the tile no longer fits.
+    // most steps and at least kDefaultBt, whose legal blocks keep the tile
+    // (2D) or the wavefront window (3D) of both buffers in the whole
+    // per-thread L2. A deeper block streams the grid through fewer time
+    // blocks; its floor grows the tile, and in 3D the window's planes,
+    // until they no longer fit.
     if (o.bt <= 0 && fit) {
-      const index l2_elems = cpu_info().l2_bytes / (2 * dtype_size(r.dtype));
       for (index bt = r.steps; bt > kDefaultBt; --bt) {
         const std::array<index, 3> b = blocks_for(bt);
-        const index tile =
-            b[0] * std::max<index>(1, b[1]) * std::max<index>(1, b[2]);
-        if (bad_axis(b, bt) < 0 && tile <= l2_elems) {
+        if (bad_axis(b, bt) < 0 && window(b, bt) <= l2_elems) {
           r.bt = bt;
           break;
         }

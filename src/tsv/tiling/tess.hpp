@@ -21,10 +21,18 @@
 // at both domain ends, and one more inverted seam sits on the wrap at
 // extent == 0, advanced as two boxes (one at each end, same level) like
 // split1d_wrap_engine's wrapped seam.
+//
+// Inside a tile the time units sweep z as a wavefront (plane v of unit u
+// at step v + slope*u; see tess_engine), so a time block keeps only about
+// tau + 2*slope planes of a tile in cache however deep the tile is in z.
+// A 3D grid can then leave z one tile: its time block runs two y stages,
+// each streaming the grid once, instead of four y/z stages.
 
 #include <omp.h>
 
+#include <algorithm>
 #include <array>
+#include <limits>
 #include <utility>
 
 #include "tsv/common/check.hpp"
@@ -85,6 +93,19 @@ using Blocks = std::array<index, 3>;
 /// shrinks at both ends and the seam after the last tile wraps to x = 0. A
 /// ragged last tile narrower than the legality floor (2*slope*tau) folds
 /// into the tile before it, so every ring tile is legal.
+///
+/// Inside a tile the units sweep z as a wavefront: plane v of unit u runs
+/// at step v + slope*u, and the units of one step run in ascending order.
+/// Each plane then reads its unit-(u-1) inputs after they are written
+/// (plane v + slope ran one step earlier, or earlier in the same step) and
+/// before unit u+1 overwrites them (its plane v - slope runs at this step,
+/// after unit u), so the tile's cells get the same values as a unit-major
+/// sweep while a time block keeps only about tau + 2*slope planes of the
+/// tile in cache. A rank-1 or rank-2 grid has one plane, and its boxes run
+/// in the unit-major order. The wrap seam of a z ring is swept in unrolled
+/// order, from n - s through n + s, so plane 0 follows plane n - 1 whose
+/// ghost image it reads. A periodic z axis left as one tile has no seam to
+/// order that read, so there each unit sweeps the whole tile as one box.
 template <typename GridT, typename AdvanceFn, typename Hook = NoBlockHook,
           typename XMap = IdentityX>
 bool tess_engine(GridT& A, GridT& B, const std::array<index, 3>& extent,
@@ -101,6 +122,10 @@ bool tess_engine(GridT& A, GridT& B, const std::array<index, 3>& extent,
     if (ring[a] && extent[a] - (count[a] - 1) * blk[a] < 2 * slope * tau)
       ring[a] = --count[a] > 1;  // fold the ragged last tile
   }
+  // Planes per wavefront step: one, or the whole extent on a periodic z
+  // axis that is a single tile.
+  const index depth =
+      (hook.wraps() >> 2 & 1u) && !ring[2] ? extent[2] : index{1};
   index parity = 0;
   auto in_buf = [&](index u) -> const GridT& {
     return ((parity + u) % 2 == 0) ? A : B;
@@ -109,22 +134,27 @@ bool tess_engine(GridT& A, GridT& B, const std::array<index, 3>& extent,
     return ((parity + u + 1) % 2 == 0) ? A : B;
   };
   // Axis a's extent at unit u of tile c (a triangle, or the inverted seam
-  // after tile c): one half-open span, or two for the seam on a ring's wrap.
-  struct Spans {
-    index lo[2], hi[2];
-    int n;
-  };
-  auto range = [&](int a, bool inverted, index c, index u) -> Spans {
+  // after tile c), as one half-open span of unrolled coordinates: the seam
+  // on a ring's wrap runs from n - s to n + s, where v >= n stands for
+  // v - n.
+  auto range = [&](int a, bool inverted, index c,
+                   index u) -> std::pair<index, index> {
     const index n = extent[a], s = slope * u;
     if (ring[a] && !inverted) {
       const index lo = c * blk[a];
-      const index hi = c == count[a] - 1 ? n : lo + blk[a];
-      return {{lo + s, 0}, {hi - s, 0}, 1};
+      return {lo + s, (c == count[a] - 1 ? n : lo + blk[a]) - s};
     }
-    if (ring[a] && c == count[a] - 1) return {{n - s, 0}, {n, s}, 2};
-    const auto r = inverted ? inv_range((c + 1) * blk[a], n, slope, u)
-                            : tri_range(c, count[a], n, blk[a], slope, u);
-    return {{r.first, 0}, {r.second, 0}, 1};
+    if (ring[a] && c == count[a] - 1) return {n - s, n + s};
+    return inverted ? inv_range((c + 1) * blk[a], n, slope, u)
+                    : tri_range(c, count[a], n, blk[a], slope, u);
+  };
+  // The two pieces of unrolled span r on axis a: [lo, n) and the wrapped
+  // [0, hi - n), either possibly empty.
+  auto pieces = [&](int a, std::pair<index, index> r) {
+    const index n = extent[a];
+    return std::array<std::pair<index, index>, 2>{
+        {{r.first, std::min(r.second, n)},
+         {std::max(r.first, n) - n, r.second - n}}};
   };
   // Inverted tiles on axis a: the seams between tiles, and a ring's wrap.
   auto seams = [&](int a) { return count[a] - (ring[a] ? 0 : 1); };
@@ -157,23 +187,47 @@ bool tess_engine(GridT& A, GridT& B, const std::array<index, 3>& extent,
 #pragma omp parallel for collapse(3) schedule(static)
       for (index tx = 0; tx < n_x; ++tx)
         for (index ty = 0; ty < n_y; ++ty)
-          for (index tz = 0; tz < n_z; ++tz)
+          for (index tz = 0; tz < n_z; ++tz) {
+            // The tile's wavefront steps: slab p = floor(v / depth) of
+            // unit u runs at step p + slope*u, with p below p_end.
+            index first = std::numeric_limits<index>::max(), last = 0;
+            index p_end = 0;
             for (index u = u0; u < t; ++u) {
-              const Spans xs = range(0, ix, tx, u);
-              const Spans ys = range(1, iy, ty, u);
-              const Spans zs = range(2, iz, tz, u);
-              for (int i = 0; i < xs.n; ++i)
-                for (int j = 0; j < ys.n; ++j)
-                  for (int k = 0; k < zs.n; ++k) {
-                    const Box box{xs.lo[i], xs.hi[i], ys.lo[j],
-                                  ys.hi[j], zs.lo[k], zs.hi[k]};
-                    if (box.xlo < box.xhi && box.ylo < box.yhi &&
-                        box.zlo < box.zhi) {
+              const auto zr = range(2, iz, tz, u);
+              if (zr.first >= zr.second) continue;
+              const index p_last = (zr.second - 1) / depth;
+              first = std::min(first, zr.first / depth + slope * u);
+              last = std::max(last, p_last + 1 + slope * u);
+              p_end = std::max(p_end, p_last + 1);
+            }
+            for (index st = first; st < last; ++st) {
+              // The units whose slab index at this step is in [0, p_end).
+              const index a = st - (p_end - 1);
+              const index u_lo =
+                  std::max(u0, a <= 0 ? index{0} : (a + slope - 1) / slope);
+              const index u_hi = std::min(t - 1, st / slope);
+              for (index u = u_lo; u <= u_hi; ++u) {
+                const index p = st - slope * u;
+                const auto zr = range(2, iz, tz, u);
+                index zlo = std::max(zr.first, p * depth);
+                index zhi = std::min(zr.second, (p + 1) * depth);
+                if (zlo >= zhi) continue;
+                if (zlo >= extent[2]) {  // past a z ring's wrap
+                  zlo -= extent[2];
+                  zhi -= extent[2];
+                }
+                for (const auto& xs : pieces(0, range(0, ix, tx, u)))
+                  for (const auto& ys : pieces(1, range(1, iy, ty, u))) {
+                    const Box box{xs.first, xs.second, ys.first,
+                                  ys.second, zlo, zhi};
+                    if (box.xlo < box.xhi && box.ylo < box.yhi) {
                       adv(in_buf(u), out_buf(u), box);
                       hook.images(out_buf(u), box, xmap);
                     }
                   }
+              }
             }
+          }
     }
     parity += t;
     done += t;

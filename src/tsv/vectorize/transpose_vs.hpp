@@ -19,6 +19,8 @@
 // set covers twice the cells of the double variant at the same register
 // count.
 
+#include <algorithm>
+
 #include "tsv/layout/block_transpose.hpp"
 #include "tsv/vectorize/method_common.hpp"
 
@@ -197,13 +199,16 @@ void transpose_sweep_row_region(
           acc[J].store(op + base + J * W);
       });
     } else {
-      // Rim block: store only the cells inside [xlo, xhi).
+      // Rim block: store only the cells inside [xlo, xhi). Lane i of vector
+      // J holds x = base + i*W + J, so the lanes inside are
+      // [lane(xlo), lane(xhi)) with lane(x) = ceil((x - base - J) / W)
+      // clamped to [0, W].
       static_for<0, W>([&]<int J>() {
-        unsigned mask = 0;
-        for (int i = 0; i < W; ++i) {
-          const index x = base + static_cast<index>(i) * W + J;
-          if (x >= xlo && x < xhi) mask |= 1u << i;
-        }
+        auto lane = [&](index x) {
+          const index a = x - base - J;
+          return a <= 0 ? index{0} : std::min<index>(W, (a + W - 1) / W);
+        };
+        const unsigned mask = (1u << lane(xhi)) - (1u << lane(xlo));
         acc[J].store_mask(op + base + J * W, mask);
       });
     }

@@ -558,6 +558,67 @@ TEST(Boundary, DeepTimeBlockMatchesTheStepLoopBytewise) {
   EXPECT_GT(checked, 0);
 }
 
+// The z wavefront (tiling/tess.hpp): a 3D tile advances plane v of unit u
+// at step v + slope*u. Here z is one wavefront tile (bz = nz) or, when z is
+// periodic, a ring of two tiles whose wrap seam sweeps in unrolled order;
+// a periodic z left as one tile sweeps each unit whole. Every y axis has
+// three tiles with a ragged last one, which a periodic y folds into its
+// neighbour. Temporal blocks 1 to 8, teams 1 to 3 (f32 on a team of 2).
+TEST(Boundary, ZWavefrontMatchesTheStepLoopBytewise) {
+  struct Spec {
+    const char* what;
+    BoundarySpec bc;
+    bool z_ring;  // two z tiles instead of one
+  };
+  const Spec specs[] = {
+      {"zero", BoundarySpec::uniform(Boundary::kZero), false},
+      {"neumann", BoundarySpec::uniform(Boundary::kNeumann), false},
+      {"mixed",
+       {.x = Boundary::kPeriodic, .y = Boundary::kNeumann,
+        .z = Boundary::kZero},
+       false},
+      {"periodic y",
+       {.x = Boundary::kZero, .y = Boundary::kPeriodic,
+        .z = Boundary::kNeumann},
+       false},
+      {"periodic z ring", BoundarySpec::uniform(Boundary::kPeriodic), true},
+      {"periodic z one tile", BoundarySpec::uniform(Boundary::kPeriodic),
+       false},
+  };
+  int checked = 0;
+  for (index bt = 1; bt <= 8; ++bt) {
+    const index by = 2 * bt + 1, bz = 2 * bt + 1;
+    const StencilKind kind =
+        bt % 2 == 0 ? StencilKind::k3d7p : StencilKind::k3d27p;
+    for (const Spec& sp : specs) {
+      // ny: two whole y tiles and a ragged third; nz: a ring's ragged third
+      // tile folds, so it keeps two tiles.
+      const index nz = sp.z_ring ? 2 * bz + 1 : bt + 3;
+      const DeepCase c{sp.what, kind, shape3d(256, 2 * by + 3, nz), 256, by,
+                       sp.z_ring ? bz : nz, bt};
+      for (const Capability& cap : capabilities()) {
+        if (cap.tiling != Tiling::kTessellate || !cap.supports_rank(3))
+          continue;
+        for (Dtype dt : all_dtypes()) {
+          if (!cap.supports_dtype(dt)) continue;
+          for (int team = 1; team <= 3; ++team) {
+            if (dt == Dtype::kF32) {
+              if (team != 2) continue;
+              expect_deep_block_matches_step_loop<Grid3D<float>>(
+                  c, cap.method, sp.bc, team);
+            } else {
+              expect_deep_block_matches_step_loop<Grid3D<double>>(
+                  c, cap.method, sp.bc, team);
+            }
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
 TEST(Boundary, AxesBeyondRankAreNormalized) {
   Options o;
   o.steps = 1;

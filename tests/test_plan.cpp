@@ -315,8 +315,9 @@ TEST(Plan, ShapeRankMismatchAtPlanTime) {
 //
 // Unset y/z blocks follow one cache model: a grid whose two buffers fit half
 // the per-thread L2 stays one tile; a larger one gets the largest y block
-// (2D) or square y/z block (3D) whose tile's two buffers fit that budget,
-// floored at 2*slope*tau and capped at the extent. Asserted on resolved
+// (2D) whose tile's two buffers fit that budget, or in 3D one z tile and
+// the y block whose z wavefront window fits the L2, floored at
+// 2*slope*tau and capped at the extent. Asserted on resolved
 // fields only, never on timing.
 
 index l2_budget_elems(Dtype dt) {
@@ -335,31 +336,32 @@ TEST(Plan, CacheFitDefaultTilesLargeGrids) {
   o.threads = 3;
   const Shape sh = shape3d(320, 288, 288);
   const ResolvedOptions r = resolve_options(sh, 1, o);
-  // The default bt is the deepest one in (4, steps] whose square tile —
-  // the half-L2 fit side, floored at 2*slope*tau = 2*bt — keeps its two
-  // f64 parity regions in the whole L2; else 4. A 2 MiB L2 gives bt 8 and
-  // a 16 x 16 y/z block.
+  // z is one wavefront tile. by is ceil(ny / k) for the smallest multiple
+  // k of threads whose window — bt + 2 planes of by + 2 rows of both f64
+  // buffers — fits the whole L2, floored at 2*slope*tau = 2*bt. The
+  // default bt is the deepest one in (4, steps] whose window at that by
+  // fits; else 4. A 2 MiB L2 gives bt 8 and nine 32-row y tiles.
   const index l2 = cpu_info().l2_bytes;
-  const index budget = l2_budget_elems(Dtype::kF64);
-  const index fit_side = static_cast<index>(
-      std::sqrt(static_cast<double>(budget) / static_cast<double>(sh.nx)));
-  auto side_at = [&](index bt) {
-    return std::min(sh.ny, std::max(fit_side, 2 * bt));
+  auto by_at = [&](index bt) {
+    const index cap = std::max(2 * bt, l2 / 16 / (sh.nx * (bt + 2)) - 2);
+    index tiles = 3, by = sh.ny;
+    while ((by = (sh.ny + tiles - 1) / tiles) > cap) tiles += 3;
+    return std::max(2 * bt, by);
   };
   index want_bt = 4;
   for (index bt = 8; bt > 4; --bt)
-    if (sh.nx * side_at(bt) * side_at(bt) * 2 * 8 <= l2) {
+    if (sh.nx * (by_at(bt) + 2) * (bt + 2) * 2 * 8 <= l2) {
       want_bt = bt;
       break;
     }
   EXPECT_EQ(r.bt, want_bt);
   EXPECT_EQ(r.bx, 320);
-  EXPECT_EQ(r.by, side_at(want_bt));
-  EXPECT_EQ(r.bz, r.by) << "3D default is a square y/z block";
+  EXPECT_EQ(r.by, by_at(want_bt));
+  EXPECT_EQ(r.bz, sh.nz) << "3D default keeps z one wavefront tile";
   EXPECT_LT(r.by, sh.ny);
-  EXPECT_LE(sh.nx * fit_side * fit_side, budget);
-  EXPECT_GT(sh.nx * (fit_side + 1) * (fit_side + 1), budget)
-      << "the fit side is the largest square block that fits the budget";
+  EXPECT_EQ(tile_count(sh.ny, r.by) % 3, 0)
+      << "every stage splits evenly over 3 threads";
+  const index budget = l2_budget_elems(Dtype::kF64);
 
   // 2D: the largest y block whose tile fits the budget.
   o.method = Method::kTranspose;
@@ -404,13 +406,12 @@ TEST(Plan, CacheFitDefaultKeepsSmallGridsOneTile) {
         resolve_options(shape3d(256, 512, 512), 1, o);
     EXPECT_EQ(pinned.by, 16);
     EXPECT_EQ(pinned.bz, 8);
-    // One pinned axis leaves the rest of the budget to the other.
+    // A pinned y leaves z one wavefront tile.
     o.bz = 0;
     const ResolvedOptions half =
         resolve_options(shape3d(256, 512, 512), 1, o);
     EXPECT_EQ(half.by, 16);
-    EXPECT_EQ(half.bz,
-              std::min<index>(512, std::max<index>(budget / (256 * 16), 8)));
+    EXPECT_EQ(half.bz, 512);
     o.by = o.bz = 0;
   }
 }

@@ -537,8 +537,8 @@ TEST(HeldLayout, PerStepBoundaryMatchesAManualStepLoop) {
 }
 
 // ---------------------------------------------------------------------------
-// Default blocks == one tile. The cache-fit default tiles y/z of grids whose
-// two buffers exceed half the per-thread L2. Blocking reorders the
+// Default blocks == one tile. The cache-fit default tiles y (and a periodic
+// z) of grids whose two buffers exceed half the per-thread L2. Blocking reorders the
 // traversal, never the arithmetic, so a default-block plan must be
 // bit-identical to the explicit one-tile plan (by = ny, bz = nz). Grids are
 // sized from the detected L2 so the default is multi-tile on any host.
@@ -549,8 +549,11 @@ void expect_default_equals_one_tile(const Shape& sh, StencilKind kind,
                                     Options o, const std::string& what) {
   const Plan dflt = make_plan(sh, kind, o);
   EXPECT_LT(dflt.config().by, sh.ny) << what << ": the default must tile y";
-  if (sh.rank >= 3)
-    EXPECT_LT(dflt.config().bz, sh.nz) << what << ": the default must tile z";
+  // z is one wavefront tile, or a ring of two tiles when periodic.
+  if (sh.rank >= 3 && o.boundary.z == Boundary::kPeriodic)
+    EXPECT_LT(dflt.config().bz, sh.nz) << what << ": a z ring must tile z";
+  else if (sh.rank >= 3)
+    EXPECT_EQ(dflt.config().bz, sh.nz) << what << ": z must be one tile";
   o.by = sh.ny;
   o.bz = sh.rank >= 3 ? sh.nz : 0;
   const Plan one_tile = make_plan(sh, kind, o);
@@ -610,50 +613,11 @@ TEST(DefaultBlocks, BitIdenticalToOneTile) {
   EXPECT_GT(checked, 0);
 }
 
-// A short z caps the square y/z tile at bz = nz; y then takes the budget z
-// could not use instead of staying at the square side. fig9's smoke grid
-// (512 x 32 x 8) is that case: the square rule gave by = 11 on a 2 MB L2.
-TEST(DefaultBlocks, ShortZGivesYTheFreedBudget) {
-  const Shape sh = shape3d(512, 32, 8, 1);
-  const index budget = cache_fit_elems(cpu_info().l2_bytes, 8, 0.5);
-  Options o;
-  o.method = Method::kTranspose;
-  o.tiling = Tiling::kTessellate;
-  o.steps = 6;
-  o.threads = 2;
-  const Plan dflt = make_plan(sh, StencilKind::k3d7p, o);
-  const ResolvedOptions& r = dflt.config();
-  const index min_block = 2 * 1 * r.bt;
-  if (sh.nx * sh.ny * sh.nz <= budget) {
-    EXPECT_EQ(r.by, sh.ny) << "a grid that fits stays one tile";
-    EXPECT_EQ(r.bz, sh.nz);
-  } else {
-    const index square = std::max(
-        min_block, static_cast<index>(std::sqrt(static_cast<double>(budget) /
-                                                static_cast<double>(r.bx))));
-    EXPECT_EQ(r.bz, std::min(square, sh.nz));
-    EXPECT_EQ(r.by, std::min(sh.ny, std::max(min_block,
-                                             budget / (r.bx * r.bz))));
-    if (r.by > min_block)
-      EXPECT_LE(r.bx * r.by * r.bz, budget) << "the tile must fit the budget";
-    if (square > sh.nz && square < sh.ny)
-      EXPECT_GT(r.by, square) << "y must take the budget z cannot use";
-  }
-  o.by = sh.ny;
-  o.bz = sh.nz;
-  const Plan one_tile = make_plan(sh, StencilKind::k3d7p, o);
-  Grid3D<double> a = sliced_test_grid<Grid3D<double>>(sh), b = a;
-  Workspace ws;
-  dflt.execute(a, ws);
-  one_tile.execute(b, ws);
-  EXPECT_EQ(max_abs_diff(a, b), 0.0);
-}
-
 // ---------------------------------------------------------------------------
 // Default temporal block. An unset bt on a 2D/3D tessellated plan whose
 // y/z blocks come from the L2 budget resolves to the deepest block — at
-// most steps, at least 4 — whose legal tile
-// keeps its two parity regions in the whole per-thread L2. Asserted on
+// most steps, at least 4 — whose legal tile (2D) or z wavefront window
+// (3D) keeps both buffers in the whole per-thread L2. Asserted on
 // resolved fields only, never on timing.
 // ---------------------------------------------------------------------------
 
@@ -661,6 +625,17 @@ TEST(DefaultBlocks, ShortZGivesYTheFreedBudget) {
 index tile_bytes(const ResolvedOptions& r, int rank) {
   return r.bx * (rank >= 2 ? r.by : 1) * (rank >= 3 ? r.bz : 1) * 2 *
          dtype_size(r.dtype);
+}
+
+/// Bytes that @p r's tile keeps in cache: the tile's two parity regions
+/// (ranks 1-2), or in 3D the z wavefront's window of both buffers,
+/// bt + 2R planes of by + 2R rows.
+index window_bytes(const ResolvedOptions& r, int radius) {
+  return r.bx * (r.by + 2 * radius) * (r.bt + 2 * radius) * 2 *
+         dtype_size(r.dtype);
+}
+index fit_bytes(const ResolvedOptions& r, int rank) {
+  return rank == 3 ? window_bytes(r, 1) : tile_bytes(r, rank);
 }
 
 /// True when every block of @p r is positive and every multi-tile axis
@@ -696,14 +671,14 @@ TEST(DefaultBlocks, DefaultTimeBlockIsDeepestThatFits) {
     o.threads = 1;
     const ResolvedOptions r = resolve_options(c.sh, 1, o);
     EXPECT_TRUE(tile_legal(c.sh, 1, r)) << c.what;
-    EXPECT_LE(tile_bytes(r, c.sh.rank), l2) << c.what;
+    EXPECT_LE(fit_bytes(r, c.sh.rank), l2) << c.what;
     EXPECT_GE(r.bt, 4) << c.what;
     EXPECT_LE(r.bt, c.steps) << c.what;
     // The next deeper block is past steps or its tile does not fit.
     Options deeper = o;
     deeper.bt = r.bt + 1;
     if (deeper.bt <= c.steps)
-      EXPECT_GT(tile_bytes(resolve_options(c.sh, 1, deeper), c.sh.rank), l2)
+      EXPECT_GT(fit_bytes(resolve_options(c.sh, 1, deeper), c.sh.rank), l2)
           << c.what << ": bt " << deeper.bt << " also fits";
     // An explicit bt is kept. A periodic plan writes its ghosts through:
     // its block is as deep as this one or deeper, legal, and its tile fits.
@@ -716,7 +691,7 @@ TEST(DefaultBlocks, DefaultTimeBlockIsDeepestThatFits) {
     EXPECT_GE(rp.bt, r.bt) << c.what;
     EXPECT_LE(rp.bt, c.steps) << c.what;
     EXPECT_TRUE(tile_legal(c.sh, 1, rp)) << c.what;
-    EXPECT_LE(tile_bytes(rp, c.sh.rank), l2) << c.what;
+    EXPECT_LE(fit_bytes(rp, c.sh.rank), l2) << c.what;
   }
 
   // A grid whose two buffers fit half the L2 stays one tile and keeps 4.
@@ -730,8 +705,8 @@ TEST(DefaultBlocks, DefaultTimeBlockIsDeepestThatFits) {
   EXPECT_EQ(rs.by, small.ny);
   EXPECT_EQ(rs.bt, 4);
 
-  // The benchmark plans on a 2 MiB L2: solve_dram one 8-step block of
-  // 16 x 16 y/z tiles; serve_tiled's plans one 32-step block of 64-row
+  // The benchmark plans on a 2 MiB L2: solve_dram one 8-step block of nine
+  // 32-row y tiles, each a z wavefront over all 288 planes; serve_tiled's plans one 32-step block of 64-row
   // tiles, periodic ones included.
   if (l2 == index{2} << 20) {
     Options solve;
@@ -742,8 +717,8 @@ TEST(DefaultBlocks, DefaultTimeBlockIsDeepestThatFits) {
     solve.boundary = BoundarySpec::uniform(Boundary::kZero);
     const ResolvedOptions rd = resolve_options(shape3d(320, 288, 288), 1, solve);
     EXPECT_EQ(rd.bt, 8);
-    EXPECT_EQ(rd.by, 16);
-    EXPECT_EQ(rd.bz, 16);
+    EXPECT_EQ(rd.by, 32);
+    EXPECT_EQ(rd.bz, 288);
     Options serve = solve;
     serve.steps = 32;
     serve.threads = 0;
@@ -753,6 +728,71 @@ TEST(DefaultBlocks, DefaultTimeBlockIsDeepestThatFits) {
     EXPECT_EQ(rt.by, 64);
     serve.boundary = BoundarySpec::uniform(Boundary::kPeriodic);
     EXPECT_EQ(resolve_options(shape2d(1024, 512), 1, serve).bt, 32);
+  }
+}
+
+// A 3D tile sweeps z as a wavefront (tiling/tess.hpp), so a default 3D
+// plan keeps z one tile (two ring tiles when z is periodic) and gives y the
+// largest block whose wavefront window — bt + 2R planes of by + 2R rows of
+// both buffers — fits the per-thread L2, in the fewest tiles that are a
+// multiple of `threads`. fig9's smoke grid (512 x 32 x 8) and solve_dram's shape; the small
+// one also runs bytewise equal to one tile.
+TEST(DefaultBlocks, ZIsOneWavefrontTile) {
+  const index l2 = cpu_info().l2_bytes;
+  struct Case {
+    Shape sh;
+    int threads;
+  };
+  for (const Case& c : {Case{shape3d(512, 32, 8, 1), 2},
+                        Case{shape3d(320, 288, 288, 1), 3}}) {
+    const Shape& sh = c.sh;
+    const std::string what = std::to_string(sh.nx) + "x" +
+                             std::to_string(sh.ny) + "x" +
+                             std::to_string(sh.nz);
+    Options o;
+    o.method = Method::kTranspose;
+    o.tiling = Tiling::kTessellate;
+    o.steps = 6;
+    o.threads = c.threads;
+    const ResolvedOptions r = resolve_options(sh, 1, o);
+    const index budget = cache_fit_elems(l2, 8, 0.5);
+    if (sh.nx * sh.ny * sh.nz <= budget) {
+      EXPECT_EQ(r.by, sh.ny) << what << ": a grid that fits stays one tile";
+      EXPECT_EQ(r.bz, sh.nz) << what;
+      continue;
+    }
+    EXPECT_EQ(r.bz, sh.nz) << what;
+    const index min_block = tess_min_block(1, r.bt);
+    EXPECT_GE(r.by, min_block) << what;
+    if (r.by > min_block) {
+      EXPECT_LE(window_bytes(r, 1), l2) << what << ": the window must fit";
+      const index tiles = tile_count(sh.ny, r.by);
+      EXPECT_EQ(tiles % c.threads, 0) << what << ": " << tiles << " tiles";
+      ResolvedOptions wider = r;  // the next smaller balanced tile count
+      wider.by = (sh.ny + tiles - c.threads - 1) / (tiles - c.threads);
+      if (tiles > c.threads)
+        EXPECT_GT(window_bytes(wider, 1), l2)
+            << what << ": " << tiles - c.threads << " tiles also fit";
+    }
+    Options periodic = o;
+    periodic.boundary = BoundarySpec::uniform(Boundary::kPeriodic);
+    const ResolvedOptions rp = resolve_options(sh, 1, periodic);
+    if (sh.nz >= 2 * tess_min_block(1, rp.bt))
+      EXPECT_EQ(tile_count(sh.nz, rp.bz), 2) << what << ": two ring tiles";
+    if (sh.nz > 8) continue;  // the bytewise run only on the small grid
+    o.by = sh.ny;
+    o.bz = sh.nz;
+    const Plan dflt = make_plan(sh, StencilKind::k3d7p, [&] {
+      Options d = o;
+      d.by = d.bz = 0;
+      return d;
+    }());
+    const Plan one_tile = make_plan(sh, StencilKind::k3d7p, o);
+    Grid3D<double> a = sliced_test_grid<Grid3D<double>>(sh), b = a;
+    Workspace ws;
+    dflt.execute(a, ws);
+    one_tile.execute(b, ws);
+    EXPECT_EQ(max_abs_diff(a, b), 0.0) << what;
   }
 }
 

@@ -269,7 +269,7 @@ struct RingHook {
 };
 
 void check_engine_schedule(int rank, index slope, index tau,
-                           unsigned ring = 0) {
+                           unsigned ring = 0, bool z_one_tile = false) {
   const index blk = 2 * slope * tau + 3;  // legal; no extent is a multiple
   // Rings: x's ragged last tile (one cell) folds into its neighbour, y has
   // exactly two tiles, z a ragged third tile wide enough to stay a tile.
@@ -282,6 +282,7 @@ void check_engine_schedule(int rank, index slope, index tau,
     ext[a] = n[a];
     b[a] = blk;
   }
+  if (z_one_tile) b[2] = 0;  // z one tile of n[2] planes
   const index units = tau + 2;  // one full time block and a partial one
   std::vector<index> level(static_cast<std::size_t>(ext[0] * ext[1] * ext[2]));
   auto at = [&](index x, index y, index z) -> index& {
@@ -325,7 +326,8 @@ void check_engine_schedule(int rank, index slope, index tau,
   const std::string what = "rank " + std::to_string(rank) + " slope " +
                            std::to_string(slope) + " tau " +
                            std::to_string(tau) + " ring " +
-                           std::to_string(ring);
+                           std::to_string(ring) + " z one tile " +
+                           std::to_string(z_one_tile);
   EXPECT_EQ(wrong_count, 0) << what;
   EXPECT_EQ(advanced, units * static_cast<index>(level.size())) << what;
   EXPECT_EQ(bad_box, 0) << what;
@@ -341,6 +343,10 @@ TEST(TessEngine, EveryCellAdvancesOncePerUnitAfterItsInputs) {
       for (index tau = 1; tau <= 4; ++tau)
         check_engine_schedule(rank, slope, tau);
   for (index tau = 1; tau <= 4; ++tau) check_engine_schedule(1, 4, tau);
+  // z one tile of several planes: the units sweep it as a wavefront.
+  for (index slope : {1, 2})
+    for (index tau = 1; tau <= 4; ++tau)
+      check_engine_schedule(3, slope, tau, 0, true);
   omp_set_num_threads(saved);
 }
 
@@ -355,6 +361,12 @@ TEST(TessEngine, RingAxesAdvanceEveryCellOncePerUnit) {
       for (index slope : {1, 2})
         for (index tau = 1; tau <= 4; ++tau)
           check_engine_schedule(rank, slope, tau, ring);
+  // A periodic z left as one tile has no wrap seam to order its wrapped
+  // reads, so each unit sweeps it whole: alone, and with x and y rings.
+  for (unsigned ring : {4u, 7u})
+    for (index slope : {1, 2})
+      for (index tau = 1; tau <= 4; ++tau)
+        check_engine_schedule(3, slope, tau, ring, true);
   omp_set_num_threads(saved);
 }
 
