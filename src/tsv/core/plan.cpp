@@ -180,11 +180,13 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
     // per-thread L2 one tile. A larger 2D grid gets the largest y block
     // whose tile fits that budget. A larger 3D grid sweeps z as a
     // wavefront inside each tile (tiling/tess.hpp), so z stays one tile,
-    // or two ring tiles when z is periodic, and y takes the largest block
-    // whose wavefront window (bt + 2R planes of by + 2R rows of both
-    // buffers) fits the whole per-thread L2 and whose tile count is a
-    // multiple of `threads`, so every stage splits evenly over the team.
-    // A multi-tile axis must keep shrinking triangles from inverting:
+    // or two ring tiles when z is periodic. y takes ceil(ny / k) for the
+    // smallest multiple k of `threads` whose wavefront window (R*(bt + 1) + 1
+    // planes of by + 2R rows of both buffers) fits the whole per-thread L2:
+    // the triangle and seam stages (k and k - 1 tiles) then both take
+    // k / threads rounds, while the largest by that fits can leave a round
+    // part-empty and give each thread more rows (docs/TUNING.md has the
+    // A/B). A multi-tile axis must keep shrinking triangles from inverting:
     // block >= floor_of(bt).
     const int unset = (rank >= 2 && o.by <= 0) + (rank >= 3 && o.bz <= 0);
     const index budget =
@@ -194,9 +196,10 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
     const index l2_elems = cpu_info().l2_bytes / (2 * dtype_size(r.dtype));
     // Elements of one buffer that a tile keeps in cache at bt: the tile,
     // or in 3D the wavefront window.
+    auto planes = [&](index bt) { return index{radius} * (bt + 1) + 1; };
     auto window = [&](const std::array<index, 3>& b, index bt) {
       if (rank < 3) return b[0] * std::max<index>(1, b[1]);
-      return b[0] * (b[1] + 2 * index{radius}) * (bt + 2 * index{radius});
+      return b[0] * (b[1] + 2 * index{radius}) * planes(bt);
     };
     auto blocks_for = [&](index bt) {
       const index min_block = floor_of(bt);
@@ -215,7 +218,7 @@ ResolvedOptions resolve_options(const Shape& shape, int radius,
           by = std::max(min_block, budget / b[0]);
         } else if (fit) {
           // The fewest tiles, a multiple of threads, whose window fits.
-          const index rows = l2_elems / (b[0] * (bt + 2 * index{radius}));
+          const index rows = l2_elems / (b[0] * planes(bt));
           const index cap = std::max(min_block, rows - 2 * index{radius});
           const index need = (shape.ny + cap - 1) / cap;
           const index tiles = (need + r.threads - 1) / r.threads * r.threads;

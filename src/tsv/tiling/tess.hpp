@@ -24,9 +24,9 @@
 //
 // Inside a tile the time units sweep z as a wavefront (plane v of unit u
 // at step v + slope*u; see tess_engine), so a time block keeps only about
-// tau + 2*slope planes of a tile in cache however deep the tile is in z.
-// A 3D grid can then leave z one tile: its time block runs two y stages,
-// each streaming the grid once, instead of four y/z stages.
+// slope*(tau + 1) + 1 planes of a tile in cache however deep the tile is
+// in z. A 3D grid can then leave z one tile: its time block runs two y
+// stages, each streaming the grid once, instead of four y/z stages.
 
 #include <omp.h>
 
@@ -100,12 +100,14 @@ using Blocks = std::array<index, 3>;
 /// (plane v + slope ran one step earlier, or earlier in the same step) and
 /// before unit u+1 overwrites them (its plane v - slope runs at this step,
 /// after unit u), so the tile's cells get the same values as a unit-major
-/// sweep while a time block keeps only about tau + 2*slope planes of the
-/// tile in cache. A rank-1 or rank-2 grid has one plane, and its boxes run
-/// in the unit-major order. The wrap seam of a z ring is swept in unrolled
-/// order, from n - s through n + s, so plane 0 follows plane n - 1 whose
-/// ghost image it reads. A periodic z axis left as one tile has no seam to
-/// order that read, so there each unit sweeps the whole tile as one box.
+/// sweep while a time block keeps only about slope*(tau + 1) + 1 planes of
+/// the tile in cache: the tau units of one step span slope*(tau - 1) + 1
+/// planes, and their reads reach slope more on each side. A rank-1 or
+/// rank-2 grid has one plane, and its boxes run in the unit-major order.
+/// The wrap seam of a z ring is swept in unrolled order, from n - s
+/// through n + s, so plane 0 follows plane n - 1 whose ghost image it
+/// reads. A periodic z axis left as one tile has no seam to order that
+/// read, so there each unit sweeps the whole tile as one box.
 template <typename GridT, typename AdvanceFn, typename Hook = NoBlockHook,
           typename XMap = IdentityX>
 bool tess_engine(GridT& A, GridT& B, const std::array<index, 3>& extent,
@@ -189,24 +191,16 @@ bool tess_engine(GridT& A, GridT& B, const std::array<index, 3>& extent,
         for (index ty = 0; ty < n_y; ++ty)
           for (index tz = 0; tz < n_z; ++tz) {
             // The tile's wavefront steps: slab p = floor(v / depth) of
-            // unit u runs at step p + slope*u, with p below p_end.
+            // unit u runs at step p + slope*u.
             index first = std::numeric_limits<index>::max(), last = 0;
-            index p_end = 0;
             for (index u = u0; u < t; ++u) {
               const auto zr = range(2, iz, tz, u);
               if (zr.first >= zr.second) continue;
-              const index p_last = (zr.second - 1) / depth;
               first = std::min(first, zr.first / depth + slope * u);
-              last = std::max(last, p_last + 1 + slope * u);
-              p_end = std::max(p_end, p_last + 1);
+              last = std::max(last, (zr.second - 1) / depth + 1 + slope * u);
             }
             for (index st = first; st < last; ++st) {
-              // The units whose slab index at this step is in [0, p_end).
-              const index a = st - (p_end - 1);
-              const index u_lo =
-                  std::max(u0, a <= 0 ? index{0} : (a + slope - 1) / slope);
-              const index u_hi = std::min(t - 1, st / slope);
-              for (index u = u_lo; u <= u_hi; ++u) {
+              for (index u = u0; u < t && st - slope * u >= 0; ++u) {
                 const index p = st - slope * u;
                 const auto zr = range(2, iz, tz, u);
                 index zlo = std::max(zr.first, p * depth);

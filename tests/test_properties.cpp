@@ -629,9 +629,9 @@ index tile_bytes(const ResolvedOptions& r, int rank) {
 
 /// Bytes that @p r's tile keeps in cache: the tile's two parity regions
 /// (ranks 1-2), or in 3D the z wavefront's window of both buffers,
-/// bt + 2R planes of by + 2R rows.
+/// R*(bt + 1) + 1 planes of by + 2R rows.
 index window_bytes(const ResolvedOptions& r, int radius) {
-  return r.bx * (r.by + 2 * radius) * (r.bt + 2 * radius) * 2 *
+  return r.bx * (r.by + 2 * radius) * (radius * (r.bt + 1) + 1) * 2 *
          dtype_size(r.dtype);
 }
 index fit_bytes(const ResolvedOptions& r, int rank) {
@@ -706,8 +706,8 @@ TEST(DefaultBlocks, DefaultTimeBlockIsDeepestThatFits) {
   EXPECT_EQ(rs.bt, 4);
 
   // The benchmark plans on a 2 MiB L2: solve_dram one 8-step block of nine
-  // 32-row y tiles, each a z wavefront over all 288 planes; serve_tiled's plans one 32-step block of 64-row
-  // tiles, periodic ones included.
+  // 32-row y tiles, each a z wavefront over all 288 planes; serve_tiled's
+  // plans one 32-step block of 64-row tiles, periodic ones included.
   if (l2 == index{2} << 20) {
     Options solve;
     solve.method = Method::kTransposeUJ;
@@ -733,10 +733,10 @@ TEST(DefaultBlocks, DefaultTimeBlockIsDeepestThatFits) {
 
 // A 3D tile sweeps z as a wavefront (tiling/tess.hpp), so a default 3D
 // plan keeps z one tile (two ring tiles when z is periodic) and gives y the
-// largest block whose wavefront window — bt + 2R planes of by + 2R rows of
-// both buffers — fits the per-thread L2, in the fewest tiles that are a
-// multiple of `threads`. fig9's smoke grid (512 x 32 x 8) and solve_dram's shape; the small
-// one also runs bytewise equal to one tile.
+// largest block whose wavefront window — R*(bt + 1) + 1 planes of by + 2R
+// rows of both buffers — fits the per-thread L2, in the fewest tiles that
+// are a multiple of `threads`. fig9's smoke grid (512 x 32 x 8) and
+// solve_dram's shape; the small one also runs bytewise equal to one tile.
 TEST(DefaultBlocks, ZIsOneWavefrontTile) {
   const index l2 = cpu_info().l2_bytes;
   struct Case {
@@ -768,11 +768,12 @@ TEST(DefaultBlocks, ZIsOneWavefrontTile) {
       EXPECT_LE(window_bytes(r, 1), l2) << what << ": the window must fit";
       const index tiles = tile_count(sh.ny, r.by);
       EXPECT_EQ(tiles % c.threads, 0) << what << ": " << tiles << " tiles";
-      ResolvedOptions wider = r;  // the next smaller balanced tile count
-      wider.by = (sh.ny + tiles - c.threads - 1) / (tiles - c.threads);
-      if (tiles > c.threads)
+      if (tiles > c.threads) {
+        ResolvedOptions wider = r;  // the next smaller balanced tile count
+        wider.by = (sh.ny + tiles - c.threads - 1) / (tiles - c.threads);
         EXPECT_GT(window_bytes(wider, 1), l2)
             << what << ": " << tiles - c.threads << " tiles also fit";
+      }
     }
     Options periodic = o;
     periodic.boundary = BoundarySpec::uniform(Boundary::kPeriodic);
@@ -794,6 +795,22 @@ TEST(DefaultBlocks, ZIsOneWavefrontTile) {
     one_tile.execute(b, ws);
     EXPECT_EQ(max_abs_diff(a, b), 0.0) << what;
   }
+  // One wavefront step holds planes v .. v - R*(bt - 1) and their reads, so
+  // a wider stencil's window is R*(bt + 1) + 1 planes deep: a deepened
+  // default bt keeps that window in the L2 (generic radii go up to 3).
+  for (int radius : {2, 3})
+    for (index nx : {64, 128, 256, 320}) {
+      Options o;
+      o.method = Method::kTranspose;
+      o.tiling = Tiling::kTessellate;
+      o.steps = 8;
+      o.threads = 3;
+      const ResolvedOptions r =
+          resolve_options(shape3d(nx, 288, 288, radius), radius, o);
+      if (r.bt > 4)  // deepened past the default of 4
+        EXPECT_LE(window_bytes(r, radius), l2)
+            << "radius " << radius << ", nx " << nx << ", bt " << r.bt;
+    }
 }
 
 // serve_tiled's periodic plans (2d5p and 2d9p, 1024 x 512, transpose-uj2,
